@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -231,7 +232,9 @@ def _sweep_job(cfg_dict: dict, root: str, no_budget: bool) -> tuple[str, str, st
     try:
         run_dir = execute_unlearn(Path(root), cfg, no_budget=no_budget)
         return key, "done", str(run_dir)
-    except UnlearnkitError as exc:
+    except Exception as exc:  # one bad job must not kill the sweep
+        if not isinstance(exc, UnlearnkitError):
+            traceback.print_exc()  # an unexpected error: keep where it came from
         return key, "failed", f"{type(exc).__name__}: {exc}"
 
 

@@ -93,6 +93,26 @@ def superloss_sigma(loss: float, params: SuperLossParams) -> float:
     return math.exp(-lambert_w0(0.5 * max(-2.0 * math.exp(-1.0), beta)))
 
 
+def superloss_weights(losses: np.ndarray, params: SuperLossParams) -> tuple[float, np.ndarray]:
+    """Kernel of :func:`apply_curriculum`: (weighted loss value, sigmas).
+
+    The gradient of the value with respect to loss i is ``sigma_i / n``.
+    Advances ``params.tau`` exactly as :func:`apply_curriculum` does.
+    """
+    vals = losses.ravel()
+    if vals.size == 0:
+        raise ConfigError("apply_curriculum needs a non-empty batch")
+    if params.tau is None:
+        params.tau = float(vals.mean())
+    tau, lam = params.tau, params.lam
+    floor = -2.0 * math.exp(-1.0)
+    log_sigmas = np.array([-lambert_w0(0.5 * max(floor, (v - tau) / lam)) for v in vals])
+    sigmas = np.exp(log_sigmas)
+    value = float(np.mean((vals - tau) * sigmas + lam * log_sigmas ** 2))
+    params.tau = params.decay * tau + (1.0 - params.decay) * float(vals.mean())
+    return value, sigmas
+
+
 def apply_curriculum(losses: Tensor, params: SuperLossParams) -> Tensor:
     """Weighted scalar loss over a batch of per-sample losses.
 
@@ -103,21 +123,11 @@ def apply_curriculum(losses: Tensor, params: SuperLossParams) -> Tensor:
     average after the batch.
     """
     losses = as_tensor(losses)
-    vals = losses.data.ravel()
-    if vals.size == 0:
-        raise ConfigError("apply_curriculum needs a non-empty batch")
-    if params.tau is None:
-        params.tau = float(vals.mean())
-    tau, lam = params.tau, params.lam
-    floor = -2.0 * math.exp(-1.0)
-    log_sigmas = np.array([-lambert_w0(0.5 * max(floor, (v - tau) / lam)) for v in vals])
-    sigmas = np.exp(log_sigmas)
-    value = float(np.mean((vals - tau) * sigmas + lam * log_sigmas ** 2))
+    value, sigmas = superloss_weights(losses.data, params)
     out = Tensor(value, _prev=(losses,))
 
     def backward(g):
-        accumulate(losses, (float(g) / vals.size) * sigmas.reshape(losses.data.shape))
+        accumulate(losses, (float(g) / sigmas.size) * sigmas.reshape(losses.data.shape))
 
     out._backward = backward
-    params.tau = params.decay * tau + (1.0 - params.decay) * float(vals.mean())
     return out

@@ -57,6 +57,7 @@ def attach_adapter(model: Model, layer_index: int, rank: int, scale: float = 1.0
     out.layers[layer_index].adapter = LowRankAdapter(
         layer_index, rank, float(scale),
         Tensor(down, requires_grad=True), Tensor(up, requires_grad=True))
+    out._pack()
     return out
 
 
@@ -67,6 +68,7 @@ def merge_adapter(model: Model) -> Model:
         if layer.adapter is not None:
             layer.weight.data = layer.weight.data + layer.adapter.delta()
             layer.adapter = None
+    out._pack()
     return out
 
 

@@ -31,9 +31,6 @@ class Manifest:
         tmp.write_text(json.dumps(self.entries, indent=2, sort_keys=True))
         os.replace(tmp, self.path)
 
-    def get(self, key: str) -> dict | None:
-        return self.entries.get(key)
-
     def is_done(self, key: str) -> bool:
         entry = self.entries.get(key)
         return entry is not None and entry.get("status") == "done"
@@ -58,6 +55,3 @@ class Manifest:
         if message:
             entry["message"] = message
         self.save()
-
-    def artifact_dirs(self) -> list[Path]:
-        return [Path(e["dir"]) for e in self.entries.values()]

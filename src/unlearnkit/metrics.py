@@ -29,7 +29,11 @@ def chance_level(num_classes: int) -> float:
 def accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
     if len(y) == 0:
         raise ConfigError("accuracy over an empty set is undefined")
-    return 100.0 * float((model.predict(x) == np.asarray(y)).mean())
+    return _accuracy_of(model.logits(x), y)
+
+
+def _accuracy_of(logits: np.ndarray, y: np.ndarray) -> float:
+    return 100.0 * float((np.argmax(logits, axis=1) == np.asarray(y)).mean())
 
 
 def evaluate(model: Model, split: DatasetSplit) -> tuple[float, float | None, float]:
@@ -45,12 +49,18 @@ def evaluate(model: Model, split: DatasetSplit) -> tuple[float, float | None, fl
 
 
 def per_sample_loss(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Task cross-entropy per sample, detached from the autodiff graph."""
-    return nn.cross_entropy(model.forward(x), y, reduction="none").data.copy()
+    """Task cross-entropy per sample, from one plain forward pass."""
+    logits = model.logits(x)
+    return nn.cross_entropy_rows(logits, nn.validate_labels(logits, y))[0]
 
 
-def mean_loss(model: Model, x: np.ndarray, y: np.ndarray) -> float:
-    return float(per_sample_loss(model, x, y).mean())
+def loss_and_accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(mean task loss, accuracy in percent) from one forward pass."""
+    if len(y) == 0:
+        raise ConfigError("accuracy over an empty set is undefined")
+    logits = model.logits(x)
+    rows = nn.cross_entropy_rows(logits, nn.validate_labels(logits, y))[0]
+    return float(rows.mean()), _accuracy_of(logits, y)
 
 
 # ------------------------------------------------------------------------ MIA

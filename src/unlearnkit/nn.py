@@ -1,8 +1,15 @@
-"""Feed-forward classifiers with a flat, index-addressable parameter vector.
+"""Feed-forward classifiers over one flat, index-addressable parameter buffer.
 
 The same ``Model`` plays both roles in an unlearning run: the trained
 original and the model being unlearned. All state is float64 and every
 construction path is seeded, so identical seeds give bit-identical models.
+
+Every parameter lives in one contiguous float64 buffer: each layer's
+``weight``/``bias`` and each adapter's ``down``/``up`` is a Tensor whose
+``data`` is a view into it, and the trainable parameters are one contiguous
+slice of it (``Model.params``). A training step runs on plain arrays:
+:meth:`Model.forward_cache` keeps the activations and :meth:`Model.backprop`
+writes the flat gradient into a preallocated buffer, layer by layer.
 """
 
 from __future__ import annotations
@@ -20,7 +27,20 @@ PROB_FLOOR = 1e-12  # probabilities are clamped to [PROB_FLOOR, 1] before any lo
 
 CHECKPOINT_VERSION = 1
 
-ACTIVATIONS = {"relu": T.relu, "tanh": T.tanh}
+
+def _relu_backward(g, z, y):
+    return g * (z > 0.0)
+
+
+def _tanh_backward(g, z, y):
+    return g * (1.0 - y * y)
+
+
+# name -> (forward, backward(grad of output, pre-activation, output))
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), _relu_backward),
+    "tanh": (np.tanh, _tanh_backward),
+}
 
 
 class Linear:
@@ -39,23 +59,15 @@ class Linear:
     def out_dim(self) -> int:
         return self.weight.data.shape[0]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, _transposed(self.weight))
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Return the layer output and, on an adapted layer, ``x @ down.T``."""
+        y = x @ self.weight.data.T
+        mid = None
         if self.adapter is not None:
             ad = self.adapter
-            low = T.matmul(T.matmul(x, _transposed(ad.down)), _transposed(ad.up))
-            y = y + ad.scale * low
-        return y + self.bias
-
-
-def _transposed(t: Tensor) -> Tensor:
-    out = Tensor(t.data.T, _prev=(t,))
-
-    def backward(g):
-        T.accumulate(t, g.T)
-
-    out._backward = backward
-    return out
+            mid = x @ ad.down.data.T
+            y = y + ad.scale * (mid @ ad.up.data.T)
+        return y + self.bias.data, mid
 
 
 class Model:
@@ -73,6 +85,7 @@ class Model:
         self.activation = activation
         self.seed = int(seed)
         self.layers: list[Linear] = []
+        self._grad_writes = 0  # lets nn.backward tell whether a loss reached us
         if _init:
             rng = np.random.default_rng(seed)
             dims = [self.input_dim] + self.hidden + [self.num_classes]
@@ -82,6 +95,40 @@ class Model:
                 b = rng.uniform(-bound, bound, size=fan_out)
                 self.layers.append(Linear(Tensor(w, requires_grad=True),
                                           Tensor(b, requires_grad=True)))
+            self._pack()
+
+    def _pack(self) -> None:
+        """Copy every parameter into a fresh buffer and rebind the tensors to views.
+
+        Call after changing the layer or adapter structure. The buffer holds
+        the base weights and biases in layer order, then each adapter's down
+        and up; the trainable slice is the adapters when any are attached,
+        else the base. Nothing is ever shared with another model's buffer.
+        """
+        base = [t for layer in self.layers for t in (layer.weight, layer.bias)]
+        adapters = self.has_adapter()
+        trainable = self.trainable_tensors()
+        tensors = base + trainable if adapters else base
+        buffer = np.empty(sum(t.data.size for t in tensors))
+        offset = 0
+        for t in tensors:
+            view = buffer[offset:offset + t.data.size].reshape(t.data.shape)
+            view[...] = t.data
+            t.data = view
+            offset += view.size
+        self._buffer = buffer
+        # Live view of the trainable parameters (the buffer's tail), and their gradients.
+        self.params = buffer[buffer.size - sum(t.data.size for t in trainable):]
+        self.grad = np.zeros(self.params.size)
+        views, offset = [], 0
+        for t in trainable:
+            views.append(self.grad[offset:offset + t.data.size].reshape(t.data.shape))
+            offset += t.data.size
+        pairs = iter(zip(views[::2], views[1::2]))
+        # Per layer: gradient views of its trainable pair, or None when frozen.
+        self._grad_views = [next(pairs) if layer.adapter is not None or not adapters else None
+                            for layer in self.layers]
+        self._lowest = min(i for i, v in enumerate(self._grad_views) if v is not None)
 
     # ---------------------------------------------------------------- forward
 
@@ -90,24 +137,109 @@ class Model:
         return self.forward_hidden(x)[0]
 
     def forward_hidden(self, x) -> tuple[Tensor, Tensor]:
-        """Return (logits, penultimate activations) for a batch."""
-        h = self._check_input(x)
-        act = ACTIVATIONS[self.activation]
-        for layer in self.layers[:-1]:
-            h = act(layer(h))
-        return self.layers[-1](h), h
+        """Return (logits, penultimate activations) for a batch as graph nodes.
 
-    def _check_input(self, x) -> Tensor:
-        t = T.as_tensor(x)
-        if t.data.ndim != 2:
-            raise ShapeError(f"expected a 2-D batch, got shape {t.shape}")
-        if t.data.shape[1] != self.input_dim:
+        The two nodes are the whole graph of this forward pass: the logits
+        node backpropagates through the output layer into the penultimate
+        node, which backpropagates through the rest, both accumulating into
+        the gradient buffer that :func:`backward` reads. The input is a
+        constant.
+        """
+        logits, cache = self.forward_cache(x)
+        hidden = Tensor(cache[0][-1])
+        out = Tensor(logits, _prev=(hidden,))
+        top = len(self.layers) - 1
+
+        def logits_backward(g):
+            gh = self._backprop_layer(top, cache, g)
+            if gh is not None:
+                T.accumulate(hidden, gh)
+
+        def hidden_backward(g):
+            if g is not None:
+                self._backprop_hidden(cache, g)
+
+        out._backward = logits_backward
+        hidden._backward = hidden_backward
+        return out, hidden
+
+    def forward_cache(self, x) -> tuple[np.ndarray, tuple]:
+        """Return the logits and the activations :meth:`backprop` needs."""
+        h = self._check_input(x)
+        act = ACTIVATIONS[self.activation][0]
+        inputs, pre, mids = [], [], []
+        for layer in self.layers[:-1]:
+            inputs.append(h)
+            z, mid = layer(h)
+            pre.append(z)
+            mids.append(mid)
+            h = act(z)
+        inputs.append(h)
+        logits, mid = self.layers[-1](h)
+        mids.append(mid)
+        return logits, (inputs, pre, mids)
+
+    def backprop(self, cache: tuple, g: np.ndarray) -> np.ndarray:
+        """Add the gradient of a loss with ``dL/dlogits = g`` into the buffer.
+
+        Returns the flat gradient buffer over the trainables, in
+        ``trainable_tensors()`` order. The buffer is reused by every call:
+        zero it first (``model.grad.fill(0.0)``) and copy what must outlive
+        the next call. Frozen layers below the lowest trainable one are
+        skipped.
+        """
+        gh = self._backprop_layer(len(self.layers) - 1, cache, g)
+        if gh is not None:
+            self._backprop_hidden(cache, gh)
+        return self.grad
+
+    def _backprop_hidden(self, cache, gh: np.ndarray) -> None:
+        """Backprop from the gradient of the penultimate activations down."""
+        inputs, pre, _ = cache
+        act_backward = ACTIVATIONS[self.activation][1]
+        for i in range(len(self.layers) - 2, self._lowest - 1, -1):
+            g = act_backward(gh, pre[i], inputs[i + 1])
+            gh = self._backprop_layer(i, cache, g)
+
+    def _backprop_layer(self, i: int, cache, g: np.ndarray) -> np.ndarray | None:
+        """Accumulate layer ``i``'s parameter gradients; return its input gradient.
+
+        ``g`` is the gradient of the layer's output. The input gradient is
+        None at the lowest trainable layer, where backprop stops.
+        """
+        inputs, _, mids = cache
+        layer, views, h = self.layers[i], self._grad_views[i], inputs[i]
+        ad = layer.adapter
+        if ad is not None:  # then only adapters are trainable
+            g_down, g_up = views
+            g_low = g * ad.scale
+            g_mid = g_low @ ad.up.data
+            g_down += (h.T @ g_mid).T
+            g_up += (mids[i].T @ g_low).T
+        elif views is not None:
+            g_weight, g_bias = views
+            g_weight += (h.T @ g).T
+            g_bias += g.sum(axis=0)
+        if views is not None:
+            self._grad_writes += 1
+        if i == self._lowest:
+            return None
+        gh = g @ layer.weight.data
+        if ad is not None:
+            gh = gh + g_mid @ ad.down.data
+        return gh
+
+    def _check_input(self, x) -> np.ndarray:
+        x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+        if x.ndim != 2:
+            raise ShapeError(f"expected a 2-D batch, got shape {x.shape}")
+        if x.shape[1] != self.input_dim:
             raise ShapeError(
-                f"batch has width {t.data.shape[1]}, model expects {self.input_dim}")
-        return t
+                f"batch has width {x.shape[1]}, model expects {self.input_dim}")
+        return x
 
     def logits(self, x) -> np.ndarray:
-        return self.forward(x).data
+        return self.forward_cache(x)[0]
 
     def probabilities(self, x) -> np.ndarray:
         return softmax(self.logits(x))
@@ -122,52 +254,39 @@ class Model:
 
     def trainable_tensors(self) -> list[Tensor]:
         """Tensors the optimizer may update. Adapters freeze the base weights."""
-        if self.has_adapter():
-            out = []
-            for layer in self.layers:
-                if layer.adapter is not None:
-                    out.extend([layer.adapter.down, layer.adapter.up])
-            return out
-        out = []
-        for layer in self.layers:
-            out.extend([layer.weight, layer.bias])
-        return out
+        adapters = [t for layer in self.layers if layer.adapter is not None
+                    for t in (layer.adapter.down, layer.adapter.up)]
+        return adapters or [t for layer in self.layers for t in (layer.weight, layer.bias)]
 
     def param_vector(self) -> np.ndarray:
         """Flat copy of all trainable parameters, in layer order."""
-        return np.concatenate([t.data.ravel() for t in self.trainable_tensors()])
+        return self.params.copy()
 
     def set_param_vector(self, values) -> None:
+        """Overwrite the trainable parameters in place; layer views see the change."""
         values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size != self.num_trainable():
+        if values.size != self.params.size:
             raise ShapeError(
-                f"vector has {values.size} entries, model has {self.num_trainable()} trainable")
-        offset = 0
-        for t in self.trainable_tensors():
-            n = t.data.size
-            t.data = values[offset:offset + n].reshape(t.data.shape).copy()
-            offset += n
+                f"vector has {values.size} entries, model has {self.params.size} trainable")
+        self.params[...] = values
 
     def num_trainable(self) -> int:
-        return sum(t.data.size for t in self.trainable_tensors())
+        return self.params.size
 
     def num_params(self) -> int:
         """Every parameter participating in a forward pass (base + adapters)."""
-        n = sum(layer.weight.data.size + layer.bias.data.size for layer in self.layers)
-        for layer in self.layers:
-            if layer.adapter is not None:
-                n += layer.adapter.down.data.size + layer.adapter.up.data.size
-        return n
+        return self._buffer.size
 
     def clone(self) -> "Model":
         out = Model(self.input_dim, self.hidden, self.num_classes,
                     self.activation, self.seed, _init=False)
         for layer in self.layers:
-            copied = Linear(Tensor(layer.weight.data.copy(), requires_grad=True),
-                            Tensor(layer.bias.data.copy(), requires_grad=True))
+            copied = Linear(Tensor(layer.weight.data, requires_grad=True),
+                            Tensor(layer.bias.data, requires_grad=True))
             if layer.adapter is not None:
                 copied.adapter = layer.adapter.clone()
             out.layers.append(copied)
+        out._pack()
         return out
 
     # ------------------------------------------------------------- checkpoint
@@ -207,8 +326,8 @@ class Model:
         for i, layer in enumerate(model.layers):
             w = np.asarray(record["params"][f"layers.{i}.weight"], dtype=np.float64)
             b = np.asarray(record["params"][f"layers.{i}.bias"], dtype=np.float64)
-            layer.weight.data = w.reshape(layer.weight.data.shape)
-            layer.bias.data = b.reshape(layer.bias.data.shape)
+            layer.weight.data[...] = w.reshape(layer.weight.data.shape)
+            layer.bias.data[...] = b.reshape(layer.bias.data.shape)
         if record.get("adapters"):
             from .lora import LowRankAdapter
 
@@ -219,6 +338,7 @@ class Model:
                 layer.adapter = LowRankAdapter(
                     layer_index=entry["layer"], rank=entry["rank"], scale=entry["scale"],
                     down=Tensor(down, requires_grad=True), up=Tensor(up, requires_grad=True))
+            model._pack()
         return model
 
     def save(self, path) -> None:
@@ -274,27 +394,29 @@ def backward(model: Model, loss: Tensor) -> np.ndarray:
     """Backprop from a scalar loss; return the flat gradient over trainables.
 
     The loss must come from a forward pass of this model: if no trainable
-    tensor appears in the loss graph there is nothing to differentiate and a
+    parameter receives a gradient there is nothing to differentiate and a
     StateError is raised. Trainables untouched by the loss (e.g. the output
-    layer under a representation-only loss) contribute exact zeros.
+    layer under a representation-only loss) contribute exact zeros. Call it
+    before the parameters change: the graph reads them at backward time.
     """
     if not isinstance(loss, Tensor):
         raise StateError("loss is not a Tensor; run forward and a loss op first")
-    for layer in model.layers:  # frozen tensors receive gradients too; clear all
-        layer.weight.grad = layer.bias.grad = None
-        if layer.adapter is not None:
-            layer.adapter.down.grad = layer.adapter.up.grad = None
-    trainable = model.trainable_tensors()
+    model.grad.fill(0.0)
+    writes = model._grad_writes
     loss.backward()
-    if all(t.grad is None for t in trainable):
+    if model._grad_writes == writes:
         raise StateError("loss does not depend on this model's parameters; "
                          "call forward on the same model first")
-    parts = [(t.grad if t.grad is not None else np.zeros_like(t.data)).ravel()
-             for t in trainable]
-    return np.concatenate(parts)
+    return model.grad.copy()
 
 
 # --------------------------------------------------------------------- losses
+#
+# Each loss has an array kernel ``*_rows(...) -> (rows, row_grad)``: the
+# per-row values and a function mapping per-row weights ``w`` (the gradient
+# of the reduced loss with respect to each row) to the gradient of the
+# weighted rows with respect to the kernel's input. The training loop calls
+# the kernels directly; the Tensor-returning losses wrap them in one node.
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; every row sums to 1 within 1e-6."""
@@ -308,17 +430,37 @@ def _clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.clip(p, PROB_FLOOR, 1.0))
 
 
-def _finish(rows: np.ndarray, prev, row_backward, reduction: str) -> Tensor:
+def _finish(x: Tensor, kernel_out, reduction: str) -> Tensor:
+    rows, row_grad = kernel_out
     if reduction == "none":
-        out = Tensor(rows, _prev=prev)
-        out._backward = row_backward
+        out = Tensor(rows, _prev=(x,))
+        out._backward = lambda g: T.accumulate(x, row_grad(g))
         return out
     if reduction == "mean":
         n = rows.shape[0]
-        out = Tensor(rows.mean(), _prev=prev)
-        out._backward = lambda g: row_backward(np.full(n, float(g) / n))
+        out = Tensor(rows.mean(), _prev=(x,))
+        out._backward = lambda g: T.accumulate(x, row_grad(np.full(n, float(g) / n)))
         return out
     raise ConfigError(f"unknown reduction {reduction!r}")
+
+
+def _constant(t) -> np.ndarray:
+    return t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
+
+
+def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
+    """Kernel of :func:`cross_entropy`: unchecked rows and row gradient."""
+    n = logits.shape[0]
+    p = softmax(logits)
+    rows = -_clamped_log(p[np.arange(n), labels])
+
+    def row_grad(w):
+        gz = p.copy()
+        gz[np.arange(n), labels] -= 1.0
+        gz *= w[:, None]
+        return gz
+
+    return rows, row_grad
 
 
 def cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Tensor:
@@ -330,24 +472,37 @@ def cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Tensor:
     signal survives even at targets the clamp has saturated.
     """
     logits = T.as_tensor(logits)
+    labels = validate_labels(logits.data, labels)
+    return _finish(logits, cross_entropy_rows(logits.data, labels), reduction)
+
+
+def validate_labels(logits: np.ndarray, labels) -> np.ndarray:
+    """Return ``labels`` as an array after checking them against 2-D logits."""
     labels = np.asarray(labels)
-    if logits.data.ndim != 2:
+    if logits.ndim != 2:
         raise ShapeError("cross_entropy expects 2-D logits")
-    n, c = logits.data.shape
+    n, c = logits.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
     if labels.min() < 0 or labels.max() >= c:
         raise ConfigError(f"labels must lie in [0, {c})")
-    p = softmax(logits.data)
-    rows = -_clamped_log(p[np.arange(n), labels])
+    return labels
 
-    def row_backward(g_rows):
-        gz = p.copy()
-        gz[np.arange(n), labels] -= 1.0
-        gz *= g_rows[:, None]
-        T.accumulate(logits, gz)
 
-    return _finish(rows, (logits,), row_backward, reduction)
+def kl_rows(student_logits: np.ndarray, teacher_logits: np.ndarray, temperature: float):
+    """Kernel of :func:`kl_loss`: rows and row gradient (raises on non-finite logits)."""
+    if not (np.isfinite(student_logits).all() and np.isfinite(teacher_logits).all()):
+        raise NumericError("non-finite logits passed to kl_loss")
+    ps = softmax(student_logits / temperature)
+    pt = softmax(teacher_logits / temperature)
+    r = _clamped_log(ps) - _clamped_log(pt)
+    rows = (ps * r).sum(axis=1)
+
+    def row_grad(w):
+        # dKL/du_k = ps_k * (r_k - KL_row), the exact softmax-side gradient.
+        return ps * (r - rows[:, None]) * (w[:, None] / temperature)
+
+    return rows, row_grad
 
 
 def kl_loss(student_logits: Tensor, teacher_logits, temperature: float = 1.0,
@@ -362,24 +517,12 @@ def kl_loss(student_logits: Tensor, teacher_logits, temperature: float = 1.0,
     if temperature <= 0:
         raise ConfigError(f"temperature must be > 0, got {temperature}")
     student_logits = T.as_tensor(student_logits)
-    t_data = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(
-        teacher_logits, dtype=np.float64)
+    t_data = _constant(teacher_logits)
     if student_logits.data.shape != t_data.shape:
         raise ShapeError(
             f"student {student_logits.data.shape} vs teacher {t_data.shape} shapes differ")
-    if not (np.isfinite(student_logits.data).all() and np.isfinite(t_data).all()):
-        raise NumericError("non-finite logits passed to kl_loss")
-    ps = softmax(student_logits.data / temperature)
-    pt = softmax(t_data / temperature)
-    r = _clamped_log(ps) - _clamped_log(pt)
-    rows = (ps * r).sum(axis=1)
-
-    def row_backward(g_rows):
-        # dKL/du_k = ps_k * (r_k - KL_row), the exact softmax-side gradient.
-        gz = ps * (r - rows[:, None]) * (g_rows[:, None] / temperature)
-        T.accumulate(student_logits, gz)
-
-    return _finish(rows, (student_logits,), row_backward, reduction)
+    return _finish(student_logits, kl_rows(student_logits.data, t_data, temperature),
+                   reduction)
 
 
 def kl_divergence(p, q) -> float:
@@ -394,20 +537,20 @@ def kl_divergence(p, q) -> float:
     return float((p * (_clamped_log(p) - _clamped_log(q))).sum())
 
 
+def representation_rows(student_h: np.ndarray, teacher_h: np.ndarray):
+    """Kernel of :func:`representation_distance`: rows and row gradient."""
+    diff = student_h - teacher_h
+    rows = (diff * diff).sum(axis=1)
+    return rows, lambda w: 2.0 * diff * w[:, None]
+
+
 def representation_distance(student_h: Tensor, teacher_h, reduction: str = "mean") -> Tensor:
     """Mean squared distance between penultimate-layer activations."""
     student_h = T.as_tensor(student_h)
-    t_data = teacher_h.data if isinstance(teacher_h, Tensor) else np.asarray(
-        teacher_h, dtype=np.float64)
+    t_data = _constant(teacher_h)
     if student_h.data.shape != t_data.shape:
         raise ShapeError("activation shapes differ")
-    diff = student_h.data - t_data
-    rows = (diff * diff).sum(axis=1)
-
-    def row_backward(g_rows):
-        T.accumulate(student_h, 2.0 * diff * g_rows[:, None])
-
-    return _finish(rows, (student_h,), row_backward, reduction)
+    return _finish(student_h, representation_rows(student_h.data, t_data), reduction)
 
 
 LOSS_KINDS = ("task_cross_entropy", "kl_divergence", "representation_distance")

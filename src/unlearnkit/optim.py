@@ -74,7 +74,11 @@ class OptimizerState:
 
 def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
                    mask: ParamMask | None = None) -> Model:
-    """Apply one descent update in place; pass a negated gradient for ascent."""
+    """Apply one descent update in place; pass a negated gradient for ascent.
+
+    The update is subtracted from ``model.params``, the live trainable slice
+    of the model's parameter buffer; masked-out coordinates are not written.
+    """
     gradient = np.asarray(gradient, dtype=np.float64).ravel()
     n = model.num_trainable()
     if gradient.size != n:
@@ -99,8 +103,7 @@ def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
         m_hat = state.m / (1.0 - state.beta1 ** state.step)
         v_hat = state.v / (1.0 - state.beta2 ** state.step)
         update = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    if mask is not None:
-        # Moment history must not leak into masked-out coordinates either.
-        update = np.where(mask.selected, update, 0.0)
-    model.set_param_vector(model.param_vector() - update)
+    # Moment history must not leak into masked-out coordinates either.
+    np.subtract(model.params, update, out=model.params,
+                where=True if mask is None else mask.selected)
     return model

@@ -5,8 +5,10 @@ Calling :meth:`Tensor.backward` on a scalar walks the recorded graph in
 reverse topological order and accumulates gradients into every node,
 including parameter leaves created with ``requires_grad=True``.
 
-Graphs are tiny (a handful of matmuls per training step), rebuilt on every
-forward pass, and discarded after backward, so no tape management is needed.
+A model's forward pass enters a graph as two nodes (its logits and its
+penultimate activations) whose backward is the model's explicit layer
+backprop, so graphs stay tiny and need no tape management. The training
+loops do not build graphs at all: they call the array kernels directly.
 """
 
 from __future__ import annotations

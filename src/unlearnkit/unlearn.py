@@ -18,13 +18,12 @@ import numpy as np
 
 from . import metrics, nn
 from .config import UnlearnConfig
-from .curriculum import SuperLossParams, apply_curriculum
+from .curriculum import SuperLossParams, superloss_weights
 from .data import DatasetSplit, corrupt_labels
 from .errors import BudgetError, ConfigError, NumericError
 from .lora import attach_adapter
 from .nn import Model, build_model
 from .optim import OptimizerState, ParamMask, optimizer_step
-from .tensor import Tensor
 
 # ------------------------------------------------------------------- taxonomy
 
@@ -90,6 +89,11 @@ class RunRecorder:
         self.budget_seconds = budget_seconds
         self.rows: list[TraceRow] = []
         self.flos = 0.0
+        self._flos_per_sample: float | None = None  # a run trains one model
+        # Snapshots evaluate these every epoch; slice them out once.
+        self._test = (split.test_x, split.test_y)
+        self._forget = (split.forget_x, split.forget_y)
+        self._retain = (split.retain_x, split.retain_y)
         self._start = time.perf_counter()
 
     @property
@@ -97,14 +101,16 @@ class RunRecorder:
         return time.perf_counter() - self._start
 
     def add_samples(self, model: Model, num_samples: int) -> None:
-        self.flos += nn.count_flos(model, num_samples, 1)
+        if self._flos_per_sample is None:
+            self._flos_per_sample = nn.count_flos(model, 1, 1)
+        self.flos += self._flos_per_sample * float(num_samples)
 
     def snapshot(self, epoch: int, model: Model, phase: str = "train") -> None:
-        acc_test, acc_f, acc_r = metrics.evaluate(model, self.split)
-        loss_f = None
-        if self.split.del_indices.size:
-            loss_f = metrics.mean_loss(model, self.split.forget_x, self.split.forget_y)
-        loss_r = metrics.mean_loss(model, self.split.retain_x, self.split.retain_y)
+        acc_test = metrics.accuracy(model, *self._test)
+        loss_r, acc_r = metrics.loss_and_accuracy(model, *self._retain)
+        loss_f = acc_f = None
+        if self._forget[1].size:
+            loss_f, acc_f = metrics.loss_and_accuracy(model, *self._forget)
         self.rows.append(TraceRow(epoch, loss_f, loss_r, acc_test, acc_f, acc_r,
                                   self.flos, self.seconds, phase))
 
@@ -135,12 +141,6 @@ def _check_finite(value: float, step: int) -> None:
         raise NumericError("training loss became non-finite", step=step)
 
 
-def _reduce(per_sample: Tensor, curriculum: SuperLossParams | None) -> Tensor:
-    if curriculum is not None:
-        return apply_curriculum(per_sample, curriculum)
-    return per_sample.mean()
-
-
 def _curriculum_state(config: UnlearnConfig) -> SuperLossParams | None:
     if not config.curriculum:
         return None
@@ -162,6 +162,40 @@ def _batches(rng: np.random.Generator, n: int, batch_size: int):
         yield order[start:start + batch_size]
 
 
+def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = None,
+                  teacher: np.ndarray | None = None, temperature: float = 1.0,
+                  curriculum: SuperLossParams | None = None, step: int = 0,
+                  accumulate: bool = False) -> tuple[float, np.ndarray]:
+    """One training step's loss and gradient, on plain arrays.
+
+    Runs one forward pass over ``x``, sums the per-row task cross-entropy
+    (when ``labels`` is given) and KL to the ``teacher`` logits (when given),
+    reduces the rows by their mean or by the curriculum, checks the value
+    is finite, and backprops. Returns the value and the model's gradient
+    buffer, overwritten unless ``accumulate`` is set.
+    """
+    logits, cache = model.forward_cache(x)
+    terms = []
+    if labels is not None:
+        terms.append(nn.cross_entropy_rows(logits, labels))
+    if teacher is not None:
+        terms.append(nn.kl_rows(logits, teacher, temperature))
+    rows = terms[0][0] if len(terms) == 1 else terms[0][0] + terms[1][0]
+    if curriculum is not None:
+        value, sigmas = superloss_weights(rows, curriculum)
+        weights = (1.0 / rows.size) * sigmas
+    else:
+        value = rows.mean()
+        weights = np.full(rows.size, 1.0 / rows.size)
+    _check_finite(value, step)
+    g = terms[0][1](weights)
+    if len(terms) == 2:
+        g = g + terms[1][1](weights)
+    if not accumulate:
+        model.grad.fill(0.0)
+    return value, model.backprop(cache, g)
+
+
 def fit(model: Model, x: np.ndarray, y: np.ndarray, *, epochs: int,
         learning_rate: float, batch_size: int, optimizer: str, seed: int,
         mask: ParamMask | None = None, ascent: bool = False,
@@ -180,12 +214,10 @@ def fit(model: Model, x: np.ndarray, y: np.ndarray, *, epochs: int,
         for rows in _batches(rng, len(y), batch_size):
             if observer is not None and indices is not None:
                 observer(indices[rows])
-            per = nn.cross_entropy(model.forward(x[rows]), y[rows], reduction="none")
-            loss = _reduce(per, curriculum)
-            _check_finite(loss.item(), step)
-            grad = nn.backward(model, loss)
+            _, grad = loss_and_grad(model, x[rows], labels=y[rows],
+                                    curriculum=curriculum, step=step)
             if l1_lambda:
-                grad = grad + l1_lambda * np.sign(model.param_vector())
+                grad = grad + l1_lambda * np.sign(model.params)
             if ascent:
                 grad = -grad
             optimizer_step(opt, model, grad, mask)
@@ -324,13 +356,13 @@ def bad_t(f: Model, split: DatasetSplit, config: UnlearnConfig,
                 observer(f_idx)
                 observer(r_idx)
             xf, xr = split.train_x[f_idx], split.train_x[r_idx]
-            per_f = nn.kl_loss(model.forward(xf), bad_teacher.logits(xf),
-                               config.temperature, reduction="none")
-            per_r = nn.kl_loss(model.forward(xr), f.logits(xr),
-                               config.temperature, reduction="none")
-            loss = _reduce(per_f, curriculum) + _reduce(per_r, curriculum)
-            _check_finite(loss.item(), step)
-            grad = nn.backward(model, loss)
+            # Both batches' KL terms sum into one gradient; a non-finite
+            # half makes the summed loss non-finite, so each half is checked.
+            loss_and_grad(model, xf, teacher=bad_teacher.logits(xf),
+                          temperature=config.temperature, curriculum=curriculum, step=step)
+            _, grad = loss_and_grad(model, xr, teacher=f.logits(xr),
+                                    temperature=config.temperature, curriculum=curriculum,
+                                    step=step, accumulate=True)
             optimizer_step(opt, model, grad)
             if recorder is not None:
                 recorder.add_samples(model, len(f_idx) + len(r_idx))
@@ -377,13 +409,9 @@ def scrub(f: Model, split: DatasetSplit, config: UnlearnConfig,
             if observer is not None:
                 observer(batch)
             x, y = split.train_x[batch], split.train_y[batch]
-            logits = model.forward(x)
-            teacher = f.logits(x)
-            per = (nn.cross_entropy(logits, y, reduction="none")
-                   + nn.kl_loss(logits, teacher, config.temperature, reduction="none"))
-            loss = _reduce(per, curriculum)
-            _check_finite(loss.item(), step)
-            grad = nn.backward(model, loss)
+            _, grad = loss_and_grad(model, x, labels=y, teacher=f.logits(x),
+                                    temperature=config.temperature, curriculum=curriculum,
+                                    step=step)
             optimizer_step(opts[phase], model, -grad if ascending else grad)
             if recorder is not None:
                 recorder.add_samples(model, len(rows))

@@ -203,6 +203,28 @@ def test_sweep_isolates_failures(tmp_path, capsys):
     assert statuses == ["done", "failed"]
 
 
+def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsys):
+    import unlearnkit.cli as cli
+
+    real = cli.execute_unlearn
+
+    def flaky(root, cfg, no_budget=False):
+        if cfg.unlearn_method == "neg_grad" and cfg.del_ratio == 4:
+            raise MemoryError("simulated out of memory")
+        return real(root, cfg, no_budget=no_budget)
+
+    monkeypatch.setattr(cli, "execute_unlearn", flaky)
+    rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
+             "--methods", "rand_label,neg_grad", "--ratios", "2,4", "--seeds", "0")
+    assert rc == 2
+    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    failed = [e for e in entries if e["status"] == "failed"]
+    assert len(entries) == 4 and len(failed) == 1
+    assert failed[0]["message"] == "MemoryError: simulated out of memory"
+    assert "Traceback" in capsys.readouterr().err
+    assert all(e["status"] == "done" for e in entries if e is not failed[0])
+
+
 def test_sweep_ratio_range_syntax(tmp_path, capsys):
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
              "--methods", "neg_grad", "--ratios", "1-3", "--seeds", "0")
