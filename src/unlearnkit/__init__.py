@@ -20,8 +20,6 @@ from .nn import (Model, backward, build_model, count_flos, cross_entropy,
                  kl_divergence, kl_loss, representation_distance, softmax)
 from .optim import OptimizerState, ParamMask, optimizer_step
 from .tensor import Tensor
-from .unlearn import (TAXONOMY, TeacherSpec, UnlearnRun, bad_t, exact_retrain,
-                      l1_sparse_ft, neg_grad, rand_label, salun, scrub,
-                      train_original, unlearn)
+from .unlearn import METHODS, TAXONOMY, TeacherSpec, UnlearnRun, train_original, unlearn
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .manifest import Manifest
 from .metrics import EvalReport, build_report
 from .nn import Model
 from .report import collect_runs, write_leaderboard
-from .unlearn import (RunRecorder, train_original, unlearn as run_unlearn,
+from .unlearn import (METHODS, RunRecorder, train_original, unlearn as run_unlearn,
                       write_trace_csv)
 
 ENV_ARTIFACTS = "UNLEARNKIT_ARTIFACTS"
@@ -95,9 +95,10 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
     start = time.perf_counter()
     try:
         model = train_original(split, cfg, recorder)
-    except NumericError:
-        write_trace_csv(recorder.rows, ckpt_dir / "trace.csv")
-        manifest.finish(key, "failed", "non-finite training loss")
+    except UnlearnkitError as exc:
+        if recorder.rows:
+            write_trace_csv(recorder.rows, ckpt_dir / "trace.csv")
+        manifest.finish(key, "failed", str(exc))
         raise
     seconds = time.perf_counter() - start
     model.save(model_path)
@@ -242,6 +243,10 @@ def cmd_sweep(args) -> int:
     root = _artifacts_root(args)
     base = _resolve_config(args)
     methods = _parse_grid_field(args.methods, str)
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ConfigError(f"unknown unlearning method(s) {', '.join(unknown)}; "
+                          f"available: {', '.join(METHODS)}")
     ratios = _parse_grid_field(args.ratios, int)
     seeds = _parse_grid_field(args.seeds, int)
     manifest = Manifest(root)

@@ -553,18 +553,6 @@ def representation_distance(student_h: Tensor, teacher_h, reduction: str = "mean
     return _finish(student_h, representation_rows(student_h.data, t_data), reduction)
 
 
-LOSS_KINDS = ("task_cross_entropy", "kl_divergence", "representation_distance")
-
-
-def loss_fn(kind: str):
-    """Look up a loss by its registered kind name."""
-    table = {"task_cross_entropy": cross_entropy, "kl_divergence": kl_loss,
-             "representation_distance": representation_distance}
-    if kind not in table:
-        raise ConfigError(f"unknown loss kind {kind!r}; choose from {LOSS_KINDS}")
-    return table[kind]
-
-
 # ----------------------------------------------------------------------- FLOs
 
 def count_flos(model: Model, num_samples: float, num_steps: float) -> float:

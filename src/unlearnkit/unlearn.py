@@ -12,7 +12,8 @@ are dense or restricted to a saliency mask.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,8 @@ class TeacherSpec:
     ``km``/``corrupt`` describe the teacher on the deletion set (None when the
     method has no forgetting teacher); ``retain``/``retain_km`` describe the
     teacher on the remaining data. ``scope`` is (density, locality) of the
-    trainable parameters.
+    trainable parameters. Each method declares its cell where it registers
+    (see ``register``); ``TAXONOMY`` is derived from the registry.
     """
 
     km: str | None  # Loss | Rep | Logit
@@ -42,17 +44,6 @@ class TeacherSpec:
     retain: str  # original_f | none
     retain_km: tuple[str, ...]  # measures used on the remaining data
     scope: tuple[str, str]  # (Dense|Sparse, Internal|External)
-
-
-TAXONOMY: dict[str, TeacherSpec] = {
-    "exact_retrain": TeacherSpec(None, None, "original_f", ("Loss",), ("Dense", "Internal")),
-    "neg_grad": TeacherSpec("Loss", "Grad", "none", (), ("Dense", "Internal")),
-    "rand_label": TeacherSpec("Loss", "Data", "original_f", ("Loss",), ("Dense", "Internal")),
-    "bad_t": TeacherSpec("Logit", "Model", "original_f", ("Logit",), ("Dense", "Internal")),
-    "scrub": TeacherSpec("Loss", "Grad", "original_f", ("Loss", "Rep"), ("Dense", "Internal")),
-    "salun": TeacherSpec("Loss", "Data", "original_f", ("Loss",), ("Sparse", "Internal")),
-    "l1_sparse_ft": TeacherSpec(None, None, "original_f", ("Loss",), ("Sparse", "Internal")),
-}
 
 
 # ---------------------------------------------------------------------- trace
@@ -135,16 +126,44 @@ class UnlearnRun:
 
 
 # ------------------------------------------------------------- training loop
+#
+# A step is a list of parts ``(rows, x, labels | None, teacher | None)``:
+# training-set row indices, their inputs, the task labels to fit and the
+# model whose logits to match (KL). The parts' gradients sum into one update.
+# A pass is ``(phase, ascending, steps)``, one epoch of steps; the trace
+# gets a row at the end of each pass. Passes and steps are generators that
+# the loop consumes once, in order: each pass draws its shuffle from the
+# run's one RNG when the loop reaches it, so the draw order is fixed.
 
-def _check_finite(value: float, step: int) -> None:
-    if not np.isfinite(value):
-        raise NumericError("training loss became non-finite", step=step)
+Part = tuple[np.ndarray, np.ndarray, np.ndarray | None, Model | None]
+Pass = tuple[str, bool, Iterable[list[Part]]]
+
+
+class Plan(NamedTuple):
+    """What one run trains: a student, its passes, and the update rule.
+
+    The student is trained in place with ``learning_rate``; every step's
+    gradient gets ``l1_lambda * sign(params)`` added (when non-zero) and
+    updates only the coordinates ``mask`` selects (all when None).
+    """
+
+    student: Model
+    passes: Iterable[Pass]
+    learning_rate: float
+    curriculum: SuperLossParams | None = None
+    mask: ParamMask | None = None
+    l1_lambda: float = 0.0
 
 
 def _curriculum_state(config: UnlearnConfig) -> SuperLossParams | None:
     if not config.curriculum:
         return None
     return SuperLossParams(lam=config.curriculum_lambda, decay=config.curriculum_decay)
+
+
+def _fresh_model(split: DatasetSplit, config: UnlearnConfig, seed: int) -> Model:
+    return build_model(split.train_x.shape[1], config.data_spec().num_classes,
+                       config.backbone, seed=seed)
 
 
 def _student(original: Model, config: UnlearnConfig) -> Model:
@@ -156,10 +175,20 @@ def _student(original: Model, config: UnlearnConfig) -> Model:
     return student
 
 
-def _batches(rng: np.random.Generator, n: int, batch_size: int):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def _stream(rng: np.random.Generator, idx: np.ndarray, x: np.ndarray,
+            labels: np.ndarray | None, teacher: Model | None, batch_size: int):
+    """One shuffled pass over the training rows ``idx``, one part per step."""
+    order = idx[rng.permutation(idx.size)]
+    for start in range(0, order.size, batch_size):
+        rows = order[start:start + batch_size]
+        yield [(rows, x[rows], None if labels is None else labels[rows], teacher)]
+
+
+def _epochs(rng: np.random.Generator, idx: np.ndarray, x: np.ndarray, labels: np.ndarray,
+            epochs: int, batch_size: int, phase: str = "train", ascending: bool = False):
+    """``epochs`` task-loss passes over the training rows ``idx``."""
+    return ((phase, ascending, _stream(rng, idx, x, labels, None, batch_size))
+            for _ in range(epochs))
 
 
 def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = None,
@@ -187,7 +216,8 @@ def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = No
     else:
         value = rows.mean()
         weights = np.full(rows.size, 1.0 / rows.size)
-    _check_finite(value, step)
+    if not np.isfinite(value):
+        raise NumericError("training loss became non-finite", step=step)
     g = terms[0][1](weights)
     if len(terms) == 2:
         g = g + terms[1][1](weights)
@@ -196,185 +226,164 @@ def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = No
     return value, model.backprop(cache, g)
 
 
-def fit(model: Model, x: np.ndarray, y: np.ndarray, *, epochs: int,
-        learning_rate: float, batch_size: int, optimizer: str, seed: int,
-        mask: ParamMask | None = None, ascent: bool = False,
-        curriculum: SuperLossParams | None = None, l1_lambda: float = 0.0,
-        indices: np.ndarray | None = None, observer=None,
-        recorder: RunRecorder | None = None, phase: str = "train") -> Model:
-    """Minibatch task-loss training, shared by original training and most methods.
+def _drive(plan: Plan, optimizer: str, temperature: float = 1.0,
+           recorder: RunRecorder | None = None, observer=None) -> Model:
+    """Train ``plan.student`` in place through its passes: the one training loop.
 
-    ``indices`` maps rows of ``x`` back to original training rows so an
-    ``observer`` can audit exactly which samples the loop touches.
+    Every part of a step backprops into one summed gradient. A non-finite
+    part makes that sum non-finite, so each part is checked on its own.
+    The sum gets the L1 pull, the pass's sign and one masked optimizer
+    update. Each phase name keeps its own optimizer state, so ascent and
+    descent never share Adam moments. ``observer`` sees every part's row
+    indices. A ``recorder`` counts each step's samples and snapshots the
+    model before training (epoch 0, ``init``) and after every pass,
+    numbered from 1, checking the budget after each pass.
     """
-    opt = OptimizerState(optimizer, learning_rate)
-    rng = np.random.default_rng(seed)
+    model = plan.student
+    fresh = OptimizerState(optimizer, plan.learning_rate)  # a bad recipe fails up front
+    opts: dict[str, OptimizerState] = {}
+    if recorder is not None:
+        recorder.snapshot(0, model, "init")
     step = 0
-    for epoch in range(1, epochs + 1):
-        for rows in _batches(rng, len(y), batch_size):
-            if observer is not None and indices is not None:
-                observer(indices[rows])
-            _, grad = loss_and_grad(model, x[rows], labels=y[rows],
-                                    curriculum=curriculum, step=step)
-            if l1_lambda:
-                grad = grad + l1_lambda * np.sign(model.params)
-            if ascent:
-                grad = -grad
-            optimizer_step(opt, model, grad, mask)
+    for number, (phase, ascending, steps) in enumerate(plan.passes, 1):
+        if phase not in opts:
+            opts[phase] = replace(fresh)
+        for parts in steps:
+            for i, (rows, x, labels, teacher) in enumerate(parts):
+                if observer is not None:
+                    observer(rows)
+                _, grad = loss_and_grad(
+                    model, x, labels=labels, temperature=temperature,
+                    teacher=None if teacher is None else teacher.logits(x),
+                    curriculum=plan.curriculum, step=step, accumulate=i > 0)
+            if plan.l1_lambda:
+                grad = grad + plan.l1_lambda * np.sign(model.params)
+            optimizer_step(opts[phase], model, -grad if ascending else grad, plan.mask)
             if recorder is not None:
-                recorder.add_samples(model, len(rows))
+                recorder.add_samples(model, sum(len(part[0]) for part in parts))
             step += 1
         if recorder is not None:
-            recorder.snapshot(epoch, model, phase)
+            recorder.snapshot(number, model, phase)
             recorder.check_budget()
     return model
+
+
+def fit(model: Model, x: np.ndarray, y: np.ndarray, *, epochs: int,
+        learning_rate: float, batch_size: int, optimizer: str, seed: int,
+        recorder: RunRecorder | None = None) -> Model:
+    """Minibatch task-loss training of ``model`` on ``(x, y)``, in place.
+
+    The original model's recipe: one shuffle per epoch from ``seed``, no
+    curriculum, mask or L1. With a ``recorder`` the trace gets an ``init``
+    row and one row per epoch.
+    """
+    passes = _epochs(np.random.default_rng(seed), np.arange(len(y)), x, y, epochs, batch_size)
+    return _drive(Plan(model, passes, learning_rate), optimizer, recorder=recorder)
 
 
 def train_original(split: DatasetSplit, config: UnlearnConfig,
                    recorder: RunRecorder | None = None) -> Model:
     """Train the original model on the full training set with the recorded recipe."""
-    spec = config.data_spec()
-    model = build_model(split.train_x.shape[1], spec.num_classes,
-                        config.backbone, seed=config.seed)
-    if recorder is not None:
-        recorder.snapshot(0, model, "init")
-    fit(model, split.train_x, split.train_y, epochs=config.train_epochs,
-        learning_rate=config.train_learning_rate, batch_size=config.train_batch_size,
-        optimizer=config.optimizer, seed=config.seed,
-        indices=np.arange(split.num_train), recorder=recorder)
-    return model
+    return fit(_fresh_model(split, config, config.seed), split.train_x, split.train_y,
+               epochs=config.train_epochs, learning_rate=config.train_learning_rate,
+               batch_size=config.train_batch_size, optimizer=config.optimizer,
+               seed=config.seed, recorder=recorder)
 
 
-# -------------------------------------------------------------------- methods
+# ------------------------------------------------------------------- registry
+#
+# A method is a planner ``(f, split, config) -> Plan`` registered with the
+# design-axis cell it occupies. The registry is the one list of methods.
 
-def exact_retrain(split: DatasetSplit, config: UnlearnConfig,
-                  recorder: RunRecorder | None = None, observer=None) -> Model:
+class Method(NamedTuple):
+    """A registered method: its design-axis cell and its planner."""
+
+    spec: TeacherSpec
+    plan: Callable[[Model, DatasetSplit, UnlearnConfig], Plan]
+
+
+METHODS: dict[str, Method] = {}
+
+
+def register(spec: TeacherSpec):
+    """Register the decorated planner under its function name."""
+    def add(planner):
+        METHODS[planner.__name__] = Method(spec, planner)
+        return planner
+    return add
+
+
+def _finetune(f: Model, split: DatasetSplit, config: UnlearnConfig, idx: np.ndarray,
+              labels: np.ndarray, phase: str = "train", ascending: bool = False,
+              mask: ParamMask | None = None, l1_lambda: float = 0.0) -> Plan:
+    """Task-loss passes over the training rows ``idx`` with the unlearning recipe."""
+    passes = _epochs(np.random.default_rng(config.seed), idx, split.train_x, labels,
+                     config.epochs, config.batch_size, phase, ascending)
+    return Plan(_student(f, config), passes, config.learning_rate,
+                _curriculum_state(config), mask, l1_lambda)
+
+
+@register(TeacherSpec(None, None, "original_f", ("Loss",), ("Dense", "Internal")))
+def exact_retrain(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     """Train a fresh model on the remaining data only, with the original recipe."""
     retain_idx = split.retain_indices
     if retain_idx.size == 0:
         raise ConfigError("cannot retrain: the remaining set is empty")
-    spec = config.data_spec()
-    model = build_model(split.train_x.shape[1], spec.num_classes,
-                        config.backbone, seed=config.seed)
-    if recorder is not None:
-        recorder.snapshot(0, model, "init")
-    return fit(model, split.train_x[retain_idx], split.train_y[retain_idx],
-               epochs=config.train_epochs, learning_rate=config.train_learning_rate,
-               batch_size=config.train_batch_size, optimizer=config.optimizer,
-               seed=config.seed, indices=retain_idx, observer=observer,
-               recorder=recorder)
+    passes = _epochs(np.random.default_rng(config.seed), retain_idx, split.train_x,
+                     split.train_y, config.train_epochs, config.train_batch_size)
+    return Plan(_fresh_model(split, config, config.seed), passes, config.train_learning_rate)
 
 
-def neg_grad(f: Model, split: DatasetSplit, config: UnlearnConfig,
-             recorder: RunRecorder | None = None, observer=None) -> Model:
+@register(TeacherSpec("Loss", "Grad", "none", (), ("Dense", "Internal")))
+def neg_grad(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     """Gradient ascent on the task loss over the deletion set only."""
-    model = _student(f, config)
-    if recorder is not None:
-        recorder.snapshot(0, model, "init")
-    return fit(model, split.forget_x, split.forget_y, epochs=config.epochs,
-               learning_rate=config.learning_rate, batch_size=config.batch_size,
-               optimizer=config.optimizer, seed=config.seed, ascent=True,
-               curriculum=_curriculum_state(config), indices=split.del_indices,
-               observer=observer, recorder=recorder, phase="ascent")
+    return _finetune(f, split, config, split.del_indices, split.train_y, "ascent", True)
 
 
+@register(TeacherSpec("Loss", "Data", "original_f", ("Loss",), ("Dense", "Internal")))
 def rand_label(f: Model, split: DatasetSplit, config: UnlearnConfig,
-               recorder: RunRecorder | None = None, observer=None,
-               mask: ParamMask | None = None) -> Model:
+               mask: ParamMask | None = None) -> Plan:
     """Fine-tune on the full training set with deletion rows relabeled.
 
     Labels are corrupted once up front (uniformly over the other classes) and
     the whole set is shuffled together every epoch.
     """
-    if split.del_indices.size == 0:
-        raise ConfigError("rand_label needs a non-empty deletion set")
-    model = _student(f, config)
-    if recorder is not None:
-        recorder.snapshot(0, model, "init")
     labels = split.train_y.copy()
     labels[split.del_indices] = corrupt_labels(split, split.del_indices, config.seed)
-    return fit(model, split.train_x, labels, epochs=config.epochs,
-               learning_rate=config.learning_rate, batch_size=config.batch_size,
-               optimizer=config.optimizer, seed=config.seed, mask=mask,
-               curriculum=_curriculum_state(config),
-               indices=np.arange(split.num_train), observer=observer,
-               recorder=recorder)
+    return _finetune(f, split, config, np.arange(split.num_train), labels, mask=mask)
 
 
-def salun(f: Model, split: DatasetSplit, config: UnlearnConfig,
-          recorder: RunRecorder | None = None, observer=None) -> Model:
-    """Relabel-and-fine-tune restricted to the most salient parameters.
-
-    Saliency is the absolute task-loss gradient over the deletion set at the
-    original model; the top ``salun_sparsity`` fraction stays trainable.
-    With sparsity 1.0 this is exactly rand_label (bit-identical trajectory).
-    """
-    s = config.salun_sparsity
-    if not 0.0 < s <= 1.0:
-        raise ConfigError(f"salun_sparsity must be in (0, 1], got {s}")
-    if split.del_indices.size == 0:
-        raise ConfigError("salun needs a non-empty deletion set")
-    probe = _student(f, config)
-    loss = nn.cross_entropy(probe.forward(split.forget_x), split.forget_y)
-    saliency = np.abs(nn.backward(probe, loss))
-    mask = ParamMask.top_fraction(saliency, s)
-    return rand_label(f, split, config, recorder=recorder, observer=observer, mask=mask)
-
-
-def bad_t(f: Model, split: DatasetSplit, config: UnlearnConfig,
-          recorder: RunRecorder | None = None, observer=None) -> Model:
+@register(TeacherSpec("Logit", "Model", "original_f", ("Logit",), ("Dense", "Internal")))
+def bad_t(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     """Distill toward an incompetent teacher on D_f and the original on D_r.
 
     Every optimization step draws one batch from each set simultaneously and
     descends KL(student || bad teacher) + KL(student || original).
     """
-    if split.del_indices.size == 0:
-        raise ConfigError("bad_t needs a non-empty deletion set")
-    spec = config.data_spec()
-    bad_teacher = build_model(split.train_x.shape[1], spec.num_classes,
-                              config.backbone, seed=config.bad_teacher_seed)
-    model = _student(f, config)
-    if recorder is not None:
-        recorder.snapshot(0, model, "init")
-    opt = OptimizerState(config.optimizer, config.learning_rate)
-    curriculum = _curriculum_state(config)
+    bad_teacher = _fresh_model(split, config, config.bad_teacher_seed)
     rng = np.random.default_rng(config.seed)
-    retain_idx, forget_idx = split.retain_indices, split.del_indices
-    forget_batch = min(config.batch_size, forget_idx.size)
-    forget_order = rng.permutation(forget_idx)
-    cursor = 0
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        for rows in _batches(rng, retain_idx.size, config.batch_size):
-            r_idx = retain_idx[rows]
-            if cursor + forget_batch > forget_order.size:
-                forget_order = rng.permutation(forget_idx)
-                cursor = 0
-            f_idx = forget_order[cursor:cursor + forget_batch]
-            cursor += forget_batch
-            if observer is not None:
-                observer(f_idx)
-                observer(r_idx)
-            xf, xr = split.train_x[f_idx], split.train_x[r_idx]
-            # Both batches' KL terms sum into one gradient; a non-finite
-            # half makes the summed loss non-finite, so each half is checked.
-            loss_and_grad(model, xf, teacher=bad_teacher.logits(xf),
-                          temperature=config.temperature, curriculum=curriculum, step=step)
-            _, grad = loss_and_grad(model, xr, teacher=f.logits(xr),
-                                    temperature=config.temperature, curriculum=curriculum,
-                                    step=step, accumulate=True)
-            optimizer_step(opt, model, grad)
-            if recorder is not None:
-                recorder.add_samples(model, len(f_idx) + len(r_idx))
-            step += 1
-        if recorder is not None:
-            recorder.snapshot(epoch, model, "distill")
-            recorder.check_budget()
-    return model
+    x, forget_idx = split.train_x, split.del_indices
+    size = min(config.batch_size, forget_idx.size)
+
+    def forget_batches(order):  # reshuffled whenever less than a batch is left
+        while True:
+            for start in range(0, order.size - size + 1, size):
+                yield order[start:start + size]
+            order = rng.permutation(forget_idx)
+
+    forget = forget_batches(rng.permutation(forget_idx))  # drawn before any pass
+
+    def steps():
+        for [retain] in _stream(rng, split.retain_indices, x, None, f, config.batch_size):
+            rows = next(forget)
+            yield [(rows, x[rows], None, bad_teacher), retain]
+
+    passes = (("distill", False, steps()) for _ in range(config.epochs))
+    return Plan(_student(f, config), passes, config.learning_rate, _curriculum_state(config))
 
 
-def scrub(f: Model, split: DatasetSplit, config: UnlearnConfig,
-          recorder: RunRecorder | None = None, observer=None) -> Model:
+@register(TeacherSpec("Loss", "Grad", "original_f", ("Loss", "Logit"), ("Dense", "Internal")))
+def scrub(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     """Alternate divergence ascent on D_f with guided descent on D_r.
 
     Rounds interleave one max pass (ascend task loss plus KL from the
@@ -385,88 +394,65 @@ def scrub(f: Model, split: DatasetSplit, config: UnlearnConfig,
     so the task-loss part supplies the initial escape direction. ``epochs``
     is unused: the schedule is ``scrub_max_steps`` and ``scrub_min_steps``.
     """
-    if config.scrub_max_steps < 0 or config.scrub_min_steps < 0:
+    max_steps, min_steps = config.scrub_max_steps, config.scrub_min_steps
+    if max_steps < 0 or min_steps < 0:
         raise ConfigError("scrub step counts must be >= 0")
-    if split.del_indices.size == 0:
-        raise ConfigError("scrub needs a non-empty deletion set")
-    model = _student(f, config)
-    if recorder is not None:
-        recorder.snapshot(0, model, "init")
-    # Ascent and descent are different optimization problems; sharing Adam
-    # moments across them would let min-phase momentum cancel max steps.
-    opts = {"max": OptimizerState(config.optimizer, config.learning_rate),
-            "min": OptimizerState(config.optimizer, config.learning_rate)}
-    curriculum = _curriculum_state(config)
     rng = np.random.default_rng(config.seed)
-    retain_idx, forget_idx = split.retain_indices, split.del_indices
-    step = 0
-    pass_no = 0
 
-    def one_pass(idx: np.ndarray, ascending: bool, phase: str):
-        nonlocal step, pass_no
-        for rows in _batches(rng, idx.size, config.batch_size):
-            batch = idx[rows]
-            if observer is not None:
-                observer(batch)
-            x, y = split.train_x[batch], split.train_y[batch]
-            _, grad = loss_and_grad(model, x, labels=y, teacher=f.logits(x),
-                                    temperature=config.temperature, curriculum=curriculum,
-                                    step=step)
-            optimizer_step(opts[phase], model, -grad if ascending else grad)
-            if recorder is not None:
-                recorder.add_samples(model, len(rows))
-            step += 1
-        pass_no += 1
-        if recorder is not None:
-            recorder.snapshot(pass_no, model, phase)
-            recorder.check_budget()
+    def one_pass(idx):
+        return _stream(rng, idx, split.train_x, split.train_y, f, config.batch_size)
 
-    for cycle in range(max(config.scrub_max_steps, config.scrub_min_steps)):
-        if cycle < config.scrub_max_steps:
-            one_pass(forget_idx, ascending=True, phase="max")
-        if cycle < config.scrub_min_steps:
-            one_pass(retain_idx, ascending=False, phase="min")
-    return model
+    def passes():
+        for cycle in range(max(max_steps, min_steps)):
+            if cycle < max_steps:
+                yield "max", True, one_pass(split.del_indices)
+            if cycle < min_steps:
+                yield "min", False, one_pass(split.retain_indices)
+
+    return Plan(_student(f, config), passes(), config.learning_rate, _curriculum_state(config))
 
 
-def l1_sparse_ft(f: Model, split: DatasetSplit, config: UnlearnConfig,
-                 recorder: RunRecorder | None = None, observer=None) -> Model:
+@register(TeacherSpec("Loss", "Data", "original_f", ("Loss",), ("Sparse", "Internal")))
+def salun(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
+    """Relabel-and-fine-tune restricted to the most salient parameters.
+
+    Saliency is the absolute task-loss gradient over the deletion set at the
+    original model; the top ``salun_sparsity`` fraction stays trainable.
+    With sparsity 1.0 this is exactly rand_label (bit-identical trajectory).
+    """
+    s = config.salun_sparsity
+    if not 0.0 < s <= 1.0:
+        raise ConfigError(f"salun_sparsity must be in (0, 1], got {s}")
+    _, grad = loss_and_grad(_student(f, config), split.forget_x, labels=split.forget_y)
+    return rand_label(f, split, config, mask=ParamMask.top_fraction(np.abs(grad), s))
+
+
+@register(TeacherSpec(None, None, "original_f", ("Loss",), ("Sparse", "Internal")))
+def l1_sparse_ft(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     """Fine-tune on the remaining data with an L1 pull toward sparse weights."""
     if config.l1_lambda < 0:
         raise ConfigError(f"l1_lambda must be >= 0, got {config.l1_lambda}")
-    model = _student(f, config)
-    if recorder is not None:
-        recorder.snapshot(0, model, "init")
-    retain_idx = split.retain_indices
-    return fit(model, split.train_x[retain_idx], split.train_y[retain_idx],
-               epochs=config.epochs, learning_rate=config.learning_rate,
-               batch_size=config.batch_size, optimizer=config.optimizer,
-               seed=config.seed, l1_lambda=config.l1_lambda,
-               curriculum=_curriculum_state(config), indices=retain_idx,
-               observer=observer, recorder=recorder)
+    return _finetune(f, split, config, split.retain_indices, split.train_y,
+                     l1_lambda=config.l1_lambda)
+
+
+TAXONOMY: dict[str, TeacherSpec] = {name: m.spec for name, m in METHODS.items()}
 
 
 # ------------------------------------------------------------------- dispatch
 
-METHODS = tuple(TAXONOMY)
-
-
 def unlearn(method: str, f: Model, split: DatasetSplit, config: UnlearnConfig,
             observer=None) -> UnlearnRun:
     """Run one unlearning method end to end, recording time, FLOs, and a trace."""
-    if method not in TAXONOMY:
+    if method not in METHODS:
         raise ConfigError(f"unknown unlearning method {method!r}; available: "
                           + ", ".join(METHODS))
     if method != "exact_retrain" and split.del_indices.size == 0:
         raise ConfigError(f"{method} requires a deletion set; call "
                           "split.with_deletion(del_ratio) first")
     recorder = RunRecorder(split, budget_seconds=config.budget_seconds)
-    if method == "exact_retrain":
-        produced = exact_retrain(split, config, recorder, observer)
-    else:
-        fn = {"neg_grad": neg_grad, "rand_label": rand_label, "bad_t": bad_t,
-              "scrub": scrub, "salun": salun, "l1_sparse_ft": l1_sparse_ft}[method]
-        produced = fn(f, split, config, recorder, observer)
+    plan = METHODS[method].plan(f, split, config)
+    produced = _drive(plan, config.optimizer, config.temperature, recorder, observer)
     return UnlearnRun(method=method, config=config, original=f, model=produced,
                       trace=recorder.rows, seconds=recorder.seconds,
                       flos=recorder.flos)

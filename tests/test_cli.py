@@ -203,6 +203,15 @@ def test_sweep_isolates_failures(tmp_path, capsys):
     assert statuses == ["done", "failed"]
 
 
+def test_sweep_rejects_unknown_methods_before_any_work(tmp_path, capsys):
+    rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
+             "--methods", "rand_label,mega", "--ratios", "2", "--seeds", "0")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "mega" in err and "available: exact_retrain, neg_grad, rand_label" in err
+    assert list(tmp_path.iterdir()) == []  # nothing trained, no manifest written
+
+
 def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsys):
     import unlearnkit.cli as cli
 
@@ -334,6 +343,15 @@ def test_sweep_full_grid_counts_250_entries(tmp_path, capsys):
     entries = [e for e in manifest.entries.values() if e["kind"] == "unlearn"]
     assert len(entries) == 250
     assert all(e["status"] == "done" for e in entries)
+
+
+def test_train_config_error_is_recorded_as_failed(tmp_path, capsys):
+    rc = run(tmp_path, "train", "--data_name", DATA, "--backbone", "mlp:0", "--seed", "0")
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    entries = list(Manifest(tmp_path).entries.values())
+    assert [(e["kind"], e["status"]) for e in entries] == [("train", "failed")]
+    assert "mlp:0" in entries[0]["message"]
 
 
 def test_train_divergence_aborts_with_trace(tmp_path, capsys):

@@ -229,13 +229,3 @@ def test_checkpoint_version_is_enforced(tmp_path):
     with pytest.raises(ConfigError):
         Model.from_dict(record)
 
-
-def test_loss_lookup_by_kind():
-    from unlearnkit.nn import LOSS_KINDS, kl_loss, loss_fn, representation_distance
-
-    assert loss_fn("task_cross_entropy") is cross_entropy
-    assert loss_fn("kl_divergence") is kl_loss
-    assert loss_fn("representation_distance") is representation_distance
-    assert len(LOSS_KINDS) == 3
-    with pytest.raises(ConfigError):
-        loss_fn("hinge")

@@ -7,8 +7,8 @@ from unlearnkit import (BudgetError, ConfigError, UnlearnConfig, evaluate,
                         kl_loss, unlearn)
 from unlearnkit.data import generate
 from unlearnkit.optim import ParamMask
-from unlearnkit.unlearn import (TAXONOMY, TeacherSpec, fit, neg_grad, rand_label,
-                                salun, train_original, write_trace_csv)
+from unlearnkit.unlearn import (METHODS, TAXONOMY, TeacherSpec, fit, train_original,
+                                write_trace_csv)
 
 DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
 
@@ -36,13 +36,58 @@ def test_taxonomy_matches_design_axis_table():
         "neg_grad": ("Loss", "Grad", "none", (), ("Dense", "Internal")),
         "rand_label": ("Loss", "Data", "original_f", ("Loss",), ("Dense", "Internal")),
         "bad_t": ("Logit", "Model", "original_f", ("Logit",), ("Dense", "Internal")),
-        "scrub": ("Loss", "Grad", "original_f", ("Loss", "Rep"), ("Dense", "Internal")),
+        "scrub": ("Loss", "Grad", "original_f", ("Loss", "Logit"), ("Dense", "Internal")),
         "salun": ("Loss", "Data", "original_f", ("Loss",), ("Sparse", "Internal")),
         "l1_sparse_ft": (None, None, "original_f", ("Loss",), ("Sparse", "Internal")),
     }
     assert set(TAXONOMY) == set(expected)
     for method, fields in expected.items():
         assert TAXONOMY[method] == TeacherSpec(*fields), method
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_taxonomy_matches_what_the_loop_trains(setup, method):
+    """Each declared design cell follows from the parts its plan trains on."""
+    f, split, cfg = setup
+    spec, planner = METHODS[method]
+    plan = planner(f, split, cfg)
+    terms = {"D_f": set(), "D_r": set()}
+    corrupt, order = set(), []
+    for _, ascending, steps in plan.passes:
+        for parts in steps:
+            for rows, _, labels, teacher in parts:
+                order.append(rows.tolist())
+                measured = {"Loss"} if labels is not None else set()
+                if teacher is not None:
+                    measured.add("Logit")
+                forget = np.isin(rows, split.del_indices)
+                for side, picked in (("D_f", forget), ("D_r", ~forget)):
+                    if picked.any():
+                        terms[side] |= measured
+                if (~forget).any():  # the remaining rows follow the original
+                    assert teacher is None or teacher is f
+                    if labels is not None:
+                        assert np.array_equal(labels[~forget], split.train_y[rows[~forget]])
+                if not forget.any():
+                    continue
+                if ascending:
+                    corrupt.add("Grad")
+                if labels is not None and np.any(labels[forget] != split.train_y[rows[forget]]):
+                    corrupt.add("Data")
+                if teacher is not None and teacher is not f:
+                    corrupt.add("Model")
+    assert len(set(spec.retain_km)) == len(spec.retain_km)
+    assert set(spec.retain_km) == terms["D_r"]
+    assert (spec.retain == "none") == (not terms["D_r"])
+    assert (spec.km is None) == (not terms["D_f"])
+    if spec.km is not None:
+        assert spec.km in terms["D_f"]
+    assert corrupt == ({spec.corrupt} if spec.corrupt else set())
+    assert (spec.scope[0] == "Sparse") == (plan.mask is not None or plan.l1_lambda > 0)
+    # the run itself trains on exactly the rows the plan lists, in order
+    seen = []
+    unlearn(method, f, split, cfg, observer=lambda idx: seen.append(idx.tolist()))
+    assert seen == order
 
 
 # -------------------------------------------------------------------- dispatch
