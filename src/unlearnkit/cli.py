@@ -142,17 +142,18 @@ def execute_unlearn(root: Path, cfg: UnlearnConfig, no_budget: bool = False) -> 
     if cfg.budget_seconds is None and not no_budget and cfg.unlearn_method != "exact_retrain":
         # The recorded training time is the practical ceiling for unlearning.
         cfg = dataclasses.replace(cfg, budget_seconds=meta["train_seconds"])
-    run_dir = _run_dir(root, cfg)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = _run_dir(root, cfg)  # made only when something is written to it
     try:
         run = run_unlearn(cfg.unlearn_method, f, split, cfg)
     except (NumericError, BudgetError) as exc:
         trace = getattr(exc, "trace", [])
         if trace:
+            run_dir.mkdir(parents=True, exist_ok=True)
             write_trace_csv(trace, run_dir / "trace.csv")
         raise
     report = build_report(run.model, split, seconds=run.seconds, flos=run.flos,
                           config_hash=config_hash(cfg), seed=cfg.seed)
+    run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "config.json").write_text(
         json.dumps(cfg.resolved_dict(), indent=2, sort_keys=True))
     run.model.save(run_dir / "model_prime.json")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .tensor import Tensor, accumulate, as_tensor
 
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, the lower edge of W0's domain
 _MAX_ITER = 50
@@ -88,20 +87,24 @@ class SuperLossParams:
 def superloss_sigma(loss: float, params: SuperLossParams) -> float:
     """Optimal confidence sigma* for a single loss value at the current baseline."""
     if params.tau is None:
-        raise ConfigError("tau is unset; run apply_curriculum on a batch first or set it")
+        raise ConfigError("tau is unset; weight a batch with superloss_weights first or set it")
     beta = (float(loss) - params.tau) / params.lam
     return math.exp(-lambert_w0(0.5 * max(-2.0 * math.exp(-1.0), beta)))
 
 
 def superloss_weights(losses: np.ndarray, params: SuperLossParams) -> tuple[float, np.ndarray]:
-    """Kernel of :func:`apply_curriculum`: (weighted loss value, sigmas).
+    """Weighted scalar loss over a batch of per-sample losses, and the sigmas.
 
-    The gradient of the value with respect to loss i is ``sigma_i / n``.
-    Advances ``params.tau`` exactly as :func:`apply_curriculum` does.
+    The value is ``mean_i (l_i - tau) * sigma_i + lam * (log sigma_i)**2``
+    with each sigma_i computed at its loss. Its exact derivative with
+    respect to l_i is ``sigma_i / n`` (the confidence is the argmin, so its
+    own dependence on l_i drops out). ``params.tau`` starts at the first
+    batch's mean when unset and advances by its moving average after the
+    batch.
     """
     vals = losses.ravel()
     if vals.size == 0:
-        raise ConfigError("apply_curriculum needs a non-empty batch")
+        raise ConfigError("superloss_weights needs a non-empty batch")
     if params.tau is None:
         params.tau = float(vals.mean())
     tau, lam = params.tau, params.lam
@@ -112,22 +115,3 @@ def superloss_weights(losses: np.ndarray, params: SuperLossParams) -> tuple[floa
     params.tau = params.decay * tau + (1.0 - params.decay) * float(vals.mean())
     return value, sigmas
 
-
-def apply_curriculum(losses: Tensor, params: SuperLossParams) -> Tensor:
-    """Weighted scalar loss over a batch of per-sample losses.
-
-    Returns ``mean_i (l_i - tau) * sigma_i + lam * (log sigma_i)**2`` where
-    each sigma_i is computed at the detached loss value. The weighted loss's
-    exact derivative w.r.t. l_i is sigma_i / n (the confidence is the argmin,
-    so its own dependence on l_i drops out). tau is advanced by its moving
-    average after the batch.
-    """
-    losses = as_tensor(losses)
-    value, sigmas = superloss_weights(losses.data, params)
-    out = Tensor(value, _prev=(losses,))
-
-    def backward(g):
-        accumulate(losses, (float(g) / sigmas.size) * sigmas.reshape(losses.data.shape))
-
-    out._backward = backward
-    return out

@@ -14,15 +14,11 @@ class ConfigError(UnlearnkitError, ValueError):
 
 
 class ShapeError(UnlearnkitError, ValueError):
-    """Tensor or vector dimensions do not line up."""
+    """Array or vector dimensions do not line up."""
 
 
 class DomainError(UnlearnkitError, ValueError):
     """Numeric argument outside a function's mathematical domain."""
-
-
-class StateError(UnlearnkitError, RuntimeError):
-    """Operation called out of order, e.g. backward without a forward graph."""
 
 
 class NumericError(UnlearnkitError, ArithmeticError):

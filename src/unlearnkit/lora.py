@@ -14,25 +14,23 @@ import numpy as np
 
 from .errors import ConfigError
 from .nn import Model
-from .tensor import Tensor
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: compare adapters by identity
 class LowRankAdapter:
     layer_index: int
     rank: int
     scale: float
-    down: Tensor  # (rank, in)
-    up: Tensor  # (out, rank)
+    down: np.ndarray  # (rank, in)
+    up: np.ndarray  # (out, rank)
 
     def delta(self) -> np.ndarray:
         """The effective weight change ``scale * (up @ down)``."""
-        return self.scale * (self.up.data @ self.down.data)
+        return self.scale * (self.up @ self.down)
 
     def clone(self) -> "LowRankAdapter":
         return LowRankAdapter(self.layer_index, self.rank, self.scale,
-                              Tensor(self.down.data.copy(), requires_grad=True),
-                              Tensor(self.up.data.copy(), requires_grad=True))
+                              self.down.copy(), self.up.copy())
 
 
 def attach_adapter(model: Model, layer_index: int, rank: int, scale: float = 1.0,
@@ -54,9 +52,7 @@ def attach_adapter(model: Model, layer_index: int, rank: int, scale: float = 1.0
     bound = 1.0 / np.sqrt(base.in_dim)
     down = rng.uniform(-bound, bound, size=(rank, base.in_dim))
     up = np.zeros((base.out_dim, rank))
-    out.layers[layer_index].adapter = LowRankAdapter(
-        layer_index, rank, float(scale),
-        Tensor(down, requires_grad=True), Tensor(up, requires_grad=True))
+    out.layers[layer_index].adapter = LowRankAdapter(layer_index, rank, float(scale), down, up)
     out._pack()
     return out
 
@@ -66,7 +62,7 @@ def merge_adapter(model: Model) -> Model:
     out = model.clone()
     for layer in out.layers:
         if layer.adapter is not None:
-            layer.weight.data = layer.weight.data + layer.adapter.delta()
+            layer.weight = layer.weight + layer.adapter.delta()
             layer.adapter = None
     out._pack()
     return out
@@ -78,4 +74,4 @@ def adapter_trainable_counts(model: Model, layer_index: int) -> tuple[int, int]:
     if layer.adapter is None:
         raise ConfigError(f"layer {layer_index} has no adapter")
     ad = layer.adapter
-    return ad.down.data.size + ad.up.data.size, layer.weight.data.size
+    return ad.down.size + ad.up.size, layer.weight.size

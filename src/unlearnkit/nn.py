@@ -5,10 +5,11 @@ original and the model being unlearned. All state is float64 and every
 construction path is seeded, so identical seeds give bit-identical models.
 
 Every parameter lives in one contiguous float64 buffer: each layer's
-``weight``/``bias`` and each adapter's ``down``/``up`` is a Tensor whose
-``data`` is a view into it, and the trainable parameters are one contiguous
-slice of it (``Model.params``). A training step runs on plain arrays:
-:meth:`Model.forward_cache` keeps the activations and :meth:`Model.backprop`
+``weight``/``bias`` and each adapter's ``down``/``up`` is a plain ndarray
+view into it, and the trainable parameters are one contiguous slice of it
+(``Model.params``). A gradient is computed on plain arrays:
+:meth:`Model.forward_cache` keeps the activations, a loss kernel turns the
+logits into per-row values and a logits gradient, and :meth:`Model.backprop`
 writes the flat gradient into a preallocated buffer, layer by layer.
 """
 
@@ -19,9 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
-from .errors import ConfigError, NumericError, ShapeError, StateError
-from .tensor import Tensor
+from .errors import ConfigError, NumericError, ShapeError
 
 PROB_FLOOR = 1e-12  # probabilities are clamped to [PROB_FLOOR, 1] before any log
 
@@ -46,28 +45,28 @@ ACTIVATIONS = {
 class Linear:
     """Dense layer ``y = x @ W.T + b`` with an optional low-rank adapter."""
 
-    def __init__(self, weight: Tensor, bias: Tensor):
+    def __init__(self, weight: np.ndarray, bias: np.ndarray):
         self.weight = weight  # (out, in)
         self.bias = bias  # (out,)
         self.adapter = None  # set by lora.attach_adapter
 
     @property
     def in_dim(self) -> int:
-        return self.weight.data.shape[1]
+        return self.weight.shape[1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.data.shape[0]
+        return self.weight.shape[0]
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Return the layer output and, on an adapted layer, ``x @ down.T``."""
-        y = x @ self.weight.data.T
+        y = x @ self.weight.T
         mid = None
         if self.adapter is not None:
             ad = self.adapter
-            mid = x @ ad.down.data.T
-            y = y + ad.scale * (mid @ ad.up.data.T)
-        return y + self.bias.data, mid
+            mid = x @ ad.down.T
+            y = y + ad.scale * (mid @ ad.up.T)
+        return y + self.bias, mid
 
 
 class Model:
@@ -85,7 +84,6 @@ class Model:
         self.activation = activation
         self.seed = int(seed)
         self.layers: list[Linear] = []
-        self._grad_writes = 0  # lets nn.backward tell whether a loss reached us
         if _init:
             rng = np.random.default_rng(seed)
             dims = [self.input_dim] + self.hidden + [self.num_classes]
@@ -93,37 +91,42 @@ class Model:
                 bound = 1.0 / np.sqrt(fan_in)
                 w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
                 b = rng.uniform(-bound, bound, size=fan_out)
-                self.layers.append(Linear(Tensor(w, requires_grad=True),
-                                          Tensor(b, requires_grad=True)))
+                self.layers.append(Linear(w, b))
             self._pack()
 
+    def _slots(self) -> tuple[list, list]:
+        """(owner, attribute name) of every base parameter and every adapter one."""
+        base = [(layer, name) for layer in self.layers for name in ("weight", "bias")]
+        adapters = [(layer.adapter, name) for layer in self.layers
+                    if layer.adapter is not None for name in ("down", "up")]
+        return base, adapters
+
     def _pack(self) -> None:
-        """Copy every parameter into a fresh buffer and rebind the tensors to views.
+        """Copy every parameter into a fresh buffer and rebind each to its view.
 
         Call after changing the layer or adapter structure. The buffer holds
         the base weights and biases in layer order, then each adapter's down
         and up; the trainable slice is the adapters when any are attached,
         else the base. Nothing is ever shared with another model's buffer.
         """
-        base = [t for layer in self.layers for t in (layer.weight, layer.bias)]
-        adapters = self.has_adapter()
-        trainable = self.trainable_tensors()
-        tensors = base + trainable if adapters else base
-        buffer = np.empty(sum(t.data.size for t in tensors))
+        base, adapters = self._slots()
+        values = [getattr(owner, name) for owner, name in base + adapters]
+        buffer = np.empty(sum(v.size for v in values))
         offset = 0
-        for t in tensors:
-            view = buffer[offset:offset + t.data.size].reshape(t.data.shape)
-            view[...] = t.data
-            t.data = view
+        for (owner, name), value in zip(base + adapters, values):
+            view = buffer[offset:offset + value.size].reshape(value.shape)
+            view[...] = value
+            setattr(owner, name, view)
             offset += view.size
         self._buffer = buffer
+        trainable = self.trainable_tensors()
         # Live view of the trainable parameters (the buffer's tail), and their gradients.
-        self.params = buffer[buffer.size - sum(t.data.size for t in trainable):]
+        self.params = buffer[buffer.size - sum(t.size for t in trainable):]
         self.grad = np.zeros(self.params.size)
         views, offset = [], 0
         for t in trainable:
-            views.append(self.grad[offset:offset + t.data.size].reshape(t.data.shape))
-            offset += t.data.size
+            views.append(self.grad[offset:offset + t.size].reshape(t.shape))
+            offset += t.size
         pairs = iter(zip(views[::2], views[1::2]))
         # Per layer: gradient views of its trainable pair, or None when frozen.
         self._grad_views = [next(pairs) if layer.adapter is not None or not adapters else None
@@ -132,39 +135,14 @@ class Model:
 
     # ---------------------------------------------------------------- forward
 
-    def forward(self, x) -> Tensor:
-        """Run the network on a batch (rows are samples), returning logits."""
-        return self.forward_hidden(x)[0]
-
-    def forward_hidden(self, x) -> tuple[Tensor, Tensor]:
-        """Return (logits, penultimate activations) for a batch as graph nodes.
-
-        The two nodes are the whole graph of this forward pass: the logits
-        node backpropagates through the output layer into the penultimate
-        node, which backpropagates through the rest, both accumulating into
-        the gradient buffer that :func:`backward` reads. The input is a
-        constant.
-        """
-        logits, cache = self.forward_cache(x)
-        hidden = Tensor(cache[0][-1])
-        out = Tensor(logits, _prev=(hidden,))
-        top = len(self.layers) - 1
-
-        def logits_backward(g):
-            gh = self._backprop_layer(top, cache, g)
-            if gh is not None:
-                T.accumulate(hidden, gh)
-
-        def hidden_backward(g):
-            if g is not None:
-                self._backprop_hidden(cache, g)
-
-        out._backward = logits_backward
-        hidden._backward = hidden_backward
-        return out, hidden
-
     def forward_cache(self, x) -> tuple[np.ndarray, tuple]:
-        """Return the logits and the activations :meth:`backprop` needs."""
+        """Return the logits and the activations :meth:`backprop` needs.
+
+        The cache is ``(inputs, pre, mids)``: each layer's input, each
+        hidden layer's pre-activation, and each layer's adapter projection
+        (None when unadapted). ``inputs[-1]`` is the penultimate activation,
+        the input of :meth:`backprop_hidden`.
+        """
         h = self._check_input(x)
         act = ACTIVATIONS[self.activation][0]
         inputs, pre, mids = [], [], []
@@ -190,16 +168,22 @@ class Model:
         """
         gh = self._backprop_layer(len(self.layers) - 1, cache, g)
         if gh is not None:
-            self._backprop_hidden(cache, gh)
+            self.backprop_hidden(cache, gh)
         return self.grad
 
-    def _backprop_hidden(self, cache, gh: np.ndarray) -> None:
-        """Backprop from the gradient of the penultimate activations down."""
+    def backprop_hidden(self, cache: tuple, gh: np.ndarray) -> np.ndarray:
+        """Add the gradient of a loss with ``dL/d(penultimate) = gh`` into the buffer.
+
+        For a loss on the penultimate activations (``cache[0][-1]``); the
+        output layer gets no gradient. Returns the buffer, as
+        :meth:`backprop` does.
+        """
         inputs, pre, _ = cache
         act_backward = ACTIVATIONS[self.activation][1]
         for i in range(len(self.layers) - 2, self._lowest - 1, -1):
             g = act_backward(gh, pre[i], inputs[i + 1])
             gh = self._backprop_layer(i, cache, g)
+        return self.grad
 
     def _backprop_layer(self, i: int, cache, g: np.ndarray) -> np.ndarray | None:
         """Accumulate layer ``i``'s parameter gradients; return its input gradient.
@@ -213,24 +197,22 @@ class Model:
         if ad is not None:  # then only adapters are trainable
             g_down, g_up = views
             g_low = g * ad.scale
-            g_mid = g_low @ ad.up.data
+            g_mid = g_low @ ad.up
             g_down += (h.T @ g_mid).T
             g_up += (mids[i].T @ g_low).T
         elif views is not None:
             g_weight, g_bias = views
             g_weight += (h.T @ g).T
             g_bias += g.sum(axis=0)
-        if views is not None:
-            self._grad_writes += 1
         if i == self._lowest:
             return None
-        gh = g @ layer.weight.data
+        gh = g @ layer.weight
         if ad is not None:
-            gh = gh + g_mid @ ad.down.data
+            gh = gh + g_mid @ ad.down
         return gh
 
     def _check_input(self, x) -> np.ndarray:
-        x = np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ShapeError(f"expected a 2-D batch, got shape {x.shape}")
         if x.shape[1] != self.input_dim:
@@ -252,11 +234,10 @@ class Model:
     def has_adapter(self) -> bool:
         return any(layer.adapter is not None for layer in self.layers)
 
-    def trainable_tensors(self) -> list[Tensor]:
-        """Tensors the optimizer may update. Adapters freeze the base weights."""
-        adapters = [t for layer in self.layers if layer.adapter is not None
-                    for t in (layer.adapter.down, layer.adapter.up)]
-        return adapters or [t for layer in self.layers for t in (layer.weight, layer.bias)]
+    def trainable_tensors(self) -> list[np.ndarray]:
+        """Parameter arrays the optimizer may update. Adapters freeze the base weights."""
+        base, adapters = self._slots()
+        return [getattr(owner, name) for owner, name in adapters or base]
 
     def param_vector(self) -> np.ndarray:
         """Flat copy of all trainable parameters, in layer order."""
@@ -281,8 +262,7 @@ class Model:
         out = Model(self.input_dim, self.hidden, self.num_classes,
                     self.activation, self.seed, _init=False)
         for layer in self.layers:
-            copied = Linear(Tensor(layer.weight.data, requires_grad=True),
-                            Tensor(layer.bias.data, requires_grad=True))
+            copied = Linear(layer.weight, layer.bias)  # _pack copies
             if layer.adapter is not None:
                 copied.adapter = layer.adapter.clone()
             out.layers.append(copied)
@@ -294,16 +274,16 @@ class Model:
     def to_dict(self) -> dict:
         params = {}
         for i, layer in enumerate(self.layers):
-            params[f"layers.{i}.weight"] = layer.weight.data.ravel().tolist()
-            params[f"layers.{i}.bias"] = layer.bias.data.ravel().tolist()
+            params[f"layers.{i}.weight"] = layer.weight.ravel().tolist()
+            params[f"layers.{i}.bias"] = layer.bias.ravel().tolist()
         adapters = []
         for i, layer in enumerate(self.layers):
             if layer.adapter is not None:
                 ad = layer.adapter
                 adapters.append({
                     "layer": i, "rank": ad.rank, "scale": ad.scale,
-                    "down": ad.down.data.ravel().tolist(),
-                    "up": ad.up.data.ravel().tolist(),
+                    "down": ad.down.ravel().tolist(),
+                    "up": ad.up.ravel().tolist(),
                 })
         return {
             "format_version": CHECKPOINT_VERSION,
@@ -326,8 +306,8 @@ class Model:
         for i, layer in enumerate(model.layers):
             w = np.asarray(record["params"][f"layers.{i}.weight"], dtype=np.float64)
             b = np.asarray(record["params"][f"layers.{i}.bias"], dtype=np.float64)
-            layer.weight.data[...] = w.reshape(layer.weight.data.shape)
-            layer.bias.data[...] = b.reshape(layer.bias.data.shape)
+            layer.weight[...] = w.reshape(layer.weight.shape)
+            layer.bias[...] = b.reshape(layer.bias.shape)
         if record.get("adapters"):
             from .lora import LowRankAdapter
 
@@ -337,7 +317,7 @@ class Model:
                 up = np.asarray(entry["up"], dtype=np.float64).reshape(layer.out_dim, entry["rank"])
                 layer.adapter = LowRankAdapter(
                     layer_index=entry["layer"], rank=entry["rank"], scale=entry["scale"],
-                    down=Tensor(down, requires_grad=True), up=Tensor(up, requires_grad=True))
+                    down=down, up=up)
             model._pack()
         return model
 
@@ -353,11 +333,11 @@ class Model:
 
         h = hashlib.sha256()
         for layer in self.layers:
-            h.update(layer.weight.data.tobytes())
-            h.update(layer.bias.data.tobytes())
+            h.update(layer.weight.tobytes())
+            h.update(layer.bias.tobytes())
             if layer.adapter is not None:
-                h.update(layer.adapter.down.data.tobytes())
-                h.update(layer.adapter.up.data.tobytes())
+                h.update(layer.adapter.down.tobytes())
+                h.update(layer.adapter.up.tobytes())
         return h.hexdigest()
 
 
@@ -388,35 +368,15 @@ def build_model(input_dim: int, num_classes: int, backbone: str = "mlp:32,32",
     return Model(input_dim, hidden, num_classes, activation, seed)
 
 
-# ------------------------------------------------------------------ gradients
-
-def backward(model: Model, loss: Tensor) -> np.ndarray:
-    """Backprop from a scalar loss; return the flat gradient over trainables.
-
-    The loss must come from a forward pass of this model: if no trainable
-    parameter receives a gradient there is nothing to differentiate and a
-    StateError is raised. Trainables untouched by the loss (e.g. the output
-    layer under a representation-only loss) contribute exact zeros. Call it
-    before the parameters change: the graph reads them at backward time.
-    """
-    if not isinstance(loss, Tensor):
-        raise StateError("loss is not a Tensor; run forward and a loss op first")
-    model.grad.fill(0.0)
-    writes = model._grad_writes
-    loss.backward()
-    if model._grad_writes == writes:
-        raise StateError("loss does not depend on this model's parameters; "
-                         "call forward on the same model first")
-    return model.grad.copy()
-
-
 # --------------------------------------------------------------------- losses
 #
-# Each loss has an array kernel ``*_rows(...) -> (rows, row_grad)``: the
+# Each loss is an array kernel ``*_rows(...) -> (rows, row_grad)``: the
 # per-row values and a function mapping per-row weights ``w`` (the gradient
-# of the reduced loss with respect to each row) to the gradient of the
-# weighted rows with respect to the kernel's input. The training loop calls
-# the kernels directly; the Tensor-returning losses wrap them in one node.
+# of the reduced loss with respect to each row; ``1/n`` for a batch mean) to
+# the gradient of the weighted rows with respect to the kernel's input. A
+# logits gradient goes to :meth:`Model.backprop`, a penultimate-activation
+# gradient to :meth:`Model.backprop_hidden`; ``unlearn.loss_and_grad`` does
+# this for the training losses.
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; every row sums to 1 within 1e-6."""
@@ -430,26 +390,15 @@ def _clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.clip(p, PROB_FLOOR, 1.0))
 
 
-def _finish(x: Tensor, kernel_out, reduction: str) -> Tensor:
-    rows, row_grad = kernel_out
-    if reduction == "none":
-        out = Tensor(rows, _prev=(x,))
-        out._backward = lambda g: T.accumulate(x, row_grad(g))
-        return out
-    if reduction == "mean":
-        n = rows.shape[0]
-        out = Tensor(rows.mean(), _prev=(x,))
-        out._backward = lambda g: T.accumulate(x, row_grad(np.full(n, float(g) / n)))
-        return out
-    raise ConfigError(f"unknown reduction {reduction!r}")
-
-
-def _constant(t) -> np.ndarray:
-    return t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-
-
 def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
-    """Kernel of :func:`cross_entropy`: unchecked rows and row gradient."""
+    """Task cross-entropy ``-log p[label]`` per row, and its row gradient.
+
+    The labels are not checked (see :func:`validate_labels`). The value
+    clamps probabilities to [1e-12, 1] before the log so a zero-probability
+    target yields a large finite loss, never inf. The gradient is the exact
+    softmax form ``p - onehot`` throughout, so training signal survives even
+    at targets the clamp has saturated.
+    """
     n = logits.shape[0]
     p = softmax(logits)
     rows = -_clamped_log(p[np.arange(n), labels])
@@ -463,24 +412,11 @@ def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
     return rows, row_grad
 
 
-def cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Tensor:
-    """Task cross-entropy ``-log p[label]``.
-
-    The reported value clamps probabilities to [1e-12, 1] before the log so a
-    zero-probability target yields a large finite loss, never inf. The
-    gradient is the exact softmax form ``p - onehot`` throughout, so training
-    signal survives even at targets the clamp has saturated.
-    """
-    logits = T.as_tensor(logits)
-    labels = validate_labels(logits.data, labels)
-    return _finish(logits, cross_entropy_rows(logits.data, labels), reduction)
-
-
 def validate_labels(logits: np.ndarray, labels) -> np.ndarray:
     """Return ``labels`` as an array after checking them against 2-D logits."""
     labels = np.asarray(labels)
     if logits.ndim != 2:
-        raise ShapeError("cross_entropy expects 2-D logits")
+        raise ShapeError(f"labels need 2-D logits, got shape {logits.shape}")
     n, c = logits.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
@@ -490,9 +426,23 @@ def validate_labels(logits: np.ndarray, labels) -> np.ndarray:
 
 
 def kl_rows(student_logits: np.ndarray, teacher_logits: np.ndarray, temperature: float):
-    """Kernel of :func:`kl_loss`: rows and row gradient (raises on non-finite logits)."""
+    """KL divergence of the student's output distribution from the teacher's, per row.
+
+    Computed row-wise as ``sum_j p_j * (log clip(p_j) - log clip(q_j))`` with
+    ``p = softmax(student/T)`` and ``q = softmax(teacher/T)``; zero exactly
+    when the two distributions agree. The teacher side is a constant: the
+    row gradient is with respect to the student logits. Every KL term in the
+    toolkit goes through here, so a temperature that is not > 0 (NaN too)
+    raises ConfigError before any update; non-finite logits raise
+    NumericError.
+    """
+    if not temperature > 0:
+        raise ConfigError(f"temperature must be > 0, got {temperature}")
+    if student_logits.shape != teacher_logits.shape:
+        raise ShapeError(f"student {student_logits.shape} vs teacher "
+                         f"{teacher_logits.shape} shapes differ")
     if not (np.isfinite(student_logits).all() and np.isfinite(teacher_logits).all()):
-        raise NumericError("non-finite logits passed to kl_loss")
+        raise NumericError("non-finite logits passed to kl_rows")
     ps = softmax(student_logits / temperature)
     pt = softmax(teacher_logits / temperature)
     r = _clamped_log(ps) - _clamped_log(pt)
@@ -503,26 +453,6 @@ def kl_rows(student_logits: np.ndarray, teacher_logits: np.ndarray, temperature:
         return ps * (r - rows[:, None]) * (w[:, None] / temperature)
 
     return rows, row_grad
-
-
-def kl_loss(student_logits: Tensor, teacher_logits, temperature: float = 1.0,
-            reduction: str = "mean") -> Tensor:
-    """KL divergence of the student's output distribution from the teacher's.
-
-    Computed row-wise as ``sum_j p_j * (log clip(p_j) - log clip(q_j))`` with
-    ``p = softmax(student/T)`` and ``q = softmax(teacher/T)``. The teacher side
-    is treated as a constant; gradients flow through the student only. Zero
-    exactly when the two distributions agree.
-    """
-    if temperature <= 0:
-        raise ConfigError(f"temperature must be > 0, got {temperature}")
-    student_logits = T.as_tensor(student_logits)
-    t_data = _constant(teacher_logits)
-    if student_logits.data.shape != t_data.shape:
-        raise ShapeError(
-            f"student {student_logits.data.shape} vs teacher {t_data.shape} shapes differ")
-    return _finish(student_logits, kl_rows(student_logits.data, t_data, temperature),
-                   reduction)
 
 
 def kl_divergence(p, q) -> float:
@@ -538,19 +468,12 @@ def kl_divergence(p, q) -> float:
 
 
 def representation_rows(student_h: np.ndarray, teacher_h: np.ndarray):
-    """Kernel of :func:`representation_distance`: rows and row gradient."""
+    """Squared distance between penultimate-layer activations, per row."""
+    if student_h.shape != teacher_h.shape:
+        raise ShapeError("activation shapes differ")
     diff = student_h - teacher_h
     rows = (diff * diff).sum(axis=1)
     return rows, lambda w: 2.0 * diff * w[:, None]
-
-
-def representation_distance(student_h: Tensor, teacher_h, reduction: str = "mean") -> Tensor:
-    """Mean squared distance between penultimate-layer activations."""
-    student_h = T.as_tensor(student_h)
-    t_data = _constant(teacher_h)
-    if student_h.data.shape != t_data.shape:
-        raise ShapeError("activation shapes differ")
-    return _finish(student_h, representation_rows(student_h.data, t_data), reduction)
 
 
 # ----------------------------------------------------------------------- FLOs

@@ -14,16 +14,16 @@ import time
 import numpy as np
 import pytest
 
-from unlearnkit import (UnlearnConfig, attach_adapter, backward, build_model,
-                        cross_entropy, deletion_capacity, evaluate, kl_loss,
-                        merge_adapter, mia_success, representation_distance,
+from unlearnkit import (UnlearnConfig, attach_adapter, build_model,
+                        deletion_capacity, evaluate, merge_adapter, mia_success,
                         unlearn)
 from unlearnkit.cli import main as cli_main
 from unlearnkit.config import config_hash, train_hash
 from unlearnkit.curriculum import SuperLossParams, lambert_w0, superloss_sigma
 from unlearnkit.data import generate, sample_deletion_set
+from unlearnkit.nn import representation_rows
 from unlearnkit.optim import ParamMask
-from unlearnkit.unlearn import train_original
+from unlearnkit.unlearn import loss_and_grad, train_original
 
 # The acceptance dataset: 3-class Gaussian blobs, 300 train / 75 test,
 # noise 0.1, in 8 dimensions so individual points are isolated enough for
@@ -56,6 +56,14 @@ def originals():
 
 # ---------------------------------------------------------------- criterion 1
 
+def representation_loss_and_grad(model, x, target):
+    """Mean squared distance of the penultimate activations to ``target``, and its gradient."""
+    _, cache = model.forward_cache(x)
+    rows, row_grad = representation_rows(cache[0][-1], target)
+    model.grad.fill(0.0)
+    return rows.mean(), model.backprop_hidden(cache, row_grad(np.full(len(rows), 1.0 / len(rows))))
+
+
 def test_criterion_1_gradients_match_finite_differences():
     start = time.perf_counter()
     rng = np.random.default_rng(20240601)
@@ -76,15 +84,15 @@ def test_criterion_1_gradients_match_finite_differences():
         y = rng.integers(0, classes, 4)
         kind = checked % 3
         if kind == 0:
-            loss_fn = lambda m: cross_entropy(m.forward(x), y)
+            loss_fn = lambda m: loss_and_grad(m, x, labels=y)
         elif kind == 1:
             teacher = rng.standard_normal((4, classes))
             temp = float(rng.uniform(0.5, 4.0))
-            loss_fn = lambda m: kl_loss(m.forward(x), teacher, temp)
+            loss_fn = lambda m: loss_and_grad(m, x, teacher=teacher, temperature=temp)
         else:
             target = rng.standard_normal((4, widths[-1]))
-            loss_fn = lambda m: representation_distance(m.forward_hidden(x)[1], target)
-        grad = backward(model, loss_fn(model))
+            loss_fn = lambda m: representation_loss_and_grad(m, x, target)
+        grad = loss_fn(model)[1].copy()
         base = model.param_vector()
         h = 1e-5
         fd = np.zeros_like(base)
@@ -92,10 +100,10 @@ def test_criterion_1_gradients_match_finite_differences():
             up = base.copy()
             up[i] += h
             model.set_param_vector(up)
-            hi = loss_fn(model).item()
+            hi = loss_fn(model)[0]
             up[i] = base[i] - h
             model.set_param_vector(up)
-            lo = loss_fn(model).item()
+            lo = loss_fn(model)[0]
             fd[i] = (hi - lo) / (2 * h)
         model.set_param_vector(base)
         rel = np.max(np.abs(grad - fd) / np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-6))
@@ -225,8 +233,7 @@ def test_criterion_6_salun_equivalence_and_mask_scope(originals):
     half_cfg = dataclasses.replace(cfg, salun_sparsity=0.5)
     half = unlearn("salun", f, split5, half_cfg)
     probe = f.clone()
-    saliency = np.abs(backward(probe, cross_entropy(
-        probe.forward(split5.forget_x), split5.forget_y)))
+    saliency = np.abs(loss_and_grad(probe, split5.forget_x, labels=split5.forget_y)[1])
     mask = ParamMask.top_fraction(saliency, 0.5)
     delta = half.model.param_vector() - f.param_vector()
     outside = float(np.abs(delta[~mask.selected]).sum())
@@ -366,7 +373,7 @@ def test_criterion_11_adapter_correctness():
         merged = merge_adapter(adapted)
         x = rng.standard_normal((12, in_dim))
         assert np.max(np.abs(merged.logits(x) - adapted.logits(x))) < 1e-6
-        delta = merged.layers[layer].weight.data - base.layers[layer].weight.data
+        delta = merged.layers[layer].weight - base.layers[layer].weight
         singular = np.linalg.svd(delta, compute_uv=False)
         assert np.all(singular[rank:] <= 1e-8 * singular[0])
     elapsed = time.perf_counter() - start

@@ -1,14 +1,18 @@
-"""The graph-free training step: explicit layer backprop over one flat buffer."""
+"""The training step: explicit layer backprop over one flat buffer."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
-from unlearnkit import (OptimizerState, ParamMask, SuperLossParams, apply_curriculum,
-                        attach_adapter, backward, build_model, cross_entropy, kl_loss,
-                        merge_adapter, optimizer_step)
+from unlearnkit import (OptimizerState, ParamMask, SuperLossParams, attach_adapter,
+                        build_model, merge_adapter, optimizer_step)
 from unlearnkit.unlearn import loss_and_grad
 
 from conftest import central_difference, max_rel_err
+
+TEMPERATURE, LAM, TAU = 1.7, 0.8, 1.2
 
 
 def _batch(model, n=9, seed=0):
@@ -25,59 +29,75 @@ def _adapted():
     return m
 
 
-def _ce_kl(m, x, y, t):
-    logits = m.forward(x)  # one forward pass feeds both terms, as in SCRUB
-    return (cross_entropy(logits, y, reduction="none")
-            + kl_loss(logits, t, 1.7, reduction="none")).mean()
-
-
-# case -> (model factory, kernel kwargs, Tensor loss over (model, x, y, teacher))
+# case -> (model factory, kernel kwargs)
 CASES = {
-    "ce": (lambda: build_model(5, 4, "mlp:7,6", seed=1), dict(kind="ce"),
-           lambda m, x, y, t: cross_entropy(m.forward(x), y)),
-    "kl": (lambda: build_model(5, 4, "mlp:7,6", seed=1), dict(kind="kl"),
-           lambda m, x, y, t: kl_loss(m.forward(x), t, 1.7)),
-    "ce+kl": (lambda: build_model(5, 4, "mlp:7,6", seed=2), dict(kind="ce+kl"), _ce_kl),
-    "curriculum": (lambda: build_model(5, 4, "mlp:7,6", seed=1), dict(kind="ce", curriculum=True),
-                   lambda m, x, y, t: apply_curriculum(
-                       cross_entropy(m.forward(x), y, reduction="none"),
-                       SuperLossParams(lam=0.8))),
-    "adapter": (_adapted, dict(kind="ce+kl"), _ce_kl),
-    "tanh": (lambda: build_model(5, 4, "mlp:7,6:tanh", seed=5), dict(kind="ce+kl"), _ce_kl),
+    "ce": (lambda: build_model(5, 4, "mlp:7,6", seed=1), dict(kind="ce")),
+    "kl": (lambda: build_model(5, 4, "mlp:7,6", seed=1), dict(kind="kl")),
+    "ce+kl": (lambda: build_model(5, 4, "mlp:7,6", seed=2), dict(kind="ce+kl")),
+    "curriculum": (lambda: build_model(5, 4, "mlp:7,6", seed=1),
+                   dict(kind="ce", curriculum=True)),
+    "adapter": (_adapted, dict(kind="ce+kl")),
+    "tanh": (lambda: build_model(5, 4, "mlp:7,6:tanh", seed=5), dict(kind="ce+kl")),
 }
 
 
 def _kernel(model, x, y, teacher, kind, curriculum=False):
     return loss_and_grad(model, x, labels=y if "ce" in kind else None,
-                         teacher=teacher if "kl" in kind else None, temperature=1.7,
-                         curriculum=SuperLossParams(lam=0.8) if curriculum else None)
+                         teacher=teacher if "kl" in kind else None, temperature=TEMPERATURE,
+                         curriculum=SuperLossParams(lam=LAM, tau=TAU) if curriculum else None)
+
+
+def _log_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _oracle(model, x, y, teacher, kind, curriculum=False):
+    """The step's loss value from a plain forward with each layer's effective weight."""
+    h = x
+    for i, layer in enumerate(model.layers):
+        w = layer.weight
+        if layer.adapter is not None:
+            w = w + layer.adapter.scale * (layer.adapter.up @ layer.adapter.down)
+        h = h @ w.T + layer.bias
+        if i < len(model.layers) - 1:
+            h = np.tanh(h) if model.activation == "tanh" else np.maximum(h, 0.0)
+    rows = np.zeros(len(x))
+    if "ce" in kind:
+        rows -= _log_softmax(h)[np.arange(len(y)), y]
+    if "kl" in kind:
+        ls, lt = _log_softmax(h / TEMPERATURE), _log_softmax(teacher / TEMPERATURE)
+        rows += (np.exp(ls) * (ls - lt)).sum(axis=1)
+    if not curriculum:
+        return rows.mean()
+    beta = np.maximum((rows - TAU) / LAM, -2.0 / math.e)
+    log_sigma = -np.array([float(mpmath.lambertw(b / 2.0).real) for b in beta])
+    return np.mean((rows - TAU) * np.exp(log_sigma) + LAM * log_sigma ** 2)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_step_kernel_gradient_is_bytewise_the_graph_gradient(case):
-    make, kwargs, graph_loss = CASES[case]
+def test_step_kernel_value_matches_a_numpy_oracle(case):
+    make, kwargs = CASES[case]
     model = make()
     x, y, teacher = _batch(model)
-    loss = graph_loss(model, x, y, teacher)
-    want = backward(model, loss)
-    value, got = _kernel(model, x, y, teacher, **kwargs)
-    assert got.tobytes() == want.tobytes()
-    assert value == loss.item()
+    value = _kernel(model, x, y, teacher, **kwargs)[0]
+    assert value == pytest.approx(_oracle(model, x, y, teacher, **kwargs), rel=1e-12)
 
 
-def test_step_kernel_accumulates_two_batches_like_a_summed_graph():
+def test_step_kernel_accumulates_two_batches_bytewise():
     model = build_model(5, 4, "mlp:7,6", seed=6)
     xa, _, ta = _batch(model, seed=1)
     xb, _, tb = _batch(model, n=5, seed=2)
-    want = backward(model, kl_loss(model.forward(xa), ta) + kl_loss(model.forward(xb), tb))
+    ga = loss_and_grad(model, xa, teacher=ta)[1].copy()  # the buffer is reused
+    want = ga + loss_and_grad(model, xb, teacher=tb)[1]
     loss_and_grad(model, xa, teacher=ta)
     _, got = loss_and_grad(model, xb, teacher=tb, accumulate=True)
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case", ["ce+kl", "adapter", "tanh"])
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_step_kernel_gradient_matches_finite_differences(case):
-    make, kwargs, _ = CASES[case]
+    make, kwargs = CASES[case]
     model = make()
     x, y, teacher = _batch(model, seed=4)
     grad = _kernel(model, x, y, teacher, **kwargs)[1].copy()
@@ -101,33 +121,33 @@ def test_masked_step_leaves_masked_buffer_bytes_unchanged(kind):
 
 def test_set_param_vector_writes_through_to_layer_views():
     model = build_model(3, 2, "mlp:4", seed=0)
-    views = [t.data for t in model.trainable_tensors()]
+    views = model.trainable_tensors()
     values = np.arange(model.num_trainable(), dtype=np.float64)
     model.set_param_vector(values)
     offset = 0
     for layer_view, t in zip(views, model.trainable_tensors()):
-        assert t.data is layer_view and np.shares_memory(t.data, model.params)
-        assert np.array_equal(t.data.ravel(), values[offset:offset + t.data.size])
-        offset += t.data.size
+        assert t is layer_view and np.shares_memory(t, model.params)
+        assert np.array_equal(t.ravel(), values[offset:offset + t.size])
+        offset += t.size
     assert np.array_equal(model.param_vector(), values)
     assert not np.shares_memory(model.param_vector(), model.params)
 
 
 def test_set_param_vector_on_an_adapted_model_leaves_the_base_frozen():
     model = attach_adapter(build_model(3, 2, "mlp:4", seed=0), 0, rank=2)
-    base = [layer.weight.data.copy() for layer in model.layers]
+    base = [layer.weight.copy() for layer in model.layers]
     model.set_param_vector(np.ones(model.num_trainable()))
-    assert np.array_equal(model.layers[0].adapter.up.data, np.ones((4, 2)))
+    assert np.array_equal(model.layers[0].adapter.up, np.ones((4, 2)))
     for layer, ref in zip(model.layers, base):
-        assert np.array_equal(layer.weight.data, ref)
+        assert np.array_equal(layer.weight, ref)
 
 
-def _tensors(model):
+def _arrays(model):
     out = []
     for layer in model.layers:
-        out += [layer.weight.data, layer.bias.data]
+        out += [layer.weight, layer.bias]
         if layer.adapter is not None:
-            out += [layer.adapter.down.data, layer.adapter.up.data]
+            out += [layer.adapter.down, layer.adapter.up]
     return out
 
 
@@ -142,8 +162,8 @@ def test_derived_models_never_share_a_buffer(derive):
     else:
         derived = merge_adapter(original)
     digest = original.param_digest()
-    for mine in _tensors(derived):
-        assert not any(np.shares_memory(mine, theirs) for theirs in _tensors(original))
+    for mine in _arrays(derived):
+        assert not any(np.shares_memory(mine, theirs) for theirs in _arrays(original))
     derived.set_param_vector(derived.param_vector() + 1.0)
     optimizer_step(OptimizerState.adam(0.1), derived, np.ones(derived.num_trainable()))
     assert original.param_digest() == digest

@@ -94,6 +94,32 @@ def test_unknown_method_exits_1_and_lists_methods(tmp_path, capsys):
     assert "rand_label" in err and "scrub" in err
 
 
+def test_config_errors_leave_no_run_directory(tmp_path, capsys):
+    run(tmp_path, "train", *FAST, "--seed", "0")
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "mega") == 1
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "salun",
+               "--salun_sparsity", "0") == 1
+    assert run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0", "--salun_sparsity", "2",
+               "--methods", "salun", "--ratios", "2", "--seeds", "0") == 2
+    assert list((tmp_path / "runs").glob("*")) == []
+    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    assert sorted(e["status"] for e in entries) == ["failed"] * 3
+    messages = " ".join(e["message"] for e in entries)
+    assert "mega" in messages and "salun_sparsity" in messages
+
+
+def test_unlearn_rejects_a_temperature_that_is_not_positive(tmp_path, capsys):
+    run(tmp_path, "train", *FAST, "--seed", "0")
+    capsys.readouterr()
+    for method in ("bad_t", "scrub"):
+        for temperature in ("-2", "0"):
+            rc = run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0",
+                     "--unlearn_method", method, "--temperature", temperature)
+            assert rc == 1
+            assert "temperature must be > 0" in capsys.readouterr().err
+    assert list((tmp_path / "runs").glob("*")) == []
+
+
 def test_missing_checkpoint_gives_clear_resolution_error(tmp_path, capsys):
     rc = run(tmp_path, "unlearn", *FAST, "--seed", "9", "--unlearn_method", "rand_label")
     assert rc == 1

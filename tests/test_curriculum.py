@@ -4,9 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from unlearnkit import ConfigError, DomainError, Tensor
-from unlearnkit.curriculum import (SuperLossParams, apply_curriculum, lambert_w0,
-                                   superloss_sigma)
+from unlearnkit import ConfigError, DomainError
+from unlearnkit.curriculum import (SuperLossParams, lambert_w0, superloss_sigma,
+                                   superloss_weights)
 
 
 def halley_oracle(x, w0=0.5, iters=200):
@@ -91,11 +91,10 @@ def test_params_validation():
 
 def test_batch_at_baseline_gives_zero_loss_and_mean_gradient():
     params = SuperLossParams(lam=1.0, tau=0.7, decay=0.9)
-    losses = Tensor(np.full(4, 0.7), requires_grad=True)
-    out = apply_curriculum(losses, params)
-    assert out.item() == pytest.approx(0.0, abs=1e-12)
-    out.backward()
-    assert np.allclose(losses.grad, np.full(4, 0.25))  # sigma=1 -> plain mean grad
+    value, sigmas = superloss_weights(np.full(4, 0.7), params)
+    assert value == pytest.approx(0.0, abs=1e-12)
+    # d value / d l_i = sigma_i / n; sigma=1 -> plain mean grad
+    assert np.allclose(sigmas / sigmas.size, np.full(4, 0.25))
 
 
 def test_outlier_gets_smaller_confidence():
@@ -107,17 +106,16 @@ def test_outlier_gets_smaller_confidence():
 
 def test_tau_initializes_to_first_batch_mean_then_tracks_ema():
     params = SuperLossParams(lam=1.0, decay=0.9)
-    first = Tensor(np.array([1.0, 3.0]), requires_grad=True)
-    apply_curriculum(first, params)
+    superloss_weights(np.array([1.0, 3.0]), params)
     # initialized to mean 2.0, then one EMA step toward the same mean
     assert params.tau == pytest.approx(2.0)
-    apply_curriculum(Tensor(np.array([4.0, 4.0]), requires_grad=True), params)
+    superloss_weights(np.array([4.0, 4.0]), params)
     assert params.tau == pytest.approx(0.9 * 2.0 + 0.1 * 4.0)
 
 
 def test_empty_batch_rejected():
     with pytest.raises(ConfigError):
-        apply_curriculum(Tensor(np.empty(0)), SuperLossParams(lam=1.0, tau=0.0))
+        superloss_weights(np.empty(0), SuperLossParams(lam=1.0, tau=0.0))
 
 
 def test_curriculum_gradient_matches_finite_differences():
@@ -125,16 +123,14 @@ def test_curriculum_gradient_matches_finite_differences():
     tau, lam = 0.6, 0.8
 
     def value(v):
-        params = SuperLossParams(lam=lam, tau=tau)
-        return apply_curriculum(Tensor(v, requires_grad=True), params).item()
+        return superloss_weights(v, SuperLossParams(lam=lam, tau=tau))[0]
 
-    t = Tensor(vals, requires_grad=True)
-    out = apply_curriculum(t, SuperLossParams(lam=lam, tau=tau))
-    out.backward()
+    sigmas = superloss_weights(vals, SuperLossParams(lam=lam, tau=tau))[1]
+    grad = sigmas / vals.size  # the documented gradient of the value
     h = 1e-6
     for i in range(vals.size):
         up, down = vals.copy(), vals.copy()
         up[i] += h
         down[i] -= h
         fd = (value(up) - value(down)) / (2 * h)
-        assert t.grad[i] == pytest.approx(fd, abs=1e-7)
+        assert grad[i] == pytest.approx(fd, abs=1e-7)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from unlearnkit import (ConfigError, Model, NumericError, ShapeError, StateError,
-                        backward, build_model, count_flos, cross_entropy,
-                        kl_divergence, kl_loss, representation_distance, softmax)
-from unlearnkit.nn import parse_backbone
+from unlearnkit import (ConfigError, Model, NumericError, ShapeError, build_model,
+                        count_flos, kl_divergence, softmax)
+from unlearnkit.nn import kl_rows, parse_backbone, representation_rows, validate_labels
+from unlearnkit.unlearn import loss_and_grad
 
 from conftest import central_difference, max_rel_err
 
@@ -30,8 +30,8 @@ def test_two_layer_forward_matches_handrolled_matmul_oracle():
     # Oracle: explicit triple loops, independent of the numpy matmul path.
     m = build_model(2, 3, "mlp:4", seed=7)
     x = np.random.default_rng(1).standard_normal((3, 2))
-    w0, b0 = m.layers[0].weight.data, m.layers[0].bias.data
-    w1, b1 = m.layers[1].weight.data, m.layers[1].bias.data
+    w0, b0 = m.layers[0].weight, m.layers[0].bias
+    w1, b1 = m.layers[1].weight, m.layers[1].bias
 
     def dense(inp, w, b):
         out = [[0.0] * w.shape[0] for _ in range(len(inp))]
@@ -51,17 +51,17 @@ def test_two_layer_forward_matches_handrolled_matmul_oracle():
 def test_forward_shape_errors():
     m = build_model(3, 2, "mlp:4", seed=0)
     with pytest.raises(ShapeError):
-        m.forward(np.ones((2, 5)))
+        m.forward_cache(np.ones((2, 5)))
     with pytest.raises(ShapeError):
-        m.forward(np.ones(3))
+        m.forward_cache(np.ones(3))
 
 
 def test_gradient_of_squared_weight_is_two_w():
     # f(w) = w^2 realized as (logit)^2 with unit input and weight 3.
     model = Model(1, [], 2, seed=0)
     model.set_param_vector(np.array([3.0, 0.0, 0.0, 0.0]))
-    out = model.forward(np.array([[1.0]]))
-    grad = backward(model, (out * out).sum())
+    out, cache = model.forward_cache(np.array([[1.0]]))
+    grad = model.backprop(cache, 2.0 * out)  # d(sum out**2)/d out
     assert abs(grad[0] - 6.0) < 1e-4
 
 
@@ -70,7 +70,7 @@ def test_uniform_softmax_balanced_labels_zero_bias_gradient():
     m.set_param_vector(np.zeros(m.num_trainable()))
     x = np.random.default_rng(0).standard_normal((4, 2))
     y = np.array([0, 1, 0, 1])
-    grad = backward(m, cross_entropy(m.forward(x), y))
+    grad = loss_and_grad(m, x, labels=y)[1]
     final_bias = grad[-2:]  # last two entries are the output bias
     assert np.allclose(final_bias, 0.0, atol=1e-12)
 
@@ -81,23 +81,25 @@ def test_cross_entropy_gradient_matches_fd(seed):
     m = build_model(3, 4, "mlp:6,5", seed=seed)
     x = rng.standard_normal((5, 3))
     y = rng.integers(0, 4, 5)
-    grad = backward(m, cross_entropy(m.forward(x), y))
-    fd = central_difference(lambda mm: cross_entropy(mm.forward(x), y).item(), m)
+    grad = loss_and_grad(m, x, labels=y)[1].copy()
+    fd = central_difference(lambda mm: loss_and_grad(mm, x, labels=y)[0], m)
     assert max_rel_err(grad, fd) < 1e-4
 
 
 def test_cross_entropy_validates_labels():
     m = build_model(2, 3, "mlp:4", seed=0)
-    x = np.ones((2, 2))
+    logits = m.logits(np.ones((2, 2)))
     with pytest.raises(ConfigError):
-        cross_entropy(m.forward(x), np.array([0, 3]))
+        validate_labels(logits, np.array([0, 3]))
     with pytest.raises(ShapeError):
-        cross_entropy(m.forward(x), np.array([0, 1, 2]))
+        validate_labels(logits, np.array([0, 1, 2]))
+    with pytest.raises(ShapeError):
+        validate_labels(logits[0], np.array([0, 1]))
 
 
 def test_kl_identical_logits_is_zero():
     logits = np.random.default_rng(0).standard_normal((4, 3))
-    assert kl_loss(logits, logits).item() == 0.0
+    assert kl_rows(logits, logits, 1.0)[0].mean() == 0.0
 
 
 def test_kl_against_direct_summation_oracle_with_clamp():
@@ -122,7 +124,7 @@ def test_kl_temperature_halves_logits_before_softmax():
             for j in range(4))
         for i in range(3)
     ])
-    assert abs(kl_loss(s, t, temperature=2.0).item() - oracle) < 1e-12
+    assert abs(kl_rows(s, t, 2.0)[0].mean() - oracle) < 1e-12
 
 
 def test_kl_nonnegative_zero_iff_equal():
@@ -130,9 +132,9 @@ def test_kl_nonnegative_zero_iff_equal():
     for _ in range(200):
         s = rng.standard_normal((2, 5)) * 3
         t = rng.standard_normal((2, 5)) * 3
-        v = kl_loss(s, t).item()
+        v = kl_rows(s, t, 1.0)[0].mean()
         assert v >= 0.0
-        assert kl_loss(s, s).item() == 0.0
+        assert kl_rows(s, s, 1.0)[0].mean() == 0.0
         if not np.allclose(softmax(s), softmax(t)):
             assert v > 0.0
 
@@ -142,18 +144,20 @@ def test_kl_gradient_matches_fd():
     m = build_model(2, 3, "mlp:5", seed=4)
     x = rng.standard_normal((4, 2))
     teacher = rng.standard_normal((4, 3))
-    grad = backward(m, kl_loss(m.forward(x), teacher, temperature=1.7))
-    fd = central_difference(lambda mm: kl_loss(mm.forward(x), teacher, 1.7).item(), m)
+    grad = loss_and_grad(m, x, teacher=teacher, temperature=1.7)[1].copy()
+    fd = central_difference(
+        lambda mm: loss_and_grad(mm, x, teacher=teacher, temperature=1.7)[0], m)
     assert max_rel_err(grad, fd) < 1e-4
 
 
 def test_kl_errors():
     with pytest.raises(ShapeError):
-        kl_loss(np.ones((2, 3)), np.ones((2, 4)))
-    with pytest.raises(ConfigError):
-        kl_loss(np.ones((2, 3)), np.ones((2, 3)), temperature=0.0)
+        kl_rows(np.ones((2, 3)), np.ones((2, 4)), 1.0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            kl_rows(np.ones((2, 3)), np.ones((2, 3)), bad)
     with pytest.raises(NumericError):
-        kl_loss(np.array([[np.inf, 0.0]]), np.ones((1, 2)))
+        kl_rows(np.array([[np.inf, 0.0]]), np.ones((1, 2)), 1.0)
     with pytest.raises(ConfigError):
         kl_divergence(np.array([0.7, 0.6]), np.array([0.5, 0.5]))
 
@@ -164,16 +168,21 @@ def test_representation_distance_value_and_gradient():
     x = rng.standard_normal((4, 3))
     target = rng.standard_normal((4, 6))
 
-    def loss_of(mm):
-        return representation_distance(mm.forward_hidden(x)[1], target)
+    def loss_and_grad_of(mm):
+        _, cache = mm.forward_cache(x)
+        rows, row_grad = representation_rows(cache[0][-1], target)
+        mm.grad.fill(0.0)
+        return rows.mean(), mm.backprop_hidden(cache, row_grad(np.full(len(rows), 1.0 / len(rows))))
 
-    expected = np.mean(((m.forward_hidden(x)[1].data - target) ** 2).sum(axis=1))
-    assert abs(loss_of(m).item() - expected) < 1e-12
-    grad = backward(m, loss_of(m))
-    fd = central_difference(lambda mm: loss_of(mm).item(), m)
+    hidden = np.maximum(x @ m.layers[0].weight.T + m.layers[0].bias, 0.0)
+    expected = np.mean(((hidden - target) ** 2).sum(axis=1))
+    value, grad = loss_and_grad_of(m)
+    assert abs(value - expected) < 1e-12
+    grad = grad.copy()
+    fd = central_difference(lambda mm: loss_and_grad_of(mm)[0], m)
     assert max_rel_err(grad, fd) < 1e-4
     # the output layer never feeds the representation, so its gradient is zero
-    out_params = m.layers[-1].weight.data.size + m.layers[-1].bias.data.size
+    out_params = m.layers[-1].weight.size + m.layers[-1].bias.size
     assert np.array_equal(grad[-out_params:], np.zeros(out_params))
 
 
@@ -181,16 +190,6 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((50, 7)) * 20
     assert np.all(np.abs(softmax(z).sum(axis=1) - 1.0) < 1e-6)
-
-
-def test_backward_before_forward_raises_state_error():
-    m = build_model(2, 2, "mlp:3", seed=0)
-    other = build_model(2, 2, "mlp:3", seed=1)
-    loss = cross_entropy(other.forward(np.ones((1, 2))), np.array([0]))
-    with pytest.raises(StateError):
-        backward(m, loss)
-    with pytest.raises(StateError):
-        backward(m, 1.25)
 
 
 def test_count_flos_convention():
