@@ -18,6 +18,7 @@ from .metrics import (EvalReport, MiaAttack, build_report, deletion_capacity,
                       evaluate, fit_mia, mia_success, scaling_curve, transfer_eval)
 from .nn import Model, build_model, count_flos, kl_divergence, softmax
 from .optim import OptimizerState, ParamMask, optimizer_step
-from .unlearn import METHODS, TAXONOMY, TeacherSpec, UnlearnRun, train_original, unlearn
+from .unlearn import (METHODS, TAXONOMY, TeacherSpec, UnlearnRun, train_original, unlearn,
+                      unlearn_group)
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 from . import metrics
@@ -35,7 +35,7 @@ from .manifest import Manifest
 from .metrics import EvalReport, build_report
 from .nn import Model
 from .report import collect_runs, write_leaderboard
-from .unlearn import (METHODS, RunRecorder, train_original, unlearn as run_unlearn,
+from .unlearn import (METHODS, RunRecorder, UnlearnRun, train_original, unlearn_group,
                       write_trace_csv)
 
 ENV_ARTIFACTS = "UNLEARNKIT_ARTIFACTS"
@@ -137,20 +137,51 @@ def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
 
 def execute_unlearn(root: Path, cfg: UnlearnConfig, no_budget: bool = False) -> Path:
     """Run unlearn + evaluate and write the full artifact directory."""
-    f, meta = _load_checkpoint(root, cfg)
-    split = generate(cfg.data_spec()).with_deletion(cfg.del_ratio)
-    if cfg.budget_seconds is None and not no_budget and cfg.unlearn_method != "exact_retrain":
-        # The recorded training time is the practical ceiling for unlearning.
-        cfg = dataclasses.replace(cfg, budget_seconds=meta["train_seconds"])
+    [outcome] = execute_unlearn_group(root, [cfg], no_budget)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig],
+                          no_budget: bool = False) -> list[Path | Exception]:
+    """:func:`execute_unlearn` for configs that differ only in seed, trained in lockstep.
+
+    Returns each config's run directory, or the exception its run raised;
+    every run's artifacts are those it writes alone (see ``unlearn_group``).
+    """
+    outcomes: list[Path | Exception | None] = [None] * len(cfgs)
+    started, members = [], []  # the runs whose checkpoint and data loaded
+    for i, cfg in enumerate(cfgs):
+        try:
+            f, meta = _load_checkpoint(root, cfg)
+            split = generate(cfg.data_spec()).with_deletion(cfg.del_ratio)
+        except Exception as exc:  # this run fails; its siblings go on
+            outcomes[i] = exc
+            continue
+        if cfg.budget_seconds is None and not no_budget and cfg.unlearn_method != "exact_retrain":
+            # The recorded training time is the practical ceiling for unlearning.
+            cfg = dataclasses.replace(cfg, budget_seconds=meta["train_seconds"])
+        started.append(i)
+        members.append((f, split, cfg))
+    runs = unlearn_group(cfgs[0].unlearn_method, members) if members else []
+    for i, (_, split, cfg), run in zip(started, members, runs):
+        try:
+            outcomes[i] = _write_run(root, cfg, split, run)
+        except Exception as exc:
+            outcomes[i] = exc
+    return outcomes
+
+
+def _write_run(root: Path, cfg: UnlearnConfig, split, run: UnlearnRun | Exception) -> Path:
+    """Evaluate one run and write its artifact directory; raise the error of a failed run."""
     run_dir = _run_dir(root, cfg)  # made only when something is written to it
-    try:
-        run = run_unlearn(cfg.unlearn_method, f, split, cfg)
-    except (NumericError, BudgetError) as exc:
-        trace = getattr(exc, "trace", [])
+    if isinstance(run, Exception):
+        trace = getattr(run, "trace", []) if isinstance(run, (NumericError, BudgetError)) else []
         if trace:
             run_dir.mkdir(parents=True, exist_ok=True)
             write_trace_csv(trace, run_dir / "trace.csv")
-        raise
+        raise run
     report = build_report(run.model, split, seconds=run.seconds, flos=run.flos,
                           config_hash=config_hash(cfg), seed=cfg.seed)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -228,16 +259,26 @@ def _parse_grid_field(text: str, kind=int) -> list:
     return out
 
 
-def _sweep_job(cfg_dict: dict, root: str, no_budget: bool) -> tuple[str, str, str]:
-    cfg = UnlearnConfig.from_mapping(cfg_dict)
-    key = config_hash(cfg)
+def _sweep_job(cfg_dicts: list[dict], root: str,
+               no_budget: bool) -> list[tuple[str, str, str | None]]:
+    """Run one group of seed siblings; return each run's (key, status, failure message)."""
+    cfgs = [UnlearnConfig.from_mapping(d) for d in cfg_dicts]
     try:
-        run_dir = execute_unlearn(Path(root), cfg, no_budget=no_budget)
-        return key, "done", str(run_dir)
+        if len(cfgs) == 1:  # the unlearn command's own path
+            outcomes = [execute_unlearn(Path(root), cfgs[0], no_budget=no_budget)]
+        else:
+            outcomes = execute_unlearn_group(Path(root), cfgs, no_budget)
     except Exception as exc:  # one bad job must not kill the sweep
-        if not isinstance(exc, UnlearnkitError):
-            traceback.print_exc()  # an unexpected error: keep where it came from
-        return key, "failed", f"{type(exc).__name__}: {exc}"
+        outcomes = [exc] * len(cfgs)
+    results = []
+    for cfg, outcome in zip(cfgs, outcomes):
+        message = None
+        if isinstance(outcome, Exception):
+            if not isinstance(outcome, UnlearnkitError):
+                traceback.print_exception(outcome)  # an unexpected error: keep where it came from
+            message = f"{type(outcome).__name__}: {outcome}"
+        results.append((config_hash(cfg), "done" if message is None else "failed", message))
+    return results
 
 
 def cmd_sweep(args) -> int:
@@ -273,30 +314,38 @@ def cmd_sweep(args) -> int:
         ensure_checkpoint(root, dataclasses.replace(base, seed=seed), manifest,
                           quiet=True)
 
-    pending = []
-    for cfg in grid:
-        key = config_hash(cfg)
-        if manifest.is_done(key) and (_run_dir(root, cfg) / "report.json").exists():
-            continue  # resume: never redo a completed run
-        manifest.start(key, "unlearn", _run_dir(root, cfg), force=True)
-        pending.append(cfg)
+    # resume: never redo a completed run
+    pending = [cfg for cfg in grid if not (manifest.is_done(config_hash(cfg))
+                                           and (_run_dir(root, cfg) / "report.json").exists())]
+    if pending:
+        manifest.start_all("unlearn", [(config_hash(cfg), _run_dir(root, cfg)) for cfg in pending],
+                           force=True)
     print(f"sweep: {len(grid) - len(pending)} already done, {len(pending)} to run")
 
+    # Runs that differ only in seed train in lockstep, as one job.
+    groups: dict[str, list[UnlearnConfig]] = {}
+    for cfg in pending:
+        groups.setdefault(config_hash(dataclasses.replace(cfg, seed=0)), []).append(cfg)
     failures = 0
+
+    def record(cfgs: list[UnlearnConfig], results: list) -> None:
+        nonlocal failures
+        manifest.finish_all(results)
+        for cfg, (_, status, _) in zip(cfgs, results):
+            print(f"  {cfg.unlearn_method} r={cfg.del_ratio} s={cfg.seed}: {status}")
+            failures += status == "failed"
+
+    def job(cfgs: list[UnlearnConfig]) -> tuple:
+        return [cfg.to_dict() for cfg in cfgs], str(root), args.no_budget
+
     if args.workers > 1 and pending:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futures = [pool.submit(_sweep_job, cfg.to_dict(), str(root), args.no_budget)
-                       for cfg in pending]
-            for future in futures:
-                key, status, message = future.result()
-                manifest.finish(key, status, message if status == "failed" else None)
-                failures += status == "failed"
+            futures = {pool.submit(_sweep_job, *job(cfgs)): cfgs for cfgs in groups.values()}
+            for future in as_completed(futures):
+                record(futures[future], future.result())
     else:
-        for cfg in pending:
-            key, status, message = _sweep_job(cfg.to_dict(), str(root), args.no_budget)
-            manifest.finish(key, status, message if status == "failed" else None)
-            failures += status == "failed"
-            print(f"  {cfg.unlearn_method} r={cfg.del_ratio} s={cfg.seed}: {status}")
+        for cfgs in groups.values():
+            record(cfgs, _sweep_job(*job(cfgs)))
     print(f"sweep finished: {len(pending) - failures} ok, {failures} failed, "
           f"manifest at {manifest.path}")
     return 0 if failures == 0 else 2

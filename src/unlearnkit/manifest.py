@@ -1,7 +1,9 @@
 """Run manifest: one JSON index mapping config hashes to artifact directories.
 
 All writes go through a single writer (the CLI process); sweep workers return
-results to the parent, which records them here. Completed entries are never
+results to the parent, which records them here. Every start or finish call
+rewrites the file once, so a sweep marks all its runs pending with one write
+and records each group of results with one more. Completed entries are never
 overwritten silently — callers must pass force=True to replace one.
 """
 
@@ -36,22 +38,36 @@ class Manifest:
         return entry is not None and entry.get("status") == "done"
 
     def start(self, key: str, kind: str, directory, force: bool = False) -> dict:
-        existing = self.entries.get(key)
-        if existing is not None and existing.get("status") == "done" and not force:
-            raise ConfigError(f"entry {key} is already done; pass force to redo it")
-        entry = {"kind": kind, "dir": str(directory), "status": "pending",
-                 "started_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                 "finished_at": None}
-        self.entries[key] = entry
+        self.start_all(kind, [(key, directory)], force)
+        return self.entries[key]
+
+    def start_all(self, kind: str, items, force: bool = False) -> None:
+        """Mark every ``(key, directory)`` of one kind pending, with one save."""
+        items = list(items)
+        for key, _ in items:
+            existing = self.entries.get(key)
+            if existing is not None and existing.get("status") == "done" and not force:
+                raise ConfigError(f"entry {key} is already done; pass force to redo it")
+        started_at = time.strftime("%Y-%m-%dT%H:%M:%S")
+        for key, directory in items:
+            self.entries[key] = {"kind": kind, "dir": str(directory), "status": "pending",
+                                 "started_at": started_at, "finished_at": None}
         self.save()
-        return entry
 
     def finish(self, key: str, status: str, message: str | None = None) -> None:
-        if status not in STATUSES:
-            raise ConfigError(f"bad status {status!r}")
-        entry = self.entries[key]
-        entry["status"] = status
-        entry["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-        if message:
-            entry["message"] = message
+        self.finish_all([(key, status, message)])
+
+    def finish_all(self, results) -> None:
+        """Record every ``(key, status, message)`` result, with one save."""
+        results = list(results)
+        for _, status, _ in results:
+            if status not in STATUSES:
+                raise ConfigError(f"bad status {status!r}")
+        finished_at = time.strftime("%Y-%m-%dT%H:%M:%S")
+        for key, status, message in results:
+            entry = self.entries[key]
+            entry["status"] = status
+            entry["finished_at"] = finished_at
+            if message:
+                entry["message"] = message
         self.save()

@@ -11,11 +11,18 @@ view into it, and the trainable parameters are one contiguous slice of it
 :meth:`Model.forward_cache` keeps the activations, a loss kernel turns the
 logits into per-row values and a logits gradient, and :meth:`Model.backprop`
 writes the flat gradient into a preallocated buffer, layer by layer.
+
+:meth:`Model.stack` joins K models of one layout into a model over a
+``(K, P)`` buffer whose rows the K models view. The layer, backprop and loss
+code is the same for both: every array may carry that leading K axis
+(inputs ``(K, B, d)``, logits ``(K, B, C)``, per-row values ``(K, B)``), and
+a stacked step computes, slice for slice, exactly what K separate steps do.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +50,11 @@ ACTIVATIONS = {
 
 
 class Linear:
-    """Dense layer ``y = x @ W.T + b`` with an optional low-rank adapter."""
+    """Dense layer ``y = x @ W.T + b`` with an optional low-rank adapter.
+
+    On a stacked model every array has a leading K axis, so the transposes
+    swap the last two axes and the bias broadcasts over the batch axis.
+    """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray):
         self.weight = weight  # (out, in)
@@ -60,13 +71,13 @@ class Linear:
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Return the layer output and, on an adapted layer, ``x @ down.T``."""
-        y = x @ self.weight.T
+        y = x @ self.weight.swapaxes(-1, -2)
         mid = None
         if self.adapter is not None:
             ad = self.adapter
-            mid = x @ ad.down.T
-            y = y + ad.scale * (mid @ ad.up.T)
-        return y + self.bias, mid
+            mid = x @ ad.down.swapaxes(-1, -2)
+            y = y + ad.scale * (mid @ ad.up.swapaxes(-1, -2))
+        return y + self.bias[..., None, :], mid
 
 
 class Model:
@@ -84,6 +95,7 @@ class Model:
         self.activation = activation
         self.seed = int(seed)
         self.layers: list[Linear] = []
+        self._lead: tuple[int, ...] = ()  # (K,) on a stacked model
         if _init:
             rng = np.random.default_rng(seed)
             dims = [self.input_dim] + self.hidden + [self.num_classes]
@@ -101,37 +113,73 @@ class Model:
                     if layer.adapter is not None for name in ("down", "up")]
         return base, adapters
 
-    def _pack(self) -> None:
-        """Copy every parameter into a fresh buffer and rebind each to its view.
+    def _pack(self, buffer: np.ndarray | None = None) -> None:
+        """Bind every parameter to its view of one buffer; make the gradient buffer.
 
-        Call after changing the layer or adapter structure. The buffer holds
-        the base weights and biases in layer order, then each adapter's down
-        and up; the trainable slice is the adapters when any are attached,
-        else the base. Nothing is ever shared with another model's buffer.
+        The buffer holds the base weights and biases in layer order, then
+        each adapter's down and up, along its last axis; the trainable slice
+        is the adapters when any are attached, else the base. With no
+        ``buffer`` the parameters are copied into a fresh one: call this
+        after changing the layer or adapter structure, and nothing is shared
+        with another model's buffer. A given ``buffer`` already holds the
+        parameters in that layout; a leading axis stacks models (:meth:`stack`).
         """
         base, adapters = self._slots()
-        values = [getattr(owner, name) for owner, name in base + adapters]
-        buffer = np.empty(sum(v.size for v in values))
+        slots = base + adapters
+        shapes = [getattr(owner, name).shape[len(self._lead):] for owner, name in slots]
+        sizes = [math.prod(shape) for shape in shapes]
+        fresh = buffer is None
+        if fresh:
+            buffer = np.empty(self._lead + (sum(sizes),))
+        lead = buffer.shape[:-1]
         offset = 0
-        for (owner, name), value in zip(base + adapters, values):
-            view = buffer[offset:offset + value.size].reshape(value.shape)
-            view[...] = value
+        for (owner, name), shape, size in zip(slots, shapes, sizes):
+            view = buffer[..., offset:offset + size].reshape(lead + shape)
+            if fresh:
+                view[...] = getattr(owner, name)
             setattr(owner, name, view)
-            offset += view.size
-        self._buffer = buffer
-        trainable = self.trainable_tensors()
+            offset += size
+        self._buffer, self._lead = buffer, lead
+        trainable = slice(len(base), None) if adapters else slice(len(base))
+        shapes, sizes = shapes[trainable], sizes[trainable]
         # Live view of the trainable parameters (the buffer's tail), and their gradients.
-        self.params = buffer[buffer.size - sum(t.size for t in trainable):]
-        self.grad = np.zeros(self.params.size)
+        self.params = buffer[..., buffer.shape[-1] - sum(sizes):]
+        self.grad = np.zeros(lead + (sum(sizes),))
         views, offset = [], 0
-        for t in trainable:
-            views.append(self.grad[offset:offset + t.size].reshape(t.shape))
-            offset += t.size
+        for shape, size in zip(shapes, sizes):
+            views.append(self.grad[..., offset:offset + size].reshape(lead + shape))
+            offset += size
         pairs = iter(zip(views[::2], views[1::2]))
         # Per layer: gradient views of its trainable pair, or None when frozen.
         self._grad_views = [next(pairs) if layer.adapter is not None or not adapters else None
                             for layer in self.layers]
         self._lowest = min(i for i, v in enumerate(self._grad_views) if v is not None)
+
+    @classmethod
+    def stack(cls, models: list["Model"]) -> "Model":
+        """One model over the parameters of K models, to train them in lockstep.
+
+        Its buffer is ``(K, P)``, row k holding model k's parameters, and
+        model k is rebound to view its row, so training the stack trains
+        each model in place. A single model is returned as it is. The
+        models must share their layout: activation, layer shapes, adapters.
+        """
+        first = models[0]
+        if len(models) == 1:
+            return first
+        if any(m._layout() != first._layout() for m in models):
+            raise ShapeError("stacked models must share activation, layer shapes and adapters")
+        buffer = np.stack([m._buffer for m in models])
+        for model, row in zip(models, buffer):
+            model._pack(row)
+        out = first.clone()
+        out._pack(buffer)
+        return out
+
+    def _layout(self) -> tuple:
+        return (self.activation, [layer.weight.shape for layer in self.layers],
+                [(i, layer.adapter.rank, layer.adapter.scale)
+                 for i, layer in enumerate(self.layers) if layer.adapter is not None])
 
     # ---------------------------------------------------------------- forward
 
@@ -198,12 +246,12 @@ class Model:
             g_down, g_up = views
             g_low = g * ad.scale
             g_mid = g_low @ ad.up
-            g_down += (h.T @ g_mid).T
-            g_up += (mids[i].T @ g_low).T
+            g_down += (h.swapaxes(-1, -2) @ g_mid).swapaxes(-1, -2)
+            g_up += (mids[i].swapaxes(-1, -2) @ g_low).swapaxes(-1, -2)
         elif views is not None:
             g_weight, g_bias = views
-            g_weight += (h.T @ g).T
-            g_bias += g.sum(axis=0)
+            g_weight += (h.swapaxes(-1, -2) @ g).swapaxes(-1, -2)
+            g_bias += g.sum(axis=-2)
         if i == self._lowest:
             return None
         gh = g @ layer.weight
@@ -213,11 +261,11 @@ class Model:
 
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ShapeError(f"expected a 2-D batch, got shape {x.shape}")
-        if x.shape[1] != self.input_dim:
+        if x.ndim != len(self._lead) + 2 or x.shape[:-2] != self._lead:
+            raise ShapeError(f"expected a {len(self._lead) + 2}-D batch, got shape {x.shape}")
+        if x.shape[-1] != self.input_dim:
             raise ShapeError(
-                f"batch has width {x.shape[1]}, model expects {self.input_dim}")
+                f"batch has width {x.shape[-1]}, model expects {self.input_dim}")
         return x
 
     def logits(self, x) -> np.ndarray:
@@ -376,7 +424,9 @@ def build_model(input_dim: int, num_classes: int, backbone: str = "mlp:32,32",
 # the gradient of the weighted rows with respect to the kernel's input. A
 # logits gradient goes to :meth:`Model.backprop`, a penultimate-activation
 # gradient to :meth:`Model.backprop_hidden`; ``unlearn.loss_and_grad`` does
-# this for the training losses.
+# this for the training losses. Rows run along the second-to-last axis of the
+# input, so a stacked ``(K, B, C)`` input gives ``(K, B)`` rows and takes
+# ``(K, B)`` weights.
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; every row sums to 1 within 1e-6."""
@@ -393,35 +443,46 @@ def _clamped_log(p: np.ndarray) -> np.ndarray:
 def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
     """Task cross-entropy ``-log p[label]`` per row, and its row gradient.
 
-    The labels are not checked (see :func:`validate_labels`). The value
-    clamps probabilities to [1e-12, 1] before the log so a zero-probability
-    target yields a large finite loss, never inf. The gradient is the exact
-    softmax form ``p - onehot`` throughout, so training signal survives even
-    at targets the clamp has saturated.
+    The labels are not checked (see :func:`validate_labels`): a label out
+    of range reads another row's probabilities. The value clamps
+    probabilities to [1e-12, 1] before the log so a zero-probability target
+    yields a large finite loss, never inf. The gradient is the exact softmax
+    form ``p - onehot`` throughout, so training signal survives even at
+    targets the clamp has saturated.
     """
-    n = logits.shape[0]
     p = softmax(logits)
-    rows = -_clamped_log(p[np.arange(n), labels])
+    # Flat index of each row's label entry, over every leading axis at once.
+    picked = np.arange(labels.size) * p.shape[-1] + labels.ravel()
+    rows = -_clamped_log(p.reshape(-1)[picked]).reshape(labels.shape)
 
     def row_grad(w):
         gz = p.copy()
-        gz[np.arange(n), labels] -= 1.0
-        gz *= w[:, None]
+        gz.reshape(-1)[picked] -= 1.0
+        gz *= w[..., None]
         return gz
 
     return rows, row_grad
 
 
 def validate_labels(logits: np.ndarray, labels) -> np.ndarray:
-    """Return ``labels`` as an array after checking them against 2-D logits."""
+    """Return ``labels`` as an array after checking them against batched logits.
+
+    ``logits`` is ``(..., B, C)``; the labels must have shape ``(..., B)``
+    and lie in ``[0, C)`` (:func:`check_label_range`).
+    """
     labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ShapeError(f"labels need 2-D logits, got shape {logits.shape}")
-    n, c = logits.shape
-    if labels.shape != (n,):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
-    if labels.min() < 0 or labels.max() >= c:
-        raise ConfigError(f"labels must lie in [0, {c})")
+    if logits.ndim < 2:
+        raise ShapeError(f"labels need batched logits, got shape {logits.shape}")
+    if labels.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels shape {labels.shape} does not match batch {logits.shape[:-1]}")
+    return check_label_range(labels, logits.shape[-1])
+
+
+def check_label_range(labels, num_classes: int) -> np.ndarray:
+    """Return ``labels`` as an array after checking each lies in ``[0, num_classes)``."""
+    labels = np.asarray(labels)
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ConfigError(f"labels must lie in [0, {num_classes})")
     return labels
 
 
@@ -446,11 +507,11 @@ def kl_rows(student_logits: np.ndarray, teacher_logits: np.ndarray, temperature:
     ps = softmax(student_logits / temperature)
     pt = softmax(teacher_logits / temperature)
     r = _clamped_log(ps) - _clamped_log(pt)
-    rows = (ps * r).sum(axis=1)
+    rows = (ps * r).sum(axis=-1)
 
     def row_grad(w):
         # dKL/du_k = ps_k * (r_k - KL_row), the exact softmax-side gradient.
-        return ps * (r - rows[:, None]) * (w[:, None] / temperature)
+        return ps * (r - rows[..., None]) * (w[..., None] / temperature)
 
     return rows, row_grad
 
@@ -472,8 +533,8 @@ def representation_rows(student_h: np.ndarray, teacher_h: np.ndarray):
     if student_h.shape != teacher_h.shape:
         raise ShapeError("activation shapes differ")
     diff = student_h - teacher_h
-    rows = (diff * diff).sum(axis=1)
-    return rows, lambda w: 2.0 * diff * w[:, None]
+    rows = (diff * diff).sum(axis=-1)
+    return rows, lambda w: 2.0 * diff * w[..., None]
 
 
 # ----------------------------------------------------------------------- FLOs

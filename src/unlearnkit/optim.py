@@ -2,7 +2,10 @@
 
 Masking zeroes the gradient at unselected indices before any moment update,
 so masked-out parameters (and their Adam moments) never move: the delta
-outside the mask is exactly zero, not merely small.
+outside the mask is exactly zero, not merely small. On a stacked model
+(``nn.Model.stack``) the parameters, gradient, mask and moments are all
+``(K, T)``, one row per model, and every update is elementwise, so each row
+moves exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -79,23 +82,26 @@ def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
     The update is subtracted from ``model.params``, the live trainable slice
     of the model's parameter buffer; masked-out coordinates are not written.
     """
-    gradient = np.asarray(gradient, dtype=np.float64).ravel()
-    n = model.num_trainable()
+    shape, n = model.params.shape, model.params.size
+    gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.size != n:
         raise ShapeError(f"gradient has {gradient.size} entries, model has {n}")
+    gradient = gradient.reshape(shape)
+    selected = True
     if mask is not None:
         if len(mask) != n:
             raise ShapeError(f"mask has {len(mask)} entries, model has {n}")
-        gradient = np.where(mask.selected, gradient, 0.0)
+        selected = mask.selected.reshape(shape)
+        gradient = np.where(selected, gradient, 0.0)
 
     if state.kind == "sgd":
         state.step += 1
         update = state.learning_rate * gradient
     else:
         if state.m is None:
-            state.m = np.zeros(n)
-            state.v = np.zeros(n)
-        elif state.m.size != n:
+            state.m = np.zeros(shape)
+            state.v = np.zeros(shape)
+        elif state.m.shape != shape:
             raise ShapeError("optimizer state was created for a different model")
         state.step += 1
         state.m = state.beta1 * state.m + (1.0 - state.beta1) * gradient
@@ -104,6 +110,5 @@ def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
         v_hat = state.v / (1.0 - state.beta2 ** state.step)
         update = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
     # Moment history must not leak into masked-out coordinates either.
-    np.subtract(model.params, update, out=model.params,
-                where=True if mask is None else mask.selected)
+    np.subtract(model.params, update, out=model.params, where=selected)
     return model

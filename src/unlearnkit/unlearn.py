@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,12 +72,24 @@ class TraceRow:
                 cell(self.acc_f), self.acc_r, self.flos, self.seconds, self.phase]
 
 
-class RunRecorder:
-    """Accumulates FLOs, wall time, per-epoch metrics, and the budget check."""
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """One array for one run; K same-shaped arrays stacked on a leading axis for K."""
+    return arrays[0] if len(arrays) == 1 else np.array(arrays)
 
-    def __init__(self, split: DatasetSplit, budget_seconds: float | None = None):
+
+class RunRecorder:
+    """Accumulates FLOs, wall time, per-epoch metrics, and the budget check.
+
+    ``share`` runs trained in lockstep share the wall clock: each one's
+    ``seconds`` (trace, budget and result) is the elapsed time divided by
+    ``share``.
+    """
+
+    def __init__(self, split: DatasetSplit, budget_seconds: float | None = None,
+                 share: int = 1):
         self.split = split
         self.budget_seconds = budget_seconds
+        self.share = share
         self.rows: list[TraceRow] = []
         self.flos = 0.0
         self._flos_per_sample: float | None = None  # a run trains one model
@@ -89,7 +101,7 @@ class RunRecorder:
 
     @property
     def seconds(self) -> float:
-        return time.perf_counter() - self._start
+        return (time.perf_counter() - self._start) / self.share
 
     def add_samples(self, model: Model, num_samples: int) -> None:
         if self._flos_per_sample is None:
@@ -193,30 +205,49 @@ def _epochs(rng: np.random.Generator, idx: np.ndarray, x: np.ndarray, labels: np
 
 def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = None,
                   teacher: np.ndarray | None = None, temperature: float = 1.0,
-                  curriculum: SuperLossParams | None = None, step: int = 0,
-                  accumulate: bool = False) -> tuple[float, np.ndarray]:
+                  curriculum: SuperLossParams | list[SuperLossParams] | None = None,
+                  step: int = 0, accumulate: bool = False) -> tuple[float, np.ndarray]:
     """One training step's loss and gradient, on plain arrays.
 
-    Runs one forward pass over ``x``, sums the per-row task cross-entropy
+    Runs one forward pass over ``x``, checks the ``labels`` against the
+    logits (:func:`nn.validate_labels`), sums the per-row task cross-entropy
     (when ``labels`` is given) and KL to the ``teacher`` logits (when given),
     reduces the rows by their mean or by the curriculum, checks the value
     is finite, and backprops. Returns the value and the model's gradient
-    buffer, overwritten unless ``accumulate`` is set.
+    buffer, overwritten unless ``accumulate`` is set. On a stacked model
+    (``nn.Model.stack``) every array has a leading K axis, the value is one
+    per model, and ``curriculum`` is a list of K states.
     """
     logits, cache = model.forward_cache(x)
+    if labels is not None:
+        labels = nn.validate_labels(logits, labels)
+    if isinstance(curriculum, SuperLossParams):
+        curriculum = [curriculum]
+    return _backprop_loss(model, logits, cache, labels, teacher, temperature,
+                          curriculum, step, accumulate)
+
+
+def _backprop_loss(model: Model, logits: np.ndarray, cache: tuple, labels: np.ndarray | None,
+                   teacher: np.ndarray | None, temperature: float,
+                   curricula: list[SuperLossParams] | None, step: int, accumulate: bool):
+    """:func:`loss_and_grad` after its forward pass, on labels already checked."""
     terms = []
     if labels is not None:
         terms.append(nn.cross_entropy_rows(logits, labels))
     if teacher is not None:
         terms.append(nn.kl_rows(logits, teacher, temperature))
     rows = terms[0][0] if len(terms) == 1 else terms[0][0] + terms[1][0]
-    if curriculum is not None:
-        value, sigmas = superloss_weights(rows, curriculum)
-        weights = (1.0 / rows.size) * sigmas
+    n = rows.shape[-1]
+    if curricula is not None:
+        # Per model: superloss_weights ravels its batch and moves that model's tau.
+        values, sigmas = zip(*(superloss_weights(r, c) for r, c in
+                               zip(rows.reshape(len(curricula), n), curricula)))
+        value = np.reshape(values, rows.shape[:-1])[()]  # [()]: a scalar for one model
+        weights = (1.0 / n) * np.reshape(sigmas, rows.shape)
     else:
-        value = rows.mean()
-        weights = np.full(rows.size, 1.0 / rows.size)
-    if not np.isfinite(value):
+        value = rows.mean(axis=-1)
+        weights = np.full(rows.shape, 1.0 / n)
+    if not np.isfinite(value).all():
         raise NumericError("training loss became non-finite", step=step)
     g = terms[0][1](weights)
     if len(terms) == 2:
@@ -226,46 +257,70 @@ def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = No
     return value, model.backprop(cache, g)
 
 
-def _drive(plan: Plan, optimizer: str, temperature: float = 1.0,
-           recorder: RunRecorder | None = None, observer=None) -> Model:
-    """Train ``plan.student`` in place through its passes: the one training loop.
+def _drive(plans: list[Plan], optimizer: str, temperature: float = 1.0,
+           recorders: list[RunRecorder] | None = None, observers=None) -> None:
+    """Train every plan's student in place through its passes: the one training loop.
+
+    The K plans train in lockstep as one stacked model (``nn.Model.stack``;
+    K = 1 trains the student itself). Their passes, steps and parts are
+    zipped, each drawn from its own plan in its own order (so from its own
+    RNG), and each step makes one forward, loss and backprop over the
+    stacked batch and one optimizer update of the stack. The plans must
+    come from configs that differ only in seed, so they agree on phases,
+    batch shapes, learning rate, curriculum use and L1 weight.
 
     Every part of a step backprops into one summed gradient. A non-finite
     part makes that sum non-finite, so each part is checked on its own.
     The sum gets the L1 pull, the pass's sign and one masked optimizer
     update. Each phase name keeps its own optimizer state, so ascent and
-    descent never share Adam moments. ``observer`` sees every part's row
-    indices. A ``recorder`` counts each step's samples and snapshots the
-    model before training (epoch 0, ``init``) and after every pass,
-    numbered from 1, checking the budget after each pass.
+    descent never share Adam moments. ``observers[k]`` sees the row indices
+    of every part of plan k. ``recorders[k]`` counts plan k's samples each
+    step and snapshots plan k's student before training (epoch 0, ``init``)
+    and after every pass, numbered from 1, checking the budget after each
+    pass. The snapshots evaluate each student on its own: a stacked
+    evaluation over the larger evaluation sets was slower than K of them.
     """
-    model = plan.student
-    fresh = OptimizerState(optimizer, plan.learning_rate)  # a bad recipe fails up front
+    first = plans[0]
+    model = Model.stack([plan.student for plan in plans])
+    fresh = OptimizerState(optimizer, first.learning_rate)  # a bad recipe fails up front
+    mask = None if first.mask is None else ParamMask(_stacked([p.mask.selected for p in plans]))
+    curricula = None if first.curriculum is None else [plan.curriculum for plan in plans]
+    stacked_teachers: dict[tuple[int, ...], Model] = {}
     opts: dict[str, OptimizerState] = {}
-    if recorder is not None:
-        recorder.snapshot(0, model, "init")
+    records = list(zip(recorders or (), plans))
+    for recorder, plan in records:
+        recorder.snapshot(0, plan.student, "init")
     step = 0
-    for number, (phase, ascending, steps) in enumerate(plan.passes, 1):
+    for number, passes in enumerate(zip(*(plan.passes for plan in plans), strict=True), 1):
+        phase, ascending, _ = passes[0]
         if phase not in opts:
             opts[phase] = replace(fresh)
-        for parts in steps:
-            for i, (rows, x, labels, teacher) in enumerate(parts):
-                if observer is not None:
-                    observer(rows)
-                _, grad = loss_and_grad(
-                    model, x, labels=labels, temperature=temperature,
-                    teacher=None if teacher is None else teacher.logits(x),
-                    curriculum=plan.curriculum, step=step, accumulate=i > 0)
-            if plan.l1_lambda:
-                grad = grad + plan.l1_lambda * np.sign(model.params)
-            optimizer_step(opts[phase], model, -grad if ascending else grad, plan.mask)
-            if recorder is not None:
-                recorder.add_samples(model, sum(len(part[0]) for part in parts))
+        for steps in zip(*(p[2] for p in passes), strict=True):
+            for i, parts in enumerate(zip(*steps, strict=True)):
+                rows, xs, labels, teachers = zip(*parts)
+                for observer, idx in zip(observers or (), rows):
+                    if observer is not None:
+                        observer(idx)
+                x = _stacked(xs)
+                teacher = None
+                if teachers[0] is not None:
+                    key = tuple(map(id, teachers))
+                    if key not in stacked_teachers:  # copies: the teachers stay as they are
+                        stacked_teachers[key] = (teachers[0] if len(teachers) == 1 else
+                                                 Model.stack([t.clone() for t in teachers]))
+                    teacher = stacked_teachers[key].logits(x)
+                _, grad = _backprop_loss(  # inline, so the activations die with the call
+                    model, *model.forward_cache(x), None if labels[0] is None else _stacked(labels),
+                    teacher, temperature, curricula, step, accumulate=i > 0)
+            if first.l1_lambda:
+                grad = grad + first.l1_lambda * np.sign(model.params)
+            optimizer_step(opts[phase], model, -grad if ascending else grad, mask)
+            for (recorder, plan), parts in zip(records, steps):
+                recorder.add_samples(plan.student, sum(len(part[0]) for part in parts))
             step += 1
-        if recorder is not None:
-            recorder.snapshot(number, model, phase)
+        for recorder, plan in records:
+            recorder.snapshot(number, plan.student, phase)
             recorder.check_budget()
-    return model
 
 
 def fit(model: Model, x: np.ndarray, y: np.ndarray, *, epochs: int,
@@ -277,8 +332,11 @@ def fit(model: Model, x: np.ndarray, y: np.ndarray, *, epochs: int,
     curriculum, mask or L1. With a ``recorder`` the trace gets an ``init``
     row and one row per epoch.
     """
+    y = nn.check_label_range(y, model.num_classes)
     passes = _epochs(np.random.default_rng(seed), np.arange(len(y)), x, y, epochs, batch_size)
-    return _drive(Plan(model, passes, learning_rate), optimizer, recorder=recorder)
+    _drive([Plan(model, passes, learning_rate)], optimizer,
+           recorders=None if recorder is None else [recorder])
+    return model
 
 
 def train_original(split: DatasetSplit, config: UnlearnConfig,
@@ -317,6 +375,7 @@ def _finetune(f: Model, split: DatasetSplit, config: UnlearnConfig, idx: np.ndar
               labels: np.ndarray, phase: str = "train", ascending: bool = False,
               mask: ParamMask | None = None, l1_lambda: float = 0.0) -> Plan:
     """Task-loss passes over the training rows ``idx`` with the unlearning recipe."""
+    labels = nn.check_label_range(labels, f.num_classes)
     passes = _epochs(np.random.default_rng(config.seed), idx, split.train_x, labels,
                      config.epochs, config.batch_size, phase, ascending)
     return Plan(_student(f, config), passes, config.learning_rate,
@@ -329,9 +388,11 @@ def exact_retrain(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     retain_idx = split.retain_indices
     if retain_idx.size == 0:
         raise ConfigError("cannot retrain: the remaining set is empty")
+    student = _fresh_model(split, config, config.seed)
+    labels = nn.check_label_range(split.train_y, student.num_classes)
     passes = _epochs(np.random.default_rng(config.seed), retain_idx, split.train_x,
-                     split.train_y, config.train_epochs, config.train_batch_size)
-    return Plan(_fresh_model(split, config, config.seed), passes, config.train_learning_rate)
+                     labels, config.train_epochs, config.train_batch_size)
+    return Plan(student, passes, config.train_learning_rate)
 
 
 @register(TeacherSpec("Loss", "Grad", "none", (), ("Dense", "Internal")))
@@ -398,9 +459,10 @@ def scrub(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     if max_steps < 0 or min_steps < 0:
         raise ConfigError("scrub step counts must be >= 0")
     rng = np.random.default_rng(config.seed)
+    labels = nn.check_label_range(split.train_y, f.num_classes)
 
     def one_pass(idx):
-        return _stream(rng, idx, split.train_x, split.train_y, f, config.batch_size)
+        return _stream(rng, idx, split.train_x, labels, f, config.batch_size)
 
     def passes():
         for cycle in range(max(max_steps, min_steps)):
@@ -441,21 +503,73 @@ TAXONOMY: dict[str, TeacherSpec] = {name: m.spec for name, m in METHODS.items()}
 
 # ------------------------------------------------------------------- dispatch
 
+Member = tuple[Model, DatasetSplit, UnlearnConfig]
+
+
 def unlearn(method: str, f: Model, split: DatasetSplit, config: UnlearnConfig,
             observer=None) -> UnlearnRun:
-    """Run one unlearning method end to end, recording time, FLOs, and a trace."""
+    """Run one unlearning method end to end, recording time, FLOs, and a trace.
+
+    A lockstep group of one (:func:`unlearn_group`); its error is raised.
+    """
+    [result] = unlearn_group(method, [(f, split, config)], [observer])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def unlearn_group(method: str, members: Sequence[Member],
+                  observers: Sequence | None = None) -> list[UnlearnRun | Exception]:
+    """Run one method on K ``(original, split, config)`` members in lockstep.
+
+    The members' configs may differ only in ``seed`` (and ``budget_seconds``),
+    so their plans share phases and batch shapes: they train as one stacked
+    model (see ``_drive``). Each member's model, trace rows apart from
+    ``seconds``, FLOs and observed rows are bit-identical to its run alone
+    with :func:`unlearn`; its ``seconds`` (report, trace and budget) is the
+    group's elapsed time divided by K. ``observers[k]`` sees member k's rows
+    as they train in a group of one, and once the group has finished in a
+    larger one. If any member raises, the members are rerun one by one, so
+    each gets the result, error and partial trace it gets alone. Returns
+    each member's run, or the exception it raised.
+    """
+    observers = list(observers or [None] * len(members))
+    if len(members) == 1:
+        try:
+            return _lockstep(method, members, observers)
+        except Exception as exc:  # the caller decides; unlearn() raises it
+            return [exc]
+    seen = [None if observer is None else [] for observer in observers]
+    try:
+        runs = _lockstep(method, members, [None if rows is None else rows.append for rows in seen])
+    except Exception:
+        return [unlearn_group(method, [member], [observer])[0]
+                for member, observer in zip(members, observers)]
+    for observer, rows in zip(observers, seen):
+        for idx in rows or ():
+            observer(idx)
+    return runs
+
+
+def _lockstep(method: str, members: Sequence[Member], observers: list) -> list[UnlearnRun]:
+    """Train the members as one group; any member's error stops the group."""
     if method not in METHODS:
         raise ConfigError(f"unknown unlearning method {method!r}; available: "
                           + ", ".join(METHODS))
-    if method != "exact_retrain" and split.del_indices.size == 0:
+    configs = [config for _, _, config in members]
+    shared = [replace(config, seed=0, budget_seconds=None) for config in configs]
+    if any(config != shared[0] for config in shared):
+        raise ConfigError("the configs of a lockstep group may differ only in seed")
+    if method != "exact_retrain" and any(split.del_indices.size == 0 for _, split, _ in members):
         raise ConfigError(f"{method} requires a deletion set; call "
                           "split.with_deletion(del_ratio) first")
-    recorder = RunRecorder(split, budget_seconds=config.budget_seconds)
-    plan = METHODS[method].plan(f, split, config)
-    produced = _drive(plan, config.optimizer, config.temperature, recorder, observer)
-    return UnlearnRun(method=method, config=config, original=f, model=produced,
-                      trace=recorder.rows, seconds=recorder.seconds,
-                      flos=recorder.flos)
+    recorders = [RunRecorder(split, budget_seconds=config.budget_seconds, share=len(members))
+                 for _, split, config in members]
+    plans = [METHODS[method].plan(*member) for member in members]
+    _drive(plans, configs[0].optimizer, configs[0].temperature, recorders, observers)
+    return [UnlearnRun(method=method, config=config, original=f, model=plan.student,
+                       trace=recorder.rows, seconds=recorder.seconds, flos=recorder.flos)
+            for (f, _, config), plan, recorder in zip(members, plans, recorders)]
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:

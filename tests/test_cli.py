@@ -260,6 +260,29 @@ def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsy
     assert all(e["status"] == "done" for e in entries if e is not failed[0])
 
 
+def test_sweep_writes_the_manifest_once_per_group(tmp_path, monkeypatch, capsys):
+    saves = []
+    real = Manifest.save
+    monkeypatch.setattr(Manifest, "save", lambda self: saves.append(1) or real(self))
+    rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
+             "--methods", "rand_label,neg_grad", "--ratios", "2,4", "--seeds", "0,1")
+    assert rc == 0
+    # 2 originals (start + finish each), all 8 runs marked pending, 4 seed groups finished
+    assert len(saves) == 2 * 2 + 1 + 4
+    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    assert len(entries) == 8 and all(e["status"] == "done" for e in entries)
+
+
+def test_parallel_sweep_prints_a_line_per_run(tmp_path, capsys):
+    rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0", "--workers", "2",
+             "--methods", "neg_grad,rand_label", "--ratios", "3", "--seeds", "0,1")
+    assert rc == 0
+    lines = {line.strip() for line in capsys.readouterr().out.splitlines()}
+    for method in ("neg_grad", "rand_label"):
+        for seed in (0, 1):
+            assert f"{method} r=3 s={seed}: done" in lines
+
+
 def test_sweep_ratio_range_syntax(tmp_path, capsys):
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
              "--methods", "neg_grad", "--ratios", "1-3", "--seeds", "0")

@@ -1,0 +1,190 @@
+"""Seed lockstep: a group of runs that differ only in seed trains as one stacked model."""
+
+import dataclasses
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import unlearnkit.unlearn  # noqa: F401  (the package attribute is the function)
+from unlearnkit import (BudgetError, ConfigError, ShapeError, UnlearnConfig, build_model,
+                        unlearn, unlearn_group)
+from unlearnkit.cli import execute_unlearn_group, main
+from unlearnkit.data import generate
+from unlearnkit.nn import Model
+from unlearnkit.unlearn import METHODS, RunRecorder, train_original
+
+U = sys.modules["unlearnkit.unlearn"]
+DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
+SEEDS = (0, 1, 2)
+VARIANTS = {
+    "plain": {},
+    "curriculum": {"curriculum": True},
+    "adapter": {"adapter_rank": 2, "adapter_layer": 1},
+    "tanh_sgd": {"backbone": "mlp:10,8:tanh", "optimizer": "sgd", "learning_rate": 0.05},
+}
+
+
+def _config(variant, seed, **kwargs):
+    base = dict(data_name=DATA, backbone="mlp:10,8", train_epochs=8, train_batch_size=16,
+                epochs=2, batch_size=16, learning_rate=0.02, scrub_max_steps=1,
+                scrub_min_steps=2, seed=seed)
+    base.update(VARIANTS[variant])
+    base.update(kwargs)
+    return UnlearnConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def originals():
+    """Per variant, per seed: (original, split with a 10% deletion set, config)."""
+    out = {}
+    for variant in VARIANTS:
+        for seed in SEEDS:
+            cfg = _config(variant, seed)
+            split = generate(cfg.data_spec())
+            out[variant, seed] = (train_original(split, cfg), split.with_deletion(10), cfg)
+    return out
+
+
+def _fingerprint(run, seen):
+    rows = [dataclasses.replace(row, seconds=0.0) for row in run.trace]
+    return run.model.param_digest(), rows, run.flos, seen
+
+
+def _count_updates(monkeypatch):
+    calls = []
+    real = U.optimizer_step
+    monkeypatch.setattr(U, "optimizer_step", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_group_is_bit_identical_to_solo_runs(originals, monkeypatch, method, variant):
+    members = [(f, split, dataclasses.replace(cfg, unlearn_method=method))
+               for f, split, cfg in (originals[variant, seed] for seed in SEEDS)]
+    updates = _count_updates(monkeypatch)
+    solo = []
+    for member in members:
+        seen = []
+        solo.append(_fingerprint(unlearn(method, *member, observer=seen.append), seen))
+    solo_updates = len(updates)
+    seen = [[] for _ in members]
+    runs = unlearn_group(method, members, [s.append for s in seen])
+    assert len(updates) - solo_updates == solo_updates / len(members)  # one stacked update
+    for run, rows, want in zip(runs, seen, solo):
+        got = _fingerprint(run, rows)
+        assert got[:3] == want[:3]
+        assert [r.tolist() for r in got[3]] == [r.tolist() for r in want[3]]
+        assert run.seconds > 0
+
+
+@pytest.mark.parametrize("error", [BudgetError, RuntimeError])
+def test_a_failing_member_reruns_the_group_one_by_one(originals, monkeypatch, error):
+    real = RunRecorder.check_budget
+
+    def flaky(recorder):  # the seed-1 run fails after its second pass, alone or not
+        if recorder.split.seed == 1 and len(recorder.rows) >= 3:
+            raise BudgetError("simulated", trace=recorder.rows) if error is BudgetError \
+                else RuntimeError("boom")
+        real(recorder)
+
+    monkeypatch.setattr(RunRecorder, "check_budget", flaky)
+    members = [(f, split, dataclasses.replace(cfg, unlearn_method="scrub"))
+               for f, split, cfg in (originals["plain", seed] for seed in SEEDS)]
+    runs = unlearn_group("scrub", members)
+    with pytest.raises(error) as alone:
+        unlearn("scrub", *members[1])
+    failed = runs[1]
+    assert type(failed) is error and str(failed) == str(alone.value)
+    if error is BudgetError:
+        assert len(failed.trace) == 3
+        assert ([dataclasses.replace(r, seconds=0.0) for r in failed.trace]
+                == [dataclasses.replace(r, seconds=0.0) for r in alone.value.trace])
+    for i in (0, 2):
+        want = unlearn("scrub", *members[i])
+        assert runs[i].model.param_digest() == want.model.param_digest()
+        assert ([dataclasses.replace(r, seconds=0.0) for r in runs[i].trace]
+                == [dataclasses.replace(r, seconds=0.0) for r in want.trace])
+
+
+def test_members_whose_configs_differ_beyond_seed_run_one_by_one(originals):
+    members = [originals["plain", seed] for seed in (0, 1)]
+    members = [(f, split, dataclasses.replace(cfg, unlearn_method="rand_label",
+                                              learning_rate=0.01 * (1 + i)))
+               for i, (f, split, cfg) in enumerate(members)]
+    runs = unlearn_group("rand_label", members)
+    for run, member in zip(runs, members):
+        assert run.model.param_digest() == unlearn("rand_label", *member).model.param_digest()
+
+
+def test_each_member_is_charged_an_equal_share_of_the_group_time(originals):
+    members = [(f, split, dataclasses.replace(cfg, unlearn_method="rand_label"))
+               for f, split, cfg in (originals["plain", seed] for seed in SEEDS)]
+    start = time.perf_counter()
+    runs = unlearn_group("rand_label", members)
+    wall = time.perf_counter() - start
+    assert sum(run.seconds for run in runs) <= wall
+    for run in runs:
+        assert 0 < run.trace[-1].seconds <= run.seconds
+
+
+def test_zero_epoch_group_returns_the_originals(originals):
+    members = [(f, split, dataclasses.replace(cfg, unlearn_method="neg_grad", epochs=0))
+               for f, split, cfg in (originals["plain", seed] for seed in SEEDS)]
+    runs = unlearn_group("neg_grad", members)
+    for run, (f, _, _) in zip(runs, members):
+        assert run.model.param_digest() == f.param_digest()
+        assert [row.phase for row in run.trace] == ["init"]
+
+
+def test_stack_views_member_rows_and_rejects_mixed_layouts():
+    a, b = build_model(4, 3, "mlp:5", seed=0), build_model(4, 3, "mlp:5", seed=1)
+    before = [a.param_vector(), b.param_vector()]
+    stack = Model.stack([a, b])
+    assert stack.params.shape == (2, a.num_trainable())
+    assert np.array_equal(stack.params, np.stack(before))
+    stack.params[1] += 1.0  # training the stack trains the members
+    assert np.array_equal(b.param_vector(), before[1] + 1.0)
+    assert np.array_equal(a.param_vector(), before[0])
+    with pytest.raises(ShapeError):
+        Model.stack([a, build_model(4, 3, "mlp:6", seed=2)])
+
+
+def test_cli_sweep_matches_per_config_unlearn_commands(tmp_path):
+    fast = ["--data_name", DATA, "--backbone", "mlp:12", "--train_epochs", "10",
+            "--epochs", "3", "--learning_rate", "0.02"]
+    swept, solo = tmp_path / "swept", tmp_path / "solo"
+    methods = ("bad_t", "salun")
+    assert main(["--artifacts", str(swept), "sweep", *fast, "--no-budget", "--methods",
+                 ",".join(methods), "--ratios", "3", "--seeds", "0,1"]) == 0
+    for seed in ("0", "1"):
+        assert main(["--artifacts", str(solo), "train", *fast, "--seed", seed]) == 0
+        for method in methods:
+            assert main(["--artifacts", str(solo), "unlearn", *fast, "--no-budget", "--seed",
+                         seed, "--unlearn_method", method, "--del_ratio", "3"]) == 0
+    runs = sorted(p.name for p in (swept / "runs").iterdir())
+    assert runs == sorted(p.name for p in (solo / "runs").iterdir()) and len(runs) == 4
+    for name in runs:
+        a, b = swept / "runs" / name, solo / "runs" / name
+        assert (a / "model_prime.json").read_bytes() == (b / "model_prime.json").read_bytes()
+        reports = [json.loads(Path(d, "report.json").read_text()) for d in (a, b)]
+        for report in reports:
+            assert report.pop("seconds") > 0
+        assert reports[0] == reports[1]
+        traces = [[line.split(",")[:7] + line.split(",")[8:]
+                   for line in Path(d, "trace.csv").read_text().splitlines()] for d in (a, b)]
+        assert traces[0] == traces[1]
+
+
+def test_a_member_without_a_checkpoint_fails_alone(tmp_path):
+    fast = ["--data_name", DATA, "--backbone", "mlp:12", "--train_epochs", "5", "--epochs", "2"]
+    assert main(["--artifacts", str(tmp_path), "train", *fast, "--seed", "0"]) == 0
+    cfgs = [UnlearnConfig(data_name=DATA, backbone="mlp:12", train_epochs=5, epochs=2,
+                          unlearn_method="neg_grad", seed=seed) for seed in (0, 1)]
+    done, missing = execute_unlearn_group(tmp_path, cfgs, no_budget=True)
+    assert (done / "report.json").exists()
+    assert isinstance(missing, ConfigError) and "no trained checkpoint" in str(missing)

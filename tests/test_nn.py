@@ -97,6 +97,14 @@ def test_cross_entropy_validates_labels():
         validate_labels(logits[0], np.array([0, 1]))
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_step_kernel_rejects_labels_out_of_range(bad):
+    m = build_model(3, 3, "mlp:4", seed=0)
+    x = np.random.default_rng(0).standard_normal((2, 3))
+    with pytest.raises(ConfigError, match=r"labels must lie in \[0, 3\)"):
+        loss_and_grad(m, x, labels=[bad, 0])
+
+
 def test_kl_identical_logits_is_zero():
     logits = np.random.default_rng(0).standard_normal((4, 3))
     assert kl_rows(logits, logits, 1.0)[0].mean() == 0.0
