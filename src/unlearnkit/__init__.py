@@ -9,14 +9,14 @@ membership-inference success, deletion capacity).
 from .config import UnlearnConfig, config_hash, train_hash
 from .curriculum import SuperLossParams, lambert_w0, superloss_sigma
 from .data import (DatasetSplit, SynthSpec, corrupt_labels, generate,
-                   parse_data_name, sample_deletion_set, shift_testset)
+                   parse_data_name, sample_deletion_set)
 from .errors import (BudgetError, ConfigError, DomainError,
                      InsufficientDataError, NumericError, ShapeError,
                      UnlearnkitError)
-from .lora import LowRankAdapter, adapter_trainable_counts, attach_adapter, merge_adapter
+from .lora import LowRankAdapter, attach_adapter, merge_adapter
 from .metrics import (EvalReport, MiaAttack, build_report, deletion_capacity,
-                      evaluate, fit_mia, mia_success, scaling_curve, transfer_eval)
-from .nn import Model, build_model, count_flos, kl_divergence, softmax
+                      evaluate, fit_mia, mia_success)
+from .nn import Model, build_model, count_flos, softmax
 from .optim import OptimizerState, ParamMask, optimizer_step
 from .unlearn import (METHODS, TAXONOMY, TeacherSpec, UnlearnRun, train_original, unlearn,
                       unlearn_group)

@@ -90,7 +90,7 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
     spec = cfg.data_spec()
     split = generate(spec)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    manifest.start(key, "train", ckpt_dir, force=True)
+    manifest.start_all("train", [(key, ckpt_dir)], force=True)
     recorder = RunRecorder(split)
     start = time.perf_counter()
     try:
@@ -98,7 +98,7 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
     except UnlearnkitError as exc:
         if recorder.rows:
             write_trace_csv(recorder.rows, ckpt_dir / "trace.csv")
-        manifest.finish(key, "failed", str(exc))
+        manifest.finish_all([(key, "failed", str(exc))])
         raise
     seconds = time.perf_counter() - start
     model.save(model_path)
@@ -107,7 +107,7 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
             "train_config": cfg.train_dict(), "flos": recorder.flos}
     (ckpt_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     write_trace_csv(recorder.rows, ckpt_dir / "trace.csv")
-    manifest.finish(key, "done")
+    manifest.finish_all([(key, "done", None)])
     if not quiet:
         print(f"trained original {key}: test_acc={test_acc:.1f} "
               f"seconds={seconds:.3f} -> {ckpt_dir}")
@@ -203,13 +203,13 @@ def cmd_unlearn(args) -> int:
         print(f"run {key} already complete at {run_dir} (use --force to redo)")
         print((run_dir / "report.json").read_text())
         return 0
-    manifest.start(key, "unlearn", run_dir, force=True)
+    manifest.start_all("unlearn", [(key, run_dir)], force=True)
     try:
         execute_unlearn(root, cfg, no_budget=args.no_budget)
     except UnlearnkitError as exc:
-        manifest.finish(key, "failed", str(exc))
+        manifest.finish_all([(key, "failed", str(exc))])
         raise
-    manifest.finish(key, "done")
+    manifest.finish_all([(key, "done", None)])
     print(f"run {key} complete -> {run_dir}")
     print((run_dir / "report.json").read_text())
     return 0
@@ -228,11 +228,7 @@ def cmd_evaluate(args) -> int:
         seconds, flos = stored.seconds, stored.flos
     else:
         cfg = _resolve_config(args)
-        ckpt_dir = _checkpoint_dir(root, cfg)
-        if not (ckpt_dir / "model.json").exists():
-            raise ConfigError(f"no checkpoint at {ckpt_dir}; run 'unlearnkit train' first")
-        model = Model.load(ckpt_dir / "model.json")
-        meta = json.loads((ckpt_dir / "meta.json").read_text())
+        model, meta = _load_checkpoint(root, cfg)
         seconds, flos = meta["train_seconds"], meta.get("flos", 0.0)
     split = generate(cfg.data_spec()).with_deletion(cfg.del_ratio)
     report = build_report(model, split, seconds=seconds, flos=flos,
@@ -244,16 +240,23 @@ def cmd_evaluate(args) -> int:
 # ----------------------------------------------------------------------- sweep
 
 def _parse_grid_field(text: str, kind=int) -> list:
+    """Parse a comma list; with ``kind=int`` an item may be an ascending range ``lo-hi``."""
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part and kind is int and not part.startswith("-"):
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(kind(part))
+        ranged = "-" in part and kind is int and not part.startswith("-")
+        try:
+            items = [int(end) for end in part.split("-", 1)] if ranged else [kind(part)]
+        except ValueError as exc:
+            raise ConfigError(f"bad grid entry {part!r} in {text!r}") from exc
+        if ranged:
+            lo, hi = items
+            if hi < lo:
+                raise ConfigError(f"range {part!r} in {text!r} runs backwards")
+            items = range(lo, hi + 1)
+        out.extend(items)
     if not out:
         raise ConfigError(f"empty grid field {text!r}")
     return out

@@ -8,10 +8,7 @@ the set for ratio r+1 and capacity curves stay comparable across ratios.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -53,15 +50,6 @@ class SynthSpec:
         if self.noise < 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
 
-    def to_dict(self) -> dict:
-        return {"generator": self.generator, "num_classes": self.num_classes,
-                "samples_per_class": self.samples_per_class, "noise": self.noise,
-                "dim": self.dim, "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        return cls(**d)
-
 
 def parse_data_name(name: str) -> SynthSpec:
     """Parse a compact dataset string such as ``gaussian_blobs:c3:s100:d2:noise0.1:seed0``.
@@ -100,7 +88,6 @@ class DatasetSplit:
     test_x: np.ndarray
     test_y: np.ndarray
     seed: int
-    spec: SynthSpec | None = None
     del_ratio: int | None = None
     del_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
@@ -149,76 +136,61 @@ class DatasetSplit:
 
 
 # ----------------------------------------------------------------- generators
-
-def _blob_centroids(num_classes: int, dim: int) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
-    centers = np.zeros((num_classes, dim))
-    centers[:, 0] = _BLOB_RADIUS * np.cos(angles)
-    centers[:, 1] = _BLOB_RADIUS * np.sin(angles)
-    return centers
-
-def _gen_gaussian_blobs(spec: SynthSpec, rng: np.random.Generator):
-    centers = _blob_centroids(spec.num_classes, spec.dim)
-    xs, ys = [], []
-    for cls in range(spec.num_classes):
-        pts = centers[cls] + spec.noise * rng.standard_normal((spec.samples_per_class, spec.dim))
-        xs.append(pts)
-        ys.append(np.full(spec.samples_per_class, cls, dtype=np.int64))
-    return np.vstack(xs), np.concatenate(ys)
-
-
-def _gen_spiral(spec: SynthSpec, rng: np.random.Generator):
-    xs, ys = [], []
-    for cls in range(spec.num_classes):
-        t = np.linspace(0.25, 1.0, spec.samples_per_class)
-        theta = 3.0 * np.pi * t + 2.0 * np.pi * cls / spec.num_classes
-        radius = t
-        pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-        pts += spec.noise * rng.standard_normal(pts.shape)
-        xs.append(pts)
-        ys.append(np.full(spec.samples_per_class, cls, dtype=np.int64))
-    return np.vstack(xs), np.concatenate(ys)
-
-
-def _gen_ring(spec: SynthSpec, rng: np.random.Generator):
-    xs, ys = [], []
-    for cls in range(spec.num_classes):
-        radius = (cls + 1.0) / spec.num_classes
-        theta = rng.uniform(0.0, 2.0 * np.pi, spec.samples_per_class)
-        pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-        pts += spec.noise * rng.standard_normal(pts.shape)
-        xs.append(pts)
-        ys.append(np.full(spec.samples_per_class, cls, dtype=np.int64))
-    return np.vstack(xs), np.concatenate(ys)
-
-
-_GEN_FNS = {"gaussian_blobs": _gen_gaussian_blobs, "spiral": _gen_spiral,
-            "ring": _gen_ring}
-
-
-def generate(spec: SynthSpec) -> DatasetSplit:
-    """Build a dataset and its stratified 80/20 train/test split (no deletion set)."""
-    rng = np.random.default_rng(spec.seed)
-    x, y = _GEN_FNS[spec.generator](spec, rng)
-    train_idx, test_idx = [], []
-    n_test = max(1, round(0.2 * spec.samples_per_class))
-    for cls in range(spec.num_classes):
-        rows = np.nonzero(y == cls)[0]
-        rows = rng.permutation(rows)
-        test_idx.append(rows[:n_test])
-        train_idx.append(rows[n_test:])
-    train_idx = rng.permutation(np.concatenate(train_idx))
-    test_idx = rng.permutation(np.concatenate(test_idx))
-    return DatasetSplit(train_x=x[train_idx], train_y=y[train_idx],
-                        test_x=x[test_idx], test_y=y[test_idx],
-                        seed=spec.seed, spec=spec)
-
+#
+# A generator maps (spec, class, rng) to that class's noise-free points;
+# generate() adds the Gaussian noise right after each class's own draws.
 
 def blob_centroids(spec: SynthSpec) -> np.ndarray:
     """Class centroids used by the blob generator (handy as a test oracle)."""
     if spec.generator != "gaussian_blobs":
         raise ConfigError("centroids are only defined for gaussian_blobs")
-    return _blob_centroids(spec.num_classes, spec.dim)
+    angles = 2.0 * np.pi * np.arange(spec.num_classes) / spec.num_classes
+    centers = np.zeros((spec.num_classes, spec.dim))
+    centers[:, 0] = _BLOB_RADIUS * np.cos(angles)
+    centers[:, 1] = _BLOB_RADIUS * np.sin(angles)
+    return centers
+
+
+def _on_circle(radius, theta: np.ndarray) -> np.ndarray:
+    return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+
+
+def _blob_points(spec: SynthSpec, cls: int, rng: np.random.Generator) -> np.ndarray:
+    return np.broadcast_to(blob_centroids(spec)[cls], (spec.samples_per_class, spec.dim))
+
+
+def _spiral_points(spec: SynthSpec, cls: int, rng: np.random.Generator) -> np.ndarray:
+    t = np.linspace(0.25, 1.0, spec.samples_per_class)
+    return _on_circle(t, 3.0 * np.pi * t + 2.0 * np.pi * cls / spec.num_classes)
+
+
+def _ring_points(spec: SynthSpec, cls: int, rng: np.random.Generator) -> np.ndarray:
+    theta = rng.uniform(0.0, 2.0 * np.pi, spec.samples_per_class)
+    return _on_circle((cls + 1.0) / spec.num_classes, theta)
+
+
+_POINT_FNS = {"gaussian_blobs": _blob_points, "spiral": _spiral_points, "ring": _ring_points}
+
+
+def generate(spec: SynthSpec) -> DatasetSplit:
+    """Build a dataset and its stratified 80/20 train/test split (no deletion set)."""
+    rng = np.random.default_rng(spec.seed)
+    xs = []
+    for cls in range(spec.num_classes):
+        pts = _POINT_FNS[spec.generator](spec, cls, rng)
+        xs.append(pts + spec.noise * rng.standard_normal(pts.shape))
+    x = np.vstack(xs)
+    y = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.samples_per_class)
+    train_idx, test_idx = [], []
+    n_test = max(1, round(0.2 * spec.samples_per_class))
+    for cls in range(spec.num_classes):
+        rows = rng.permutation(np.nonzero(y == cls)[0])
+        test_idx.append(rows[:n_test])
+        train_idx.append(rows[n_test:])
+    train_idx = rng.permutation(np.concatenate(train_idx))
+    test_idx = rng.permutation(np.concatenate(test_idx))
+    return DatasetSplit(train_x=x[train_idx], train_y=y[train_idx],
+                        test_x=x[test_idx], test_y=y[test_idx], seed=spec.seed)
 
 
 # ----------------------------------------------------------- deletion protocol
@@ -251,75 +223,3 @@ def corrupt_labels(split: DatasetSplit, del_indices: np.ndarray, seed: int) -> n
     originals = split.train_y[del_indices]
     draws = rng.integers(0, c - 1, size=del_indices.size)
     return np.where(draws >= originals, draws + 1, draws).astype(np.int64)
-
-
-# ------------------------------------------------------------------ test shift
-
-def shift_testset(split: DatasetSplit, kind: str, magnitude: float,
-                  seed: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Perturb test inputs (labels untouched). Magnitude 0 returns exact copies."""
-    if magnitude < 0:
-        raise ConfigError(f"shift magnitude must be >= 0, got {magnitude}")
-    x = split.test_x.copy()
-    y = split.test_y.copy()
-    if kind not in ("noise", "rotate", "scale"):
-        raise ConfigError(f"unknown shift kind {kind!r} (noise, rotate, scale)")
-    if magnitude == 0:
-        return x, y
-    if kind == "noise":
-        rng = np.random.default_rng(split.seed + 7919 if seed is None else seed)
-        x = x + magnitude * rng.standard_normal(x.shape)
-    elif kind == "rotate":
-        cos, sin = np.cos(magnitude), np.sin(magnitude)
-        rot = np.array([[cos, -sin], [sin, cos]])
-        x[:, :2] = x[:, :2] @ rot.T
-    else:
-        x = x * (1.0 + magnitude)
-    return x, y
-
-
-# ------------------------------------------------------------------- export/io
-
-def export_split(split: DatasetSplit, csv_path, sidecar_path) -> None:
-    """Write features/label/is_deleted rows plus a JSON sidecar for reproduction."""
-    dim = split.train_x.shape[1]
-    deleted = np.zeros(split.num_train, dtype=int)
-    deleted[split.del_indices] = 1
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["set"] + [f"feat_{i}" for i in range(dim)] + ["label", "is_deleted"])
-        for i in range(split.num_train):
-            writer.writerow(["train"] + [repr(float(v)) for v in split.train_x[i]]
-                            + [int(split.train_y[i]), int(deleted[i])])
-        for i in range(len(split.test_y)):
-            writer.writerow(["test"] + [repr(float(v)) for v in split.test_x[i]]
-                            + [int(split.test_y[i]), 0])
-    sidecar = {"seed": split.seed, "del_ratio": split.del_ratio,
-               "spec": split.spec.to_dict() if split.spec else None}
-    Path(sidecar_path).write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-
-
-def import_split(csv_path, sidecar_path) -> DatasetSplit:
-    sidecar = json.loads(Path(sidecar_path).read_text())
-    train_x, train_y, test_x, test_y, del_rows = [], [], [], [], []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dim = len(header) - 3
-        for row in reader:
-            feats = [float(v) for v in row[1:1 + dim]]
-            label = int(row[1 + dim])
-            if row[0] == "train":
-                if int(row[2 + dim]):
-                    del_rows.append(len(train_y))
-                train_x.append(feats)
-                train_y.append(label)
-            else:
-                test_x.append(feats)
-                test_y.append(label)
-    spec = SynthSpec.from_dict(sidecar["spec"]) if sidecar.get("spec") else None
-    return DatasetSplit(
-        train_x=np.array(train_x), train_y=np.array(train_y, dtype=np.int64),
-        test_x=np.array(test_x), test_y=np.array(test_y, dtype=np.int64),
-        seed=sidecar["seed"], spec=spec, del_ratio=sidecar.get("del_ratio"),
-        del_indices=np.array(del_rows, dtype=np.int64))

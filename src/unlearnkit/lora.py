@@ -18,7 +18,6 @@ from .nn import Model
 
 @dataclass(eq=False)  # array fields: compare adapters by identity
 class LowRankAdapter:
-    layer_index: int
     rank: int
     scale: float
     down: np.ndarray  # (rank, in)
@@ -29,8 +28,7 @@ class LowRankAdapter:
         return self.scale * (self.up @ self.down)
 
     def clone(self) -> "LowRankAdapter":
-        return LowRankAdapter(self.layer_index, self.rank, self.scale,
-                              self.down.copy(), self.up.copy())
+        return LowRankAdapter(self.rank, self.scale, self.down.copy(), self.up.copy())
 
 
 def attach_adapter(model: Model, layer_index: int, rank: int, scale: float = 1.0,
@@ -52,7 +50,7 @@ def attach_adapter(model: Model, layer_index: int, rank: int, scale: float = 1.0
     bound = 1.0 / np.sqrt(base.in_dim)
     down = rng.uniform(-bound, bound, size=(rank, base.in_dim))
     up = np.zeros((base.out_dim, rank))
-    out.layers[layer_index].adapter = LowRankAdapter(layer_index, rank, float(scale), down, up)
+    out.layers[layer_index].adapter = LowRankAdapter(rank, float(scale), down, up)
     out._pack()
     return out
 
@@ -66,12 +64,3 @@ def merge_adapter(model: Model) -> Model:
             layer.adapter = None
     out._pack()
     return out
-
-
-def adapter_trainable_counts(model: Model, layer_index: int) -> tuple[int, int]:
-    """(adapter parameter count, base weight count) for one adapted layer."""
-    layer = model.layers[layer_index]
-    if layer.adapter is None:
-        raise ConfigError(f"layer {layer_index} has no adapter")
-    ad = layer.adapter
-    return ad.down.size + ad.up.size, layer.weight.size

@@ -1,7 +1,7 @@
 """Run manifest: one JSON index mapping config hashes to artifact directories.
 
 All writes go through a single writer (the CLI process); sweep workers return
-results to the parent, which records them here. Every start or finish call
+results to the parent, which records them here. Every start_all or finish_all call
 rewrites the file once, so a sweep marks all its runs pending with one write
 and records each group of results with one more. Completed entries are never
 overwritten silently — callers must pass force=True to replace one.
@@ -37,10 +37,6 @@ class Manifest:
         entry = self.entries.get(key)
         return entry is not None and entry.get("status") == "done"
 
-    def start(self, key: str, kind: str, directory, force: bool = False) -> dict:
-        self.start_all(kind, [(key, directory)], force)
-        return self.entries[key]
-
     def start_all(self, kind: str, items, force: bool = False) -> None:
         """Mark every ``(key, directory)`` of one kind pending, with one save."""
         items = list(items)
@@ -53,9 +49,6 @@ class Manifest:
             self.entries[key] = {"kind": kind, "dir": str(directory), "status": "pending",
                                  "started_at": started_at, "finished_at": None}
         self.save()
-
-    def finish(self, key: str, status: str, message: str | None = None) -> None:
-        self.finish_all([(key, status, message)])
 
     def finish_all(self, results) -> None:
         """Record every ``(key, status, message)`` result, with one save."""

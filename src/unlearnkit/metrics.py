@@ -1,4 +1,4 @@
-"""Retrain-free evaluation: accuracies, loss-threshold MIA, capacity, scaling.
+"""Retrain-free evaluation: accuracies, loss-threshold MIA, deletion capacity.
 
 Every function here is a pure function of its inputs; undefined quantities
 (e.g. accuracy on an empty deletion set) are reported as ``None``, never as
@@ -8,7 +8,7 @@ zero, so leaderboard averages are not silently corrupted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +71,6 @@ class MiaAttack:
 
     threshold: float
     calibration_balanced_accuracy: float
-    member_losses: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
-    nonmember_losses: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
 
     def predict_member(self, losses: np.ndarray) -> np.ndarray:
         return np.asarray(losses) < self.threshold
@@ -95,8 +93,7 @@ def fit_mia(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> MiaAttac
     balanced = 0.5 * (tpr + tnr)
     best = int(np.argmax(balanced))  # argmax takes the first (smallest) maximizer
     return MiaAttack(threshold=float(candidates[best]),
-                     calibration_balanced_accuracy=float(balanced[best]),
-                     member_losses=members, nonmember_losses=nonmembers)
+                     calibration_balanced_accuracy=float(balanced[best]))
 
 
 def mia_success(model: Model, split: DatasetSplit, observer=None) -> float | None:
@@ -142,19 +139,6 @@ def deletion_capacity(sweep, baseline_acc: float, tolerance: float):
     return capacity
 
 
-def transfer_eval(original: Model, unlearned: Model, shifted_x: np.ndarray,
-                  shifted_y: np.ndarray) -> tuple[float, float]:
-    """Zero-shot accuracy of both models on the same shifted test tensors."""
-    return (accuracy(original, shifted_x, shifted_y),
-            accuracy(unlearned, shifted_x, shifted_y))
-
-
-def scaling_curve(trace) -> list[tuple[float, float]]:
-    """(flos, acc_f) points from a per-epoch trace, ordered by compute."""
-    points = [(row.flos, row.acc_f) for row in trace if row.acc_f is not None]
-    return sorted(points, key=lambda p: p[0])
-
-
 # ------------------------------------------------------------------ the report
 
 REPORT_KEYS = ("acc_test", "acc_f", "acc_r", "seconds", "flos", "mia_success",
@@ -163,7 +147,10 @@ REPORT_KEYS = ("acc_test", "acc_f", "acc_r", "seconds", "flos", "mia_success",
 
 @dataclass
 class EvalReport:
-    """The full metric bundle for one run; serialized with fixed key names."""
+    """The full metric bundle for one run; serialized with fixed key names.
+
+    ``transfer_acc`` is reserved: nothing computes it, so it is always null.
+    """
 
     acc_test: float
     acc_f: float | None
@@ -194,10 +181,9 @@ class EvalReport:
 
 
 def build_report(model: Model, split: DatasetSplit, *, seconds: float, flos: float,
-                 config_hash: str = "", seed: int = 0,
-                 transfer_acc: float | None = None) -> EvalReport:
+                 config_hash: str = "", seed: int = 0) -> EvalReport:
     acc_test, acc_f, acc_r = evaluate(model, split)
     return EvalReport(acc_test=acc_test, acc_f=acc_f, acc_r=acc_r,
                       seconds=seconds, flos=flos,
                       mia_success=mia_success(model, split),
-                      transfer_acc=transfer_acc, config_hash=config_hash, seed=seed)
+                      config_hash=config_hash, seed=seed)

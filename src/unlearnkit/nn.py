@@ -208,11 +208,10 @@ class Model:
     def backprop(self, cache: tuple, g: np.ndarray) -> np.ndarray:
         """Add the gradient of a loss with ``dL/dlogits = g`` into the buffer.
 
-        Returns the flat gradient buffer over the trainables, in
-        ``trainable_tensors()`` order. The buffer is reused by every call:
-        zero it first (``model.grad.fill(0.0)``) and copy what must outlive
-        the next call. Frozen layers below the lowest trainable one are
-        skipped.
+        Returns the flat gradient buffer over the trainables, laid out as
+        ``Model.params``. The buffer is reused by every call: zero it first
+        (``model.grad.fill(0.0)``) and copy what must outlive the next call.
+        Frozen layers below the lowest trainable one are skipped.
         """
         gh = self._backprop_layer(len(self.layers) - 1, cache, g)
         if gh is not None:
@@ -271,21 +270,10 @@ class Model:
     def logits(self, x) -> np.ndarray:
         return self.forward_cache(x)[0]
 
-    def probabilities(self, x) -> np.ndarray:
-        return softmax(self.logits(x))
-
-    def predict(self, x) -> np.ndarray:
-        return np.argmax(self.logits(x), axis=1)
-
     # ------------------------------------------------------------- parameters
 
     def has_adapter(self) -> bool:
         return any(layer.adapter is not None for layer in self.layers)
-
-    def trainable_tensors(self) -> list[np.ndarray]:
-        """Parameter arrays the optimizer may update. Adapters freeze the base weights."""
-        base, adapters = self._slots()
-        return [getattr(owner, name) for owner, name in adapters or base]
 
     def param_vector(self) -> np.ndarray:
         """Flat copy of all trainable parameters, in layer order."""
@@ -363,9 +351,7 @@ class Model:
                 layer = model.layers[entry["layer"]]
                 down = np.asarray(entry["down"], dtype=np.float64).reshape(entry["rank"], layer.in_dim)
                 up = np.asarray(entry["up"], dtype=np.float64).reshape(layer.out_dim, entry["rank"])
-                layer.adapter = LowRankAdapter(
-                    layer_index=entry["layer"], rank=entry["rank"], scale=entry["scale"],
-                    down=down, up=up)
+                layer.adapter = LowRankAdapter(entry["rank"], entry["scale"], down, up)
             model._pack()
         return model
 
@@ -514,18 +500,6 @@ def kl_rows(student_logits: np.ndarray, teacher_logits: np.ndarray, temperature:
         return ps * (r - rows[..., None]) * (w[..., None] / temperature)
 
     return rows, row_grad
-
-
-def kl_divergence(p, q) -> float:
-    """Plain KL between two probability vectors with the same clamping rule."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ShapeError("probability vectors must share a shape")
-    for name, vec in (("p", p), ("q", q)):
-        if abs(vec.sum() - 1.0) > 1e-6:
-            raise ConfigError(f"{name} does not sum to 1 (got {vec.sum()})")
-    return float((p * (_clamped_log(p) - _clamped_log(q))).sum())
 
 
 def representation_rows(student_h: np.ndarray, teacher_h: np.ndarray):

@@ -31,10 +31,6 @@ class ParamMask:
         return self.selected.size
 
     @classmethod
-    def all_true(cls, n: int) -> "ParamMask":
-        return cls(np.ones(n, dtype=bool))
-
-    @classmethod
     def top_fraction(cls, scores: np.ndarray, fraction: float) -> "ParamMask":
         """Select the top ``fraction`` of indices by score, ties broken by index."""
         scores = np.asarray(scores, dtype=np.float64).ravel()
@@ -65,14 +61,6 @@ class OptimizerState:
             raise ConfigError(f"unknown optimizer {self.kind!r} (sgd or adam)")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-
-    @classmethod
-    def sgd(cls, learning_rate: float) -> "OptimizerState":
-        return cls("sgd", learning_rate)
-
-    @classmethod
-    def adam(cls, learning_rate: float, **kwargs) -> "OptimizerState":
-        return cls("adam", learning_rate, **kwargs)
 
 
 def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,

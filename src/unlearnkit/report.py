@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import UnlearnConfig
+from .data import format_data_name
 from .errors import ConfigError
 from .metrics import chance_level
 
@@ -58,9 +59,8 @@ def collect_runs(run_dirs) -> list[RunRecord]:
 
 
 def _base_data_name(config: UnlearnConfig) -> str:
-    spec = config.data_spec()
-    return (f"{spec.generator}:c{spec.num_classes}:s{spec.samples_per_class}"
-            f":d{spec.dim}:noise{spec.noise:g}")
+    """The dataset's name without its seed: runs of every seed share it."""
+    return format_data_name(config.data_spec()).rsplit(":seed", 1)[0]
 
 
 def _mean(values) -> float | None:

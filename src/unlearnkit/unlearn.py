@@ -12,7 +12,7 @@ are dense or restricted to a saliency mask.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -48,10 +48,6 @@ class TeacherSpec:
 
 # ---------------------------------------------------------------------- trace
 
-TRACE_COLUMNS = ("epoch", "loss_f", "loss_r", "acc_test", "acc_f", "acc_r",
-                 "flos", "seconds", "phase")
-
-
 @dataclass
 class TraceRow:
     epoch: int
@@ -65,11 +61,10 @@ class TraceRow:
     phase: str = "train"
 
     def as_csv_row(self) -> list:
-        def cell(v):
-            return "" if v is None else v
+        return ["" if (v := getattr(self, name)) is None else v for name in TRACE_COLUMNS]
 
-        return [self.epoch, cell(self.loss_f), cell(self.loss_r), self.acc_test,
-                cell(self.acc_f), self.acc_r, self.flos, self.seconds, self.phase]
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -130,7 +125,6 @@ class UnlearnRun:
 
     method: str
     config: UnlearnConfig
-    original: Model
     model: Model  # the unlearned model
     trace: list[TraceRow] = field(default_factory=list)
     seconds: float = 0.0
@@ -567,9 +561,9 @@ def _lockstep(method: str, members: Sequence[Member], observers: list) -> list[U
                  for _, split, config in members]
     plans = [METHODS[method].plan(*member) for member in members]
     _drive(plans, configs[0].optimizer, configs[0].temperature, recorders, observers)
-    return [UnlearnRun(method=method, config=config, original=f, model=plan.student,
+    return [UnlearnRun(method=method, config=config, model=plan.student,
                        trace=recorder.rows, seconds=recorder.seconds, flos=recorder.flos)
-            for (f, _, config), plan, recorder in zip(members, plans, recorders)]
+            for (_, _, config), plan, recorder in zip(members, plans, recorders)]
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:

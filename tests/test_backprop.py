@@ -121,11 +121,15 @@ def test_masked_step_leaves_masked_buffer_bytes_unchanged(kind):
 
 def test_set_param_vector_writes_through_to_layer_views():
     model = build_model(3, 2, "mlp:4", seed=0)
-    views = model.trainable_tensors()
+
+    def layer_views():
+        return [t for layer in model.layers for t in (layer.weight, layer.bias)]
+
+    views = layer_views()
     values = np.arange(model.num_trainable(), dtype=np.float64)
     model.set_param_vector(values)
     offset = 0
-    for layer_view, t in zip(views, model.trainable_tensors()):
+    for layer_view, t in zip(views, layer_views(), strict=True):
         assert t is layer_view and np.shares_memory(t, model.params)
         assert np.array_equal(t.ravel(), values[offset:offset + t.size])
         offset += t.size
@@ -165,5 +169,5 @@ def test_derived_models_never_share_a_buffer(derive):
     for mine in _arrays(derived):
         assert not any(np.shares_memory(mine, theirs) for theirs in _arrays(original))
     derived.set_param_vector(derived.param_vector() + 1.0)
-    optimizer_step(OptimizerState.adam(0.1), derived, np.ones(derived.num_trainable()))
+    optimizer_step(OptimizerState("adam", 0.1), derived, np.ones(derived.num_trainable()))
     assert original.param_digest() == digest

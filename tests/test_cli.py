@@ -1,7 +1,10 @@
 import json
 from pathlib import Path
 
-from unlearnkit.cli import main
+import pytest
+from hypothesis import given, strategies as st
+
+from unlearnkit.cli import _parse_grid_field, main
 from unlearnkit.config import UnlearnConfig, config_hash, train_hash
 from unlearnkit.manifest import Manifest
 
@@ -236,6 +239,33 @@ def test_sweep_rejects_unknown_methods_before_any_work(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mega" in err and "available: exact_retrain, neg_grad, rand_label" in err
     assert list(tmp_path.iterdir()) == []  # nothing trained, no manifest written
+
+
+@pytest.mark.parametrize("ratios, problem", [("x", "bad grid entry 'x'"),
+                                             ("2-x", "bad grid entry '2-x'"),
+                                             ("4-2,7", "range '4-2' in '4-2,7' runs backwards")])
+def test_sweep_rejects_bad_ratio_lists_before_any_work(tmp_path, capsys, ratios, problem):
+    # A non-integer entry or a range that runs backwards is a config error, not a traceback.
+    rc = run(tmp_path, "sweep", *FAST, "--methods", "rand_label", "--ratios", ratios,
+             "--seeds", "0")
+    assert rc == 1
+    assert f"config error: {problem}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# An entry of a grid field: a single integer, or an ascending range (lo, hi).
+_GRID_ENTRY = st.one_of(
+    st.integers(-50, 50),
+    st.tuples(st.integers(0, 50), st.integers(0, 12)).map(lambda t: (t[0], t[0] + t[1])))
+
+
+@given(st.lists(_GRID_ENTRY, min_size=1, max_size=6))
+def test_parse_grid_field_expands_ints_and_ascending_ranges(entries):
+    text = ",".join(f"{e[0]}-{e[1]}" if isinstance(e, tuple) else str(e) for e in entries)
+    expected = []
+    for e in entries:
+        expected.extend(range(e[0], e[1] + 1) if isinstance(e, tuple) else [e])
+    assert _parse_grid_field(text, int) == expected
 
 
 def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsys):

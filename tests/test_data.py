@@ -1,11 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from unlearnkit import ConfigError, SynthSpec
 from unlearnkit.data import (DatasetSplit, blob_centroids, corrupt_labels,
-                             export_split, format_data_name, generate,
-                             import_split, parse_data_name, sample_deletion_set,
-                             shift_testset)
+                             format_data_name, generate, parse_data_name,
+                             sample_deletion_set)
 
 
 def nearest_centroid_accuracy(x, y, centers):
@@ -26,6 +28,32 @@ def test_generation_is_deterministic_bytes():
     assert a.train_x.tobytes() == b.train_x.tobytes()
     assert a.test_x.tobytes() == b.test_x.tobytes()
     assert np.array_equal(a.train_y, b.train_y)
+
+
+# sha256 prefix over train_x, train_y, test_x, test_y and the 10% deletion indices.
+# The digests pin the generators' exact bytes (RNG draw order included) across
+# code changes; they were recorded with numpy 2.4 on x86-64.
+GOLDEN_SPLITS = [
+    (("gaussian_blobs", 2, 10, 0.0, 2, 0), "9b9ee121aad22e4d"),
+    (("gaussian_blobs", 3, 37, 0.1, 2, 7), "7e7e6e5e05745834"),
+    (("gaussian_blobs", 5, 20, 0.35, 5, 3), "23fd55b9e87f0332"),
+    (("gaussian_blobs", 4, 125, 0.1, 8, 11), "c42ad0b01a3569a1"),
+    (("spiral", 2, 10, 0.0, 2, 1), "f213ef04d5c74a21"),
+    (("spiral", 3, 37, 0.1, 2, 7), "5490284b3a21a6a8"),
+    (("spiral", 5, 20, 0.35, 2, 4), "0edac58e9eaace42"),
+    (("ring", 2, 10, 0.0, 2, 2), "d0c005e60a210e0e"),
+    (("ring", 3, 37, 0.1, 2, 7), "54b8acfc138a3d15"),
+    (("ring", 6, 15, 0.35, 2, 5), "24411eeedc129480"),
+]
+
+
+@pytest.mark.parametrize("fields, digest", GOLDEN_SPLITS)
+def test_generated_bytes_match_golden_digests(fields, digest):
+    split = generate(SynthSpec(*fields)).with_deletion(10)
+    h = hashlib.sha256()
+    for a in (split.train_x, split.train_y, split.test_x, split.test_y, split.del_indices):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest()[:16] == digest
 
 
 def test_noise_free_blobs_classified_by_nearest_centroid():
@@ -64,6 +92,21 @@ def test_parse_and_format_data_name():
     assert parse_data_name("ring") == SynthSpec(generator="ring")
     with pytest.raises(ConfigError):
         parse_data_name("gaussian_blobs:k9")
+
+
+@st.composite
+def synth_specs(draw):
+    generator = draw(st.sampled_from(["gaussian_blobs", "spiral", "ring"]))
+    dim = draw(st.integers(2, 16)) if generator == "gaussian_blobs" else 2
+    # Noise levels that format_data_name's %g writes exactly: at most 6 significant digits.
+    noise = draw(st.integers(0, 10**6)) / 10**draw(st.integers(0, 6))
+    return SynthSpec(generator, draw(st.integers(2, 50)), draw(st.integers(10, 5000)),
+                     noise, dim, draw(st.integers(0, 2**31)))
+
+
+@given(synth_specs())
+def test_format_then_parse_data_name_roundtrips(spec):
+    assert parse_data_name(format_data_name(spec)) == spec
 
 
 # ----------------------------------------------------------- deletion protocol
@@ -146,59 +189,3 @@ def test_corrupt_labels_single_class_error():
                          test_x=np.zeros((4, 2)), test_y=np.zeros(4, dtype=np.int64), seed=0)
     with pytest.raises(ConfigError):
         corrupt_labels(split, np.arange(5), seed=0)
-
-
-# ------------------------------------------------------------------- test shift
-
-def test_shift_magnitude_zero_is_identity():
-    split = generate(SynthSpec(seed=8))
-    for kind in ("noise", "rotate", "scale"):
-        x, y = shift_testset(split, kind, 0.0)
-        assert np.array_equal(x, split.test_x)
-        assert np.array_equal(y, split.test_y)
-
-
-def test_rotate_full_turn_is_identity():
-    split = generate(SynthSpec(seed=9, dim=2))
-    x, _ = shift_testset(split, "rotate", 2.0 * np.pi)
-    assert np.max(np.abs(x - split.test_x)) < 1e-9
-
-
-def test_noise_shift_lowers_nearest_centroid_accuracy():
-    spec = SynthSpec(num_classes=3, samples_per_class=60, noise=0.0, seed=10)
-    split = generate(spec)
-    centers = blob_centroids(spec)
-    clean = nearest_centroid_accuracy(split.test_x, split.test_y, centers)
-    shifted_x, shifted_y = shift_testset(split, "noise", 0.5)
-    noisy = nearest_centroid_accuracy(shifted_x, shifted_y, centers)
-    assert clean == 1.0 and noisy < clean
-
-
-def test_shift_validation():
-    split = generate(SynthSpec(seed=0))
-    with pytest.raises(ConfigError):
-        shift_testset(split, "blur", 0.1)
-    with pytest.raises(ConfigError):
-        shift_testset(split, "noise", -0.5)
-
-
-def test_shift_labels_never_change():
-    split = generate(SynthSpec(seed=11))
-    for kind in ("noise", "rotate", "scale"):
-        _, y = shift_testset(split, kind, 1.3)
-        assert np.array_equal(y, split.test_y)
-
-
-# ---------------------------------------------------------------------- export
-
-def test_export_import_roundtrip_exact(tmp_path):
-    split = generate(SynthSpec(num_classes=3, samples_per_class=20, seed=12)).with_deletion(10)
-    csv_path, sidecar = tmp_path / "split.csv", tmp_path / "split.json"
-    export_split(split, csv_path, sidecar)
-    loaded = import_split(csv_path, sidecar)
-    assert np.array_equal(loaded.train_x, split.train_x)
-    assert np.array_equal(loaded.train_y, split.train_y)
-    assert np.array_equal(loaded.test_x, split.test_x)
-    assert np.array_equal(loaded.del_indices, split.del_indices)
-    assert loaded.seed == split.seed and loaded.del_ratio == split.del_ratio
-    assert loaded.spec == split.spec

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from unlearnkit import (ConfigError, adapter_trainable_counts, attach_adapter,
-                        build_model, merge_adapter)
+from unlearnkit import ConfigError, attach_adapter, build_model, merge_adapter
 from unlearnkit.optim import OptimizerState, optimizer_step
 from unlearnkit.unlearn import loss_and_grad
 
@@ -40,9 +39,7 @@ def test_attach_leaves_original_untouched():
 def test_trainable_counts_rank2_on_8x8():
     m = build_model(8, 3, "mlp:8", seed=0)
     adapted = attach_adapter(m, 0, rank=2)
-    assert adapter_trainable_counts(adapted, 0) == (32, 64)
-    with pytest.raises(ConfigError):
-        adapter_trainable_counts(m, 0)
+    assert adapted.num_trainable() == 32
 
 
 def test_only_adapter_params_are_trainable():
@@ -52,7 +49,7 @@ def test_only_adapter_params_are_trainable():
     base_digest_before = m.param_digest()
     x = np.random.default_rng(1).standard_normal((8, 4))
     y = np.random.default_rng(2).integers(0, 3, 8)
-    opt = OptimizerState.adam(0.05)
+    opt = OptimizerState("adam", 0.05)
     for _ in range(10):
         grad = loss_and_grad(adapted, x, labels=y)[1]
         optimizer_step(opt, adapted, grad)

@@ -6,8 +6,8 @@ import pytest
 
 from unlearnkit import (ConfigError, InsufficientDataError, UnlearnConfig,
                         build_model, deletion_capacity, evaluate, fit_mia,
-                        mia_success, scaling_curve, transfer_eval, unlearn)
-from unlearnkit.data import SynthSpec, generate, shift_testset
+                        mia_success, unlearn)
+from unlearnkit.data import SynthSpec, generate
 from unlearnkit.metrics import EvalReport, accuracy, build_report, chance_level
 from unlearnkit.unlearn import train_original
 
@@ -33,17 +33,6 @@ def test_perfect_memorizer_scores_100_on_both_train_sets(setup):
     f, split, _ = setup
     acc_test, acc_f, acc_r = evaluate(f, split)
     assert acc_f == 100.0 and acc_r == 100.0
-
-
-def test_predictions_match_bruteforce_argmax_oracle(setup):
-    f, split, _ = setup
-    logits = f.logits(split.test_x)
-    for i, row in enumerate(logits):
-        best, best_v = 0, row[0]
-        for j, v in enumerate(row):
-            if v > best_v:
-                best, best_v = j, v
-        assert f.predict(split.test_x[i:i + 1])[0] == best
 
 
 def test_empty_deletion_set_reports_none_not_zero(setup):
@@ -134,45 +123,6 @@ def test_capacity_monotone_in_tolerance():
         assert all(b >= a for a, b in zip(caps, caps[1:]))
 
 
-# --------------------------------------------------------------- transfer eval
-
-def test_transfer_magnitude_zero_equals_plain_test_accuracy(setup):
-    f, split, _ = setup
-    x, y = shift_testset(split, "noise", 0.0)
-    got = transfer_eval(f, f, x, y)
-    plain = accuracy(f, split.test_x, split.test_y)
-    assert got == (plain, plain)
-
-
-def test_identical_models_identical_transfer(setup):
-    f, split, _ = setup
-    x, y = shift_testset(split, "noise", 0.8)
-    a, b = transfer_eval(f, f.clone(), x, y)
-    assert a == b
-
-
-def test_neg_grad_transfers_worse_than_rand_label(setup):
-    f, split, cfg = setup
-    x, y = shift_testset(split, "noise", 0.2)
-    ng = unlearn("neg_grad", f, split, dataclasses.replace(cfg, learning_rate=0.05, epochs=10))
-    rl = unlearn("rand_label", f, split, cfg)
-    base, ng_acc = transfer_eval(f, ng.model, x, y)
-    _, rl_acc = transfer_eval(f, rl.model, x, y)
-    assert base - ng_acc > base - rl_acc
-
-
-# --------------------------------------------------------------- scaling curve
-
-def test_scaling_curve_points(setup):
-    f, split, cfg = setup
-    run = unlearn("rand_label", f, split, cfg)
-    curve = scaling_curve(run.trace)
-    flos = [p[0] for p in curve]
-    assert flos == sorted(flos) and flos[0] == 0.0
-    _, acc_f0, _ = evaluate(f, split)
-    assert curve[0][1] == acc_f0
-
-
 def test_neg_grad_reaches_chance_with_fewer_flos_than_bad_t(setup):
     f, split, cfg = setup
     chance = chance_level(split.num_classes)
@@ -181,9 +131,9 @@ def test_neg_grad_reaches_chance_with_fewer_flos_than_bad_t(setup):
     bt = unlearn("bad_t", f, split, strong)
 
     def flos_to_chance(trace):
-        for flos, acc_f in scaling_curve(trace):
-            if acc_f <= chance + 10.0:
-                return flos
+        for row in trace:
+            if row.acc_f is not None and row.acc_f <= chance + 10.0:
+                return row.flos
         return float("inf")
 
     assert flos_to_chance(ng.trace) < flos_to_chance(bt.trace)

@@ -13,13 +13,13 @@ def _one_param_model(w):
 
 def test_sgd_descent_step():
     m = _one_param_model(1.0)
-    optimizer_step(OptimizerState.sgd(0.1), m, np.array([2.0, 0, 0, 0]))
+    optimizer_step(OptimizerState("sgd", 0.1), m, np.array([2.0, 0, 0, 0]))
     assert m.param_vector()[0] == pytest.approx(0.8)
 
 
 def test_sgd_ascent_via_negated_gradient():
     m = _one_param_model(1.0)
-    optimizer_step(OptimizerState.sgd(0.1), m, -np.array([2.0, 0, 0, 0]))
+    optimizer_step(OptimizerState("sgd", 0.1), m, -np.array([2.0, 0, 0, 0]))
     assert m.param_vector()[0] == pytest.approx(1.2)
 
 
@@ -36,7 +36,7 @@ def test_all_false_mask_is_byte_identical_noop(kind):
 def test_adam_mask_blocks_even_with_stale_moments():
     m = build_model(2, 2, "mlp:3", seed=1)
     n = m.num_trainable()
-    state = OptimizerState.adam(0.1)
+    state = OptimizerState("adam", 0.1)
     optimizer_step(state, m, np.ones(n))  # moments now nonzero everywhere
     mask = ParamMask(np.zeros(n, dtype=bool))
     mask.selected[0] = True
@@ -50,7 +50,7 @@ def test_adam_mask_blocks_even_with_stale_moments():
 def test_adam_matches_reference_update():
     m = _one_param_model(1.0)
     g = np.array([2.0, 0, 0, 0])
-    state = OptimizerState.adam(0.1)
+    state = OptimizerState("adam", 0.1)
     optimizer_step(state, m, g)
     # step 1 of Adam moves exactly lr * g/(|g| + eps) regardless of beta values
     assert m.param_vector()[0] == pytest.approx(1.0 - 0.1 * 2.0 / (2.0 + 1e-8))
@@ -60,16 +60,16 @@ def test_shape_errors():
     m = build_model(2, 2, "mlp:3", seed=0)
     n = m.num_trainable()
     with pytest.raises(ShapeError):
-        optimizer_step(OptimizerState.sgd(0.1), m, np.ones(n + 1))
+        optimizer_step(OptimizerState("sgd", 0.1), m, np.ones(n + 1))
     with pytest.raises(ShapeError):
-        optimizer_step(OptimizerState.sgd(0.1), m, np.ones(n), ParamMask(np.ones(n + 2, dtype=bool)))
+        optimizer_step(OptimizerState("sgd", 0.1), m, np.ones(n), ParamMask(np.ones(n + 2, dtype=bool)))
 
 
 def test_optimizer_validation():
     with pytest.raises(ConfigError):
         OptimizerState("rmsprop", 0.1)
     with pytest.raises(ConfigError):
-        OptimizerState.sgd(0.0)
+        OptimizerState("sgd", 0.0)
 
 
 def test_top_fraction_mask_picks_largest_scores():
