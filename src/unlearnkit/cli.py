@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import metrics
 from .config import UnlearnConfig, config_hash, load_config_file, train_hash
-from .data import generate
+from .data import DEL_RATIO_RANGE, generate
 from .errors import (BudgetError, ConfigError, DomainError,
                      InsufficientDataError, NumericError, ShapeError,
                      UnlearnkitError)
@@ -293,6 +293,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"unknown unlearning method(s) {', '.join(unknown)}; "
                           f"available: {', '.join(METHODS)}")
     ratios = _parse_grid_field(args.ratios, int)
+    outside = [r for r in ratios if r not in DEL_RATIO_RANGE]
+    if outside:
+        raise ConfigError(f"deletion ratios must lie in 1..10, got {', '.join(map(str, outside))}")
     seeds = _parse_grid_field(args.seeds, int)
     manifest = Manifest(root)
 

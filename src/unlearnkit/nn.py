@@ -42,9 +42,9 @@ def _tanh_backward(g, z, y):
     return g * (1.0 - y * y)
 
 
-# name -> (forward, backward(grad of output, pre-activation, output))
+# name -> (forward(z, out=None), backward(grad of output, pre-activation, output))
 ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0), _relu_backward),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), _relu_backward),
     "tanh": (np.tanh, _tanh_backward),
 }
 
@@ -63,21 +63,28 @@ class Linear:
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
-    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Return the layer output and, on an adapted layer, ``x @ down.T``."""
-        y = x @ self.weight.swapaxes(-1, -2)
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Return the layer output and, on an adapted layer, ``x @ down.T``.
+
+        The output is written into ``out`` when given (a C-contiguous array
+        of the output's shape that does not overlap ``x``), else into a
+        fresh array.
+        """
+        y = np.matmul(x, self.weight.swapaxes(-1, -2), out=out)
         mid = None
         if self.adapter is not None:
             ad = self.adapter
             mid = x @ ad.down.swapaxes(-1, -2)
-            y = y + ad.scale * (mid @ ad.up.swapaxes(-1, -2))
-        return y + self.bias[..., None, :], mid
+            y += ad.scale * (mid @ ad.up.swapaxes(-1, -2))
+        y += self.bias[..., None, :]
+        return y, mid
 
 
 class Model:
@@ -96,6 +103,7 @@ class Model:
         self.seed = int(seed)
         self.layers: list[Linear] = []
         self._lead: tuple[int, ...] = ()  # (K,) on a stacked model
+        self._workspace: tuple[np.ndarray, np.ndarray] | None = None  # see logits()
         if _init:
             rng = np.random.default_rng(seed)
             dims = [self.input_dim] + self.hidden + [self.num_classes]
@@ -268,7 +276,27 @@ class Model:
         return x
 
     def logits(self, x) -> np.ndarray:
-        return self.forward_cache(x)[0]
+        """The logits of a batch, from a forward pass that keeps no activations.
+
+        The hidden activations go, activated in place, into a pair of flat
+        workspace buffers that the model keeps and grows to the largest
+        batch it has evaluated, so repeated evaluations allocate only the
+        returned logits, which are a fresh array. The numbers are those of
+        :meth:`forward_cache`, bit for bit. Two threads must not evaluate
+        one model at once.
+        """
+        h = self._check_input(x)
+        act = ACTIVATIONS[self.activation][0]
+        rows = math.prod(h.shape[:-1])
+        size = rows * max(self.hidden, default=0)
+        if self._workspace is None or self._workspace[0].size < size:
+            self._workspace = (np.empty(size), np.empty(size))
+        for i, layer in enumerate(self.layers[:-1]):
+            width = self.hidden[i]
+            out = self._workspace[i % 2][:rows * width].reshape(h.shape[:-1] + (width,))
+            z, _ = layer(h, out)
+            h = act(z, out=z)
+        return self.layers[-1](h)[0]
 
     # ------------------------------------------------------------- parameters
 
@@ -308,18 +336,22 @@ class Model:
     # ------------------------------------------------------------- checkpoint
 
     def to_dict(self) -> dict:
+        return self._record(lambda a: a.ravel().tolist())
+
+    def _record(self, flat) -> dict:
+        """The checkpoint record, with ``flat(array)`` for each parameter array."""
         params = {}
         for i, layer in enumerate(self.layers):
-            params[f"layers.{i}.weight"] = layer.weight.ravel().tolist()
-            params[f"layers.{i}.bias"] = layer.bias.ravel().tolist()
+            params[f"layers.{i}.weight"] = flat(layer.weight)
+            params[f"layers.{i}.bias"] = flat(layer.bias)
         adapters = []
         for i, layer in enumerate(self.layers):
             if layer.adapter is not None:
                 ad = layer.adapter
                 adapters.append({
                     "layer": i, "rank": ad.rank, "scale": ad.scale,
-                    "down": ad.down.ravel().tolist(),
-                    "up": ad.up.ravel().tolist(),
+                    "down": flat(ad.down),
+                    "up": flat(ad.up),
                 })
         return {
             "format_version": CHECKPOINT_VERSION,
@@ -356,7 +388,13 @@ class Model:
         return model
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        """Write the bytes of ``json.dumps(self.to_dict(), indent=2, sort_keys=True)``.
+
+        The arrays are streamed in bounded chunks, so no whole-file string
+        or list of the parameters is built.
+        """
+        with open(path, "w") as fh:
+            _write_json(fh.write, self._record(np.ravel), 0)
 
     @classmethod
     def load(cls, path) -> "Model":
@@ -373,6 +411,38 @@ class Model:
                 h.update(layer.adapter.down.tobytes())
                 h.update(layer.adapter.up.tobytes())
         return h.hexdigest()
+
+
+# ------------------------------------------------------------------ json writer
+
+_JSON_CHUNK = 2048  # floats per write: keeps each written string below 128 KB
+
+
+def _write_json(write, value, depth: int) -> None:
+    """Write ``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` would
+    lay it out ``depth`` levels deep; a 1-D float64 array is written as a list."""
+    if not isinstance(value, (dict, list, np.ndarray)):
+        write(json.dumps(value))
+        return
+    if len(value) == 0:
+        write("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = "\n" + "  " * (depth + 1)
+    write("{" if isinstance(value, dict) else "[")
+    if isinstance(value, dict):
+        for i, key in enumerate(sorted(value)):
+            write(("," if i else "") + inner + json.dumps(key) + ": ")
+            _write_json(write, value[key], depth + 1)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            write(("," if i else "") + inner)
+            _write_json(write, item, depth + 1)
+    else:
+        for start in range(0, value.size, _JSON_CHUNK):
+            chunk = value[start:start + _JSON_CHUNK]
+            text = float.__repr__ if np.isfinite(chunk).all() else json.dumps  # NaN, Infinity
+            write(("," if start else "") + inner + ("," + inner).join(map(text, chunk.tolist())))
+    write("\n" + "  " * depth + ("}" if isinstance(value, dict) else "]"))
 
 
 def parse_backbone(spec: str) -> tuple[list[int], str]:

@@ -55,6 +55,9 @@ class OptimizerState:
     step: int = 0
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
+    # Adam's two work arrays, made with the moments; replace() leaves them unset.
+    _scratch: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -91,12 +94,25 @@ def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
             state.v = np.zeros(shape)
         elif state.m.shape != shape:
             raise ShapeError("optimizer state was created for a different model")
+        if state._scratch is None:
+            state._scratch = (np.empty(shape), np.empty(shape))
         state.step += 1
-        state.m = state.beta1 * state.m + (1.0 - state.beta1) * gradient
-        state.v = state.beta2 * state.v + (1.0 - state.beta2) * gradient * gradient
-        m_hat = state.m / (1.0 - state.beta1 ** state.step)
-        v_hat = state.v / (1.0 - state.beta2 ** state.step)
-        update = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        # In place, one ufunc at a time in the order of the textbook expressions:
+        #   m = beta1 * m + (1 - beta1) * g
+        #   v = beta2 * v + (1 - beta2) * g * g
+        #   update = lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        m, v, (a, b) = state.m, state.v, state._scratch
+        m *= state.beta1
+        m += np.multiply(1.0 - state.beta1, gradient, out=a)
+        v *= state.beta2
+        np.multiply(1.0 - state.beta2, gradient, out=a)
+        v += np.multiply(a, gradient, out=a)
+        update = np.divide(m, 1.0 - state.beta1 ** state.step, out=a)
+        update *= state.learning_rate
+        np.divide(v, 1.0 - state.beta2 ** state.step, out=b)
+        np.sqrt(b, out=b)
+        b += state.eps
+        update /= b
     # Moment history must not leak into masked-out coordinates either.
     np.subtract(model.params, update, out=model.params, where=selected)
     return model

@@ -272,7 +272,7 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float = 1.0,
     step and snapshots plan k's student before training (epoch 0, ``init``)
     and after every pass, numbered from 1, checking the budget after each
     pass. The snapshots evaluate each student on its own: a stacked
-    evaluation over the larger evaluation sets was slower than K of them.
+    evaluation over the larger evaluation sets was no faster than K of them.
     """
     first = plans[0]
     model = Model.stack([plan.student for plan in plans])

@@ -253,6 +253,16 @@ def test_sweep_rejects_bad_ratio_lists_before_any_work(tmp_path, capsys, ratios,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("ratios, outside", [("0,11", "0, 11"), ("5,12", "12"), ("0-3", "0")])
+def test_sweep_rejects_ratios_outside_1_to_10_before_any_work(tmp_path, capsys, ratios, outside):
+    # Checked before the originals train: no checkpoint, run directory or manifest.
+    rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--methods", "rand_label,neg_grad",
+             "--ratios", ratios, "--seeds", "0")
+    assert rc == 1
+    assert f"config error: deletion ratios must lie in 1..10, got {outside}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # An entry of a grid field: a single integer, or an ascending range (lo, hi).
 _GRID_ENTRY = st.one_of(
     st.integers(-50, 50),

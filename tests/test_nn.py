@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from unlearnkit import (ConfigError, Model, NumericError, ShapeError, build_model,
                         count_flos, softmax)
+from unlearnkit.lora import attach_adapter
 from unlearnkit.nn import kl_rows, parse_backbone, representation_rows, validate_labels
 from unlearnkit.unlearn import loss_and_grad
 
@@ -217,6 +219,71 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     assert loaded.to_dict() == m.to_dict()
     loaded.save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def _adapted(model, layer, rank, seed=0):
+    """``model`` with a rank-``rank`` adapter on ``layer`` whose ``up`` is not zero."""
+    out = attach_adapter(model, layer, rank, scale=0.5, seed=seed)
+    up = out.layers[layer].adapter.up
+    up[...] = np.random.default_rng(seed).standard_normal(up.shape)
+    return out
+
+
+def _stack_member():
+    models = [build_model(6, 4, "mlp:9,5", seed=s) for s in range(3)]
+    Model.stack(models)
+    return models[1]  # now a view of row 1 of the stacked buffer
+
+
+def _non_finite():
+    m = build_model(3, 2, "mlp:4", seed=1)
+    m.layers[0].weight[0, :3] = [np.nan, np.inf, -np.inf]
+    m.layers[1].bias[0] = -0.0
+    return m
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_model(8, 3, "mlp:32,32", seed=0),
+    lambda: build_model(64, 10, "mlp:256,256", seed=3),
+    lambda: _adapted(build_model(8, 3, "mlp:32,32", seed=2), 1, 8),
+    lambda: build_model(4, 3, "mlp:7,5:tanh", seed=42),
+    _stack_member,
+    _non_finite,
+    lambda: Model(2, [], 2, seed=0),
+], ids=["default", "wide", "adapter", "tanh", "stack_member", "non_finite", "no_hidden"])
+def test_save_writes_the_bytes_of_json_dumps(tmp_path, make):
+    m = make()
+    path = tmp_path / "model.json"
+    m.save(path)
+    assert path.read_bytes() == json.dumps(m.to_dict(), indent=2, sort_keys=True).encode()
+
+
+def test_layer_dims_read_the_last_two_axes_on_a_stacked_model():
+    models = [build_model(5, 3, "mlp:7,4", seed=s) for s in range(3)]
+    stacked = Model.stack(models)
+    dims = [(5, 7), (7, 4), (4, 3)]
+    assert [(layer.in_dim, layer.out_dim) for layer in stacked.layers] == dims
+    assert [(layer.in_dim, layer.out_dim) for layer in models[0].layers] == dims
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_model(6, 4, "mlp:64,48", seed=0),
+    lambda: Model.stack([build_model(6, 4, "mlp:64,48", seed=s) for s in range(3)]),
+    lambda: _adapted(build_model(6, 4, "mlp:64,48,32", seed=1), 1, 8),
+    lambda: build_model(6, 4, "mlp:40,30,20:tanh", seed=2),
+    lambda: Model.stack([build_model(6, 4, "mlp:40,30,20:tanh", seed=s) for s in range(3)]),
+], ids=["2d", "stacked", "adapter", "tanh", "stacked_tanh"])
+def test_logits_match_forward_cache_bytewise_as_batches_grow_and_shrink(make):
+    m = make()
+    rng = np.random.default_rng(5)
+    returned = []
+    for rows in (7, 300, 20, 301, 1):
+        x = rng.standard_normal(m._lead + (rows, 6))
+        logits = m.logits(x)
+        assert logits.tobytes() == m.forward_cache(x)[0].tobytes()
+        returned.append((logits, logits.copy()))
+    for logits, copy in returned:  # a later call never writes into an earlier result
+        assert logits.tobytes() == copy.tobytes()
 
 
 def test_parse_backbone():

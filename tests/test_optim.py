@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,50 @@ def test_top_fraction_full_and_bounds():
 def test_top_fraction_breaks_ties_by_index():
     mask = ParamMask.top_fraction(np.array([1.0, 1.0, 1.0, 0.0]), 0.5)
     assert set(np.nonzero(mask.selected)[0]) == {0, 1}
+
+
+def _adam_oracle(params, grads, selected, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam written as plain expressions, one fresh array per operation."""
+    m = v = np.zeros(params.shape)
+    for t, g in enumerate(grads, 1):
+        g = np.where(selected, g, 0.0)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        update = lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.subtract(params, update, out=params, where=selected)
+    return params, m, v
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_adam_matches_an_inline_oracle_bytewise_over_50_steps(k, masked):
+    m = Model.stack([build_model(5, 3, "mlp:8,6", seed=s) for s in range(k)])
+    shape = m.params.shape  # (T,) alone, (K, T) stacked
+    rng = np.random.default_rng(11)
+    grads = [rng.standard_normal(shape) * rng.choice([1e-6, 1.0, 1e3]) for _ in range(50)]
+    selected = rng.random(shape) < 0.6 if masked else np.ones(shape, dtype=bool)
+    expected, exp_m, exp_v = _adam_oracle(m.params.copy(), grads, selected)
+    state = OptimizerState("adam", 0.01)
+    for g in grads:
+        optimizer_step(state, m, g, ParamMask(selected) if masked else None)
+    assert m.params.tobytes() == expected.tobytes()
+    assert state.m.tobytes() == exp_m.tobytes() and state.v.tobytes() == exp_v.tobytes()
+
+
+def test_adam_states_replaced_from_one_fresh_state_move_independently():
+    fresh = OptimizerState("adam", 0.05)
+    models = [build_model(3, 2, "mlp:4", seed=s) for s in (0, 1)]
+    alone = [mm.clone() for mm in models]
+    rng = np.random.default_rng(2)
+    grads = [[rng.standard_normal(models[0].num_trainable()) for _ in models] for _ in range(5)]
+    states = [replace(fresh) for _ in models]
+    for step in grads:  # interleaved, as two phases of one run are
+        for state, mm, g in zip(states, models, step):
+            optimizer_step(state, mm, g)
+    for i, mm in enumerate(alone):
+        state = replace(fresh)
+        for step in grads:
+            optimizer_step(state, mm, step[i])
+        assert mm.params.tobytes() == models[i].params.tobytes()

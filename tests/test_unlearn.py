@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -365,3 +366,79 @@ def test_adapter_run_trains_only_adapter(setup):
     for layer, ref in zip(run.model.layers, f.layers):
         assert np.array_equal(layer.weight, ref.weight)
         assert np.array_equal(layer.bias, ref.bias)
+
+
+# --------------------------------------------------------------- golden bytes
+
+GOLDEN_VARIANTS = {
+    "plain": {},
+    "curriculum": dict(curriculum=True),
+    "adapter": dict(adapter_rank=2, adapter_layer=1),
+    "tanh_sgd": dict(backbone="mlp:12,10:tanh", optimizer="sgd", learning_rate=0.05,
+                     train_learning_rate=0.05),
+}
+
+
+def _golden_run(method, variant, tmp_path, originals):
+    """sha256 prefix of one run's param digest, checkpoint bytes and trace rows
+    without ``seconds``; ``originals`` caches the originals by training recipe."""
+    cfg = small_cfg(**{"backbone": "mlp:12,10", "seed": 0, **GOLDEN_VARIANTS[variant]})
+    split = generate(cfg.data_spec()).with_deletion(10)
+    key = (cfg.backbone, cfg.optimizer, cfg.train_learning_rate)
+    if key not in originals:
+        originals[key] = train_original(split, cfg)
+    run = unlearn(method, originals[key], split, dataclasses.replace(cfg, unlearn_method=method))
+    path = tmp_path / "model_prime.json"
+    run.model.save(path)
+    h = hashlib.sha256(run.model.param_digest().encode())
+    h.update(path.read_bytes())
+    for row in run.trace:
+        h.update(repr(dataclasses.replace(row, seconds=0.0)).encode())
+    return h.hexdigest()[:16]
+
+
+# Recorded with the plain-expression forward, Adam update and json.dumps
+# checkpoint writer; a faster path must reproduce them byte for byte.
+GOLDEN_DIGESTS = {
+    ("bad_t", "plain"): "8c0ff7d9220f4fcf",
+    ("bad_t", "curriculum"): "de1086a4b5f2d126",
+    ("bad_t", "adapter"): "6a4a0c90a135a3fa",
+    ("bad_t", "tanh_sgd"): "7d0706858c3118e4",
+    ("exact_retrain", "plain"): "d23fb298a2c23439",
+    ("exact_retrain", "curriculum"): "d23fb298a2c23439",
+    ("exact_retrain", "adapter"): "d23fb298a2c23439",
+    ("exact_retrain", "tanh_sgd"): "33926f2887f72d32",
+    ("l1_sparse_ft", "plain"): "8768f7d45b2bc7ca",
+    ("l1_sparse_ft", "curriculum"): "0128727286ead29b",
+    ("l1_sparse_ft", "adapter"): "1c87e3dd2d9ee53c",
+    ("l1_sparse_ft", "tanh_sgd"): "e18dc461239c07c4",
+    ("neg_grad", "plain"): "7a89bdfede7ccdf2",
+    ("neg_grad", "curriculum"): "90100684a0a5193c",
+    ("neg_grad", "adapter"): "d222041960f2f64d",
+    ("neg_grad", "tanh_sgd"): "7f304696afc958d6",
+    ("rand_label", "plain"): "c1735d009892bf31",
+    ("rand_label", "curriculum"): "006d4f15031a110e",
+    ("rand_label", "adapter"): "5401ce8452a1bd2e",
+    ("rand_label", "tanh_sgd"): "45869e1e08b53975",
+    ("salun", "plain"): "5807bc9f3a64f8be",
+    ("salun", "curriculum"): "95d2f73bb20184ec",
+    ("salun", "adapter"): "847e7598ad941ea5",
+    ("salun", "tanh_sgd"): "bb02b8a28fc3213b",
+    ("scrub", "plain"): "13b439a35051461c",
+    ("scrub", "curriculum"): "b7f39f656c26dcdc",
+    ("scrub", "adapter"): "a55f676d01cfdc41",
+    ("scrub", "tanh_sgd"): "a867a308a505ced9",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_originals():
+    return {}
+
+
+@pytest.mark.parametrize("method,variant", sorted(GOLDEN_DIGESTS))
+def test_trained_outputs_match_golden_digests(method, variant, tmp_path, golden_originals):
+    """Parameters, checkpoint bytes and trace (all but ``seconds``) of every
+    method on plain, curriculum, adapter and tanh+SGD recipes, pinned."""
+    got = _golden_run(method, variant, tmp_path, golden_originals)
+    assert got == GOLDEN_DIGESTS[method, variant]
