@@ -22,7 +22,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 from . import metrics
@@ -41,6 +40,19 @@ from .unlearn import (METHODS, RunRecorder, UnlearnRun, train_original, unlearn_
 ENV_ARTIFACTS = "UNLEARNKIT_ARTIFACTS"
 
 _CONFIG_FIELDS = [f.name for f in dataclasses.fields(UnlearnConfig)]
+
+
+def __getattr__(name: str):
+    """Import ``ProcessPoolExecutor`` on first use: only ``sweep --workers N`` needs it.
+
+    It stays a module attribute, so ``perfbench/tracer.py`` can wrap the pool.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _artifacts_root(args) -> Path:
@@ -123,7 +135,18 @@ def cmd_train(args) -> int:
 
 # --------------------------------------------------------------------- unlearn
 
+# absolute model.json path -> (stat stamp of model.json and meta.json, model, meta)
+_ORIGINALS: dict[Path, tuple[tuple, Model, dict]] = {}
+
+
 def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
+    """The original model and its meta for this config, parsed once per process.
+
+    A checkpoint is read again only when the size or mtime of its
+    ``model.json`` or ``meta.json`` changes. The model and meta returned
+    are shared by every caller, so they must not be mutated: students and
+    stacked teachers are clones.
+    """
     ckpt_dir = _checkpoint_dir(root, cfg)
     model_path = ckpt_dir / "model.json"
     if not model_path.exists():
@@ -131,8 +154,14 @@ def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
             f"no trained checkpoint for this config (expected {model_path}); "
             f"run 'unlearnkit train' with the same data_name/backbone/seed/train_* "
             f"settings first")
-    meta = json.loads((ckpt_dir / "meta.json").read_text())
-    return Model.load(model_path), meta
+    meta_path = ckpt_dir / "meta.json"
+    stamp = tuple((st.st_mtime_ns, st.st_size) for st in map(os.stat, (model_path, meta_path)))
+    key = model_path.absolute()
+    cached = _ORIGINALS.get(key)
+    if cached is None or cached[0] != stamp:
+        meta = json.loads(meta_path.read_text())
+        cached = _ORIGINALS[key] = (stamp, Model.load(model_path), meta)
+    return cached[1], cached[2]
 
 
 def execute_unlearn(root: Path, cfg: UnlearnConfig, no_budget: bool = False) -> Path:
@@ -285,6 +314,8 @@ def _sweep_job(cfg_dicts: list[dict], root: str,
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     root = _artifacts_root(args)
     base = _resolve_config(args)
     methods = _parse_grid_field(args.methods, str)
@@ -345,7 +376,10 @@ def cmd_sweep(args) -> int:
         return [cfg.to_dict() for cfg in cfgs], str(root), args.no_budget
 
     if args.workers > 1 and pending:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        from concurrent.futures import as_completed
+
+        pool_cls = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
+        with pool_cls(max_workers=args.workers) as pool:
             futures = {pool.submit(_sweep_job, *job(cfgs)): cfgs for cfgs in groups.values()}
             for future in as_completed(futures):
                 record(futures[future], future.result())

@@ -34,15 +34,15 @@ PROB_FLOOR = 1e-12  # probabilities are clamped to [PROB_FLOOR, 1] before any lo
 CHECKPOINT_VERSION = 1
 
 
-def _relu_backward(g, z, y):
-    return g * (z > 0.0)
+def _relu_backward(g, y):
+    return g * (y > 0.0)  # y > 0 exactly where z > 0, at +-0 and NaN too
 
 
-def _tanh_backward(g, z, y):
+def _tanh_backward(g, y):
     return g * (1.0 - y * y)
 
 
-# name -> (forward(z, out=None), backward(grad of output, pre-activation, output))
+# name -> (forward(z, out=None), backward(grad of output, output))
 ACTIVATIONS = {
     "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), _relu_backward),
     "tanh": (np.tanh, _tanh_backward),
@@ -103,7 +103,7 @@ class Model:
         self.seed = int(seed)
         self.layers: list[Linear] = []
         self._lead: tuple[int, ...] = ()  # (K,) on a stacked model
-        self._workspace: tuple[np.ndarray, np.ndarray] | None = None  # see logits()
+        self._workspace: list[np.ndarray] = []  # see forward_cache()
         if _init:
             rng = np.random.default_rng(seed)
             dims = [self.input_dim] + self.hidden + [self.num_classes]
@@ -194,24 +194,33 @@ class Model:
     def forward_cache(self, x) -> tuple[np.ndarray, tuple]:
         """Return the logits and the activations :meth:`backprop` needs.
 
-        The cache is ``(inputs, pre, mids)``: each layer's input, each
-        hidden layer's pre-activation, and each layer's adapter projection
-        (None when unadapted). ``inputs[-1]`` is the penultimate activation,
-        the input of :meth:`backprop_hidden`.
+        The cache is ``(inputs, mids)``: each layer's input and each layer's
+        adapter projection (None when unadapted). ``inputs[-1]`` is the
+        penultimate activation, the input of :meth:`backprop_hidden`.
+
+        Each hidden layer writes its output, activated in place, into its own
+        flat workspace buffer, which the model keeps and grows to the largest
+        batch it has seen; so a pass allocates only the returned logits,
+        which are a fresh array. The cached activations are valid until this
+        model's next forward pass (or :meth:`logits`): use or copy them
+        before then. Two threads must not run one model at once.
         """
         h = self._check_input(x)
         act = ACTIVATIONS[self.activation][0]
-        inputs, pre, mids = [], [], []
-        for layer in self.layers[:-1]:
+        rows = math.prod(h.shape[:-1])
+        if not self._workspace or self._workspace[0].size < rows * self.hidden[0]:
+            self._workspace = [np.empty(rows * width) for width in self.hidden]
+        inputs, mids = [], []
+        for layer, buffer, width in zip(self.layers[:-1], self._workspace, self.hidden):
             inputs.append(h)
-            z, mid = layer(h)
-            pre.append(z)
+            out = buffer[:rows * width].reshape(h.shape[:-1] + (width,))
+            z, mid = layer(h, out)
             mids.append(mid)
-            h = act(z)
+            h = act(z, out=z)
         inputs.append(h)
         logits, mid = self.layers[-1](h)
         mids.append(mid)
-        return logits, (inputs, pre, mids)
+        return logits, (inputs, mids)
 
     def backprop(self, cache: tuple, g: np.ndarray) -> np.ndarray:
         """Add the gradient of a loss with ``dL/dlogits = g`` into the buffer.
@@ -233,10 +242,10 @@ class Model:
         output layer gets no gradient. Returns the buffer, as
         :meth:`backprop` does.
         """
-        inputs, pre, _ = cache
+        inputs, _ = cache
         act_backward = ACTIVATIONS[self.activation][1]
         for i in range(len(self.layers) - 2, self._lowest - 1, -1):
-            g = act_backward(gh, pre[i], inputs[i + 1])
+            g = act_backward(gh, inputs[i + 1])
             gh = self._backprop_layer(i, cache, g)
         return self.grad
 
@@ -246,7 +255,7 @@ class Model:
         ``g`` is the gradient of the layer's output. The input gradient is
         None at the lowest trainable layer, where backprop stops.
         """
-        inputs, _, mids = cache
+        inputs, mids = cache
         layer, views, h = self.layers[i], self._grad_views[i], inputs[i]
         ad = layer.adapter
         if ad is not None:  # then only adapters are trainable
@@ -276,27 +285,8 @@ class Model:
         return x
 
     def logits(self, x) -> np.ndarray:
-        """The logits of a batch, from a forward pass that keeps no activations.
-
-        The hidden activations go, activated in place, into a pair of flat
-        workspace buffers that the model keeps and grows to the largest
-        batch it has evaluated, so repeated evaluations allocate only the
-        returned logits, which are a fresh array. The numbers are those of
-        :meth:`forward_cache`, bit for bit. Two threads must not evaluate
-        one model at once.
-        """
-        h = self._check_input(x)
-        act = ACTIVATIONS[self.activation][0]
-        rows = math.prod(h.shape[:-1])
-        size = rows * max(self.hidden, default=0)
-        if self._workspace is None or self._workspace[0].size < size:
-            self._workspace = (np.empty(size), np.empty(size))
-        for i, layer in enumerate(self.layers[:-1]):
-            width = self.hidden[i]
-            out = self._workspace[i % 2][:rows * width].reshape(h.shape[:-1] + (width,))
-            z, _ = layer(h, out)
-            h = act(z, out=z)
-        return self.layers[-1](h)[0]
+        """The logits of a batch: :meth:`forward_cache` without its cache."""
+        return self.forward_cache(x)[0]
 
     # ------------------------------------------------------------- parameters
 

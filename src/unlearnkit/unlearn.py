@@ -303,7 +303,7 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float = 1.0,
                         stacked_teachers[key] = (teachers[0] if len(teachers) == 1 else
                                                  Model.stack([t.clone() for t in teachers]))
                     teacher = stacked_teachers[key].logits(x)
-                _, grad = _backprop_loss(  # inline, so the activations die with the call
+                _, grad = _backprop_loss(  # inline, so the logits die with the call
                     model, *model.forward_cache(x), None if labels[0] is None else _stacked(labels),
                     teacher, temperature, curricula, step, accumulate=i > 0)
             if first.l1_lambda:

@@ -263,6 +263,44 @@ def test_sweep_rejects_ratios_outside_1_to_10_before_any_work(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_rejects_workers_below_1_before_any_work(tmp_path, capsys, workers):
+    rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--methods", "rand_label",
+             "--ratios", "2", "--seeds", "0", "--workers", workers)
+    assert rc == 1
+    assert f"config error: --workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_original_is_parsed_once_and_never_mutated(tmp_path):
+    import unlearnkit.cli as cli
+    from unlearnkit.nn import Model
+    from unlearnkit.unlearn import METHODS
+
+    for seed in (0, 1):
+        assert run(tmp_path, "train", *FAST, "--seed", str(seed)) == 0
+    paths = [tmp_path / "checkpoints" / train_hash(fast_cfg(seed=s)) / "model.json"
+             for s in (0, 1)]
+    originals = [cli._load_checkpoint(tmp_path, fast_cfg(seed=s))[0] for s in (0, 1)]
+    assert cli._load_checkpoint(tmp_path, fast_cfg(seed=0))[0] is originals[0]
+    for method in METHODS:  # stacked groups of two, and groups of one
+        for seeds, ratio in (((0, 1), 5), ((0,), 3)):
+            cfgs = [fast_cfg(seed=s, unlearn_method=method, del_ratio=ratio) for s in seeds]
+            outcomes = cli.execute_unlearn_group(tmp_path, cfgs, no_budget=True)
+            assert all(isinstance(o, Path) for o in outcomes), (method, outcomes)
+    for path, original, seed in zip(paths, originals, (0, 1)):
+        assert original.param_digest() == Model.load(path).param_digest()
+        assert cli._load_checkpoint(tmp_path, fast_cfg(seed=seed))[0] is original
+
+    # A rewritten checkpoint is read again.
+    record = json.loads(paths[0].read_text())
+    record["params"]["layers.0.weight"][0] = 0.125
+    paths[0].write_text(json.dumps(record, indent=2, sort_keys=True))
+    reread = cli._load_checkpoint(tmp_path, fast_cfg(seed=0))[0]
+    assert reread is not originals[0] and reread.layers[0].weight[0, 0] == 0.125
+    assert reread.param_digest() == Model.load(paths[0]).param_digest()
+
+
 # An entry of a grid field: a single integer, or an ascending range (lo, hi).
 _GRID_ENTRY = st.one_of(
     st.integers(-50, 50),

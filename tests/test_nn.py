@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from unlearnkit import (ConfigError, Model, NumericError, ShapeError, build_model,
                         count_flos, softmax)
 from unlearnkit.lora import attach_adapter
-from unlearnkit.nn import kl_rows, parse_backbone, representation_rows, validate_labels
+from unlearnkit.nn import (ACTIVATIONS, kl_rows, parse_backbone, representation_rows,
+                           validate_labels)
 from unlearnkit.unlearn import loss_and_grad
 
 from conftest import central_difference, max_rel_err
@@ -266,24 +268,99 @@ def test_layer_dims_read_the_last_two_axes_on_a_stacked_model():
     assert [(layer.in_dim, layer.out_dim) for layer in models[0].layers] == dims
 
 
+def _plain_forward(m, x):
+    """Logits, layer inputs, adapter projections and pre-activations of ``m``
+    by the plain expressions ``x @ W.T + b``, each in a fresh array."""
+    act = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}[m.activation]
+    h, inputs, mids, pre = x, [], [], []
+    for i, layer in enumerate(m.layers):
+        inputs.append(h)
+        mid = None
+        if layer.adapter is not None:
+            ad = layer.adapter
+            mid = h @ ad.down.swapaxes(-1, -2)
+            z = h @ layer.weight.swapaxes(-1, -2) + ad.scale * (mid @ ad.up.swapaxes(-1, -2))
+            z = z + layer.bias[..., None, :]
+        else:
+            z = h @ layer.weight.swapaxes(-1, -2) + layer.bias[..., None, :]
+        mids.append(mid)
+        if i < len(m.layers) - 1:
+            pre.append(z)
+            h = act(z)
+    return z, inputs, mids, pre
+
+
+def _with_exact_zero_unit(m):
+    """``m`` with hidden unit 0 of layer 0 zeroed, so its pre-activation is exactly 0.0."""
+    m.layers[0].weight[..., 0, :] = 0.0
+    m.layers[0].bias[..., 0] = 0.0
+    return m
+
+
 @pytest.mark.parametrize("make", [
     lambda: build_model(6, 4, "mlp:64,48", seed=0),
     lambda: Model.stack([build_model(6, 4, "mlp:64,48", seed=s) for s in range(3)]),
     lambda: _adapted(build_model(6, 4, "mlp:64,48,32", seed=1), 1, 8),
     lambda: build_model(6, 4, "mlp:40,30,20:tanh", seed=2),
     lambda: Model.stack([build_model(6, 4, "mlp:40,30,20:tanh", seed=s) for s in range(3)]),
-], ids=["2d", "stacked", "adapter", "tanh", "stacked_tanh"])
+    lambda: Model.stack([_adapted(build_model(6, 4, "mlp:24,16", seed=s), 1, 2, seed=s)
+                         for s in range(2)]),
+], ids=["2d", "stacked", "adapter", "tanh", "stacked_tanh", "stacked_rank2_adapter"])
 def test_logits_match_forward_cache_bytewise_as_batches_grow_and_shrink(make):
-    m = make()
+    # Both are checked against the plain expressions, byte for byte: logits, every
+    # cached activation and adapter projection, and the activation's backward mask.
+    m = _with_exact_zero_unit(make())
+    forward, backward = ACTIVATIONS[m.activation]
     rng = np.random.default_rng(5)
     returned = []
     for rows in (7, 300, 20, 301, 1):
         x = rng.standard_normal(m._lead + (rows, 6))
+        x[..., 0, 0] = np.nan  # every pre-activation of row 0 is NaN
+        expected_logits, expected_inputs, expected_mids, expected_pre = _plain_forward(m, x)
         logits = m.logits(x)
-        assert logits.tobytes() == m.forward_cache(x)[0].tobytes()
+        assert logits.tobytes() == expected_logits.tobytes()
+        cached_logits, (inputs, mids) = m.forward_cache(x)
+        assert cached_logits.tobytes() == expected_logits.tobytes()
+        assert [a.tobytes() for a in inputs] == [a.tobytes() for a in expected_inputs]
+        assert [None if a is None else a.tobytes() for a in mids] == \
+               [None if a is None else a.tobytes() for a in expected_mids]
+        for y, z in zip(inputs[1:], expected_pre):
+            g = rng.standard_normal(z.shape)
+            plain = g * (z > 0.0) if m.activation == "relu" else g * (1.0 - forward(z) ** 2)
+            assert backward(g, y).tobytes() == plain.tobytes()
+        if m.activation == "relu":  # the crafted values reach the mask
+            assert (expected_pre[0][..., 1:, 0] == 0.0).all()
+            assert np.isnan(expected_pre[0][..., 0, :]).all()
         returned.append((logits, logits.copy()))
     for logits, copy in returned:  # a later call never writes into an earlier result
         assert logits.tobytes() == copy.tobytes()
+
+
+def test_relu_backward_masks_exactly_where_the_pre_activation_is_positive():
+    z = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+    forward, backward = ACTIVATIONS["relu"]
+    g = np.arange(1.0, z.size + 1.0)
+    y = z.copy()
+    forward(y, out=y)  # in place, as forward_cache runs it
+    assert backward(g, y).tobytes() == (g * (z > 0.0)).tobytes()
+
+
+def test_a_repeated_forward_allocates_only_the_logits():
+    m = build_model(64, 10, "mlp:256,256", seed=0)
+    rng = np.random.default_rng(0)
+    m.forward_cache(rng.standard_normal((256, 64)))
+    x = rng.standard_normal((256, 64))
+    y, b = np.zeros((256, 256)), np.zeros(256)
+    tracemalloc.start()
+    try:
+        y += b  # a broadcast ufunc takes a transient iterator buffer, as the bias add does
+        ufunc_buffer = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        logits, _ = m.forward_cache(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= logits.nbytes + ufunc_buffer + 4096
 
 
 def test_parse_backbone():
