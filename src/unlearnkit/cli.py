@@ -30,6 +30,7 @@ from .data import DEL_RATIO_RANGE, generate
 from .errors import (BudgetError, ConfigError, DomainError,
                      InsufficientDataError, NumericError, ShapeError,
                      UnlearnkitError)
+from .fileio import write_atomic
 from .manifest import Manifest
 from .metrics import EvalReport, build_report
 from .nn import Model
@@ -117,7 +118,7 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
     test_acc = metrics.accuracy(model, split.test_x, split.test_y)
     meta = {"train_seconds": seconds, "test_acc": test_acc,
             "train_config": cfg.train_dict(), "flos": recorder.flos}
-    (ckpt_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    write_atomic(ckpt_dir / "meta.json", json.dumps(meta, indent=2, sort_keys=True))
     write_trace_csv(recorder.rows, ckpt_dir / "trace.csv")
     manifest.finish_all([(key, "done", None)])
     if not quiet:
@@ -214,8 +215,7 @@ def _write_run(root: Path, cfg: UnlearnConfig, split, run: UnlearnRun | Exceptio
     report = build_report(run.model, split, seconds=run.seconds, flos=run.flos,
                           config_hash=config_hash(cfg), seed=cfg.seed)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps(cfg.resolved_dict(), indent=2, sort_keys=True))
+    write_atomic(run_dir / "config.json", json.dumps(cfg.resolved_dict(), indent=2, sort_keys=True))
     run.model.save(run_dir / "model_prime.json")
     write_trace_csv(run.trace, run_dir / "trace.csv")
     report.save(run_dir / "report.json")

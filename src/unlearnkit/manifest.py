@@ -10,11 +10,11 @@ overwritten silently — callers must pass force=True to replace one.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 from .errors import ConfigError
+from .fileio import write_atomic
 
 STATUSES = ("pending", "done", "failed")
 
@@ -29,9 +29,7 @@ class Manifest:
 
     def save(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(self.entries, indent=2, sort_keys=True))
-        os.replace(tmp, self.path)
+        write_atomic(self.path, json.dumps(self.entries, indent=2, sort_keys=True))
 
     def is_done(self, key: str) -> bool:
         entry = self.entries.get(key)

@@ -16,6 +16,7 @@ import numpy as np
 from . import nn
 from .data import DatasetSplit
 from .errors import ConfigError, InsufficientDataError
+from .fileio import write_atomic
 from .nn import Model
 
 MIN_TEST_FOR_MIA = 10
@@ -177,7 +178,7 @@ class EvalReport:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
+        write_atomic(path, self.to_json())
 
 
 def build_report(model: Model, split: DatasetSplit, *, seconds: float, flos: float,

@@ -21,6 +21,7 @@ a stacked step computes, slice for slice, exactly what K separate steps do.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 from pathlib import Path
@@ -28,10 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
+from .fileio import write_atomic
 
 PROB_FLOOR = 1e-12  # probabilities are clamped to [PROB_FLOOR, 1] before any log
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _relu_backward(g, y):
@@ -326,23 +328,16 @@ class Model:
     # ------------------------------------------------------------- checkpoint
 
     def to_dict(self) -> dict:
-        return self._record(lambda a: a.ravel().tolist())
-
-    def _record(self, flat) -> dict:
-        """The checkpoint record, with ``flat(array)`` for each parameter array."""
-        params = {}
+        """The checkpoint record: the header fields, and each parameter array
+        as base64 of its little-endian float64 bytes (:func:`_encode`)."""
+        params, adapters = {}, []
         for i, layer in enumerate(self.layers):
-            params[f"layers.{i}.weight"] = flat(layer.weight)
-            params[f"layers.{i}.bias"] = flat(layer.bias)
-        adapters = []
-        for i, layer in enumerate(self.layers):
-            if layer.adapter is not None:
-                ad = layer.adapter
-                adapters.append({
-                    "layer": i, "rank": ad.rank, "scale": ad.scale,
-                    "down": flat(ad.down),
-                    "up": flat(ad.up),
-                })
+            params[f"layers.{i}.weight"] = _encode(layer.weight)
+            params[f"layers.{i}.bias"] = _encode(layer.bias)
+            ad = layer.adapter
+            if ad is not None:
+                adapters.append({"layer": i, "rank": ad.rank, "scale": ad.scale,
+                                 "down": _encode(ad.down), "up": _encode(ad.up)})
         return {
             "format_version": CHECKPOINT_VERSION,
             "input_dim": self.input_dim,
@@ -356,39 +351,53 @@ class Model:
 
     @classmethod
     def from_dict(cls, record: dict) -> "Model":
-        version = record.get("format_version")
-        if version != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {version!r}")
-        model = cls(record["input_dim"], record["hidden"], record["num_classes"],
-                    record["activation"], record["seed"])
-        for i, layer in enumerate(model.layers):
-            w = np.asarray(record["params"][f"layers.{i}.weight"], dtype=np.float64)
-            b = np.asarray(record["params"][f"layers.{i}.bias"], dtype=np.float64)
-            layer.weight[...] = w.reshape(layer.weight.shape)
-            layer.bias[...] = b.reshape(layer.bias.shape)
-        if record.get("adapters"):
-            from .lora import LowRankAdapter
+        """Rebuild a model from a version-2 record, or a version-1 one whose
+        arrays are lists of floats.
 
-            for entry in record["adapters"]:
-                layer = model.layers[entry["layer"]]
-                down = np.asarray(entry["down"], dtype=np.float64).reshape(entry["rank"], layer.in_dim)
-                up = np.asarray(entry["up"], dtype=np.float64).reshape(layer.out_dim, entry["rank"])
-                layer.adapter = LowRankAdapter(entry["rank"], entry["scale"], down, up)
-            model._pack()
+        Each array must hold exactly the values its header's shape implies.
+        A missing key, an array that does not decode or has the wrong
+        length, and an adapter on a layer the header does not have raise
+        ConfigError naming the key.
+        """
+        version = record.get("format_version")
+        if version not in (1, CHECKPOINT_VERSION):
+            raise ConfigError(f"unsupported checkpoint version {version!r}")
+        try:
+            model = cls(record["input_dim"], record["hidden"], record["num_classes"],
+                        record["activation"], record["seed"])
+            for i, layer in enumerate(model.layers):
+                for key, view in ((f"layers.{i}.weight", layer.weight),
+                                  (f"layers.{i}.bias", layer.bias)):
+                    view[...] = _decode(record["params"][key], view.shape, key)
+            if record["adapters"]:
+                from .lora import LowRankAdapter
+
+                for n, entry in enumerate(record["adapters"]):
+                    i, rank = entry["layer"], entry["rank"]
+                    if i not in range(len(model.layers)):
+                        raise ConfigError(f"adapters.{n} is on layer {i!r}; "
+                                          f"the model has {len(model.layers)} layers")
+                    layer = model.layers[i]
+                    down = _decode(entry["down"], (rank, layer.in_dim), f"adapters.{n}.down")
+                    up = _decode(entry["up"], (layer.out_dim, rank), f"adapters.{n}.up")
+                    layer.adapter = LowRankAdapter(rank, entry["scale"], down, up)
+                model._pack()
+        except KeyError as exc:
+            raise ConfigError(f"checkpoint record has no key {exc}") from None
         return model
 
     def save(self, path) -> None:
-        """Write the bytes of ``json.dumps(self.to_dict(), indent=2, sort_keys=True)``.
-
-        The arrays are streamed in bounded chunks, so no whole-file string
-        or list of the parameters is built.
-        """
-        with open(path, "w") as fh:
-            _write_json(fh.write, self._record(np.ravel), 0)
+        """Write ``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` atomically."""
+        write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "Model":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a checkpoint of either version; a malformed one raises
+        ConfigError naming the file and, where there is one, the array."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_bytes()))
+        except (AttributeError, TypeError, ValueError) as exc:  # any malformed record
+            raise ConfigError(f"bad checkpoint {path}: {exc}") from None
 
     def param_digest(self) -> str:
         import hashlib
@@ -403,36 +412,24 @@ class Model:
         return h.hexdigest()
 
 
-# ------------------------------------------------------------------ json writer
+# ------------------------------------------------------------- array codec
 
-_JSON_CHUNK = 2048  # floats per write: keeps each written string below 128 KB
+def _encode(a: np.ndarray) -> str:
+    """Base64 of the array's little-endian float64 bytes, in C order."""
+    return binascii.b2a_base64(a.astype("<f8", copy=False).tobytes(), newline=False).decode()
 
 
-def _write_json(write, value, depth: int) -> None:
-    """Write ``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` would
-    lay it out ``depth`` levels deep; a 1-D float64 array is written as a list."""
-    if not isinstance(value, (dict, list, np.ndarray)):
-        write(json.dumps(value))
-        return
-    if len(value) == 0:
-        write("{}" if isinstance(value, dict) else "[]")
-        return
-    inner = "\n" + "  " * (depth + 1)
-    write("{" if isinstance(value, dict) else "[")
-    if isinstance(value, dict):
-        for i, key in enumerate(sorted(value)):
-            write(("," if i else "") + inner + json.dumps(key) + ": ")
-            _write_json(write, value[key], depth + 1)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            write(("," if i else "") + inner)
-            _write_json(write, item, depth + 1)
-    else:
-        for start in range(0, value.size, _JSON_CHUNK):
-            chunk = value[start:start + _JSON_CHUNK]
-            text = float.__repr__ if np.isfinite(chunk).all() else json.dumps  # NaN, Infinity
-            write(("," if start else "") + inner + ("," + inner).join(map(text, chunk.tolist())))
-    write("\n" + "  " * depth + ("}" if isinstance(value, dict) else "]"))
+def _decode(value, shape: tuple, key: str) -> np.ndarray:
+    """Array ``key`` of a checkpoint record, base64 (version 2) or a list of
+    floats (version 1), as a ``shape`` array holding exactly the encoded bytes."""
+    try:
+        flat = (np.frombuffer(binascii.a2b_base64(value), dtype="<f8") if isinstance(value, str)
+                else np.asarray(value, dtype=np.float64))
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise ConfigError(f"array {key} does not decode: {exc}") from None
+    if flat.shape != (math.prod(shape),):
+        raise ConfigError(f"array {key} has shape {flat.shape}; the header implies {shape}")
+    return flat.reshape(shape)
 
 
 def parse_backbone(spec: str) -> tuple[list[int], str]:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,25 @@ def central_difference(loss_fn, model, h=1e-5):
         grad[i] = (up - down) / (2.0 * h)
     model.set_param_vector(base)
     return grad
+
+
+def v1_checkpoint_record(model) -> dict:
+    """The version-1 checkpoint record of ``model``: the version-2 header, with
+    every parameter array a flat list of Python floats."""
+    record = model.to_dict()
+    record["format_version"] = 1
+    for i, layer in enumerate(model.layers):
+        record["params"][f"layers.{i}.weight"] = layer.weight.ravel().tolist()
+        record["params"][f"layers.{i}.bias"] = layer.bias.ravel().tolist()
+    for entry in record["adapters"]:
+        adapter = model.layers[entry["layer"]].adapter
+        entry["down"], entry["up"] = adapter.down.ravel().tolist(), adapter.up.ravel().tolist()
+    return record
+
+
+def v1_checkpoint_bytes(model) -> bytes:
+    """The bytes a version-1 writer saved for ``model``."""
+    return json.dumps(v1_checkpoint_record(model), indent=2, sort_keys=True).encode()
 
 
 def max_rel_err(a, b, floor=1e-6):

@@ -1,12 +1,17 @@
+import base64
+import errno
 import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from unlearnkit import EvalReport, Model, build_model, fileio
 from unlearnkit.cli import _parse_grid_field, main
 from unlearnkit.config import UnlearnConfig, config_hash, train_hash
 from unlearnkit.manifest import Manifest
+
+from conftest import v1_checkpoint_record
 
 DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
 FAST = ["--data_name", DATA, "--backbone", "mlp:12", "--train_epochs", "20",
@@ -127,6 +132,66 @@ def test_missing_checkpoint_gives_clear_resolution_error(tmp_path, capsys):
     rc = run(tmp_path, "unlearn", *FAST, "--seed", "9", "--unlearn_method", "rand_label")
     assert rc == 1
     assert "unlearnkit train" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+@pytest.mark.parametrize("damage", ["truncated", "short_array"])
+def test_unlearn_on_a_malformed_checkpoint_exits_1_and_records_failed(
+        tmp_path, capsys, version, damage):
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    path = tmp_path / "checkpoints" / train_hash(fast_cfg(seed=0)) / "model.json"
+    model = Model.load(path)
+    record = model.to_dict() if version == 2 else v1_checkpoint_record(model)
+    weight = record["params"]["layers.0.weight"]  # one value short
+    record["params"]["layers.0.weight"] = (
+        weight[:-1] if version == 1 else
+        base64.b64encode(base64.b64decode(weight)[:-8]).decode())
+    text = json.dumps(record, indent=2, sort_keys=True)
+    path.write_text(text[:len(text) // 2] if damage == "truncated" else text)
+    capsys.readouterr()
+    assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0",
+               "--unlearn_method", "rand_label") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad checkpoint {path}: ")
+    assert "Traceback" not in err
+    if damage == "short_array":
+        assert "layers.0.weight" in err
+    [entry] = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    assert entry["status"] == "failed" and str(path) in entry["message"]
+    assert list((tmp_path / "runs").glob("*")) == []
+
+
+@pytest.mark.parametrize("write", [
+    pytest.param(lambda path: build_model(4, 3, "mlp:5").save(path), id="model"),
+    pytest.param(lambda path: EvalReport(90.0, 80.0, 95.0, 0.5, 1e6, 50.0).save(path),
+                 id="report"),
+    pytest.param(lambda path: fileio.write_atomic(path, json.dumps({"meta": 1})), id="meta_config"),
+    pytest.param(lambda path: Manifest(path.parent).start_all("train", [("k", path.parent)]),
+                 id="manifest"),
+])
+def test_a_write_that_fails_halfway_keeps_the_previous_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "manifest.json"  # the name Manifest writes; any name for the others
+    previous = b'{"old": {"status": "done"}}'
+    path.write_bytes(previous)
+
+    def open_on_a_full_disk(file, mode, **kwargs):
+        fh = open(file, mode, **kwargs)
+        write_half = fh.write
+        def fail(text):
+            write_half(text[:len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        fh.write = fail
+        return fh
+
+    monkeypatch.setattr(fileio, "open", open_on_a_full_disk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(path)
+    assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    monkeypatch.undo()
+    write(path)
+    assert path.read_bytes() != previous
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
 
 
 def test_budget_enforced_by_default_and_releasable(tmp_path, capsys):
@@ -274,7 +339,6 @@ def test_sweep_rejects_workers_below_1_before_any_work(tmp_path, capsys, workers
 
 def test_each_original_is_parsed_once_and_never_mutated(tmp_path):
     import unlearnkit.cli as cli
-    from unlearnkit.nn import Model
     from unlearnkit.unlearn import METHODS
 
     for seed in (0, 1):
@@ -292,8 +356,8 @@ def test_each_original_is_parsed_once_and_never_mutated(tmp_path):
         assert original.param_digest() == Model.load(path).param_digest()
         assert cli._load_checkpoint(tmp_path, fast_cfg(seed=seed))[0] is original
 
-    # A rewritten checkpoint is read again.
-    record = json.loads(paths[0].read_text())
+    # A rewritten checkpoint is read again, here a version-1 one.
+    record = v1_checkpoint_record(Model.load(paths[0]))
     record["params"]["layers.0.weight"][0] = 0.125
     paths[0].write_text(json.dumps(record, indent=2, sort_keys=True))
     reread = cli._load_checkpoint(tmp_path, fast_cfg(seed=0))[0]

@@ -1,9 +1,14 @@
+import base64
+import hashlib
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unlearnkit import (ConfigError, Model, NumericError, ShapeError, build_model,
                         count_flos, softmax)
@@ -12,7 +17,8 @@ from unlearnkit.nn import (ACTIVATIONS, kl_rows, parse_backbone, representation_
                            validate_labels)
 from unlearnkit.unlearn import loss_and_grad
 
-from conftest import central_difference, max_rel_err
+from conftest import (central_difference, max_rel_err, v1_checkpoint_bytes,
+                      v1_checkpoint_record)
 
 
 def test_zero_weight_model_gives_uniform_softmax():
@@ -244,7 +250,7 @@ def _non_finite():
     return m
 
 
-@pytest.mark.parametrize("make", [
+checkpoint_kinds = pytest.mark.parametrize("make", [
     lambda: build_model(8, 3, "mlp:32,32", seed=0),
     lambda: build_model(64, 10, "mlp:256,256", seed=3),
     lambda: _adapted(build_model(8, 3, "mlp:32,32", seed=2), 1, 8),
@@ -253,11 +259,120 @@ def _non_finite():
     _non_finite,
     lambda: Model(2, [], 2, seed=0),
 ], ids=["default", "wide", "adapter", "tanh", "stack_member", "non_finite", "no_hidden"])
+
+
+@checkpoint_kinds
 def test_save_writes_the_bytes_of_json_dumps(tmp_path, make):
     m = make()
     path = tmp_path / "model.json"
     m.save(path)
     assert path.read_bytes() == json.dumps(m.to_dict(), indent=2, sort_keys=True).encode()
+
+
+@checkpoint_kinds
+def test_version_1_checkpoints_load_to_the_same_parameters(tmp_path, make):
+    m = make()
+    path = tmp_path / "model.json"
+    path.write_bytes(v1_checkpoint_bytes(m))
+    loaded = Model.load(path)
+    assert loaded.param_digest() == m.param_digest()
+    loaded.save(path)  # and resave as version 2, byte for byte
+    m.save(tmp_path / "direct.json")
+    assert path.read_bytes() == (tmp_path / "direct.json").read_bytes()
+
+
+def test_version_2_checkpoint_bytes_are_pinned(tmp_path):
+    m = _adapted(build_model(8, 3, "mlp:32,32", seed=2), 1, 8)
+    path = tmp_path / "model.json"
+    m.save(path)
+    record = json.loads(path.read_bytes())
+    assert record["format_version"] == 2
+    # Each array is base64 of its little-endian float64 bytes, read here by struct.
+    for encoded, array in ((record["params"]["layers.2.weight"], m.layers[2].weight),
+                           (record["adapters"][0]["up"], m.layers[1].adapter.up)):
+        raw = base64.b64decode(encoded, validate=True)
+        assert struct.unpack(f"<{array.size}d", raw) == tuple(array.ravel().tolist())
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "c8a9fa3079efd34d28d9ba303be872ce55c289fdca19a8340e38801ae250463f"
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.parametrize("make", [
+    lambda: build_model(8, 3, "mlp:32,32", seed=0),
+    lambda: _adapted(build_model(6, 4, "mlp:9,5", seed=1), 1, 2),
+    _stack_member,
+], ids=["default", "rank2_adapter", "stack_member"])
+@given(data=st.data())
+def test_any_float64_bit_pattern_survives_a_checkpoint_round_trip(tmp_path, make, data):
+    # NaN payloads, signalling NaNs, -0.0 and subnormals included: bytes, not values.
+    m = make()
+    bits = m._buffer.view(np.uint64)
+    bits[...] = data.draw(arrays(np.uint64, bits.shape))
+    path = tmp_path / "model.json"
+    m.save(path)
+    loaded = Model.load(path)
+    assert loaded._buffer.view(np.uint64).tobytes() == bits.tobytes()
+    assert loaded.param_digest() == m.param_digest()
+
+
+def _keep(value, n):
+    """The first ``n`` values of an encoded array, in its own encoding."""
+    if isinstance(value, str):
+        return base64.b64encode(base64.b64decode(value)[:8 * n]).decode()
+    return value[:n]
+
+
+def _truncated(record):
+    return json.dumps(record, indent=2, sort_keys=True)[:3000]
+
+
+def _not_an_object(record):
+    return json.dumps([record])
+
+
+def _missing_key(record):
+    del record["params"]["layers.1.bias"]
+
+
+def _wrong_length(record):  # layers.0.weight of mlp:32,32 on 8 inputs holds 256
+    record["params"]["layers.0.weight"] = _keep(record["params"]["layers.0.weight"], 255)
+
+
+def _bad_encoding(record):
+    bias = record["params"]["layers.0.bias"]
+    record["params"]["layers.0.bias"] = "not base64!" if isinstance(bias, str) else ["x"] * 32
+
+
+def _adapter_on_missing_layer(record):
+    record["adapters"][0]["layer"] = 3
+
+
+def _adapter_wrong_length(record):  # up of layer 1 at rank 4 holds 32 * 4
+    record["adapters"][0]["up"] = _keep(record["adapters"][0]["up"], 127)
+
+
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+@pytest.mark.parametrize("break_it,message", [
+    pytest.param(_truncated, r"line \d+ column \d+", id="truncated"),
+    pytest.param(_not_an_object, "'list' object", id="not_an_object"),
+    pytest.param(_missing_key, "no key 'layers.1.bias'", id="missing_key"),
+    pytest.param(_wrong_length, "array layers.0.weight has", id="wrong_length"),
+    pytest.param(_bad_encoding, "array layers.0.bias does not decode", id="bad_encoding"),
+    pytest.param(_adapter_on_missing_layer, "adapters.0 is on layer 3",
+                 id="adapter_on_missing_layer"),
+    pytest.param(_adapter_wrong_length, "array adapters.0.up has", id="adapter_wrong_length"),
+])
+def test_a_malformed_checkpoint_raises_config_error_naming_file_and_array(
+        tmp_path, version, break_it, message):
+    m = _adapted(build_model(8, 3, "mlp:32,32", seed=2), 1, 4)
+    record = m.to_dict() if version == 2 else v1_checkpoint_record(m)
+    text = break_it(record) or json.dumps(record, indent=2, sort_keys=True)
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message) as info:
+        Model.load(path)
+    assert str(info.value).startswith(f"bad checkpoint {path}: ")
 
 
 def test_layer_dims_read_the_last_two_axes_on_a_stacked_model():

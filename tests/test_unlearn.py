@@ -4,12 +4,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from unlearnkit import BudgetError, ConfigError, UnlearnConfig, evaluate, unlearn
+from unlearnkit import BudgetError, ConfigError, Model, UnlearnConfig, evaluate, unlearn
 from unlearnkit.data import generate
 from unlearnkit.nn import kl_rows
 from unlearnkit.optim import ParamMask
 from unlearnkit.unlearn import (METHODS, TAXONOMY, TeacherSpec, fit, loss_and_grad,
                                 train_original, write_trace_csv)
+
+from conftest import v1_checkpoint_bytes
 
 DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
 
@@ -380,8 +382,9 @@ GOLDEN_VARIANTS = {
 
 
 def _golden_run(method, variant, tmp_path, originals):
-    """sha256 prefix of one run's param digest, checkpoint bytes and trace rows
-    without ``seconds``; ``originals`` caches the originals by training recipe."""
+    """sha256 prefix of one run's param digest, the version-1 checkpoint bytes of
+    its saved and reloaded model, and its trace rows without ``seconds``;
+    ``originals`` caches the originals by training recipe."""
     cfg = small_cfg(**{"backbone": "mlp:12,10", "seed": 0, **GOLDEN_VARIANTS[variant]})
     split = generate(cfg.data_spec()).with_deletion(10)
     key = (cfg.backbone, cfg.optimizer, cfg.train_learning_rate)
@@ -391,13 +394,13 @@ def _golden_run(method, variant, tmp_path, originals):
     path = tmp_path / "model_prime.json"
     run.model.save(path)
     h = hashlib.sha256(run.model.param_digest().encode())
-    h.update(path.read_bytes())
+    h.update(v1_checkpoint_bytes(Model.load(path)))  # the digests predate version 2
     for row in run.trace:
         h.update(repr(dataclasses.replace(row, seconds=0.0)).encode())
     return h.hexdigest()[:16]
 
 
-# Recorded with the plain-expression forward, Adam update and json.dumps
+# Recorded with the plain-expression forward, Adam update and json.dumps version-1
 # checkpoint writer; a faster path must reproduce them byte for byte.
 GOLDEN_DIGESTS = {
     ("bad_t", "plain"): "8c0ff7d9220f4fcf",
