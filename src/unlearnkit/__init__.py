@@ -15,7 +15,7 @@ from .errors import (BudgetError, ConfigError, DomainError,
                      UnlearnkitError)
 from .lora import LowRankAdapter, attach_adapter, merge_adapter
 from .metrics import (EvalReport, MiaAttack, build_report, deletion_capacity,
-                      evaluate, fit_mia, mia_success)
+                      evaluate, fit_mia, mia_success, split_logits)
 from .nn import Model, build_model, count_flos, softmax
 from .optim import OptimizerState, ParamMask, optimizer_step
 from .unlearn import (METHODS, TAXONOMY, TeacherSpec, UnlearnRun, train_original, unlearn,

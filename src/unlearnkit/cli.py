@@ -24,7 +24,6 @@ import time
 import traceback
 from pathlib import Path
 
-from . import metrics
 from .config import UnlearnConfig, config_hash, load_config_file, train_hash
 from .data import DEL_RATIO_RANGE, generate
 from .errors import (BudgetError, ConfigError, DomainError,
@@ -32,7 +31,7 @@ from .errors import (BudgetError, ConfigError, DomainError,
                      UnlearnkitError)
 from .fileio import write_atomic
 from .manifest import Manifest
-from .metrics import EvalReport, build_report
+from .metrics import EvalReport, build_report, split_logits
 from .nn import Model
 from .report import collect_runs, write_leaderboard
 from .unlearn import (METHODS, RunRecorder, UnlearnRun, train_original, unlearn_group,
@@ -84,8 +83,9 @@ def _checkpoint_dir(root: Path, cfg: UnlearnConfig) -> Path:
     return root / "checkpoints" / train_hash(cfg)
 
 
-def _run_dir(root: Path, cfg: UnlearnConfig) -> Path:
-    return root / "runs" / config_hash(cfg)
+def _run_dir(root: Path, key: str) -> Path:
+    """The directory of the run whose ``config_hash`` is ``key``."""
+    return root / "runs" / key
 
 
 # ----------------------------------------------------------------------- train
@@ -115,7 +115,7 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
         raise
     seconds = time.perf_counter() - start
     model.save(model_path)
-    test_acc = metrics.accuracy(model, split.test_x, split.test_y)
+    test_acc = recorder.rows[-1].acc_test  # the trained model's
     meta = {"train_seconds": seconds, "test_acc": test_acc,
             "train_config": cfg.train_dict(), "flos": recorder.flos}
     write_atomic(ckpt_dir / "meta.json", json.dumps(meta, indent=2, sort_keys=True))
@@ -173,13 +173,16 @@ def execute_unlearn(root: Path, cfg: UnlearnConfig, no_budget: bool = False) -> 
     return outcome
 
 
-def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig],
-                          no_budget: bool = False) -> list[Path | Exception]:
+def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig], no_budget: bool = False,
+                          keys: list[str] | None = None) -> list[Path | Exception]:
     """:func:`execute_unlearn` for configs that differ only in seed, trained in lockstep.
 
-    Returns each config's run directory, or the exception its run raised;
-    every run's artifacts are those it writes alone (see ``unlearn_group``).
+    ``keys`` are the configs' ``config_hash`` values when the caller has
+    them. Returns each config's run directory, or the exception its run
+    raised; every run's artifacts are those it writes alone (see
+    ``unlearn_group``).
     """
+    keys = keys or [config_hash(cfg) for cfg in cfgs]
     outcomes: list[Path | Exception | None] = [None] * len(cfgs)
     started, members = [], []  # the runs whose checkpoint and data loaded
     for i, cfg in enumerate(cfgs):
@@ -197,23 +200,28 @@ def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig],
     runs = unlearn_group(cfgs[0].unlearn_method, members) if members else []
     for i, (_, split, cfg), run in zip(started, members, runs):
         try:
-            outcomes[i] = _write_run(root, cfg, split, run)
+            outcomes[i] = _write_run(root, keys[i], cfg, split, run)
         except Exception as exc:
             outcomes[i] = exc
     return outcomes
 
 
-def _write_run(root: Path, cfg: UnlearnConfig, split, run: UnlearnRun | Exception) -> Path:
-    """Evaluate one run and write its artifact directory; raise the error of a failed run."""
-    run_dir = _run_dir(root, cfg)  # made only when something is written to it
+def _write_run(root: Path, key: str, cfg: UnlearnConfig, split,
+               run: UnlearnRun | Exception) -> Path:
+    """Write one run's artifact directory; raise the error of a failed run.
+
+    The report scores the logits of the run's last trace row, which are its
+    final model's: writing a run makes no forward pass.
+    """
+    run_dir = _run_dir(root, key)  # made only when something is written to it
     if isinstance(run, Exception):
         trace = getattr(run, "trace", []) if isinstance(run, (NumericError, BudgetError)) else []
         if trace:
             run_dir.mkdir(parents=True, exist_ok=True)
             write_trace_csv(trace, run_dir / "trace.csv")
         raise run
-    report = build_report(run.model, split, seconds=run.seconds, flos=run.flos,
-                          config_hash=config_hash(cfg), seed=cfg.seed)
+    report = build_report(split, run.logits, seconds=run.seconds, flos=run.flos,
+                          config_hash=key, seed=cfg.seed)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(run_dir / "config.json", json.dumps(cfg.resolved_dict(), indent=2, sort_keys=True))
     run.model.save(run_dir / "model_prime.json")
@@ -226,7 +234,7 @@ def cmd_unlearn(args) -> int:
     root = _artifacts_root(args)
     cfg = _resolve_config(args)
     key = config_hash(cfg)
-    run_dir = _run_dir(root, cfg)
+    run_dir = _run_dir(root, key)
     manifest = Manifest(root)
     if manifest.is_done(key) and (run_dir / "report.json").exists() and not args.force:
         print(f"run {key} already complete at {run_dir} (use --force to redo)")
@@ -260,7 +268,7 @@ def cmd_evaluate(args) -> int:
         model, meta = _load_checkpoint(root, cfg)
         seconds, flos = meta["train_seconds"], meta.get("flos", 0.0)
     split = generate(cfg.data_spec()).with_deletion(cfg.del_ratio)
-    report = build_report(model, split, seconds=seconds, flos=flos,
+    report = build_report(split, split_logits(model, split), seconds=seconds, flos=flos,
                           config_hash=config_hash(cfg), seed=cfg.seed)
     print(report.to_json())
     return 0
@@ -291,25 +299,25 @@ def _parse_grid_field(text: str, kind=int) -> list:
     return out
 
 
-def _sweep_job(cfg_dicts: list[dict], root: str,
+def _sweep_job(keys: list[str], cfg_dicts: list[dict], root: str,
                no_budget: bool) -> list[tuple[str, str, str | None]]:
     """Run one group of seed siblings; return each run's (key, status, failure message)."""
     cfgs = [UnlearnConfig.from_mapping(d) for d in cfg_dicts]
     try:
-        if len(cfgs) == 1:  # the unlearn command's own path
+        if len(cfgs) == 1:  # the unlearn command's own path, which hashes the config again
             outcomes = [execute_unlearn(Path(root), cfgs[0], no_budget=no_budget)]
         else:
-            outcomes = execute_unlearn_group(Path(root), cfgs, no_budget)
+            outcomes = execute_unlearn_group(Path(root), cfgs, no_budget, keys)
     except Exception as exc:  # one bad job must not kill the sweep
         outcomes = [exc] * len(cfgs)
     results = []
-    for cfg, outcome in zip(cfgs, outcomes):
+    for key, outcome in zip(keys, outcomes):
         message = None
         if isinstance(outcome, Exception):
             if not isinstance(outcome, UnlearnkitError):
                 traceback.print_exception(outcome)  # an unexpected error: keep where it came from
             message = f"{type(outcome).__name__}: {outcome}"
-        results.append((config_hash(cfg), "done" if message is None else "failed", message))
+        results.append((key, "done" if message is None else "failed", message))
     return results
 
 
@@ -330,19 +338,17 @@ def cmd_sweep(args) -> int:
     seeds = _parse_grid_field(args.seeds, int)
     manifest = Manifest(root)
 
-    grid: list[UnlearnConfig] = []
-    seen = set()
+    grid: dict[str, UnlearnConfig] = {}  # config_hash -> config: each run's one hash
     for method in methods:
         for ratio in ratios:
             for seed in seeds:
                 cfg = dataclasses.replace(base, unlearn_method=method,
                                           del_ratio=ratio, seed=seed)
                 key = config_hash(cfg)
-                if key in seen:
+                if key in grid:
                     print(f"warning: duplicate grid entry {method}/r{ratio}/s{seed}, skipping")
                     continue
-                seen.add(key)
-                grid.append(cfg)
+                grid[key] = cfg
     print(f"sweep: {len(grid)} runs ({len(methods)} methods x {len(ratios)} "
           f"ratios x {len(seeds)} seeds)")
 
@@ -352,17 +358,16 @@ def cmd_sweep(args) -> int:
                           quiet=True)
 
     # resume: never redo a completed run
-    pending = [cfg for cfg in grid if not (manifest.is_done(config_hash(cfg))
-                                           and (_run_dir(root, cfg) / "report.json").exists())]
+    pending = {key: cfg for key, cfg in grid.items()
+               if not (manifest.is_done(key) and (_run_dir(root, key) / "report.json").exists())}
     if pending:
-        manifest.start_all("unlearn", [(config_hash(cfg), _run_dir(root, cfg)) for cfg in pending],
-                           force=True)
+        manifest.start_all("unlearn", [(key, _run_dir(root, key)) for key in pending], force=True)
     print(f"sweep: {len(grid) - len(pending)} already done, {len(pending)} to run")
 
     # Runs that differ only in seed train in lockstep, as one job.
-    groups: dict[str, list[UnlearnConfig]] = {}
-    for cfg in pending:
-        groups.setdefault(config_hash(dataclasses.replace(cfg, seed=0)), []).append(cfg)
+    groups: dict[tuple[str, int], dict[str, UnlearnConfig]] = {}
+    for key, cfg in pending.items():
+        groups.setdefault((cfg.unlearn_method, cfg.del_ratio), {})[key] = cfg
     failures = 0
 
     def record(cfgs: list[UnlearnConfig], results: list) -> None:
@@ -372,20 +377,20 @@ def cmd_sweep(args) -> int:
             print(f"  {cfg.unlearn_method} r={cfg.del_ratio} s={cfg.seed}: {status}")
             failures += status == "failed"
 
-    def job(cfgs: list[UnlearnConfig]) -> tuple:
-        return [cfg.to_dict() for cfg in cfgs], str(root), args.no_budget
+    def job(group: dict[str, UnlearnConfig]) -> tuple:
+        return list(group), [cfg.to_dict() for cfg in group.values()], str(root), args.no_budget
 
     if args.workers > 1 and pending:
         from concurrent.futures import as_completed
 
         pool_cls = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
         with pool_cls(max_workers=args.workers) as pool:
-            futures = {pool.submit(_sweep_job, *job(cfgs)): cfgs for cfgs in groups.values()}
+            futures = {pool.submit(_sweep_job, *job(group)): group for group in groups.values()}
             for future in as_completed(futures):
-                record(futures[future], future.result())
+                record(list(futures[future].values()), future.result())
     else:
-        for cfgs in groups.values():
-            record(cfgs, _sweep_job(*job(cfgs)))
+        for group in groups.values():
+            record(list(group.values()), _sweep_job(*job(group)))
     print(f"sweep finished: {len(pending) - failures} ok, {failures} failed, "
           f"manifest at {manifest.path}")
     return 0 if failures == 0 else 2

@@ -9,6 +9,7 @@ the set for ratio r+1 and capacity curves stay comparable across ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -108,25 +109,26 @@ class DatasetSplit:
     def num_train(self) -> int:
         return len(self.train_y)
 
-    @property
+    # The evaluation sets are sliced once per split and shared by every caller.
+    @cached_property
     def retain_indices(self) -> np.ndarray:
         keep = np.ones(self.num_train, dtype=bool)
         keep[self.del_indices] = False
         return np.nonzero(keep)[0].astype(np.int64)
 
-    @property
+    @cached_property
     def forget_x(self) -> np.ndarray:
         return self.train_x[self.del_indices]
 
-    @property
+    @cached_property
     def forget_y(self) -> np.ndarray:
         return self.train_y[self.del_indices]
 
-    @property
+    @cached_property
     def retain_x(self) -> np.ndarray:
         return self.train_x[self.retain_indices]
 
-    @property
+    @cached_property
     def retain_y(self) -> np.ndarray:
         return self.train_y[self.retain_indices]
 

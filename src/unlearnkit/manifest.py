@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .errors import ConfigError
-from .fileio import write_atomic
+from .fileio import read_json, write_atomic
 
 STATUSES = ("pending", "done", "failed")
 
@@ -25,7 +25,7 @@ class Manifest:
         self.path = self.root / "manifest.json"
         self.entries: dict[str, dict] = {}
         if self.path.exists():
-            self.entries = json.loads(self.path.read_text())
+            self.entries = read_json(self.path, "manifest")
 
     def save(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)

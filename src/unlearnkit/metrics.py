@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,41 +28,40 @@ def chance_level(num_classes: int) -> float:
     return 100.0 / num_classes
 
 
-def accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
-    if len(y) == 0:
-        raise ConfigError("accuracy over an empty set is undefined")
-    return _accuracy_of(model.logits(x), y)
+class SplitLogits(NamedTuple):
+    """One model state's logits on D_test, D_r and D_f (None when D_f is empty)."""
+
+    test: np.ndarray
+    retain: np.ndarray
+    forget: np.ndarray | None
 
 
-def _accuracy_of(logits: np.ndarray, y: np.ndarray) -> float:
-    return 100.0 * float((np.argmax(logits, axis=1) == np.asarray(y)).mean())
-
-
-def evaluate(model: Model, split: DatasetSplit) -> tuple[float, float | None, float]:
-    """(acc_test, acc_f, acc_r) in percent; acc_f is None when D_f is empty."""
+def split_logits(model: Model, split: DatasetSplit) -> SplitLogits:
+    """One forward pass over each evaluation set: every score derives from these."""
     if len(split.test_y) == 0 or split.num_train == 0:
         raise ConfigError("evaluate needs non-empty train and test sets")
-    acc_test = accuracy(model, split.test_x, split.test_y)
-    acc_r = accuracy(model, split.retain_x, split.retain_y)
-    acc_f = None
-    if split.del_indices.size:
-        acc_f = accuracy(model, split.forget_x, split.forget_y)
-    return acc_test, acc_f, acc_r
+    forget = model.logits(split.forget_x) if split.del_indices.size else None
+    return SplitLogits(model.logits(split.test_x), model.logits(split.retain_x), forget)
 
 
-def per_sample_loss(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Task cross-entropy per sample, from one plain forward pass."""
-    logits = model.logits(x)
+def accuracies(split: DatasetSplit, logits: SplitLogits) -> tuple[float, float | None, float]:
+    """(acc_test, acc_f, acc_r) in percent; acc_f is None when D_f is empty."""
+    acc_f = None if logits.forget is None else _accuracy(logits.forget, split.forget_y)
+    return _accuracy(logits.test, split.test_y), acc_f, _accuracy(logits.retain, split.retain_y)
+
+
+def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:
+    return 100.0 * float((np.argmax(logits, axis=-1) == y).mean())
+
+
+def task_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Task cross-entropy per sample."""
     return nn.cross_entropy_rows(logits, nn.validate_labels(logits, y))[0]
 
 
-def loss_and_accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """(mean task loss, accuracy in percent) from one forward pass."""
-    if len(y) == 0:
-        raise ConfigError("accuracy over an empty set is undefined")
-    logits = model.logits(x)
-    rows = nn.cross_entropy_rows(logits, nn.validate_labels(logits, y))[0]
-    return float(rows.mean()), _accuracy_of(logits, y)
+def evaluate(model: Model, split: DatasetSplit) -> tuple[float, float | None, float]:
+    """:func:`accuracies` of ``model``."""
+    return accuracies(split, split_logits(model, split))
 
 
 # ------------------------------------------------------------------------ MIA
@@ -98,6 +98,14 @@ def fit_mia(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> MiaAttac
 
 
 def mia_success(model: Model, split: DatasetSplit, observer=None) -> float | None:
+    """:func:`mia_from_logits` of ``model``; ``observer`` sees the calibration's training rows."""
+    logits = split_logits(model, split)
+    if observer is not None:
+        observer(split.retain_indices)
+    return mia_from_logits(split, logits)
+
+
+def mia_from_logits(split: DatasetSplit, logits: SplitLogits) -> float | None:
     """Percent of deletion-set samples the attack still classifies as members.
 
     Calibration uses retained training rows as members and the test set as
@@ -107,16 +115,11 @@ def mia_success(model: Model, split: DatasetSplit, observer=None) -> float | Non
         raise InsufficientDataError(
             f"need >= {MIN_TEST_FOR_MIA} test samples to calibrate the attack, "
             f"got {len(split.test_y)}")
-    retain_idx = split.retain_indices
-    if observer is not None:
-        observer(retain_idx)
-    member_losses = per_sample_loss(model, split.train_x[retain_idx],
-                                    split.train_y[retain_idx])
-    nonmember_losses = per_sample_loss(model, split.test_x, split.test_y)
-    attack = fit_mia(member_losses, nonmember_losses)
-    if split.del_indices.size == 0:
+    attack = fit_mia(task_losses(logits.retain, split.retain_y),
+                     task_losses(logits.test, split.test_y))
+    if logits.forget is None:
         return None
-    forget_losses = per_sample_loss(model, split.forget_x, split.forget_y)
+    forget_losses = task_losses(logits.forget, split.forget_y)
     return 100.0 * float(attack.predict_member(forget_losses).mean())
 
 
@@ -181,10 +184,11 @@ class EvalReport:
         write_atomic(path, self.to_json())
 
 
-def build_report(model: Model, split: DatasetSplit, *, seconds: float, flos: float,
+def build_report(split: DatasetSplit, logits: SplitLogits, *, seconds: float, flos: float,
                  config_hash: str = "", seed: int = 0) -> EvalReport:
-    acc_test, acc_f, acc_r = evaluate(model, split)
+    """The report of the model state whose :func:`split_logits` are ``logits``."""
+    acc_test, acc_f, acc_r = accuracies(split, logits)
     return EvalReport(acc_test=acc_test, acc_f=acc_f, acc_r=acc_r,
                       seconds=seconds, flos=flos,
-                      mia_success=mia_success(model, split),
+                      mia_success=mia_from_logits(split, logits),
                       config_hash=config_hash, seed=seed)

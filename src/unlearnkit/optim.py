@@ -71,19 +71,23 @@ def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
     """Apply one descent update in place; pass a negated gradient for ascent.
 
     The update is subtracted from ``model.params``, the live trainable slice
-    of the model's parameter buffer; masked-out coordinates are not written.
+    of the model's parameter buffer; masked-out coordinates subtract exactly
+    +0.0, so they keep their bytes.
     """
     shape, n = model.params.shape, model.params.size
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.size != n:
         raise ShapeError(f"gradient has {gradient.size} entries, model has {n}")
     gradient = gradient.reshape(shape)
-    selected = True
+    off = None
     if mask is not None:
         if len(mask) != n:
             raise ShapeError(f"mask has {len(mask)} entries, model has {n}")
-        selected = mask.selected.reshape(shape)
-        gradient = np.where(selected, gradient, 0.0)
+        # Flat indices rather than a masked ufunc, which is several times slower;
+        # found anew each step, since a caller may edit ``mask.selected``.
+        off = np.flatnonzero(~mask.selected)
+        gradient = gradient.copy()
+        gradient.reshape(-1)[off] = 0.0
 
     if state.kind == "sgd":
         state.step += 1
@@ -113,6 +117,7 @@ def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
         np.sqrt(b, out=b)
         b += state.eps
         update /= b
-    # Moment history must not leak into masked-out coordinates either.
-    np.subtract(model.params, update, out=model.params, where=selected)
+    if off is not None:  # moment history must not leak into masked-out coordinates either
+        update.reshape(-1)[off] = 0.0
+    np.subtract(model.params, update, out=model.params)
     return model

@@ -13,14 +13,14 @@ counted as zero.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .config import UnlearnConfig
 from .data import format_data_name
 from .errors import ConfigError
-from .metrics import chance_level
+from .fileio import read_json, write_atomic, write_csv
+from .metrics import REPORT_KEYS, chance_level
 
 COMPOSITE_DOC = ("composite = (acc_test + acc_r + (100 - |acc_f - chance|) "
                  "+ (100 - mia_success)) / 4, chance = 100 / num_classes")
@@ -46,6 +46,7 @@ class RunRecord:
 
 
 def collect_runs(run_dirs) -> list[RunRecord]:
+    """The runs with both a report and a config; a malformed one is a ConfigError naming it."""
     records = []
     for directory in run_dirs:
         directory = Path(directory)
@@ -53,8 +54,16 @@ def collect_runs(run_dirs) -> list[RunRecord]:
         config_path = directory / "config.json"
         if not report_path.exists() or not config_path.exists():
             continue
-        config = UnlearnConfig.from_mapping(json.loads(config_path.read_text()))
-        records.append(RunRecord(directory, config, json.loads(report_path.read_text())))
+        values = read_json(config_path, "run file")
+        try:
+            config = UnlearnConfig.from_mapping(values)
+        except ConfigError as exc:
+            raise ConfigError(f"bad run file {config_path}: {exc}") from exc
+        report = read_json(report_path, "run file")
+        missing = [key for key in REPORT_KEYS if key not in report]
+        if missing:
+            raise ConfigError(f"bad run file {report_path}: no key {missing[0]!r}")
+        records.append(RunRecord(directory, config, report))
     return records
 
 
@@ -139,16 +148,13 @@ def write_leaderboard(records: list[RunRecord], out_dir) -> dict[str, Path]:
     dataset = _base_data_name(records[0].config)
 
     md_path = out_dir / "leaderboard.md"
-    md_path.write_text(leaderboard_markdown(rows, dataset))
+    write_atomic(md_path, leaderboard_markdown(rows, dataset))
 
     csv_path = out_dir / "leaderboard.csv"
     fields = ["method", "runs", "acc_test", "acc_f", "acc_r", "mia_success",
               "seconds", "composite"]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if row[k] is None else row[k]) for k in fields})
+    write_csv(csv_path, [fields] + [["" if row[k] is None else row[k] for k in fields]
+                                    for row in rows])
 
     curves_path = out_dir / "ratio_curves.csv"
     _write_ratio_curves(records, curves_path)
@@ -164,32 +170,28 @@ def _write_ratio_curves(records: list[RunRecord], path: Path) -> None:
     grouped: dict[tuple[str, int], list[RunRecord]] = {}
     for record in records:
         grouped.setdefault((record.method, record.config.del_ratio), []).append(record)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "del_ratio", "runs", "acc_test", "acc_f",
-                         "acc_r", "mia_success"])
-        for (method, ratio), runs in sorted(grouped.items()):
-            writer.writerow([
-                method, ratio, len(runs),
-                _mean(r.report["acc_test"] for r in runs),
-                _mean(r.report["acc_f"] for r in runs),
-                _mean(r.report["acc_r"] for r in runs),
-                _mean(r.report["mia_success"] for r in runs),
-            ])
+    lines = [["method", "del_ratio", "runs", "acc_test", "acc_f", "acc_r", "mia_success"]]
+    for (method, ratio), runs in sorted(grouped.items()):
+        lines.append([
+            method, ratio, len(runs),
+            _mean(r.report["acc_test"] for r in runs),
+            _mean(r.report["acc_f"] for r in runs),
+            _mean(r.report["acc_r"] for r in runs),
+            _mean(r.report["mia_success"] for r in runs),
+        ])
+    write_csv(path, lines)
 
 
 def _write_scaling_curves(records: list[RunRecord], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "seed", "del_ratio", "epoch", "flos", "acc_f"])
-        for record in records:
-            trace_path = record.directory / "trace.csv"
-            if not trace_path.exists():
-                continue
-            with open(trace_path, newline="") as tf:
-                for row in csv.DictReader(tf):
-                    if row["acc_f"] == "":
-                        continue
-                    writer.writerow([record.method, record.config.seed,
-                                     record.config.del_ratio, row["epoch"],
-                                     row["flos"], row["acc_f"]])
+    lines = [["method", "seed", "del_ratio", "epoch", "flos", "acc_f"]]
+    for record in records:
+        trace_path = record.directory / "trace.csv"
+        if not trace_path.exists():
+            continue
+        with open(trace_path, newline="") as tf:
+            for row in csv.DictReader(tf):
+                if row["acc_f"] == "":
+                    continue
+                lines.append([record.method, record.config.seed, record.config.del_ratio,
+                              row["epoch"], row["flos"], row["acc_f"]])
+    write_csv(path, lines)

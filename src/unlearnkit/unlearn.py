@@ -22,6 +22,7 @@ from .config import UnlearnConfig
 from .curriculum import SuperLossParams, superloss_weights
 from .data import DatasetSplit, corrupt_labels
 from .errors import BudgetError, ConfigError, NumericError
+from .fileio import write_csv
 from .lora import attach_adapter
 from .nn import Model, build_model
 from .optim import OptimizerState, ParamMask, optimizer_step
@@ -87,11 +88,8 @@ class RunRecorder:
         self.share = share
         self.rows: list[TraceRow] = []
         self.flos = 0.0
+        self.logits: metrics.SplitLogits | None = None  # the last snapshot's
         self._flos_per_sample: float | None = None  # a run trains one model
-        # Snapshots evaluate these every epoch; slice them out once.
-        self._test = (split.test_x, split.test_y)
-        self._forget = (split.forget_x, split.forget_y)
-        self._retain = (split.retain_x, split.retain_y)
         self._start = time.perf_counter()
 
     @property
@@ -104,11 +102,14 @@ class RunRecorder:
         self.flos += self._flos_per_sample * float(num_samples)
 
     def snapshot(self, epoch: int, model: Model, phase: str = "train") -> None:
-        acc_test = metrics.accuracy(model, *self._test)
-        loss_r, acc_r = metrics.loss_and_accuracy(model, *self._retain)
-        loss_f = acc_f = None
-        if self._forget[1].size:
-            loss_f, acc_f = metrics.loss_and_accuracy(model, *self._forget)
+        """Append the trace row of ``model``'s state, kept in ``logits`` for the report."""
+        split, logits = self.split, metrics.split_logits(model, self.split)
+        acc_test, acc_f, acc_r = metrics.accuracies(split, logits)
+        loss_r = float(metrics.task_losses(logits.retain, split.retain_y).mean())
+        loss_f = None
+        if logits.forget is not None:
+            loss_f = float(metrics.task_losses(logits.forget, split.forget_y).mean())
+        self.logits = logits
         self.rows.append(TraceRow(epoch, loss_f, loss_r, acc_test, acc_f, acc_r,
                                   self.flos, self.seconds, phase))
 
@@ -129,6 +130,7 @@ class UnlearnRun:
     trace: list[TraceRow] = field(default_factory=list)
     seconds: float = 0.0
     flos: float = 0.0
+    logits: metrics.SplitLogits | None = None  # the model's, from the last trace row
 
 
 # ------------------------------------------------------------- training loop
@@ -561,16 +563,10 @@ def _lockstep(method: str, members: Sequence[Member], observers: list) -> list[U
                  for _, split, config in members]
     plans = [METHODS[method].plan(*member) for member in members]
     _drive(plans, configs[0].optimizer, configs[0].temperature, recorders, observers)
-    return [UnlearnRun(method=method, config=config, model=plan.student,
-                       trace=recorder.rows, seconds=recorder.seconds, flos=recorder.flos)
+    return [UnlearnRun(method=method, config=config, model=plan.student, trace=recorder.rows,
+                       seconds=recorder.seconds, flos=recorder.flos, logits=recorder.logits)
             for (_, _, config), plan, recorder in zip(members, plans, recorders)]
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for row in trace:
-            writer.writerow(row.as_csv_row())
+    write_csv(path, [TRACE_COLUMNS] + [row.as_csv_row() for row in trace])

@@ -10,6 +10,7 @@ from unlearnkit import EvalReport, Model, build_model, fileio
 from unlearnkit.cli import _parse_grid_field, main
 from unlearnkit.config import UnlearnConfig, config_hash, train_hash
 from unlearnkit.manifest import Manifest
+from unlearnkit.unlearn import TraceRow, write_trace_csv
 
 from conftest import v1_checkpoint_record
 
@@ -168,6 +169,10 @@ def test_unlearn_on_a_malformed_checkpoint_exits_1_and_records_failed(
     pytest.param(lambda path: fileio.write_atomic(path, json.dumps({"meta": 1})), id="meta_config"),
     pytest.param(lambda path: Manifest(path.parent).start_all("train", [("k", path.parent)]),
                  id="manifest"),
+    pytest.param(lambda path: write_trace_csv([TraceRow(0, None, 0.5, 90.0, None, 95.0, 0.0, 0.1)],
+                                              path), id="trace"),
+    pytest.param(lambda path: fileio.write_csv(path, [["method", "runs"], ["rand_label", 2]]),
+                 id="leaderboard_csv"),
 ])
 def test_a_write_that_fails_halfway_keeps_the_previous_file(tmp_path, monkeypatch, write):
     path = tmp_path / "manifest.json"  # the name Manifest writes; any name for the others
@@ -560,3 +565,127 @@ def test_train_divergence_aborts_with_trace(tmp_path, capsys):
     assert not (ckpt_dir / "model.json").exists()
     manifest = Manifest(tmp_path)
     assert all(e["status"] == "failed" for e in manifest.entries.values())
+
+
+# ----------------------------------------------------- malformed artifact files
+
+def test_a_malformed_manifest_is_a_config_error_naming_it(tmp_path, capsys):
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(manifest.read_text()[:40])
+    for argv in (["train", *FAST, "--seed", "0"],
+                 ["unlearn", *FAST, "--seed", "0", "--no-budget"],
+                 ["sweep", *FAST, "--methods", "neg_grad", "--ratios", "2", "--seeds", "0"]):
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 1
+        assert f"config error: bad manifest {manifest}: " in capsys.readouterr().err
+    assert list((tmp_path / "runs").glob("*")) == []
+
+
+@pytest.mark.parametrize("name, text", [
+    ("report.json", lambda text: text[:40]),
+    ("report.json", lambda text: "[]"),
+    ("report.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                             if k != "acc_f"})),
+    ("config.json", lambda text: text[:40]),
+    ("config.json", lambda text: json.dumps({**json.loads(text), "colour": "red"})),
+], ids=["truncated_report", "report_not_an_object", "report_without_acc_f",
+        "truncated_config", "config_with_unknown_key"])
+def test_report_on_a_malformed_run_file_is_a_config_error_naming_it(tmp_path, capsys,
+                                                                     name, text):
+    _fake_run(tmp_path, "rand_label", 0, 5, {})
+    bad = _fake_run(tmp_path, "rand_label", 1, 5, {}) / name
+    bad.write_text(text(bad.read_text()))
+    assert run(tmp_path, "report") == 1
+    assert f"config error: bad run file {bad}: " in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+# ------------------------------------------------------------- one scoring path
+
+@pytest.mark.parametrize("seeds, hashes_per_run", [("0,1", 1), ("0", 2)])
+def test_sweep_hashes_each_config_once_per_run(tmp_path, monkeypatch, capsys,
+                                               seeds, hashes_per_run):
+    import unlearnkit.cli as cli
+
+    calls = []
+    real = cli.config_hash
+    monkeypatch.setattr(cli, "config_hash", lambda cfg: calls.append(1) or real(cfg))
+    argv = ("sweep", *FAST, "--no-budget", "--methods", "neg_grad,rand_label",
+            "--ratios", "2,4", "--seeds", seeds)
+    assert run(tmp_path, *argv) == 0
+    runs = 4 * len(seeds.split(","))
+    # A group of one runs the unlearn command's own path, which hashes its config again.
+    assert len(calls) == hashes_per_run * runs
+    calls.clear()
+    assert run(tmp_path, *argv) == 0  # resumed: every run is done
+    assert len(calls) == runs
+
+
+def test_the_written_report_scores_the_saved_model(tmp_path):
+    """Every method, solo and in a lockstep group: report.json is the report of
+    model_prime.json, so scoring the last snapshot's logits changes nothing."""
+    import unlearnkit.cli as cli
+    from unlearnkit.data import generate
+    from unlearnkit.metrics import build_report, split_logits
+    from unlearnkit.unlearn import METHODS
+
+    for seed in (0, 1, 2):
+        assert run(tmp_path, "train", *FAST, "--seed", str(seed)) == 0
+    run_dirs = []
+    for method in METHODS:
+        for seeds in ((0, 1), (2,)):
+            cfgs = [fast_cfg(seed=s, unlearn_method=method, del_ratio=10) for s in seeds]
+            outcomes = cli.execute_unlearn_group(tmp_path, cfgs, no_budget=True)
+            assert all(isinstance(o, Path) for o in outcomes), (method, outcomes)
+            run_dirs += outcomes
+    for run_dir in run_dirs:
+        cfg = UnlearnConfig.from_mapping(json.loads((run_dir / "config.json").read_text()))
+        written = json.loads((run_dir / "report.json").read_text())
+        model = Model.load(run_dir / "model_prime.json")
+        split = generate(cfg.data_spec()).with_deletion(cfg.del_ratio)
+        again = build_report(split, split_logits(model, split), seconds=written["seconds"],
+                             flos=written["flos"], config_hash=config_hash(cfg), seed=cfg.seed)
+        assert again.to_dict() == written, run_dir
+
+
+def test_runs_forward_once_per_set_per_snapshot_and_never_for_the_report(tmp_path,
+                                                                         monkeypatch):
+    import unlearnkit.cli as cli
+    from unlearnkit.unlearn import RunRecorder
+
+    counts = {"forward": 0, "snapshots": 0, "steps": 0, "in_snapshots": 0, "in_writes": 0}
+
+    def counting(fn, key=None, counted=None):
+        def wrapper(*args, **kwargs):
+            before = counts["forward"]
+            if key:
+                counts[key] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                if counted:
+                    counts[counted] += counts["forward"] - before
+        return wrapper
+
+    monkeypatch.setattr(Model, "forward_cache", counting(Model.forward_cache, "forward"))
+    monkeypatch.setattr(RunRecorder, "snapshot",
+                        counting(RunRecorder.snapshot, "snapshots", "in_snapshots"))
+    monkeypatch.setattr(RunRecorder, "add_samples", counting(RunRecorder.add_samples, "steps"))
+    monkeypatch.setattr(cli, "_write_run", counting(cli._write_run, counted="in_writes"))
+
+    # No deletion set while training: a snapshot forwards test and retain only.
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    assert counts["in_snapshots"] == 2 * counts["snapshots"] > 0
+    assert counts["forward"] == counts["in_snapshots"] + counts["steps"]
+    meta = json.loads(next((tmp_path / "checkpoints").glob("*/meta.json")).read_text())
+    trace = (next((tmp_path / "checkpoints").glob("*/trace.csv")).read_text().splitlines())
+    assert meta["test_acc"] == float(trace[-1].split(",")[3])  # the last row's acc_test
+
+    counts.update(dict.fromkeys(counts, 0))
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--no-budget",
+               "--unlearn_method", "neg_grad") == 0
+    assert counts["in_snapshots"] == 3 * counts["snapshots"] > 0
+    assert counts["in_writes"] == 0
+    # neg_grad has no teacher: every other forward is a training step's.
+    assert counts["forward"] == counts["in_snapshots"] + counts["steps"]

@@ -8,7 +8,7 @@ from unlearnkit import (ConfigError, InsufficientDataError, UnlearnConfig,
                         build_model, deletion_capacity, evaluate, fit_mia,
                         mia_success, unlearn)
 from unlearnkit.data import SynthSpec, generate
-from unlearnkit.metrics import EvalReport, accuracy, build_report, chance_level
+from unlearnkit.metrics import EvalReport, build_report, chance_level, split_logits
 from unlearnkit.unlearn import train_original
 
 DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
@@ -26,7 +26,7 @@ def test_constant_model_on_balanced_four_class_test():
     split = generate(SynthSpec(num_classes=4, samples_per_class=50, seed=1))
     m = build_model(2, 4, "mlp:4", seed=0)
     m.set_param_vector(np.zeros(m.num_trainable()))  # always predicts class 0
-    assert accuracy(m, split.test_x, split.test_y) == 25.0
+    assert evaluate(m, split)[0] == 25.0
 
 
 def test_perfect_memorizer_scores_100_on_both_train_sets(setup):
@@ -143,7 +143,8 @@ def test_neg_grad_reaches_chance_with_fewer_flos_than_bad_t(setup):
 
 def test_report_fixed_key_order_and_null_markers(tmp_path, setup):
     f, split, cfg = setup
-    report = build_report(f, split, seconds=1.5, flos=2e6, config_hash="abc", seed=3)
+    report = build_report(split, split_logits(f, split), seconds=1.5, flos=2e6,
+                          config_hash="abc", seed=3)
     payload = json.loads(report.to_json())
     assert list(payload) == ["acc_test", "acc_f", "acc_r", "seconds", "flos",
                              "mia_success", "transfer_acc", "config_hash", "seed"]

@@ -49,6 +49,21 @@ def test_adam_mask_blocks_even_with_stale_moments():
     assert np.array_equal(after[1:], before[1:])
 
 
+def test_a_mask_edited_between_steps_takes_effect_at_the_next_step():
+    m = build_model(2, 2, "mlp:3", seed=1)
+    n = m.num_trainable()
+    state = OptimizerState("adam", 0.1)
+    mask = ParamMask(np.zeros(n, dtype=bool))
+    mask.selected[0] = True
+    optimizer_step(state, m, np.ones(n), mask)
+    mask.selected[:2] = [False, True]
+    before = m.param_vector()
+    optimizer_step(state, m, np.ones(n), mask)
+    after = m.param_vector()
+    assert after[0] == before[0] and after[1] != before[1]
+    assert np.array_equal(after[2:], before[2:])
+
+
 def test_adam_matches_reference_update():
     m = _one_param_model(1.0)
     g = np.array([2.0, 0, 0, 0])
