@@ -20,16 +20,14 @@ import dataclasses
 import json
 import os
 import sys
-import time
 import traceback
 from pathlib import Path
 
 from .config import UnlearnConfig, config_hash, load_config_file, train_hash
 from .data import DEL_RATIO_RANGE, generate
 from .errors import (BudgetError, ConfigError, DomainError,
-                     InsufficientDataError, NumericError, ShapeError,
-                     UnlearnkitError)
-from .fileio import write_atomic
+                     InsufficientDataError, ShapeError, UnlearnkitError)
+from .fileio import read_json, write_atomic
 from .manifest import Manifest
 from .metrics import EvalReport, build_report, split_logits
 from .nn import Model
@@ -105,26 +103,35 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     manifest.start_all("train", [(key, ckpt_dir)], force=True)
     recorder = RunRecorder(split)
-    start = time.perf_counter()
     try:
-        model = train_original(split, cfg, recorder)
-    except UnlearnkitError as exc:
-        if recorder.rows:
-            write_trace_csv(recorder.rows, ckpt_dir / "trace.csv")
-        manifest.finish_all([(key, "failed", str(exc))])
+        train_original(split, cfg, recorder).save(model_path)
+        last = recorder.rows[-1]  # the trained model's: recorded after the last update
+        seconds, test_acc = last.seconds, last.acc_test
+        meta = {"train_seconds": seconds, "test_acc": test_acc,
+                "train_config": cfg.train_dict(), "flos": recorder.flos}
+        write_atomic(ckpt_dir / "meta.json", json.dumps(meta, indent=2, sort_keys=True))
+        write_trace_csv(recorder.rows, ckpt_dir / "trace.csv")
+    except Exception as exc:
+        _keep_partial_trace(recorder.rows, ckpt_dir)
+        manifest.finish_all([(key, "failed", _failure(exc))])
         raise
-    seconds = time.perf_counter() - start
-    model.save(model_path)
-    test_acc = recorder.rows[-1].acc_test  # the trained model's
-    meta = {"train_seconds": seconds, "test_acc": test_acc,
-            "train_config": cfg.train_dict(), "flos": recorder.flos}
-    write_atomic(ckpt_dir / "meta.json", json.dumps(meta, indent=2, sort_keys=True))
-    write_trace_csv(recorder.rows, ckpt_dir / "trace.csv")
     manifest.finish_all([(key, "done", None)])
     if not quiet:
         print(f"trained original {key}: test_acc={test_acc:.1f} "
               f"seconds={seconds:.3f} -> {ckpt_dir}")
     return ckpt_dir
+
+
+def _failure(exc: Exception) -> str:
+    """The manifest message of a run that raised ``exc``: ``"<Type>: <message>"``."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _keep_partial_trace(rows: list, directory: Path) -> None:
+    """Write the trace rows a failed run recorded, if any, to ``directory/trace.csv``."""
+    if rows:
+        directory.mkdir(parents=True, exist_ok=True)
+        write_trace_csv(rows, directory / "trace.csv")
 
 
 def cmd_train(args) -> int:
@@ -160,14 +167,17 @@ def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
     key = model_path.absolute()
     cached = _ORIGINALS.get(key)
     if cached is None or cached[0] != stamp:
-        meta = json.loads(meta_path.read_text())
+        meta = read_json(meta_path, "checkpoint")
+        if "train_seconds" not in meta:
+            raise ConfigError(f"bad checkpoint {meta_path}: no key 'train_seconds'")
         cached = _ORIGINALS[key] = (stamp, Model.load(model_path), meta)
     return cached[1], cached[2]
 
 
-def execute_unlearn(root: Path, cfg: UnlearnConfig, no_budget: bool = False) -> Path:
-    """Run unlearn + evaluate and write the full artifact directory."""
-    [outcome] = execute_unlearn_group(root, [cfg], no_budget)
+def execute_unlearn(root: Path, cfg: UnlearnConfig, key: str, no_budget: bool = False) -> Path:
+    """Run unlearn + evaluate for the config whose ``config_hash`` is ``key``, and write
+    the full artifact directory."""
+    [outcome] = execute_unlearn_group(root, [cfg], no_budget, [key])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -215,10 +225,7 @@ def _write_run(root: Path, key: str, cfg: UnlearnConfig, split,
     """
     run_dir = _run_dir(root, key)  # made only when something is written to it
     if isinstance(run, Exception):
-        trace = getattr(run, "trace", []) if isinstance(run, (NumericError, BudgetError)) else []
-        if trace:
-            run_dir.mkdir(parents=True, exist_ok=True)
-            write_trace_csv(trace, run_dir / "trace.csv")
+        _keep_partial_trace(run.trace if isinstance(run, BudgetError) else [], run_dir)
         raise run
     report = build_report(split, run.logits, seconds=run.seconds, flos=run.flos,
                           config_hash=key, seed=cfg.seed)
@@ -242,9 +249,9 @@ def cmd_unlearn(args) -> int:
         return 0
     manifest.start_all("unlearn", [(key, run_dir)], force=True)
     try:
-        execute_unlearn(root, cfg, no_budget=args.no_budget)
-    except UnlearnkitError as exc:
-        manifest.finish_all([(key, "failed", str(exc))])
+        execute_unlearn(root, cfg, key, no_budget=args.no_budget)
+    except Exception as exc:
+        manifest.finish_all([(key, "failed", _failure(exc))])
         raise
     manifest.finish_all([(key, "done", None)])
     print(f"run {key} complete -> {run_dir}")
@@ -258,8 +265,7 @@ def cmd_evaluate(args) -> int:
     root = _artifacts_root(args)
     if args.run:
         run_dir = Path(args.run)
-        cfg = UnlearnConfig.from_mapping(
-            json.loads((run_dir / "config.json").read_text()))
+        cfg = UnlearnConfig.load(run_dir / "config.json")
         model = Model.load(run_dir / "model_prime.json")
         stored = EvalReport.load(run_dir / "report.json")
         seconds, flos = stored.seconds, stored.flos
@@ -304,21 +310,27 @@ def _sweep_job(keys: list[str], cfg_dicts: list[dict], root: str,
     """Run one group of seed siblings; return each run's (key, status, failure message)."""
     cfgs = [UnlearnConfig.from_mapping(d) for d in cfg_dicts]
     try:
-        if len(cfgs) == 1:  # the unlearn command's own path, which hashes the config again
-            outcomes = [execute_unlearn(Path(root), cfgs[0], no_budget=no_budget)]
-        else:
-            outcomes = execute_unlearn_group(Path(root), cfgs, no_budget, keys)
+        outcomes = execute_unlearn_group(Path(root), cfgs, no_budget, keys)
     except Exception as exc:  # one bad job must not kill the sweep
         outcomes = [exc] * len(cfgs)
-    results = []
-    for key, outcome in zip(keys, outcomes):
-        message = None
-        if isinstance(outcome, Exception):
-            if not isinstance(outcome, UnlearnkitError):
-                traceback.print_exception(outcome)  # an unexpected error: keep where it came from
-            message = f"{type(outcome).__name__}: {outcome}"
-        results.append((key, "done" if message is None else "failed", message))
-    return results
+    return _results(keys, outcomes, set())
+
+
+def _results(keys: list[str], outcomes: list,
+             printed: set[int]) -> list[tuple[str, str, str | None]]:
+    """Each run's (key, status, failure message) from its outcome, a path or an exception.
+
+    An unexpected error (not an ``UnlearnkitError``) prints its traceback
+    once, however many runs it failed: ``printed`` holds the ids of those
+    printed.
+    """
+    for exc in outcomes:
+        unexpected = isinstance(exc, Exception) and not isinstance(exc, UnlearnkitError)
+        if unexpected and id(exc) not in printed:
+            printed.add(id(exc))
+            traceback.print_exception(exc)  # keep where it came from
+    return [(key, "failed", _failure(o)) if isinstance(o, Exception) else (key, "done", None)
+            for key, o in zip(keys, outcomes)]
 
 
 def cmd_sweep(args) -> int:
@@ -384,10 +396,16 @@ def cmd_sweep(args) -> int:
         from concurrent.futures import as_completed
 
         pool_cls = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
+        printed: set[int] = set()  # a broken pool fails every pending future with one error
         with pool_cls(max_workers=args.workers) as pool:
             futures = {pool.submit(_sweep_job, *job(group)): group for group in groups.values()}
             for future in as_completed(futures):
-                record(list(futures[future].values()), future.result())
+                group = futures[future]
+                try:
+                    results = future.result()
+                except Exception as exc:  # the worker died: its group's runs failed
+                    results = _results(list(group), [exc] * len(group), printed)
+                record(list(group.values()), results)
     else:
         for group in groups.values():
             record(list(group.values()), _sweep_job(*job(group)))

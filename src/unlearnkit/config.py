@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .data import SynthSpec, format_data_name, parse_data_name
 from .errors import ConfigError
+from .fileio import read_json
 
 
 @dataclass
@@ -52,6 +53,12 @@ class UnlearnConfig:
     # wall-clock budget; None means unlimited
     budget_seconds: float | None = None
 
+    def __post_init__(self):
+        for name, least in _INT_FLOORS.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
     def data_spec(self) -> SynthSpec:
         """Dataset spec with the run seed substituted unless the name pins one."""
         spec = parse_data_name(self.data_name)
@@ -82,6 +89,21 @@ class UnlearnConfig:
                                   + ", ".join(sorted(known)))
             kwargs[key] = coerce_value(key, raw)
         return cls(**kwargs)
+
+    @classmethod
+    def load(cls, path) -> "UnlearnConfig":
+        """The config a run saved as ``config.json``; a malformed one is a ConfigError naming it."""
+        values = read_json(path, "run file")
+        try:
+            return cls.from_mapping(values)
+        except ConfigError as exc:
+            raise ConfigError(f"bad run file {path}: {exc}") from exc
+
+
+# The least value of each integer key the toolkit can run: a batch holds a
+# row, and zero epochs (or passes) is a run that only snapshots.
+_INT_FLOORS = {"seed": 0, "bad_teacher_seed": 0, "train_epochs": 0, "epochs": 0,
+               "train_batch_size": 1, "batch_size": 1}
 
 
 TRAIN_KEYS = ("data_name", "backbone", "seed", "train_epochs",
@@ -121,8 +143,12 @@ def coerce_value(key: str, raw):
 
 def load_config_file(path) -> dict[str, str]:
     """Read a flat key=value file; '#' starts a comment, blank lines ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"bad config file {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -8,6 +8,7 @@ the set for ratio r+1 and capacity curves stay comparable across ratios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -48,8 +49,10 @@ class SynthSpec:
             raise ConfigError(f"need dim >= 2, got {self.dim}")
         if self.generator in ("spiral", "ring") and self.dim != 2:
             raise ConfigError(f"{self.generator} only supports dim=2")
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"data seed must be >= 0, got {self.seed}")
 
 
 def parse_data_name(name: str) -> SynthSpec:
@@ -60,19 +63,20 @@ def parse_data_name(name: str) -> SynthSpec:
     parts = name.split(":")
     kwargs: dict = {"generator": parts[0]}
     for part in parts[1:]:
-        if part.startswith("noise"):
-            kwargs["noise"] = float(part[5:])
-        elif part.startswith("seed"):
-            kwargs["seed"] = int(part[4:])
-        elif part.startswith("c"):
-            kwargs["num_classes"] = int(part[1:])
-        elif part.startswith("s"):
-            kwargs["samples_per_class"] = int(part[1:])
-        elif part.startswith("d"):
-            kwargs["dim"] = int(part[1:])
-        else:
+        prefix = next((p for p in _DATA_FIELDS if part.startswith(p)), None)
+        if prefix is None:
             raise ConfigError(f"unrecognized field {part!r} in data name {name!r}")
+        key, kind = _DATA_FIELDS[prefix]
+        try:
+            kwargs[key] = kind(part[len(prefix):])
+        except ValueError as exc:
+            raise ConfigError(f"bad field {part!r} in data name {name!r}") from exc
     return SynthSpec(**kwargs)
+
+
+# Data-name field prefix -> (SynthSpec field, type), matched in this order.
+_DATA_FIELDS = {"noise": ("noise", float), "seed": ("seed", int), "c": ("num_classes", int),
+                "s": ("samples_per_class", int), "d": ("dim", int)}
 
 
 def format_data_name(spec: SynthSpec) -> str:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from . import nn
 from .data import DatasetSplit
 from .errors import ConfigError, InsufficientDataError
-from .fileio import write_atomic
+from .fileio import read_json, write_atomic
 from .nn import Model
 
 MIN_TEST_FOR_MIA = 10
@@ -178,7 +177,12 @@ class EvalReport:
 
     @classmethod
     def load(cls, path) -> "EvalReport":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """The report a run saved; a malformed one is a ConfigError naming it."""
+        values = read_json(path, "run file")
+        missing = [key for key in REPORT_KEYS if key not in values]
+        if missing:
+            raise ConfigError(f"bad run file {path}: no key {missing[0]!r}")
+        return cls.from_dict(values)
 
     def save(self, path) -> None:
         write_atomic(path, self.to_json())

@@ -19,8 +19,8 @@ from pathlib import Path
 from .config import UnlearnConfig
 from .data import format_data_name
 from .errors import ConfigError
-from .fileio import read_json, write_atomic, write_csv
-from .metrics import REPORT_KEYS, chance_level
+from .fileio import write_atomic, write_csv
+from .metrics import EvalReport, chance_level
 
 COMPOSITE_DOC = ("composite = (acc_test + acc_r + (100 - |acc_f - chance|) "
                  "+ (100 - mia_success)) / 4, chance = 100 / num_classes")
@@ -54,16 +54,8 @@ def collect_runs(run_dirs) -> list[RunRecord]:
         config_path = directory / "config.json"
         if not report_path.exists() or not config_path.exists():
             continue
-        values = read_json(config_path, "run file")
-        try:
-            config = UnlearnConfig.from_mapping(values)
-        except ConfigError as exc:
-            raise ConfigError(f"bad run file {config_path}: {exc}") from exc
-        report = read_json(report_path, "run file")
-        missing = [key for key in REPORT_KEYS if key not in report]
-        if missing:
-            raise ConfigError(f"bad run file {report_path}: no key {missing[0]!r}")
-        records.append(RunRecord(directory, config, report))
+        records.append(RunRecord(directory, UnlearnConfig.load(config_path),
+                                 EvalReport.load(report_path).to_dict()))
     return records
 
 

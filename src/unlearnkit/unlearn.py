@@ -319,29 +319,28 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float = 1.0,
             recorder.check_budget()
 
 
-def fit(model: Model, x: np.ndarray, y: np.ndarray, *, epochs: int,
-        learning_rate: float, batch_size: int, optimizer: str, seed: int,
-        recorder: RunRecorder | None = None) -> Model:
-    """Minibatch task-loss training of ``model`` on ``(x, y)``, in place.
+def _from_scratch(split: DatasetSplit, config: UnlearnConfig, idx: np.ndarray) -> Plan:
+    """A fresh model trained with the original's ``train_*`` recipe over the training rows ``idx``.
 
-    The original model's recipe: one shuffle per epoch from ``seed``, no
-    curriculum, mask or L1. With a ``recorder`` the trace gets an ``init``
-    row and one row per epoch.
+    One shuffle per epoch from the run seed, no curriculum, mask or L1: the
+    original trains over every row, :func:`exact_retrain` over D_r.
     """
-    y = nn.check_label_range(y, model.num_classes)
-    passes = _epochs(np.random.default_rng(seed), np.arange(len(y)), x, y, epochs, batch_size)
-    _drive([Plan(model, passes, learning_rate)], optimizer,
-           recorders=None if recorder is None else [recorder])
-    return model
+    student = _fresh_model(split, config, config.seed)
+    labels = nn.check_label_range(split.train_y, student.num_classes)
+    passes = _epochs(np.random.default_rng(config.seed), idx, split.train_x, labels,
+                     config.train_epochs, config.train_batch_size)
+    return Plan(student, passes, config.train_learning_rate)
 
 
 def train_original(split: DatasetSplit, config: UnlearnConfig,
                    recorder: RunRecorder | None = None) -> Model:
-    """Train the original model on the full training set with the recorded recipe."""
-    return fit(_fresh_model(split, config, config.seed), split.train_x, split.train_y,
-               epochs=config.train_epochs, learning_rate=config.train_learning_rate,
-               batch_size=config.train_batch_size, optimizer=config.optimizer,
-               seed=config.seed, recorder=recorder)
+    """Train the original model on every training row, deleted or not, with the recorded recipe.
+
+    With a ``recorder`` the trace gets an ``init`` row and one row per epoch.
+    """
+    plan = _from_scratch(split, config, np.arange(split.num_train))
+    _drive([plan], config.optimizer, recorders=None if recorder is None else [recorder])
+    return plan.student
 
 
 # ------------------------------------------------------------------- registry
@@ -381,14 +380,9 @@ def _finetune(f: Model, split: DatasetSplit, config: UnlearnConfig, idx: np.ndar
 @register(TeacherSpec(None, None, "original_f", ("Loss",), ("Dense", "Internal")))
 def exact_retrain(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     """Train a fresh model on the remaining data only, with the original recipe."""
-    retain_idx = split.retain_indices
-    if retain_idx.size == 0:
+    if split.retain_indices.size == 0:
         raise ConfigError("cannot retrain: the remaining set is empty")
-    student = _fresh_model(split, config, config.seed)
-    labels = nn.check_label_range(split.train_y, student.num_classes)
-    passes = _epochs(np.random.default_rng(config.seed), retain_idx, split.train_x,
-                     labels, config.train_epochs, config.train_batch_size)
-    return Plan(student, passes, config.train_learning_rate)
+    return _from_scratch(split, config, split.retain_indices)
 
 
 @register(TeacherSpec("Loss", "Grad", "none", (), ("Dense", "Internal")))

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from unlearnkit import EvalReport, Model, build_model, fileio
 from unlearnkit.cli import _parse_grid_field, main
@@ -388,14 +388,14 @@ def test_parse_grid_field_expands_ints_and_ascending_ranges(entries):
 def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsys):
     import unlearnkit.cli as cli
 
-    real = cli.execute_unlearn
+    real = cli.execute_unlearn_group
 
-    def flaky(root, cfg, no_budget=False):
-        if cfg.unlearn_method == "neg_grad" and cfg.del_ratio == 4:
+    def flaky(root, cfgs, no_budget=False, keys=None):
+        if cfgs[0].unlearn_method == "neg_grad" and cfgs[0].del_ratio == 4:
             raise MemoryError("simulated out of memory")
-        return real(root, cfg, no_budget=no_budget)
+        return real(root, cfgs, no_budget, keys)
 
-    monkeypatch.setattr(cli, "execute_unlearn", flaky)
+    monkeypatch.setattr(cli, "execute_unlearn_group", flaky)
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
              "--methods", "rand_label,neg_grad", "--ratios", "2,4", "--seeds", "0")
     assert rc == 2
@@ -603,7 +603,7 @@ def test_report_on_a_malformed_run_file_is_a_config_error_naming_it(tmp_path, ca
 
 # ------------------------------------------------------------- one scoring path
 
-@pytest.mark.parametrize("seeds, hashes_per_run", [("0,1", 1), ("0", 2)])
+@pytest.mark.parametrize("seeds, hashes_per_run", [("0,1", 1), ("0", 1)])
 def test_sweep_hashes_each_config_once_per_run(tmp_path, monkeypatch, capsys,
                                                seeds, hashes_per_run):
     import unlearnkit.cli as cli
@@ -615,7 +615,6 @@ def test_sweep_hashes_each_config_once_per_run(tmp_path, monkeypatch, capsys,
             "--ratios", "2,4", "--seeds", seeds)
     assert run(tmp_path, *argv) == 0
     runs = 4 * len(seeds.split(","))
-    # A group of one runs the unlearn command's own path, which hashes its config again.
     assert len(calls) == hashes_per_run * runs
     calls.clear()
     assert run(tmp_path, *argv) == 0  # resumed: every run is done
@@ -689,3 +688,169 @@ def test_runs_forward_once_per_set_per_snapshot_and_never_for_the_report(tmp_pat
     assert counts["in_writes"] == 0
     # neg_grad has no teacher: every other forward is a training step's.
     assert counts["forward"] == counts["in_snapshots"] + counts["steps"]
+
+
+# ------------------------------------------------------------------ one run path
+
+def test_meta_train_seconds_is_the_last_trace_rows_seconds(tmp_path):
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    ckpt = tmp_path / "checkpoints" / train_hash(fast_cfg(seed=0))
+    meta = json.loads((ckpt / "meta.json").read_text())
+    header, *rows = [line.split(",") for line in (ckpt / "trace.csv").read_text().splitlines()]
+    assert meta["train_seconds"] == float(rows[-1][header.index("seconds")]) > 0
+
+
+@pytest.mark.parametrize("command", ["train", "unlearn"])
+def test_a_non_toolkit_error_is_recorded_failed_and_raised(tmp_path, monkeypatch, capsys,
+                                                           command):
+    import unlearnkit.cli as cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("simulated out of memory")
+
+    target, argv = "train_original", ["train", *FAST, "--seed", "0"]
+    if command == "unlearn":
+        assert run(tmp_path, *argv) == 0
+        target, argv = "unlearn_group", ["unlearn", *FAST, "--seed", "0", "--no-budget"]
+    monkeypatch.setattr(cli, target, out_of_memory)
+    with pytest.raises(MemoryError):
+        run(tmp_path, *argv)
+    [entry] = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == command]
+    assert entry["status"] == "failed"
+    assert entry["message"] == "MemoryError: simulated out of memory"
+
+
+def test_the_unlearn_command_hashes_its_config_once(tmp_path, monkeypatch, capsys):
+    import unlearnkit.cli as cli
+
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    calls = []
+    real = cli.config_hash
+    monkeypatch.setattr(cli, "config_hash", lambda cfg: calls.append(1) or real(cfg))
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--no-budget") == 0
+    assert len(calls) == 1
+
+
+def test_a_dead_pool_worker_fails_its_runs_and_a_resumed_sweep_completes_them(
+        tmp_path, monkeypatch, capsys):
+    import os
+
+    import unlearnkit.cli as cli
+
+    real = cli.execute_unlearn_group
+
+    def dies(root, cfgs, no_budget=False, keys=None):
+        if cfgs[0].unlearn_method == "neg_grad" and cfgs[0].del_ratio == 4:
+            os._exit(3)  # the worker process ends at once, as if killed
+        return real(root, cfgs, no_budget, keys)
+
+    argv = ("sweep", *FAST, "--no-budget", "--workers", "2", "--methods", "rand_label,neg_grad",
+            "--ratios", "2,4", "--seeds", "0,1")
+    monkeypatch.setattr(cli, "execute_unlearn_group", dies)  # forked workers inherit it
+    assert run(tmp_path, *argv) == 2
+    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    failed = [e for e in entries if e["status"] == "failed"]
+    assert len(entries) == 8 and {e["status"] for e in entries} == {"done", "failed"}
+    assert len(failed) >= 2
+    assert all(e["message"].startswith("BrokenProcessPool: ") for e in failed)
+    assert capsys.readouterr().err.count("BrokenProcessPool: ") == 1  # one traceback
+
+    monkeypatch.setattr(cli, "execute_unlearn_group", real)
+    assert run(tmp_path, *argv) == 0
+    assert f"{8 - len(failed)} already done, {len(failed)} to run" in capsys.readouterr().out
+    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    assert all(e["status"] == "done" for e in entries)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "without_train_seconds"])
+def test_unlearn_on_a_malformed_checkpoint_meta_exits_1_and_records_failed(
+        tmp_path, capsys, damage):
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    meta = tmp_path / "checkpoints" / train_hash(fast_cfg(seed=0)) / "meta.json"
+    text = meta.read_text()
+    meta.write_text(text[:30] if damage == "truncated" else json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "train_seconds"}))
+    capsys.readouterr()
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad checkpoint {meta}: ") and "Traceback" not in err
+    [entry] = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    assert entry["status"] == "failed" and str(meta) in entry["message"]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("config.json", lambda text: text[:30]),
+    ("config.json", lambda text: json.dumps({**json.loads(text), "seed": -1})),
+    ("report.json", lambda text: text[:30]),
+    ("report.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                             if k != "seconds"})),
+], ids=["truncated_config", "config_with_a_negative_seed", "truncated_report",
+        "report_without_seconds"])
+def test_evaluate_on_a_malformed_run_file_is_a_config_error_naming_it(tmp_path, capsys,
+                                                                      name, text):
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--no-budget") == 0
+    run_dir = tmp_path / "runs" / config_hash(fast_cfg(seed=0))
+    bad = run_dir / name
+    bad.write_text(text(bad.read_text()))
+    capsys.readouterr()
+    assert run(tmp_path, "evaluate", "--run", str(run_dir)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad run file {bad}: ") and "Traceback" not in err
+
+
+# Values no run can use. Each exits 1 before anything is trained or recorded.
+_BAD_VALUES = [
+    ("train", ["--train_batch_size", "0"], "train_batch_size must be an integer >= 1"),
+    ("train", ["--train_batch_size", "-4"], "train_batch_size must be an integer >= 1"),
+    ("train", ["--train_epochs", "-1"], "train_epochs must be an integer >= 0"),
+    ("train", ["--seed", "-1"], "seed must be an integer >= 0"),
+    ("train", ["--data_name", DATA + ":seedx"], "bad field 'seedx' in data name"),
+    ("train", ["--data_name", DATA + ":seed-2"], "data seed must be >= 0"),
+    ("train", ["--data_name", "gaussian_blobs:c3:s30:d4:noisenan"], "noise must be finite"),
+    ("train", ["--config", "missing.cfg"], "bad config file"),
+    ("unlearn", ["--batch_size", "0"], "batch_size must be an integer >= 1"),
+    ("unlearn", ["--batch_size", "-4"], "batch_size must be an integer >= 1"),
+    ("unlearn", ["--epochs", "-2"], "epochs must be an integer >= 0"),
+    ("unlearn", ["--bad_teacher_seed", "-1"], "bad_teacher_seed must be an integer >= 0"),
+]
+
+
+@pytest.mark.parametrize("command, flags, problem", _BAD_VALUES,
+                         ids=[" ".join(flags) for _, flags, _ in _BAD_VALUES])
+def test_a_config_value_no_run_can_use_exits_1_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                command, flags, problem):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *FAST, "--seed", "0", *flags]
+    if command == "unlearn":
+        assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+        argv.append("--no-budget")
+    before = (tmp_path / "manifest.json").read_bytes() if command == "unlearn" else None
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and problem in err and "Traceback" not in err
+    if command == "train":
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert not (tmp_path / "runs").exists()
+
+
+_INT_KEYS = ("seed", "train_epochs", "train_batch_size", "epochs", "batch_size", "del_ratio",
+             "bad_teacher_seed", "scrub_max_steps", "adapter_rank")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(_INT_KEYS), st.integers(-3, 3)),
+       st.one_of(st.just("gaussian_blobs:c2:s10:d2"), st.text(max_size=30)))
+def test_train_on_any_small_int_config_exits_0_or_1_and_leaves_nothing_pending(ints, data_name):
+    import tempfile
+
+    flags = ["--backbone", "mlp:4", "--train_epochs", "2", "--data_name", data_name]
+    for key, value in ints.items():
+        flags += [f"--{key}", str(value)]
+    with tempfile.TemporaryDirectory() as root:
+        assert run(root, "train", *flags) in (0, 1)
+        statuses = [e["status"] for e in Manifest(root).entries.values()]
+    assert "pending" not in statuses

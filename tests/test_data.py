@@ -189,3 +189,12 @@ def test_corrupt_labels_single_class_error():
                          test_x=np.zeros((4, 2)), test_y=np.zeros(4, dtype=np.int64), seed=0)
     with pytest.raises(ConfigError):
         corrupt_labels(split, np.arange(5), seed=0)
+
+
+@pytest.mark.parametrize("name", ["gaussian_blobs:cx", "gaussian_blobs:s", "gaussian_blobs:d2.5",
+                                  "gaussian_blobs:noise", "gaussian_blobs:noiseinf",
+                                  "gaussian_blobs:noisenan", "gaussian_blobs:seed1.0",
+                                  "gaussian_blobs:seed-1"])
+def test_a_data_name_field_no_generator_can_use_is_a_config_error(name):
+    with pytest.raises(ConfigError, match="data name|noise|seed"):
+        parse_data_name(name)

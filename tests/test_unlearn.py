@@ -8,8 +8,8 @@ from unlearnkit import BudgetError, ConfigError, Model, UnlearnConfig, evaluate,
 from unlearnkit.data import generate
 from unlearnkit.nn import kl_rows
 from unlearnkit.optim import ParamMask
-from unlearnkit.unlearn import (METHODS, TAXONOMY, TeacherSpec, fit, loss_and_grad,
-                                train_original, write_trace_csv)
+from unlearnkit.unlearn import (METHODS, TAXONOMY, Plan, RunRecorder, TeacherSpec, _drive,
+                                _epochs, loss_and_grad, train_original, write_trace_csv)
 
 from conftest import v1_checkpoint_bytes
 
@@ -140,6 +140,25 @@ def test_exact_retrain_with_empty_deletion_equals_original_training(setup):
     assert run.model.param_digest() == f.param_digest()
 
 
+@pytest.mark.parametrize("backbone, optimizer", [("mlp:12", "adam"), ("mlp:12,10:tanh", "sgd")])
+def test_train_original_is_exact_retrain_on_an_undeleted_split(backbone, optimizer):
+    """One recipe: the original's parameters, trace rows apart from ``seconds``
+    and FLOs are those of ``exact_retrain`` over a split with no deletion set."""
+    cfg = small_cfg(backbone=backbone, optimizer=optimizer, train_epochs=6,
+                    unlearn_method="exact_retrain")
+    split = generate(cfg.data_spec())
+    recorder = RunRecorder(split)
+    f = train_original(split, cfg, recorder)
+    retrain = unlearn("exact_retrain", None, split, cfg)
+
+    def rows(trace):
+        return [dataclasses.replace(row, seconds=0.0) for row in trace]
+
+    assert f.param_digest() == retrain.model.param_digest()
+    assert rows(recorder.rows) == rows(retrain.trace) and len(recorder.rows) == 7
+    assert recorder.flos == retrain.flos > 0
+
+
 def test_exact_retrain_never_observes_deleted_rows(setup):
     f, split, cfg = setup
     seen = []
@@ -161,9 +180,9 @@ def test_l1_zero_lambda_is_plain_finetune(setup):
     f, split, cfg = setup
     plain = unlearn("l1_sparse_ft", f, split, dataclasses.replace(cfg, l1_lambda=0.0))
     ref = f.clone()
-    fit(ref, split.retain_x, split.retain_y, epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-        optimizer=cfg.optimizer, seed=cfg.seed)
+    passes = _epochs(np.random.default_rng(cfg.seed), np.arange(len(split.retain_y)),
+                     split.retain_x, split.retain_y, cfg.epochs, cfg.batch_size)
+    _drive([Plan(ref, passes, cfg.learning_rate)], cfg.optimizer)
     assert plain.model.param_digest() == ref.param_digest()
 
 
