@@ -10,7 +10,7 @@ Artifacts live under one root (``--artifacts`` flag or the
                                         model_prime.json, trace.csv
       reports/                          leaderboard outputs
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/numeric error.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime/numeric error.
 """
 
 from __future__ import annotations
@@ -93,15 +93,15 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
     """Train (or reuse) the original model for this config; return its directory."""
     ckpt_dir = _checkpoint_dir(root, cfg)
     key = train_hash(cfg)
-    model_path = ckpt_dir / "model.json"
-    if model_path.exists() and manifest.is_done(key) and not force:
+    model_path, meta_path = ckpt_dir / "model.json", ckpt_dir / "meta.json"
+    if model_path.exists() and meta_path.exists() and manifest.is_done(key) and not force:
         if not quiet:
             print(f"checkpoint {key} already exists at {ckpt_dir} (use --force to retrain)")
         return ckpt_dir
     spec = cfg.data_spec()
     split = generate(spec)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    manifest.start_all("train", [(key, ckpt_dir)], force=True)
+    manifest.start_all("train", [(key, ckpt_dir)])
     recorder = RunRecorder(split)
     try:
         train_original(split, cfg, recorder).save(model_path)
@@ -109,7 +109,7 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
         seconds, test_acc = last.seconds, last.acc_test
         meta = {"train_seconds": seconds, "test_acc": test_acc,
                 "train_config": cfg.train_dict(), "flos": recorder.flos}
-        write_atomic(ckpt_dir / "meta.json", json.dumps(meta, indent=2, sort_keys=True))
+        write_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True))
         write_trace_csv(recorder.rows, ckpt_dir / "trace.csv")
     except Exception as exc:
         _keep_partial_trace(recorder.rows, ckpt_dir)
@@ -156,14 +156,14 @@ def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
     stacked teachers are clones.
     """
     ckpt_dir = _checkpoint_dir(root, cfg)
-    model_path = ckpt_dir / "model.json"
-    if not model_path.exists():
+    model_path, meta_path = ckpt_dir / "model.json", ckpt_dir / "meta.json"
+    try:
+        stamp = tuple((st.st_mtime_ns, st.st_size) for st in map(os.stat, (model_path, meta_path)))
+    except FileNotFoundError:
         raise ConfigError(
-            f"no trained checkpoint for this config (expected {model_path}); "
-            f"run 'unlearnkit train' with the same data_name/backbone/seed/train_* "
-            f"settings first")
-    meta_path = ckpt_dir / "meta.json"
-    stamp = tuple((st.st_mtime_ns, st.st_size) for st in map(os.stat, (model_path, meta_path)))
+            f"no trained checkpoint for this config (expected {model_path.name} and "
+            f"{meta_path.name} in {ckpt_dir}); run 'unlearnkit train' with the same "
+            f"data_name/backbone/seed/train_* settings first") from None
     key = model_path.absolute()
     cached = _ORIGINALS.get(key)
     if cached is None or cached[0] != stamp:
@@ -183,16 +183,14 @@ def execute_unlearn(root: Path, cfg: UnlearnConfig, key: str, no_budget: bool = 
     return outcome
 
 
-def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig], no_budget: bool = False,
-                          keys: list[str] | None = None) -> list[Path | Exception]:
+def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig], no_budget: bool,
+                          keys: list[str]) -> list[Path | Exception]:
     """:func:`execute_unlearn` for configs that differ only in seed, trained in lockstep.
 
-    ``keys`` are the configs' ``config_hash`` values when the caller has
-    them. Returns each config's run directory, or the exception its run
-    raised; every run's artifacts are those it writes alone (see
-    ``unlearn_group``).
+    ``keys`` are the configs' ``config_hash`` values. Returns each config's
+    run directory, or the exception its run raised; every run's artifacts
+    are those it writes alone (see ``unlearn_group``).
     """
-    keys = keys or [config_hash(cfg) for cfg in cfgs]
     outcomes: list[Path | Exception | None] = [None] * len(cfgs)
     started, members = [], []  # the runs whose checkpoint and data loaded
     for i, cfg in enumerate(cfgs):
@@ -247,7 +245,7 @@ def cmd_unlearn(args) -> int:
         print(f"run {key} already complete at {run_dir} (use --force to redo)")
         print((run_dir / "report.json").read_text())
         return 0
-    manifest.start_all("unlearn", [(key, run_dir)], force=True)
+    manifest.start_all("unlearn", [(key, run_dir)])
     try:
         execute_unlearn(root, cfg, key, no_budget=args.no_budget)
     except Exception as exc:
@@ -373,7 +371,7 @@ def cmd_sweep(args) -> int:
     pending = {key: cfg for key, cfg in grid.items()
                if not (manifest.is_done(key) and (_run_dir(root, key) / "report.json").exists())}
     if pending:
-        manifest.start_all("unlearn", [(key, _run_dir(root, key)) for key in pending], force=True)
+        manifest.start_all("unlearn", [(key, _run_dir(root, key)) for key in pending])
     print(f"sweep: {len(grid) - len(pending)} already done, {len(pending)} to run")
 
     # Runs that differ only in seed train in lockstep, as one job.
@@ -480,8 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ConfigError, ShapeError, DomainError, InsufficientDataError) as exc:

@@ -101,9 +101,11 @@ class UnlearnConfig:
 
 
 # The least value of each integer key the toolkit can run: a batch holds a
-# row, and zero epochs (or passes) is a run that only snapshots.
+# row, zero epochs (or passes) is a run that only snapshots, and adapter
+# rank 0 is no adapter.
 _INT_FLOORS = {"seed": 0, "bad_teacher_seed": 0, "train_epochs": 0, "epochs": 0,
-               "train_batch_size": 1, "batch_size": 1}
+               "train_batch_size": 1, "batch_size": 1, "scrub_max_steps": 0,
+               "scrub_min_steps": 0, "adapter_rank": 0, "adapter_layer": 0}
 
 
 TRAIN_KEYS = ("data_name", "backbone", "seed", "train_epochs",

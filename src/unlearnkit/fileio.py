@@ -40,11 +40,12 @@ def write_csv(path, rows) -> None:
 def read_json(path, what: str) -> dict:
     """Parse the JSON object in the file at ``path``.
 
-    A file that does not hold one raises ``ConfigError("bad <what> <path>: …")``.
+    A file that cannot be read or does not hold one raises
+    ``ConfigError("bad <what> <path>: …")``.
     """
     try:
         value = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad {what} {path}: {exc}") from exc
     if not isinstance(value, dict):
         raise ConfigError(f"bad {what} {path}: not a JSON object")

@@ -3,8 +3,7 @@
 All writes go through a single writer (the CLI process); sweep workers return
 results to the parent, which records them here. Every start_all or finish_all call
 rewrites the file once, so a sweep marks all its runs pending with one write
-and records each group of results with one more. Completed entries are never
-overwritten silently — callers must pass force=True to replace one.
+and records each group of results with one more.
 """
 
 from __future__ import annotations
@@ -13,10 +12,7 @@ import json
 import time
 from pathlib import Path
 
-from .errors import ConfigError
 from .fileio import read_json, write_atomic
-
-STATUSES = ("pending", "done", "failed")
 
 
 class Manifest:
@@ -35,13 +31,8 @@ class Manifest:
         entry = self.entries.get(key)
         return entry is not None and entry.get("status") == "done"
 
-    def start_all(self, kind: str, items, force: bool = False) -> None:
+    def start_all(self, kind: str, items) -> None:
         """Mark every ``(key, directory)`` of one kind pending, with one save."""
-        items = list(items)
-        for key, _ in items:
-            existing = self.entries.get(key)
-            if existing is not None and existing.get("status") == "done" and not force:
-                raise ConfigError(f"entry {key} is already done; pass force to redo it")
         started_at = time.strftime("%Y-%m-%dT%H:%M:%S")
         for key, directory in items:
             self.entries[key] = {"kind": kind, "dir": str(directory), "status": "pending",
@@ -50,10 +41,6 @@ class Manifest:
 
     def finish_all(self, results) -> None:
         """Record every ``(key, status, message)`` result, with one save."""
-        results = list(results)
-        for _, status, _ in results:
-            if status not in STATUSES:
-                raise ConfigError(f"bad status {status!r}")
         finished_at = time.strftime("%Y-%m-%dT%H:%M:%S")
         for key, status, message in results:
             entry = self.entries[key]

@@ -96,12 +96,9 @@ def fit_mia(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> MiaAttac
                      calibration_balanced_accuracy=float(balanced[best]))
 
 
-def mia_success(model: Model, split: DatasetSplit, observer=None) -> float | None:
-    """:func:`mia_from_logits` of ``model``; ``observer`` sees the calibration's training rows."""
-    logits = split_logits(model, split)
-    if observer is not None:
-        observer(split.retain_indices)
-    return mia_from_logits(split, logits)
+def mia_success(model: Model, split: DatasetSplit) -> float | None:
+    """:func:`mia_from_logits` of ``model``."""
+    return mia_from_logits(split, split_logits(model, split))
 
 
 def mia_from_logits(split: DatasetSplit, logits: SplitLogits) -> float | None:

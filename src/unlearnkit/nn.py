@@ -392,11 +392,11 @@ class Model:
 
     @classmethod
     def load(cls, path) -> "Model":
-        """Read a checkpoint of either version; a malformed one raises
-        ConfigError naming the file and, where there is one, the array."""
+        """Read a checkpoint of either version; a missing or malformed one
+        raises ConfigError naming the file and, where there is one, the array."""
         try:
             return cls.from_dict(json.loads(Path(path).read_bytes()))
-        except (AttributeError, TypeError, ValueError) as exc:  # any malformed record
+        except (OSError, AttributeError, TypeError, ValueError) as exc:  # any malformed record
             raise ConfigError(f"bad checkpoint {path}: {exc}") from None
 
     def param_digest(self) -> str:

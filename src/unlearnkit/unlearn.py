@@ -254,7 +254,7 @@ def _backprop_loss(model: Model, logits: np.ndarray, cache: tuple, labels: np.nd
 
 
 def _drive(plans: list[Plan], optimizer: str, temperature: float = 1.0,
-           recorders: list[RunRecorder] | None = None, observers=None) -> None:
+           recorders: list[RunRecorder] | None = None) -> None:
     """Train every plan's student in place through its passes: the one training loop.
 
     The K plans train in lockstep as one stacked model (``nn.Model.stack``;
@@ -269,12 +269,12 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float = 1.0,
     part makes that sum non-finite, so each part is checked on its own.
     The sum gets the L1 pull, the pass's sign and one masked optimizer
     update. Each phase name keeps its own optimizer state, so ascent and
-    descent never share Adam moments. ``observers[k]`` sees the row indices
-    of every part of plan k. ``recorders[k]`` counts plan k's samples each
-    step and snapshots plan k's student before training (epoch 0, ``init``)
-    and after every pass, numbered from 1, checking the budget after each
-    pass. The snapshots evaluate each student on its own: a stacked
-    evaluation over the larger evaluation sets was no faster than K of them.
+    descent never share Adam moments. ``recorders[k]`` counts plan k's
+    samples each step and snapshots plan k's student before training
+    (epoch 0, ``init``) and after every pass, numbered from 1, checking the
+    budget after each pass. The snapshots evaluate each student on its own:
+    a stacked evaluation over the larger evaluation sets was no faster than
+    K of them.
     """
     first = plans[0]
     model = Model.stack([plan.student for plan in plans])
@@ -293,10 +293,7 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float = 1.0,
             opts[phase] = replace(fresh)
         for steps in zip(*(p[2] for p in passes), strict=True):
             for i, parts in enumerate(zip(*steps, strict=True)):
-                rows, xs, labels, teachers = zip(*parts)
-                for observer, idx in zip(observers or (), rows):
-                    if observer is not None:
-                        observer(idx)
+                _, xs, labels, teachers = zip(*parts)
                 x = _stacked(xs)
                 teacher = None
                 if teachers[0] is not None:
@@ -446,8 +443,6 @@ def scrub(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     is unused: the schedule is ``scrub_max_steps`` and ``scrub_min_steps``.
     """
     max_steps, min_steps = config.scrub_max_steps, config.scrub_min_steps
-    if max_steps < 0 or min_steps < 0:
-        raise ConfigError("scrub step counts must be >= 0")
     rng = np.random.default_rng(config.seed)
     labels = nn.check_label_range(split.train_y, f.num_classes)
 
@@ -496,52 +491,38 @@ TAXONOMY: dict[str, TeacherSpec] = {name: m.spec for name, m in METHODS.items()}
 Member = tuple[Model, DatasetSplit, UnlearnConfig]
 
 
-def unlearn(method: str, f: Model, split: DatasetSplit, config: UnlearnConfig,
-            observer=None) -> UnlearnRun:
+def unlearn(method: str, f: Model, split: DatasetSplit, config: UnlearnConfig) -> UnlearnRun:
     """Run one unlearning method end to end, recording time, FLOs, and a trace.
 
     A lockstep group of one (:func:`unlearn_group`); its error is raised.
     """
-    [result] = unlearn_group(method, [(f, split, config)], [observer])
+    [result] = unlearn_group(method, [(f, split, config)])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def unlearn_group(method: str, members: Sequence[Member],
-                  observers: Sequence | None = None) -> list[UnlearnRun | Exception]:
+def unlearn_group(method: str, members: Sequence[Member]) -> list[UnlearnRun | Exception]:
     """Run one method on K ``(original, split, config)`` members in lockstep.
 
     The members' configs may differ only in ``seed`` (and ``budget_seconds``),
     so their plans share phases and batch shapes: they train as one stacked
     model (see ``_drive``). Each member's model, trace rows apart from
-    ``seconds``, FLOs and observed rows are bit-identical to its run alone
+    ``seconds``, FLOs and trained rows are bit-identical to its run alone
     with :func:`unlearn`; its ``seconds`` (report, trace and budget) is the
-    group's elapsed time divided by K. ``observers[k]`` sees member k's rows
-    as they train in a group of one, and once the group has finished in a
-    larger one. If any member raises, the members are rerun one by one, so
-    each gets the result, error and partial trace it gets alone. Returns
-    each member's run, or the exception it raised.
+    group's elapsed time divided by K. If any member raises, the members are
+    rerun one by one, so each gets the result, error and partial trace it
+    gets alone. Returns each member's run, or the exception it raised.
     """
-    observers = list(observers or [None] * len(members))
-    if len(members) == 1:
-        try:
-            return _lockstep(method, members, observers)
-        except Exception as exc:  # the caller decides; unlearn() raises it
-            return [exc]
-    seen = [None if observer is None else [] for observer in observers]
     try:
-        runs = _lockstep(method, members, [None if rows is None else rows.append for rows in seen])
-    except Exception:
-        return [unlearn_group(method, [member], [observer])[0]
-                for member, observer in zip(members, observers)]
-    for observer, rows in zip(observers, seen):
-        for idx in rows or ():
-            observer(idx)
-    return runs
+        return _lockstep(method, members)
+    except Exception as exc:  # the caller decides; unlearn() raises it
+        if len(members) == 1:
+            return [exc]
+    return [unlearn_group(method, [member])[0] for member in members]
 
 
-def _lockstep(method: str, members: Sequence[Member], observers: list) -> list[UnlearnRun]:
+def _lockstep(method: str, members: Sequence[Member]) -> list[UnlearnRun]:
     """Train the members as one group; any member's error stops the group."""
     if method not in METHODS:
         raise ConfigError(f"unknown unlearning method {method!r}; available: "
@@ -556,7 +537,7 @@ def _lockstep(method: str, members: Sequence[Member], observers: list) -> list[U
     recorders = [RunRecorder(split, budget_seconds=config.budget_seconds, share=len(members))
                  for _, split, config in members]
     plans = [METHODS[method].plan(*member) for member in members]
-    _drive(plans, configs[0].optimizer, configs[0].temperature, recorders, observers)
+    _drive(plans, configs[0].optimizer, configs[0].temperature, recorders)
     return [UnlearnRun(method=method, config=config, model=plan.student, trace=recorder.rows,
                        seconds=recorder.seconds, flos=recorder.flos, logits=recorder.logits)
             for (_, _, config), plan, recorder in zip(members, plans, recorders)]

@@ -5,7 +5,7 @@ import pytest
 
 from unlearnkit import UnlearnConfig
 from unlearnkit.data import generate
-from unlearnkit.unlearn import train_original
+from unlearnkit.unlearn import METHODS, train_original
 
 
 def central_difference(loss_fn, model, h=1e-5):
@@ -42,6 +42,36 @@ def v1_checkpoint_record(model) -> dict:
 def v1_checkpoint_bytes(model) -> bytes:
     """The bytes a version-1 writer saved for ``model``."""
     return json.dumps(v1_checkpoint_record(model), indent=2, sort_keys=True).encode()
+
+
+def spy_trained_rows(monkeypatch) -> dict[int, list[np.ndarray]]:
+    """Record the training-row indices every registered method trains on.
+
+    Each planner in ``METHODS`` is wrapped so that its plan's passes append
+    the rows of every part of every step, in the order the training loop
+    draws them, to the returned dict's list under the run's config seed.
+    The passes are only wrapped, so the draws and the training are those
+    of an unspied run.
+    """
+    trained: dict[int, list[np.ndarray]] = {}
+
+    def spied(planner):
+        def plan(f, split, config):
+            rows = trained.setdefault(config.seed, [])
+
+            def steps(inner):
+                for parts in inner:
+                    rows.extend(part[0] for part in parts)
+                    yield parts
+
+            result = planner(f, split, config)
+            return result._replace(passes=((phase, ascending, steps(inner))
+                                           for phase, ascending, inner in result.passes))
+        return plan
+
+    for name, method in list(METHODS.items()):
+        monkeypatch.setitem(METHODS, name, method._replace(plan=spied(method.plan)))
+    return trained
 
 
 def max_rel_err(a, b, floor=1e-6):

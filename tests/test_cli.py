@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unlearnkit import EvalReport, Model, build_model, fileio
 from unlearnkit.cli import _parse_grid_field, main
@@ -355,7 +355,8 @@ def test_each_original_is_parsed_once_and_never_mutated(tmp_path):
     for method in METHODS:  # stacked groups of two, and groups of one
         for seeds, ratio in (((0, 1), 5), ((0,), 3)):
             cfgs = [fast_cfg(seed=s, unlearn_method=method, del_ratio=ratio) for s in seeds]
-            outcomes = cli.execute_unlearn_group(tmp_path, cfgs, no_budget=True)
+            outcomes = cli.execute_unlearn_group(tmp_path, cfgs, no_budget=True,
+                                                 keys=[config_hash(c) for c in cfgs])
             assert all(isinstance(o, Path) for o in outcomes), (method, outcomes)
     for path, original, seed in zip(paths, originals, (0, 1)):
         assert original.param_digest() == Model.load(path).param_digest()
@@ -635,7 +636,8 @@ def test_the_written_report_scores_the_saved_model(tmp_path):
     for method in METHODS:
         for seeds in ((0, 1), (2,)):
             cfgs = [fast_cfg(seed=s, unlearn_method=method, del_ratio=10) for s in seeds]
-            outcomes = cli.execute_unlearn_group(tmp_path, cfgs, no_budget=True)
+            outcomes = cli.execute_unlearn_group(tmp_path, cfgs, no_budget=True,
+                                                 keys=[config_hash(c) for c in cfgs])
             assert all(isinstance(o, Path) for o in outcomes), (method, outcomes)
             run_dirs += outcomes
     for run_dir in run_dirs:
@@ -799,6 +801,57 @@ def test_evaluate_on_a_malformed_run_file_is_a_config_error_naming_it(tmp_path, 
     assert err.startswith(f"config error: bad run file {bad}: ") and "Traceback" not in err
 
 
+def test_unlearn_after_a_checkpoint_meta_is_removed_exits_1_and_train_repairs_it(tmp_path,
+                                                                                 capsys):
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    meta = tmp_path / "checkpoints" / train_hash(fast_cfg(seed=0)) / "meta.json"
+    meta.unlink()
+    capsys.readouterr()
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: no trained checkpoint") and "Traceback" not in err
+    [entry] = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    assert entry["status"] == "failed" and "no trained checkpoint" in entry["message"]
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    assert "already exists" not in capsys.readouterr().out
+    assert json.loads(meta.read_text())["train_seconds"] > 0
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--no-budget") == 0
+
+
+@pytest.mark.parametrize("missing", ["config.json", "model_prime.json", "report.json"])
+def test_evaluate_on_a_run_missing_a_file_is_a_config_error_naming_it(tmp_path, capsys, missing):
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--no-budget") == 0
+    run_dir = tmp_path / "runs" / config_hash(fast_cfg(seed=0))
+    (run_dir / missing).unlink()
+    capsys.readouterr()
+    assert run(tmp_path, "evaluate", "--run", str(run_dir)) == 1
+    err = capsys.readouterr().err
+    what = "checkpoint" if missing == "model_prime.json" else "run file"
+    assert err.startswith(f"config error: bad {what} {run_dir / missing}: ")
+    assert "Traceback" not in err
+
+
+def test_evaluate_on_a_directory_that_is_not_a_run_exits_1(tmp_path, capsys):
+    assert run(tmp_path, "evaluate", "--run", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad run file {tmp_path / 'config.json'}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["train", "--no_such_flag"], 1),
+    (["train", "--data_name"], 1),
+    (["no_such_command"], 1),
+    (["train", "--help"], 0),
+], ids=["unknown_flag", "flag_without_value", "unknown_command", "help"])
+def test_a_usage_error_exits_1_and_help_exits_0(tmp_path, capsys, argv, code):
+    assert run(tmp_path, *argv) == code
+    out, err = capsys.readouterr()
+    assert ("usage: unlearnkit" in out) if code == 0 else ("error:" in err)
+    assert list(tmp_path.iterdir()) == []
+
+
 # Values no run can use. Each exits 1 before anything is trained or recorded.
 _BAD_VALUES = [
     ("train", ["--train_batch_size", "0"], "train_batch_size must be an integer >= 1"),
@@ -813,6 +866,14 @@ _BAD_VALUES = [
     ("unlearn", ["--batch_size", "-4"], "batch_size must be an integer >= 1"),
     ("unlearn", ["--epochs", "-2"], "epochs must be an integer >= 0"),
     ("unlearn", ["--bad_teacher_seed", "-1"], "bad_teacher_seed must be an integer >= 0"),
+    ("unlearn", ["--unlearn_method", "salun", "--adapter_rank", "-1"],
+     "adapter_rank must be an integer >= 0"),
+    ("unlearn", ["--unlearn_method", "salun", "--adapter_rank", "2", "--adapter_layer", "-1"],
+     "adapter_layer must be an integer >= 0"),
+    ("unlearn", ["--unlearn_method", "scrub", "--scrub_max_steps", "-1"],
+     "scrub_max_steps must be an integer >= 0"),
+    ("unlearn", ["--unlearn_method", "scrub", "--scrub_min_steps", "-1"],
+     "scrub_min_steps must be an integer >= 0"),
 ]
 
 
@@ -844,6 +905,7 @@ _INT_KEYS = ("seed", "train_epochs", "train_batch_size", "epochs", "batch_size",
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(st.sampled_from(_INT_KEYS), st.integers(-3, 3)),
        st.one_of(st.just("gaussian_blobs:c2:s10:d2"), st.text(max_size=30)))
+@example(ints={}, data_name="-:")
 def test_train_on_any_small_int_config_exits_0_or_1_and_leaves_nothing_pending(ints, data_name):
     import tempfile
 

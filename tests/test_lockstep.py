@@ -11,11 +11,13 @@ import pytest
 
 import unlearnkit.unlearn  # noqa: F401  (the package attribute is the function)
 from unlearnkit import (BudgetError, ConfigError, ShapeError, UnlearnConfig, build_model,
-                        unlearn, unlearn_group)
+                        config_hash, unlearn, unlearn_group)
 from unlearnkit.cli import execute_unlearn_group, main
 from unlearnkit.data import generate
 from unlearnkit.nn import Model
 from unlearnkit.unlearn import METHODS, RunRecorder, train_original
+
+from conftest import spy_trained_rows
 
 U = sys.modules["unlearnkit.unlearn"]
 DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
@@ -67,16 +69,14 @@ def test_group_is_bit_identical_to_solo_runs(originals, monkeypatch, method, var
     members = [(f, split, dataclasses.replace(cfg, unlearn_method=method))
                for f, split, cfg in (originals[variant, seed] for seed in SEEDS)]
     updates = _count_updates(monkeypatch)
-    solo = []
-    for member in members:
-        seen = []
-        solo.append(_fingerprint(unlearn(method, *member, observer=seen.append), seen))
+    trained = spy_trained_rows(monkeypatch)
+    solo = [_fingerprint(unlearn(method, *member), trained.pop(member[2].seed))
+            for member in members]
     solo_updates = len(updates)
-    seen = [[] for _ in members]
-    runs = unlearn_group(method, members, [s.append for s in seen])
+    runs = unlearn_group(method, members)
     assert len(updates) - solo_updates == solo_updates / len(members)  # one stacked update
-    for run, rows, want in zip(runs, seen, solo):
-        got = _fingerprint(run, rows)
+    for run, seed, want in zip(runs, SEEDS, solo):
+        got = _fingerprint(run, trained.pop(seed))
         assert got[:3] == want[:3]
         assert [r.tolist() for r in got[3]] == [r.tolist() for r in want[3]]
         assert run.seconds > 0
@@ -185,6 +185,7 @@ def test_a_member_without_a_checkpoint_fails_alone(tmp_path):
     assert main(["--artifacts", str(tmp_path), "train", *fast, "--seed", "0"]) == 0
     cfgs = [UnlearnConfig(data_name=DATA, backbone="mlp:12", train_epochs=5, epochs=2,
                           unlearn_method="neg_grad", seed=seed) for seed in (0, 1)]
-    done, missing = execute_unlearn_group(tmp_path, cfgs, no_budget=True)
+    done, missing = execute_unlearn_group(tmp_path, cfgs, no_budget=True,
+                                          keys=[config_hash(cfg) for cfg in cfgs])
     assert (done / "report.json").exists()
     assert isinstance(missing, ConfigError) and "no trained checkpoint" in str(missing)

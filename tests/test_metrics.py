@@ -6,9 +6,10 @@ import pytest
 
 from unlearnkit import (ConfigError, InsufficientDataError, UnlearnConfig,
                         build_model, deletion_capacity, evaluate, fit_mia,
-                        mia_success, unlearn)
+                        metrics, mia_success, unlearn)
 from unlearnkit.data import SynthSpec, generate
-from unlearnkit.metrics import EvalReport, build_report, chance_level, split_logits
+from unlearnkit.metrics import (EvalReport, build_report, chance_level, split_logits,
+                                task_losses)
 from unlearnkit.unlearn import train_original
 
 DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
@@ -79,12 +80,17 @@ def test_mia_requires_enough_test_samples(setup):
         mia_success(f, small)
 
 
-def test_mia_calibration_never_touches_deleted_rows(setup):
+def test_mia_calibration_never_touches_deleted_rows(setup, monkeypatch):
+    """The attack is fitted on exactly D_r's losses (members) and D_test's (non-members)."""
     f, split, _ = setup
-    seen = []
-    mia_success(f, split, observer=lambda idx: seen.append(idx))
-    touched = np.unique(np.concatenate(seen))
-    assert np.intersect1d(touched, split.del_indices).size == 0
+    fitted = []
+    real = metrics.fit_mia
+    monkeypatch.setattr(metrics, "fit_mia", lambda *losses: fitted.append(losses) or real(*losses))
+    mia_success(f, split)
+    [(members, nonmembers)] = fitted
+    assert np.array_equal(members, task_losses(f.logits(split.retain_x), split.retain_y))
+    assert np.array_equal(nonmembers, task_losses(f.logits(split.test_x), split.test_y))
+    assert len(members) == split.num_train - split.del_indices.size
 
 
 def test_mia_none_when_no_deletion_set(setup):

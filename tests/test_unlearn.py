@@ -11,7 +11,7 @@ from unlearnkit.optim import ParamMask
 from unlearnkit.unlearn import (METHODS, TAXONOMY, Plan, RunRecorder, TeacherSpec, _drive,
                                 _epochs, loss_and_grad, train_original, write_trace_csv)
 
-from conftest import v1_checkpoint_bytes
+from conftest import spy_trained_rows, v1_checkpoint_bytes
 
 DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
 
@@ -49,7 +49,7 @@ def test_taxonomy_matches_design_axis_table():
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))
-def test_taxonomy_matches_what_the_loop_trains(setup, method):
+def test_taxonomy_matches_what_the_loop_trains(setup, monkeypatch, method):
     """Each declared design cell follows from the parts its plan trains on."""
     f, split, cfg = setup
     spec, planner = METHODS[method]
@@ -88,9 +88,9 @@ def test_taxonomy_matches_what_the_loop_trains(setup, method):
     assert corrupt == ({spec.corrupt} if spec.corrupt else set())
     assert (spec.scope[0] == "Sparse") == (plan.mask is not None or plan.l1_lambda > 0)
     # the run itself trains on exactly the rows the plan lists, in order
-    seen = []
-    unlearn(method, f, split, cfg, observer=lambda idx: seen.append(idx.tolist()))
-    assert seen == order
+    trained = spy_trained_rows(monkeypatch)
+    unlearn(method, f, split, cfg)
+    assert [rows.tolist() for rows in trained[cfg.seed]] == order
 
 
 # -------------------------------------------------------------------- dispatch
@@ -159,20 +159,20 @@ def test_train_original_is_exact_retrain_on_an_undeleted_split(backbone, optimiz
     assert recorder.flos == retrain.flos > 0
 
 
-def test_exact_retrain_never_observes_deleted_rows(setup):
+def test_exact_retrain_never_observes_deleted_rows(setup, monkeypatch):
     f, split, cfg = setup
-    seen = []
-    unlearn("exact_retrain", f, split, cfg, observer=lambda idx: seen.append(idx))
-    touched = np.unique(np.concatenate(seen))
+    trained = spy_trained_rows(monkeypatch)
+    unlearn("exact_retrain", f, split, cfg)
+    touched = np.unique(np.concatenate(trained[cfg.seed]))
     assert np.intersect1d(touched, split.del_indices).size == 0
     assert np.array_equal(touched, split.retain_indices)
 
 
-def test_l1_never_consumes_deleted_rows(setup):
+def test_l1_never_consumes_deleted_rows(setup, monkeypatch):
     f, split, cfg = setup
-    seen = []
-    unlearn("l1_sparse_ft", f, split, cfg, observer=lambda idx: seen.append(idx))
-    touched = np.unique(np.concatenate(seen))
+    trained = spy_trained_rows(monkeypatch)
+    unlearn("l1_sparse_ft", f, split, cfg)
+    touched = np.unique(np.concatenate(trained[cfg.seed]))
     assert np.intersect1d(touched, split.del_indices).size == 0
 
 
@@ -212,11 +212,11 @@ def test_neg_grad_full_batch_ascent_is_nondecreasing(setup):
 
 # ------------------------------------------------------------------ rand_label
 
-def test_rand_label_uses_corrupted_labels_and_full_train(setup):
+def test_rand_label_uses_corrupted_labels_and_full_train(setup, monkeypatch):
     f, split, cfg = setup
-    seen = []
-    unlearn("rand_label", f, split, cfg, observer=lambda idx: seen.append(idx))
-    touched = np.unique(np.concatenate(seen))
+    trained = spy_trained_rows(monkeypatch)
+    unlearn("rand_label", f, split, cfg)
+    touched = np.unique(np.concatenate(trained[cfg.seed]))
     assert np.array_equal(touched, np.arange(split.num_train))
 
 
@@ -322,14 +322,13 @@ def test_kl_methods_reject_a_temperature_that_is_not_positive(setup, method, tem
 
 # ------------------------------------------------------------------ curriculum
 
-def test_curriculum_keeps_data_order_identical(setup):
+def test_curriculum_keeps_data_order_identical(setup, monkeypatch):
     f, split, cfg = setup
+    trained = spy_trained_rows(monkeypatch)
     orders = []
     for flag in (False, True):
-        seen = []
-        unlearn("rand_label", f, split, dataclasses.replace(cfg, curriculum=flag),
-                observer=lambda idx: seen.append(idx.tolist()))
-        orders.append(seen)
+        unlearn("rand_label", f, split, dataclasses.replace(cfg, curriculum=flag))
+        orders.append([rows.tolist() for rows in trained.pop(cfg.seed)])
     assert orders[0] == orders[1]
 
 
