@@ -10,12 +10,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .data import SynthSpec, format_data_name, parse_data_name
 from .errors import ConfigError
 from .fileio import read_json
+from .nn import parse_backbone
 
 
 @dataclass
@@ -58,6 +60,19 @@ class UnlearnConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, (rule, holds) in _FLOAT_RULES.items():
+            value = getattr(self, name)
+            if value is None and name == "budget_seconds":
+                continue  # no limit
+            if not isinstance(value, (int, float)) or not holds(value):
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.adapter_rank > 0:
+            layers = len(parse_backbone(self.backbone)[0]) + 1
+            if self.adapter_layer >= layers:
+                raise ConfigError(f"adapter_layer must be < {layers}, the layer count of "
+                                  f"backbone {self.backbone!r}, got {self.adapter_layer}")
 
     def data_spec(self) -> SynthSpec:
         """Dataset spec with the run seed substituted unless the name pins one."""
@@ -106,6 +121,20 @@ class UnlearnConfig:
 _INT_FLOORS = {"seed": 0, "bad_teacher_seed": 0, "train_epochs": 0, "epochs": 0,
                "train_batch_size": 1, "batch_size": 1, "scrub_max_steps": 0,
                "scrub_min_steps": 0, "adapter_rank": 0, "adapter_layer": 0}
+
+# The rule each float key must meet, besides being finite; budget_seconds may
+# also be None.
+_FLOAT_RULES = {
+    "train_learning_rate": ("> 0", lambda v: v > 0),
+    "learning_rate": ("> 0", lambda v: v > 0),
+    "temperature": ("> 0", lambda v: v > 0),
+    "salun_sparsity": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "l1_lambda": (">= 0", lambda v: v >= 0),
+    "curriculum_lambda": ("> 0", lambda v: v > 0),
+    "curriculum_decay": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "adapter_scale": ("a number", lambda v: True),
+    "budget_seconds": ("a number or None", lambda v: True),
+}
 
 
 TRAIN_KEYS = ("data_name", "backbone", "seed", "train_epochs",

@@ -50,12 +50,17 @@ def accuracies(split: DatasetSplit, logits: SplitLogits) -> tuple[float, float |
 
 
 def _accuracy(logits: np.ndarray, y: np.ndarray) -> float:
-    return 100.0 * float((np.argmax(logits, axis=-1) == y).mean())
+    return 100.0 * float(np.count_nonzero(logits.argmax(axis=-1) == y) / len(y))
 
 
 def task_losses(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Task cross-entropy per sample."""
     return nn.cross_entropy_rows(logits, nn.validate_labels(logits, y))[0]
+
+
+def mean_task_loss(logits: np.ndarray | None, y: np.ndarray) -> float | None:
+    """The mean of :func:`task_losses` as a Python float; None when ``logits`` is (empty D_f)."""
+    return None if logits is None else float(np.add.reduce(task_losses(logits, y)) / len(y))
 
 
 def evaluate(model: Model, split: DatasetSplit) -> tuple[float, float | None, float]:

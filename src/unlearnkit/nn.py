@@ -264,12 +264,12 @@ class Model:
             g_down, g_up = views
             g_low = g * ad.scale
             g_mid = g_low @ ad.up
-            g_down += (h.swapaxes(-1, -2) @ g_mid).swapaxes(-1, -2)
-            g_up += (mids[i].swapaxes(-1, -2) @ g_low).swapaxes(-1, -2)
+            g_down += g_mid.swapaxes(-1, -2) @ h
+            g_up += g_low.swapaxes(-1, -2) @ mids[i]
         elif views is not None:
             g_weight, g_bias = views
-            g_weight += (h.swapaxes(-1, -2) @ g).swapaxes(-1, -2)
-            g_bias += g.sum(axis=-2)
+            g_weight += g.swapaxes(-1, -2) @ h
+            g_bias += np.add.reduce(g, axis=-2)
         if i == self._lowest:
             return None
         gh = g @ layer.weight
@@ -469,18 +469,19 @@ def build_model(input_dim: int, num_classes: int, backbone: str = "mlp:32,32",
 # gradient to :meth:`Model.backprop_hidden`; ``unlearn.loss_and_grad`` does
 # this for the training losses. Rows run along the second-to-last axis of the
 # input, so a stacked ``(K, B, C)`` input gives ``(K, B)`` rows and takes
-# ``(K, B)`` weights.
+# ``(K, B)`` weights. The cross-entropy and KL kernels also take one numpy
+# scalar for every row (a batch mean's ``1/n``): it multiplies each row as
+# the array of equal weights would, byte for byte.
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; every row sums to 1 within 1e-6."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def _clamped_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.clip(p, PROB_FLOOR, 1.0))
+    return np.log(np.minimum(np.maximum(p, PROB_FLOOR), 1.0))
 
 
 def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
@@ -524,7 +525,8 @@ def validate_labels(logits: np.ndarray, labels) -> np.ndarray:
 def check_label_range(labels, num_classes: int) -> np.ndarray:
     """Return ``labels`` as an array after checking each lies in ``[0, num_classes)``."""
     labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+    if labels.size and (np.minimum.reduce(labels, axis=None) < 0
+                        or np.maximum.reduce(labels, axis=None) >= num_classes):
         raise ConfigError(f"labels must lie in [0, {num_classes})")
     return labels
 
@@ -545,12 +547,12 @@ def kl_rows(student_logits: np.ndarray, teacher_logits: np.ndarray, temperature:
     if student_logits.shape != teacher_logits.shape:
         raise ShapeError(f"student {student_logits.shape} vs teacher "
                          f"{teacher_logits.shape} shapes differ")
-    if not (np.isfinite(student_logits).all() and np.isfinite(teacher_logits).all()):
+    if not np.logical_and.reduce(np.isfinite(student_logits) & np.isfinite(teacher_logits), None):
         raise NumericError("non-finite logits passed to kl_rows")
     ps = softmax(student_logits / temperature)
     pt = softmax(teacher_logits / temperature)
     r = _clamped_log(ps) - _clamped_log(pt)
-    rows = (ps * r).sum(axis=-1)
+    rows = np.add.reduce(ps * r, axis=-1)
 
     def row_grad(w):
         # dKL/du_k = ps_k * (r_k - KL_row), the exact softmax-side gradient.

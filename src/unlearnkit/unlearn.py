@@ -105,10 +105,8 @@ class RunRecorder:
         """Append the trace row of ``model``'s state, kept in ``logits`` for the report."""
         split, logits = self.split, metrics.split_logits(model, self.split)
         acc_test, acc_f, acc_r = metrics.accuracies(split, logits)
-        loss_r = float(metrics.task_losses(logits.retain, split.retain_y).mean())
-        loss_f = None
-        if logits.forget is not None:
-            loss_f = float(metrics.task_losses(logits.forget, split.forget_y).mean())
+        loss_r = metrics.mean_task_loss(logits.retain, split.retain_y)
+        loss_f = metrics.mean_task_loss(logits.forget, split.forget_y)  # None when D_f is empty
         self.logits = logits
         self.rows.append(TraceRow(epoch, loss_f, loss_r, acc_test, acc_f, acc_r,
                                   self.flos, self.seconds, phase))
@@ -238,16 +236,16 @@ def _backprop_loss(model: Model, logits: np.ndarray, cache: tuple, labels: np.nd
         # Per model: superloss_weights ravels its batch and moves that model's tau.
         values, sigmas = zip(*(superloss_weights(r, c) for r, c in
                                zip(rows.reshape(len(curricula), n), curricula)))
-        value = np.reshape(values, rows.shape[:-1])[()]  # [()]: a scalar for one model
-        weights = (1.0 / n) * np.reshape(sigmas, rows.shape)
+        value = np.array(values).reshape(rows.shape[:-1])[()]  # [()]: a scalar for one model
+        weights = (1.0 / n) * np.array(sigmas).reshape(rows.shape)
     else:
-        value = rows.mean(axis=-1)
-        weights = np.full(rows.shape, 1.0 / n)
-    if not np.isfinite(value).all():
+        value = np.add.reduce(rows, axis=-1) / n
+        weights = np.float64(1.0 / n)  # every row's weight (see the loss kernels in nn)
+    if not np.logical_and.reduce(np.isfinite(value), axis=None):
         raise NumericError("training loss became non-finite", step=step)
     g = terms[0][1](weights)
     if len(terms) == 2:
-        g = g + terms[1][1](weights)
+        g += terms[1][1](weights)
     if not accumulate:
         model.grad.fill(0.0)
     return value, model.backprop(cache, g)
@@ -467,18 +465,14 @@ def salun(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     original model; the top ``salun_sparsity`` fraction stays trainable.
     With sparsity 1.0 this is exactly rand_label (bit-identical trajectory).
     """
-    s = config.salun_sparsity
-    if not 0.0 < s <= 1.0:
-        raise ConfigError(f"salun_sparsity must be in (0, 1], got {s}")
     _, grad = loss_and_grad(_student(f, config), split.forget_x, labels=split.forget_y)
-    return rand_label(f, split, config, mask=ParamMask.top_fraction(np.abs(grad), s))
+    mask = ParamMask.top_fraction(np.abs(grad), config.salun_sparsity)
+    return rand_label(f, split, config, mask=mask)
 
 
 @register(TeacherSpec(None, None, "original_f", ("Loss",), ("Sparse", "Internal")))
 def l1_sparse_ft(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     """Fine-tune on the remaining data with an L1 pull toward sparse weights."""
-    if config.l1_lambda < 0:
-        raise ConfigError(f"l1_lambda must be >= 0, got {config.l1_lambda}")
     return _finetune(f, split, config, split.retain_indices, split.train_y,
                      l1_lambda=config.l1_lambda)
 

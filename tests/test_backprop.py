@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unlearnkit import (OptimizerState, ParamMask, SuperLossParams, attach_adapter,
                         build_model, merge_adapter, optimizer_step)
@@ -171,3 +172,31 @@ def test_derived_models_never_share_a_buffer(derive):
     derived.set_param_vector(derived.param_vector() + 1.0)
     optimizer_step(OptimizerState("adam", 0.1), derived, np.ones(derived.num_trainable()))
     assert original.param_digest() == digest
+
+
+_WIDTHS = st.one_of(st.integers(1, 64), st.just(256))
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=st.integers(1, 300), fan_in=_WIDTHS, fan_out=_WIDTHS,
+       lead=st.sampled_from([(), (2,)]), seed=st.integers(0, 2**32 - 1))
+def test_weight_gradient_layout_keeps_the_bytes_of_the_transposed_product(
+        batch, fan_in, fan_out, lead, seed):
+    """``g.swapaxes(-1, -2) @ h`` equals ``(h.swapaxes(-1, -2) @ g).swapaxes(-1, -2)``
+    byte for byte, for a layer input ``h`` and output gradient ``g``, unstacked
+    or stacked (K = 2).
+
+    ``Model._backprop_layer`` accumulates every weight and adapter gradient
+    in the first form, which is contiguous; the golden digests were recorded
+    with the second. The input gradient keeps its ``g @ W`` form: the same
+    product from a transposed copy of ``W`` (an NT product) differs in bytes
+    at small shapes, such as a batch of 1. On another numpy or BLAS build,
+    a failure here names the cause of golden digests that no longer match.
+    """
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(lead + (batch, fan_in))
+    g = rng.standard_normal(lead + (batch, fan_out))
+    direct = g.swapaxes(-1, -2) @ h
+    transposed = (h.swapaxes(-1, -2) @ g).swapaxes(-1, -2)
+    assert direct.flags.c_contiguous
+    assert direct.tobytes() == np.ascontiguousarray(transposed).tobytes()

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from unlearnkit import EvalReport, Model, build_model, fileio
 from unlearnkit.cli import _parse_grid_field, main
 from unlearnkit.config import UnlearnConfig, config_hash, train_hash
+from unlearnkit.errors import ConfigError
 from unlearnkit.manifest import Manifest
-from unlearnkit.unlearn import TraceRow, write_trace_csv
+from unlearnkit.unlearn import METHODS, TraceRow, write_trace_csv
 
 from conftest import v1_checkpoint_record
 
@@ -106,15 +107,16 @@ def test_unknown_method_exits_1_and_lists_methods(tmp_path, capsys):
 def test_config_errors_leave_no_run_directory(tmp_path, capsys):
     run(tmp_path, "train", *FAST, "--seed", "0")
     assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "mega") == 1
+    # An adapter rank above the layer's smaller dimension (4 inputs) fails when the run plans.
     assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "salun",
-               "--salun_sparsity", "0") == 1
-    assert run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0", "--salun_sparsity", "2",
+               "--adapter_rank", "9") == 1
+    assert run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0", "--adapter_rank", "9",
                "--methods", "salun", "--ratios", "2", "--seeds", "0") == 2
     assert list((tmp_path / "runs").glob("*")) == []
     entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
     assert sorted(e["status"] for e in entries) == ["failed"] * 3
     messages = " ".join(e["message"] for e in entries)
-    assert "mega" in messages and "salun_sparsity" in messages
+    assert "mega" in messages and "rank 9 exceeds" in messages
 
 
 def test_unlearn_rejects_a_temperature_that_is_not_positive(tmp_path, capsys):
@@ -291,9 +293,13 @@ def test_sweep_deduplicates_grid(tmp_path, capsys):
     assert "sweep: 1 runs" in out
 
 
-def test_sweep_isolates_failures(tmp_path, capsys):
-    # salun_sparsity=0 breaks salun runs but rand_label ones must survive
-    rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0", "--salun_sparsity", "0",
+def test_sweep_isolates_failures(tmp_path, capsys, monkeypatch):
+    # a salun planner that raises breaks salun runs but rand_label ones must survive
+    def broken(f, split, config):
+        raise ConfigError("salun cannot plan")
+
+    monkeypatch.setitem(METHODS, "salun", METHODS["salun"]._replace(plan=broken))
+    rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
              "--methods", "salun,rand_label", "--ratios", "2", "--seeds", "0")
     assert rc == 2
     manifest = Manifest(tmp_path)
@@ -874,6 +880,29 @@ _BAD_VALUES = [
      "scrub_max_steps must be an integer >= 0"),
     ("unlearn", ["--unlearn_method", "scrub", "--scrub_min_steps", "-1"],
      "scrub_min_steps must be an integer >= 0"),
+    ("train", ["--train_learning_rate", "0"], "train_learning_rate must be > 0"),
+    ("train", ["--train_learning_rate", "nan"], "train_learning_rate must be > 0"),
+    ("unlearn", ["--learning_rate", "-1"], "learning_rate must be > 0"),
+    ("unlearn", ["--learning_rate", "inf"], "learning_rate must be finite"),
+    ("unlearn", ["--unlearn_method", "bad_t", "--temperature", "0"], "temperature must be > 0"),
+    ("unlearn", ["--unlearn_method", "scrub", "--temperature", "nan"], "temperature must be > 0"),
+    ("unlearn", ["--unlearn_method", "salun", "--salun_sparsity", "0"],
+     "salun_sparsity must be in (0, 1]"),
+    ("unlearn", ["--unlearn_method", "salun", "--salun_sparsity", "1.5"],
+     "salun_sparsity must be in (0, 1]"),
+    ("unlearn", ["--unlearn_method", "l1_sparse_ft", "--l1_lambda", "-1"],
+     "l1_lambda must be >= 0"),
+    ("unlearn", ["--curriculum", "true", "--curriculum_lambda", "0"],
+     "curriculum_lambda must be > 0"),
+    ("unlearn", ["--curriculum", "true", "--curriculum_decay", "1.5"],
+     "curriculum_decay must be in [0, 1)"),
+    ("unlearn", ["--curriculum", "true", "--curriculum_decay", "nan"],
+     "curriculum_decay must be in [0, 1)"),
+    ("unlearn", ["--unlearn_method", "salun", "--adapter_rank", "2", "--adapter_layer", "7"],
+     "adapter_layer must be < 2"),
+    ("unlearn", ["--unlearn_method", "salun", "--adapter_rank", "2", "--adapter_scale", "nan"],
+     "adapter_scale must be finite"),
+    ("unlearn", ["--budget_seconds", "inf"], "budget_seconds must be finite"),
 ]
 
 
@@ -896,6 +925,19 @@ def test_a_config_value_no_run_can_use_exits_1_before_any_work(tmp_path, monkeyp
     else:
         assert (tmp_path / "manifest.json").read_bytes() == before
         assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("flags", [["--salun_sparsity", "0"], ["--learning_rate", "-1"],
+                                   ["--adapter_scale", "nan"],
+                                   ["--adapter_rank", "2", "--adapter_layer", "7"]], ids=" ".join)
+def test_a_sweep_with_a_float_value_no_run_can_use_exits_1_before_training_an_original(
+        tmp_path, capsys, flags):
+    rc = run(tmp_path, "sweep", *FAST, "--no-budget", *flags,
+             "--methods", "salun,rand_label", "--ratios", "2", "--seeds", "0,1")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{flags[-2][2:]} must be" in err
+    assert list(tmp_path.iterdir()) == []  # no original trained, no manifest written
 
 
 _INT_KEYS = ("seed", "train_epochs", "train_batch_size", "epochs", "batch_size", "del_ratio",

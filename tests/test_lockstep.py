@@ -14,6 +14,7 @@ from unlearnkit import (BudgetError, ConfigError, ShapeError, UnlearnConfig, bui
                         config_hash, unlearn, unlearn_group)
 from unlearnkit.cli import execute_unlearn_group, main
 from unlearnkit.data import generate
+from unlearnkit.metrics import build_report
 from unlearnkit.nn import Model
 from unlearnkit.unlearn import METHODS, RunRecorder, train_original
 
@@ -189,3 +190,27 @@ def test_a_member_without_a_checkpoint_fails_alone(tmp_path):
                                           keys=[config_hash(cfg) for cfg in cfgs])
     assert (done / "report.json").exists()
     assert isinstance(missing, ConfigError) and "no trained checkpoint" in str(missing)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_trace_and_report_numbers_are_builtin_python_types(originals, method):
+    """Every numeric field of the trace rows and the report of a solo run and
+    of a K = 2 group is a builtin ``float`` or ``int`` (or None), never a
+    numpy scalar.
+
+    A numpy scalar has another ``repr`` (``np.float64(...)``), so a kernel
+    that returns one changes every golden digest in ``test_unlearn.py`` at
+    once; this test names the field instead.
+    """
+    members = [(f, split, dataclasses.replace(cfg, unlearn_method=method))
+               for f, split, cfg in (originals["plain", seed] for seed in SEEDS[:2])]
+    runs = [unlearn(method, *members[0]), *unlearn_group(method, members)]
+    for run, (_, split, cfg) in zip(runs, [members[0], *members]):
+        report = build_report(split, run.logits, seconds=run.seconds, flos=run.flos,
+                              config_hash=config_hash(cfg), seed=cfg.seed)
+        numbers = [(f"trace[{i}].{name}", value) for i, row in enumerate(run.trace)
+                   for name, value in vars(row).items() if name != "phase"]
+        numbers += [(f"report.{name}", value) for name, value in report.to_dict().items()
+                    if name != "config_hash"]
+        assert [(name, type(value).__name__) for name, value in numbers
+                if value is not None and type(value) not in (float, int)] == []
