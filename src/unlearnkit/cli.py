@@ -235,9 +235,21 @@ def _write_run(root: Path, key: str, cfg: UnlearnConfig, split,
     return run_dir
 
 
+def _check_methods_and_ratios(methods: list[str], ratios: list[int]) -> None:
+    """Reject unknown methods and deletion ratios outside 1..10 before any run is recorded."""
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ConfigError(f"unknown unlearning method(s) {', '.join(unknown)}; "
+                          f"available: {', '.join(METHODS)}")
+    outside = [r for r in ratios if r not in DEL_RATIO_RANGE]
+    if outside:
+        raise ConfigError(f"deletion ratios must lie in 1..10, got {', '.join(map(str, outside))}")
+
+
 def cmd_unlearn(args) -> int:
     root = _artifacts_root(args)
     cfg = _resolve_config(args)
+    _check_methods_and_ratios([cfg.unlearn_method], [cfg.del_ratio])
     key = config_hash(cfg)
     run_dir = _run_dir(root, key)
     manifest = Manifest(root)
@@ -337,14 +349,8 @@ def cmd_sweep(args) -> int:
     root = _artifacts_root(args)
     base = _resolve_config(args)
     methods = _parse_grid_field(args.methods, str)
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ConfigError(f"unknown unlearning method(s) {', '.join(unknown)}; "
-                          f"available: {', '.join(METHODS)}")
     ratios = _parse_grid_field(args.ratios, int)
-    outside = [r for r in ratios if r not in DEL_RATIO_RANGE]
-    if outside:
-        raise ConfigError(f"deletion ratios must lie in 1..10, got {', '.join(map(str, outside))}")
+    _check_methods_and_ratios(methods, ratios)
     seeds = _parse_grid_field(args.seeds, int)
     manifest = Manifest(root)
 

@@ -18,6 +18,7 @@ from .data import SynthSpec, format_data_name, parse_data_name
 from .errors import ConfigError
 from .fileio import read_json
 from .nn import parse_backbone
+from .optim import OPTIMIZERS
 
 
 @dataclass
@@ -68,11 +69,21 @@ class UnlearnConfig:
                 raise ConfigError(f"{name} must be {rule}, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be {' or '.join(OPTIMIZERS)}, "
+                              f"got {self.optimizer!r}")
+        hidden = parse_backbone(self.backbone)[0]
         if self.adapter_rank > 0:
-            layers = len(parse_backbone(self.backbone)[0]) + 1
-            if self.adapter_layer >= layers:
-                raise ConfigError(f"adapter_layer must be < {layers}, the layer count of "
-                                  f"backbone {self.backbone!r}, got {self.adapter_layer}")
+            spec = self.data_spec()
+            dims = [spec.dim, *hidden, spec.num_classes]  # layer i maps dims[i] to dims[i + 1]
+            layer = self.adapter_layer
+            if layer >= len(dims) - 1:
+                raise ConfigError(f"adapter_layer must be < {len(dims) - 1}, the layer count of "
+                                  f"backbone {self.backbone!r}, got {layer}")
+            limit = min(dims[layer], dims[layer + 1])
+            if self.adapter_rank > limit:
+                raise ConfigError(f"adapter_rank must be <= {limit}, the smaller dimension of "
+                                  f"layer {layer}, got {self.adapter_rank}")
 
     def data_spec(self) -> SynthSpec:
         """Dataset spec with the run seed substituted unless the name pins one."""

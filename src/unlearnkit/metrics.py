@@ -8,7 +8,7 @@ zero, so leaderboard averages are not silently corrupted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -146,10 +146,6 @@ def deletion_capacity(sweep, baseline_acc: float, tolerance: float):
 
 # ------------------------------------------------------------------ the report
 
-REPORT_KEYS = ("acc_test", "acc_f", "acc_r", "seconds", "flos", "mia_success",
-               "transfer_acc", "config_hash", "seed")
-
-
 @dataclass
 class EvalReport:
     """The full metric bundle for one run; serialized with fixed key names.
@@ -188,6 +184,9 @@ class EvalReport:
 
     def save(self, path) -> None:
         write_atomic(path, self.to_json())
+
+
+REPORT_KEYS = tuple(f.name for f in fields(EvalReport))
 
 
 def build_report(split: DatasetSplit, logits: SplitLogits, *, seconds: float, flos: float,

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .nn import Model
 
+OPTIMIZERS = ("sgd", "adam")
+
 
 @dataclass
 class ParamMask:
@@ -60,8 +62,8 @@ class OptimizerState:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("sgd", "adam"):
-            raise ConfigError(f"unknown optimizer {self.kind!r} (sgd or adam)")
+        if self.kind not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {self.kind!r} ({' or '.join(OPTIMIZERS)})")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 

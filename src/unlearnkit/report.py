@@ -44,18 +44,19 @@ class RunRecord:
         return (r["acc_test"] + r["acc_r"] + (100.0 - abs(r["acc_f"] - chance))
                 + (100.0 - r["mia_success"])) / 4.0
 
+    def value(self, name: str) -> float | None:
+        """The report's metric ``name``, or the composite."""
+        return self.composite() if name == "composite" else self.report[name]
+
 
 def collect_runs(run_dirs) -> list[RunRecord]:
     """The runs with both a report and a config; a malformed one is a ConfigError naming it."""
     records = []
-    for directory in run_dirs:
-        directory = Path(directory)
-        report_path = directory / "report.json"
-        config_path = directory / "config.json"
-        if not report_path.exists() or not config_path.exists():
-            continue
-        records.append(RunRecord(directory, UnlearnConfig.load(config_path),
-                                 EvalReport.load(report_path).to_dict()))
+    for directory in map(Path, run_dirs):
+        report_path, config_path = directory / "report.json", directory / "config.json"
+        if report_path.exists() and config_path.exists():
+            records.append(RunRecord(directory, UnlearnConfig.load(config_path),
+                                     EvalReport.load(report_path).to_dict()))
     return records
 
 
@@ -64,13 +65,41 @@ def _base_data_name(config: UnlearnConfig) -> str:
     return format_data_name(config.data_spec()).rsplit(":seed", 1)[0]
 
 
+# Each table's columns, declared once. The leaderboard and the ratio curves
+# average METRICS; the scaling curves copy trace rows.
+METRICS = ("acc_test", "acc_f", "acc_r", "mia_success")
+LEADERBOARD_FIELDS = ("method", "runs", *METRICS, "seconds", "composite")
+RATIO_FIELDS = ("method", "del_ratio", "runs", *METRICS)
+SCALING_FIELDS = ("method", "seed", "del_ratio", "epoch", "flos", "acc_f")
+# Markdown digits of each averaged leaderboard column; the others print as they are.
+_DIGITS = {**dict.fromkeys(METRICS, 1), "seconds": 3, "composite": 2}
+
+
 def _mean(values) -> float | None:
     values = [v for v in values if v is not None]
     return sum(values) / len(values) if values else None
 
 
-def _fmt(v, digits=1) -> str:
+def _group_means(records: list[RunRecord], key, names) -> dict:
+    """``{key(record): {"runs": n, name: mean, ...}}`` over the runs sharing each key."""
+    groups: dict = {}
+    for record in records:
+        groups.setdefault(key(record), []).append(record)
+    return {k: {"runs": len(runs), **{name: _mean(r.value(name) for r in runs) for name in names}}
+            for k, runs in groups.items()}
+
+
+def _table(fields, rows) -> list:
+    """The CSV rows of ``rows``: the header, then each row's ``fields`` (None writes empty)."""
+    return [fields] + [[row[name] for name in fields] for row in rows]
+
+
+def _fmt(v, digits) -> str:
     return "-" if v is None else f"{v:.{digits}f}"
+
+
+def _md_row(cells) -> str:
+    return "| " + " | ".join(map(str, cells)) + " |"
 
 
 def aggregate(records: list[RunRecord]) -> list[dict]:
@@ -81,21 +110,8 @@ def aggregate(records: list[RunRecord]) -> list[dict]:
     if len(datasets) > 1:
         raise ConfigError("runs mix dataset specs, refusing to average them: "
                           + "; ".join(datasets))
-    by_method: dict[str, list[RunRecord]] = {}
-    for record in records:
-        by_method.setdefault(record.method, []).append(record)
-    rows = []
-    for method, runs in by_method.items():
-        rows.append({
-            "method": method,
-            "runs": len(runs),
-            "acc_test": _mean(r.report["acc_test"] for r in runs),
-            "acc_f": _mean(r.report["acc_f"] for r in runs),
-            "acc_r": _mean(r.report["acc_r"] for r in runs),
-            "mia_success": _mean(r.report["mia_success"] for r in runs),
-            "seconds": _mean(r.report["seconds"] for r in runs),
-            "composite": _mean(r.composite() for r in runs),
-        })
+    groups = _group_means(records, lambda r: r.method, LEADERBOARD_FIELDS[2:])
+    rows = [{"method": method, **means} for method, means in groups.items()]
     rows.sort(key=lambda row: (row["composite"] is None,
                                -(row["composite"] or 0.0), row["method"]))
     return rows
@@ -109,15 +125,12 @@ def leaderboard_markdown(rows: list[dict], dataset: str) -> str:
         "",
         f"Ranking: {COMPOSITE_DOC}",
         "",
-        "| rank | method | runs | acc_test | acc_f | acc_r | mia_success | seconds | composite |",
-        "|---:|---|---:|---:|---:|---:|---:|---:|---:|",
+        _md_row(("rank", *LEADERBOARD_FIELDS)),
+        "|---:|---|" + "---:|" * (len(LEADERBOARD_FIELDS) - 1),  # only the method aligns left
     ]
     for i, row in enumerate(rows, start=1):
-        lines.append(
-            f"| {i} | {row['method']} | {row['runs']} | {_fmt(row['acc_test'])} "
-            f"| {_fmt(row['acc_f'])} | {_fmt(row['acc_r'])} "
-            f"| {_fmt(row['mia_success'])} | {_fmt(row['seconds'], 3)} "
-            f"| {_fmt(row['composite'], 2)} |")
+        lines.append(_md_row([i] + [_fmt(row[k], _DIGITS[k]) if k in _DIGITS else row[k]
+                                    for k in LEADERBOARD_FIELDS]))
     lines += [
         "",
         "## Average unlearning time",
@@ -127,9 +140,22 @@ def leaderboard_markdown(rows: list[dict], dataset: str) -> str:
     ]
     for row in rows:
         hours = None if row["seconds"] is None else row["seconds"] / 3600.0
-        lines.append(f"| {row['method']} | {_fmt(hours, 6)} |")
+        lines.append(_md_row((row["method"], _fmt(hours, 6))))
     lines.append("")
     return "\n".join(lines)
+
+
+def _scaling_rows(records: list[RunRecord]) -> list[dict]:
+    """Every trace row with a forget accuracy, with its run's method, seed and ratio."""
+    rows = []
+    for record in records:
+        trace_path = record.directory / "trace.csv"
+        if trace_path.exists():
+            with open(trace_path, newline="") as tf:
+                rows += ({**row, "method": record.method, "seed": record.config.seed,
+                          "del_ratio": record.config.del_ratio}
+                         for row in csv.DictReader(tf) if row["acc_f"] != "")
+    return rows
 
 
 def write_leaderboard(records: list[RunRecord], out_dir) -> dict[str, Path]:
@@ -137,53 +163,14 @@ def write_leaderboard(records: list[RunRecord], out_dir) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = aggregate(records)
-    dataset = _base_data_name(records[0].config)
-
-    md_path = out_dir / "leaderboard.md"
-    write_atomic(md_path, leaderboard_markdown(rows, dataset))
-
-    csv_path = out_dir / "leaderboard.csv"
-    fields = ["method", "runs", "acc_test", "acc_f", "acc_r", "mia_success",
-              "seconds", "composite"]
-    write_csv(csv_path, [fields] + [["" if row[k] is None else row[k] for k in fields]
-                                    for row in rows])
-
-    curves_path = out_dir / "ratio_curves.csv"
-    _write_ratio_curves(records, curves_path)
-
-    scaling_path = out_dir / "scaling_curves.csv"
-    _write_scaling_curves(records, scaling_path)
-
-    return {"markdown": md_path, "csv": csv_path, "ratio_curves": curves_path,
-            "scaling_curves": scaling_path}
-
-
-def _write_ratio_curves(records: list[RunRecord], path: Path) -> None:
-    grouped: dict[tuple[str, int], list[RunRecord]] = {}
-    for record in records:
-        grouped.setdefault((record.method, record.config.del_ratio), []).append(record)
-    lines = [["method", "del_ratio", "runs", "acc_test", "acc_f", "acc_r", "mia_success"]]
-    for (method, ratio), runs in sorted(grouped.items()):
-        lines.append([
-            method, ratio, len(runs),
-            _mean(r.report["acc_test"] for r in runs),
-            _mean(r.report["acc_f"] for r in runs),
-            _mean(r.report["acc_r"] for r in runs),
-            _mean(r.report["mia_success"] for r in runs),
-        ])
-    write_csv(path, lines)
-
-
-def _write_scaling_curves(records: list[RunRecord], path: Path) -> None:
-    lines = [["method", "seed", "del_ratio", "epoch", "flos", "acc_f"]]
-    for record in records:
-        trace_path = record.directory / "trace.csv"
-        if not trace_path.exists():
-            continue
-        with open(trace_path, newline="") as tf:
-            for row in csv.DictReader(tf):
-                if row["acc_f"] == "":
-                    continue
-                lines.append([record.method, record.config.seed, record.config.del_ratio,
-                              row["epoch"], row["flos"], row["acc_f"]])
-    write_csv(path, lines)
+    paths = {"markdown": out_dir / "leaderboard.md", "csv": out_dir / "leaderboard.csv",
+             "ratio_curves": out_dir / "ratio_curves.csv",
+             "scaling_curves": out_dir / "scaling_curves.csv"}
+    write_atomic(paths["markdown"], leaderboard_markdown(rows, _base_data_name(records[0].config)))
+    write_csv(paths["csv"], _table(LEADERBOARD_FIELDS, rows))
+    ratios = _group_means(records, lambda r: (r.method, r.config.del_ratio), METRICS)
+    write_csv(paths["ratio_curves"], _table(RATIO_FIELDS, [
+        {"method": method, "del_ratio": ratio, **means}
+        for (method, ratio), means in sorted(ratios.items())]))
+    write_csv(paths["scaling_curves"], _table(SCALING_FIELDS, _scaling_rows(records)))
+    return paths

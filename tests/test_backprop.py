@@ -5,9 +5,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from unlearnkit import (OptimizerState, ParamMask, SuperLossParams, attach_adapter,
+from unlearnkit import (Model, OptimizerState, ParamMask, SuperLossParams, attach_adapter,
                         build_model, merge_adapter, optimizer_step)
 from unlearnkit.unlearn import loss_and_grad
 
@@ -179,24 +179,42 @@ _WIDTHS = st.one_of(st.integers(1, 64), st.just(256))
 
 @settings(max_examples=150, deadline=None)
 @given(batch=st.integers(1, 300), fan_in=_WIDTHS, fan_out=_WIDTHS,
-       lead=st.sampled_from([(), (2,)]), seed=st.integers(0, 2**32 - 1))
+       lead=st.sampled_from([(), (2,)]), adapter=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(batch=252, fan_in=63, fan_out=63, lead=(), adapter=False, seed=0)
 def test_weight_gradient_layout_keeps_the_bytes_of_the_transposed_product(
-        batch, fan_in, fan_out, lead, seed):
-    """``g.swapaxes(-1, -2) @ h`` equals ``(h.swapaxes(-1, -2) @ g).swapaxes(-1, -2)``
-    byte for byte, for a layer input ``h`` and output gradient ``g``, unstacked
-    or stacked (K = 2).
+        batch, fan_in, fan_out, lead, adapter, seed):
+    """A layer's weight gradient holds the bytes of ``(h^T @ g)^T``, for a
+    layer input ``h`` and output gradient ``g``, unstacked or stacked (K = 2);
+    so do an adapter's ``down`` and ``up`` gradients, from their own inputs
+    and output gradients.
 
-    ``Model._backprop_layer`` accumulates every weight and adapter gradient
-    in the first form, which is contiguous; the golden digests were recorded
-    with the second. The input gradient keeps its ``g @ W`` form: the same
-    product from a transposed copy of ``W`` (an NT product) differs in bytes
-    at small shapes, such as a batch of 1. On another numpy or BLAS build,
-    a failure here names the cause of golden digests that no longer match.
+    The golden digests were recorded with this form. The contiguous
+    ``g^T @ h`` is the same sum but not the same bytes at every shape (a
+    batch of 252 over a 63 x 63 layer on OpenBLAS differs in its last bits).
     """
     rng = np.random.default_rng(seed)
+    models = [build_model(fan_in, 2, f"mlp:{fan_out}", seed=k) for k in range(max(lead, default=1))]
+    if adapter:
+        models = [attach_adapter(m, 0, rank=min(fan_in, fan_out, 3), scale=0.7) for m in models]
+        for m in models:
+            m.set_param_vector(rng.standard_normal(m.num_trainable()))
+    model = Model.stack(models)
     h = rng.standard_normal(lead + (batch, fan_in))
     g = rng.standard_normal(lead + (batch, fan_out))
-    direct = g.swapaxes(-1, -2) @ h
-    transposed = (h.swapaxes(-1, -2) @ g).swapaxes(-1, -2)
-    assert direct.flags.c_contiguous
-    assert direct.tobytes() == np.ascontiguousarray(transposed).tobytes()
+    ad = model.layers[0].adapter
+    mid = None if ad is None else h @ ad.down.swapaxes(-1, -2)
+    model.grad.fill(0.0)
+    model._backprop_layer(0, ([h, None], [mid, None]), g)
+
+    def transposed(a, b):  # added into a zeroed buffer, as the layer does
+        return (0.0 + (a.swapaxes(-1, -2) @ b).swapaxes(-1, -2)).tobytes()
+
+    if ad is None:
+        pairs = [(model._grad_views[0][0], transposed(h, g))]
+    else:
+        g_low = g * ad.scale
+        g_down, g_up = model._grad_views[0]
+        pairs = [(g_down, transposed(h, g_low @ ad.up)), (g_up, transposed(mid, g_low))]
+    for got, want in pairs:
+        assert got.tobytes() == want

@@ -105,18 +105,15 @@ def test_unknown_method_exits_1_and_lists_methods(tmp_path, capsys):
 
 
 def test_config_errors_leave_no_run_directory(tmp_path, capsys):
-    run(tmp_path, "train", *FAST, "--seed", "0")
-    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "mega") == 1
-    # An adapter rank above the layer's smaller dimension (4 inputs) fails when the run plans.
-    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "salun",
-               "--adapter_rank", "9") == 1
-    assert run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0", "--adapter_rank", "9",
-               "--methods", "salun", "--ratios", "2", "--seeds", "0") == 2
+    # 16 training rows, so 1% deletes none: an empty deletion set shows only once the
+    # run has generated its data, after it is recorded.
+    flags = [*FAST, "--data_name", "gaussian_blobs:c2:s10:d4", "--seed", "0"]
+    assert run(tmp_path, "train", *flags) == 0
+    assert run(tmp_path, "unlearn", *flags, "--del_ratio", "1") == 1
     assert list((tmp_path / "runs").glob("*")) == []
     entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
-    assert sorted(e["status"] for e in entries) == ["failed"] * 3
-    messages = " ".join(e["message"] for e in entries)
-    assert "mega" in messages and "rank 9 exceeds" in messages
+    assert [e["status"] for e in entries] == ["failed"]
+    assert "requires a deletion set" in entries[0]["message"]
 
 
 def test_unlearn_rejects_a_temperature_that_is_not_positive(tmp_path, capsys):
@@ -241,6 +238,15 @@ def test_config_file_with_flag_overrides(tmp_path):
     cfg = UnlearnConfig(data_name=DATA, backbone="mlp:12", train_epochs=20,
                         epochs=4, unlearn_method="rand_label", del_ratio=3, seed=4)
     assert (tmp_path / "runs" / config_hash(cfg) / "report.json").exists()
+
+
+@pytest.mark.parametrize("off, unset", [("false", "none"), ("Off", "null"), ("0", " ")])
+def test_flags_parse_the_false_and_none_spellings(off, unset):
+    from unlearnkit.cli import _resolve_config, build_parser
+
+    args = build_parser().parse_args(["unlearn", "--curriculum", off, "--budget_seconds", unset])
+    cfg = _resolve_config(args)
+    assert cfg.curriculum is False and cfg.budget_seconds is None
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -548,13 +554,21 @@ def test_sweep_full_grid_counts_250_entries(tmp_path, capsys):
     assert all(e["status"] == "done" for e in entries)
 
 
-def test_train_config_error_is_recorded_as_failed(tmp_path, capsys):
-    rc = run(tmp_path, "train", "--data_name", DATA, "--backbone", "mlp:0", "--seed", "0")
+def test_train_config_error_is_recorded_as_failed(tmp_path, monkeypatch, capsys):
+    # The config values train reads are all checked before it records anything (see
+    # _BAD_VALUES), so a config error that training raises is simulated.
+    import unlearnkit.cli as cli
+
+    def late_config_error(*args, **kwargs):
+        raise ConfigError("simulated config error in training")
+
+    monkeypatch.setattr(cli, "train_original", late_config_error)
+    rc = run(tmp_path, "train", "--data_name", DATA, "--seed", "0")
     assert rc == 1
     assert "config error" in capsys.readouterr().err
     entries = list(Manifest(tmp_path).entries.values())
     assert [(e["kind"], e["status"]) for e in entries] == [("train", "failed")]
-    assert "mlp:0" in entries[0]["message"]
+    assert "simulated config error in training" in entries[0]["message"]
 
 
 def test_train_divergence_aborts_with_trace(tmp_path, capsys):
@@ -903,6 +917,14 @@ _BAD_VALUES = [
     ("unlearn", ["--unlearn_method", "salun", "--adapter_rank", "2", "--adapter_scale", "nan"],
      "adapter_scale must be finite"),
     ("unlearn", ["--budget_seconds", "inf"], "budget_seconds must be finite"),
+    ("unlearn", ["--unlearn_method", "mega"], "unknown unlearning method(s) mega; available: "),
+    ("unlearn", ["--del_ratio", "0"], "deletion ratios must lie in 1..10, got 0"),
+    ("unlearn", ["--del_ratio", "11"], "deletion ratios must lie in 1..10, got 11"),
+    ("train", ["--optimizer", "foo"], "optimizer must be sgd or adam, got 'foo'"),
+    ("train", ["--backbone", "mlp:0"], "bad backbone spec 'mlp:0'"),
+    ("train", ["--backbone", "cnn:3"], "unknown backbone family 'cnn'"),
+    ("unlearn", ["--unlearn_method", "salun", "--adapter_rank", "9"],
+     "adapter_rank must be <= 4, the smaller dimension of layer 0"),
 ]
 
 
@@ -929,7 +951,8 @@ def test_a_config_value_no_run_can_use_exits_1_before_any_work(tmp_path, monkeyp
 
 @pytest.mark.parametrize("flags", [["--salun_sparsity", "0"], ["--learning_rate", "-1"],
                                    ["--adapter_scale", "nan"],
-                                   ["--adapter_rank", "2", "--adapter_layer", "7"]], ids=" ".join)
+                                   ["--adapter_rank", "2", "--adapter_layer", "7"],
+                                   ["--adapter_rank", "9"], ["--optimizer", "foo"]], ids=" ".join)
 def test_a_sweep_with_a_float_value_no_run_can_use_exits_1_before_training_an_original(
         tmp_path, capsys, flags):
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", *flags,
@@ -958,3 +981,35 @@ def test_train_on_any_small_int_config_exits_0_or_1_and_leaves_nothing_pending(i
         assert run(root, "train", *flags) in (0, 1)
         statuses = [e["status"] for e in Manifest(root).entries.values()]
     assert "pending" not in statuses
+
+
+_UNLEARN_INT_KEYS = ("seed", "train_epochs", "epochs", "batch_size", "del_ratio",
+                     "bad_teacher_seed", "scrub_max_steps", "scrub_min_steps", "adapter_rank",
+                     "adapter_layer")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.sampled_from(_UNLEARN_INT_KEYS), st.integers(-1, 3), max_size=3),
+       st.sampled_from([*METHODS, "mega"]), st.sampled_from(["adam", "sgd", "foo"]),
+       st.sampled_from(["mlp:4", "mlp:3,3", "mlp:4:tanh", "mlp:0", "cnn:3"]))
+@example(ints={"adapter_rank": 2}, method="salun", optimizer="sgd", backbone="mlp:3,3")
+@example(ints={"adapter_rank": 3, "adapter_layer": 1}, method="scrub", optimizer="adam",
+         backbone="mlp:3,3")
+@example(ints={"adapter_rank": 3, "adapter_layer": 2}, method="salun", optimizer="adam",
+         backbone="mlp:3,3")
+def test_unlearn_on_any_small_int_config_exits_0_or_1_and_records_nothing_on_1(
+        ints, method, optimizer, backbone):
+    import tempfile
+
+    # 80 training rows, so every ratio in 1..10 deletes at least one.
+    flags = ["--data_name", "gaussian_blobs:c2:s50:d2", "--train_epochs", "2", "--epochs", "2",
+             "--optimizer", optimizer, "--backbone", backbone]
+    for key, value in ints.items():
+        flags += [f"--{key}", str(value)]
+    with tempfile.TemporaryDirectory() as root:
+        run(root, "train", *flags)
+        manifest = Path(root) / "manifest.json"
+        before = manifest.read_bytes() if manifest.exists() else None
+        rc = run(root, "unlearn", *flags, "--unlearn_method", method, "--no-budget")
+        after = manifest.read_bytes() if manifest.exists() else None
+        assert rc == 0 or (rc == 1 and after == before and not (Path(root) / "runs").exists())

@@ -71,6 +71,19 @@ def test_adapter_gradient_matches_fd():
     assert max_rel_err(grad, fd) < 1e-4
 
 
+def test_gradient_through_an_adapter_above_another_matches_fd():
+    # Layer 2's adapter passes its input gradient down to layer 0's.
+    base = build_model(4, 3, "mlp:6,5", seed=1)
+    adapted = attach_adapter(attach_adapter(base, 0, rank=2, seed=2), 2, rank=2, scale=0.7, seed=3)
+    rng = np.random.default_rng(4)
+    adapted.set_param_vector(rng.standard_normal(adapted.num_trainable()) * 0.3)
+    x = np.random.default_rng(5).standard_normal((5, 4))
+    y = np.array([0, 1, 2, 1, 0])
+    grad = loss_and_grad(adapted, x, labels=y)[1].copy()
+    fd = central_difference(lambda mm: loss_and_grad(mm, x, labels=y)[0], adapted)
+    assert max_rel_err(grad, fd) < 1e-4
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_merge_matches_adapted_forward_and_rank(seed):
     rng = np.random.default_rng(seed)
