@@ -25,15 +25,13 @@ from pathlib import Path
 
 from .config import UnlearnConfig, config_hash, load_config_file, train_hash
 from .data import DEL_RATIO_RANGE, generate
-from .errors import (BudgetError, ConfigError, DomainError,
-                     InsufficientDataError, ShapeError, UnlearnkitError)
+from .errors import ConfigError, DomainError, InsufficientDataError, ShapeError, UnlearnkitError
 from .fileio import read_json, write_atomic
 from .manifest import Manifest
 from .metrics import EvalReport, build_report, split_logits
 from .nn import Model
 from .report import collect_runs, write_leaderboard
-from .unlearn import (METHODS, RunRecorder, UnlearnRun, train_original, unlearn_group,
-                      write_trace_csv)
+from .unlearn import METHODS, UnlearnRun, train_original, unlearn_group, write_trace_csv
 
 ENV_ARTIFACTS = "UNLEARNKIT_ARTIFACTS"
 
@@ -102,17 +100,17 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
     split = generate(spec)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     manifest.start_all("train", [(key, ckpt_dir)])
-    recorder = RunRecorder(split)
     try:
-        train_original(split, cfg, recorder).save(model_path)
-        last = recorder.rows[-1]  # the trained model's: recorded after the last update
+        run = train_original(split, cfg)
+        run.model.save(model_path)
+        last = run.trace[-1]  # the trained model's: recorded after the last update
         seconds, test_acc = last.seconds, last.acc_test
         meta = {"train_seconds": seconds, "test_acc": test_acc,
-                "train_config": cfg.train_dict(), "flos": recorder.flos}
+                "train_config": cfg.train_dict(), "flos": run.flos}
         write_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True))
-        write_trace_csv(recorder.rows, ckpt_dir / "trace.csv")
+        write_trace_csv(run.trace, ckpt_dir / "trace.csv")
     except Exception as exc:
-        _keep_partial_trace(recorder.rows, ckpt_dir)
+        _keep_partial_trace(getattr(exc, "trace", []), ckpt_dir)
         manifest.finish_all([(key, "failed", _failure(exc))])
         raise
     manifest.finish_all([(key, "done", None)])
@@ -223,7 +221,7 @@ def _write_run(root: Path, key: str, cfg: UnlearnConfig, split,
     """
     run_dir = _run_dir(root, key)  # made only when something is written to it
     if isinstance(run, Exception):
-        _keep_partial_trace(run.trace if isinstance(run, BudgetError) else [], run_dir)
+        _keep_partial_trace(getattr(run, "trace", []), run_dir)
         raise run
     report = build_report(split, run.logits, seconds=run.seconds, flos=run.flos,
                           config_hash=key, seed=cfg.seed)
@@ -235,8 +233,12 @@ def _write_run(root: Path, key: str, cfg: UnlearnConfig, split,
     return run_dir
 
 
-def _check_methods_and_ratios(methods: list[str], ratios: list[int]) -> None:
-    """Reject unknown methods and deletion ratios outside 1..10 before any run is recorded."""
+def _check_methods_and_ratios(base: UnlearnConfig, methods: list[str], ratios: list[int]) -> None:
+    """Reject unknown methods, deletion ratios outside 1..10 and, for a method that
+    needs one, a ratio whose deletion set is empty, before any run is recorded.
+
+    The training-set size does not depend on the seed, so ``base`` serves every seed.
+    """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown unlearning method(s) {', '.join(unknown)}; "
@@ -244,12 +246,19 @@ def _check_methods_and_ratios(methods: list[str], ratios: list[int]) -> None:
     outside = [r for r in ratios if r not in DEL_RATIO_RANGE]
     if outside:
         raise ConfigError(f"deletion ratios must lie in 1..10, got {', '.join(map(str, outside))}")
+    needy = [m for m in methods if m != "exact_retrain"]
+    if needy:
+        split = generate(base.data_spec())
+        for ratio in ratios:
+            if split.with_deletion(ratio).del_indices.size == 0:
+                raise ConfigError(f"{needy[0]} requires a deletion set, but del_ratio {ratio} "
+                                  f"deletes none of {split.num_train} training rows")
 
 
 def cmd_unlearn(args) -> int:
     root = _artifacts_root(args)
     cfg = _resolve_config(args)
-    _check_methods_and_ratios([cfg.unlearn_method], [cfg.del_ratio])
+    _check_methods_and_ratios(cfg, [cfg.unlearn_method], [cfg.del_ratio])
     key = config_hash(cfg)
     run_dir = _run_dir(root, key)
     manifest = Manifest(root)
@@ -350,7 +359,7 @@ def cmd_sweep(args) -> int:
     base = _resolve_config(args)
     methods = _parse_grid_field(args.methods, str)
     ratios = _parse_grid_field(args.ratios, int)
-    _check_methods_and_ratios(methods, ratios)
+    _check_methods_and_ratios(base, methods, ratios)
     seeds = _parse_grid_field(args.seeds, int)
     manifest = Manifest(root)
 

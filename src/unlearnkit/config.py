@@ -107,12 +107,11 @@ class UnlearnConfig:
 
     @classmethod
     def from_mapping(cls, values: dict) -> "UnlearnConfig":
-        known = {f.name: f for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, raw in values.items():
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}; valid keys: "
-                                  + ", ".join(sorted(known)))
+                                  + ", ".join(sorted(_FIELD_TYPES)))
             kwargs[key] = coerce_value(key, raw)
         return cls(**kwargs)
 
@@ -155,9 +154,7 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(UnlearnConfig)}
 
 
 def coerce_value(key: str, raw):
-    """Convert a raw string (or already-typed value) to the field's type."""
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key {key!r}")
+    """Convert a raw string (or already-typed value) to the type of the field ``key``."""
     if not isinstance(raw, str):
         return raw
     text = raw.strip()

@@ -93,7 +93,6 @@ class DatasetSplit:
     test_x: np.ndarray
     test_y: np.ndarray
     seed: int
-    del_ratio: int | None = None
     del_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
@@ -136,9 +135,8 @@ class DatasetSplit:
     def retain_y(self) -> np.ndarray:
         return self.train_y[self.retain_indices]
 
-    def with_deletion(self, del_ratio: int, seed: int | None = None) -> "DatasetSplit":
-        indices = sample_deletion_set(self, del_ratio, seed)
-        return replace(self, del_ratio=int(del_ratio), del_indices=indices)
+    def with_deletion(self, del_ratio: int) -> "DatasetSplit":
+        return replace(self, del_indices=sample_deletion_set(self, del_ratio))
 
 
 # ----------------------------------------------------------------- generators

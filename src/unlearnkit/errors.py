@@ -30,11 +30,7 @@ class NumericError(UnlearnkitError, ArithmeticError):
 
 
 class BudgetError(UnlearnkitError, RuntimeError):
-    """Unlearning exceeded its wall-clock budget. Carries the partial trace."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace if trace is not None else []
+    """Unlearning exceeded its wall-clock budget."""
 
 
 class InsufficientDataError(UnlearnkitError, ValueError):

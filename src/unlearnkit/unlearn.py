@@ -113,9 +113,8 @@ class RunRecorder:
 
     def check_budget(self) -> None:
         if self.budget_seconds is not None and self.seconds > self.budget_seconds:
-            raise BudgetError(
-                f"unlearning exceeded its budget of {self.budget_seconds:.3f}s "
-                f"after {self.seconds:.3f}s", trace=self.rows)
+            raise BudgetError(f"unlearning exceeded its budget of {self.budget_seconds:.3f}s "
+                              f"after {self.seconds:.3f}s")
 
 
 @dataclass
@@ -251,8 +250,8 @@ def _backprop_loss(model: Model, logits: np.ndarray, cache: tuple, labels: np.nd
     return value, model.backprop(cache, g)
 
 
-def _drive(plans: list[Plan], optimizer: str, temperature: float = 1.0,
-           recorders: list[RunRecorder] | None = None) -> None:
+def _drive(plans: list[Plan], optimizer: str, temperature: float,
+           recorders: list[RunRecorder]) -> None:
     """Train every plan's student in place through its passes: the one training loop.
 
     The K plans train in lockstep as one stacked model (``nn.Model.stack``;
@@ -281,7 +280,7 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float = 1.0,
     curricula = None if first.curriculum is None else [plan.curriculum for plan in plans]
     stacked_teachers: dict[tuple[int, ...], Model] = {}
     opts: dict[str, OptimizerState] = {}
-    records = list(zip(recorders or (), plans))
+    records = list(zip(recorders, plans))
     for recorder, plan in records:
         recorder.snapshot(0, plan.student, "init")
     step = 0
@@ -312,30 +311,6 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float = 1.0,
         for recorder, plan in records:
             recorder.snapshot(number, plan.student, phase)
             recorder.check_budget()
-
-
-def _from_scratch(split: DatasetSplit, config: UnlearnConfig, idx: np.ndarray) -> Plan:
-    """A fresh model trained with the original's ``train_*`` recipe over the training rows ``idx``.
-
-    One shuffle per epoch from the run seed, no curriculum, mask or L1: the
-    original trains over every row, :func:`exact_retrain` over D_r.
-    """
-    student = _fresh_model(split, config, config.seed)
-    labels = nn.check_label_range(split.train_y, student.num_classes)
-    passes = _epochs(np.random.default_rng(config.seed), idx, split.train_x, labels,
-                     config.train_epochs, config.train_batch_size)
-    return Plan(student, passes, config.train_learning_rate)
-
-
-def train_original(split: DatasetSplit, config: UnlearnConfig,
-                   recorder: RunRecorder | None = None) -> Model:
-    """Train the original model on every training row, deleted or not, with the recorded recipe.
-
-    With a ``recorder`` the trace gets an ``init`` row and one row per epoch.
-    """
-    plan = _from_scratch(split, config, np.arange(split.num_train))
-    _drive([plan], config.optimizer, recorders=None if recorder is None else [recorder])
-    return plan.student
 
 
 # ------------------------------------------------------------------- registry
@@ -374,10 +349,18 @@ def _finetune(f: Model, split: DatasetSplit, config: UnlearnConfig, idx: np.ndar
 
 @register(TeacherSpec(None, None, "original_f", ("Loss",), ("Dense", "Internal")))
 def exact_retrain(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
-    """Train a fresh model on the remaining data only, with the original recipe."""
+    """Train a fresh model on the remaining data only, with the original's ``train_*`` recipe.
+
+    One shuffle per epoch from the run seed, no curriculum, mask or L1. The
+    original is this run on a split with no deletion set (:func:`train_original`).
+    """
     if split.retain_indices.size == 0:
         raise ConfigError("cannot retrain: the remaining set is empty")
-    return _from_scratch(split, config, split.retain_indices)
+    student = _fresh_model(split, config, config.seed)
+    labels = nn.check_label_range(split.train_y, student.num_classes)
+    passes = _epochs(np.random.default_rng(config.seed), split.retain_indices, split.train_x,
+                     labels, config.train_epochs, config.train_batch_size)
+    return Plan(student, passes, config.train_learning_rate)
 
 
 @register(TeacherSpec("Loss", "Grad", "none", (), ("Dense", "Internal")))
@@ -517,7 +500,11 @@ def unlearn_group(method: str, members: Sequence[Member]) -> list[UnlearnRun | E
 
 
 def _lockstep(method: str, members: Sequence[Member]) -> list[UnlearnRun]:
-    """Train the members as one group; any member's error stops the group."""
+    """Train the members as one group; any member's error stops the group.
+
+    The one place a run's recorder is built. The error of a group of one
+    carries the rows that run recorded as ``trace``.
+    """
     if method not in METHODS:
         raise ConfigError(f"unknown unlearning method {method!r}; available: "
                           + ", ".join(METHODS))
@@ -530,11 +517,27 @@ def _lockstep(method: str, members: Sequence[Member]) -> list[UnlearnRun]:
                           "split.with_deletion(del_ratio) first")
     recorders = [RunRecorder(split, budget_seconds=config.budget_seconds, share=len(members))
                  for _, split, config in members]
-    plans = [METHODS[method].plan(*member) for member in members]
-    _drive(plans, configs[0].optimizer, configs[0].temperature, recorders)
+    try:
+        plans = [METHODS[method].plan(*member) for member in members]
+        _drive(plans, configs[0].optimizer, configs[0].temperature, recorders)
+    except Exception as exc:
+        if len(members) == 1:
+            exc.trace = recorders[0].rows
+        raise
     return [UnlearnRun(method=method, config=config, model=plan.student, trace=recorder.rows,
                        seconds=recorder.seconds, flos=recorder.flos, logits=recorder.logits)
             for (_, _, config), plan, recorder in zip(members, plans, recorders)]
+
+
+def train_original(split: DatasetSplit, config: UnlearnConfig) -> UnlearnRun:
+    """Train the original model: an :func:`exact_retrain` run over every training row.
+
+    The run sees ``split`` without its deletion set and has no budget; its
+    trace gets an ``init`` row and one row per epoch.
+    """
+    [run] = _lockstep("exact_retrain", [(None, replace(split, del_indices=()),
+                                         replace(config, budget_seconds=None))])
+    return run
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:

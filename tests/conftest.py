@@ -89,4 +89,4 @@ def tiny_split():
 def tiny_original(tiny_split):
     cfg = UnlearnConfig(data_name="gaussian_blobs:c3:s30:d4:noise0.1", seed=3,
                         backbone="mlp:16", train_epochs=25)
-    return train_original(tiny_split, cfg), cfg
+    return train_original(tiny_split, cfg).model, cfg

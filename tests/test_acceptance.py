@@ -49,7 +49,7 @@ def originals():
     for seed in SEEDS:
         cfg = UnlearnConfig(seed=seed, **TRAIN)
         split = generate(cfg.data_spec())
-        f = train_original(split, cfg)
+        f = train_original(split, cfg).model
         out[seed] = (f, split)
     return out
 

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from unlearnkit import EvalReport, Model, build_model, fileio
 from unlearnkit.cli import _parse_grid_field, main
 from unlearnkit.config import UnlearnConfig, config_hash, train_hash
-from unlearnkit.errors import ConfigError
+from unlearnkit.data import generate
+from unlearnkit.errors import ConfigError, NumericError
 from unlearnkit.manifest import Manifest
-from unlearnkit.unlearn import METHODS, TraceRow, write_trace_csv
+from unlearnkit.unlearn import METHODS, TraceRow, unlearn, write_trace_csv
 
 from conftest import v1_checkpoint_record
 
@@ -105,15 +106,20 @@ def test_unknown_method_exits_1_and_lists_methods(tmp_path, capsys):
 
 
 def test_config_errors_leave_no_run_directory(tmp_path, capsys):
-    # 16 training rows, so 1% deletes none: an empty deletion set shows only once the
-    # run has generated its data, after it is recorded.
-    flags = [*FAST, "--data_name", "gaussian_blobs:c2:s10:d4", "--seed", "0"]
+    # 40 training rows, so 1% deletes none: rejected before the run is recorded, except
+    # for exact_retrain, which needs no deletion set.
+    flags = [*FAST, "--data_name", "gaussian_blobs:c2:s25:d4", "--seed", "0", "--del_ratio", "1"]
     assert run(tmp_path, "train", *flags) == 0
-    assert run(tmp_path, "unlearn", *flags, "--del_ratio", "1") == 1
-    assert list((tmp_path / "runs").glob("*")) == []
+    before = (tmp_path / "manifest.json").read_bytes()
+    capsys.readouterr()
+    assert run(tmp_path, "unlearn", *flags) == 1
+    assert ("config error: rand_label requires a deletion set, but del_ratio 1 deletes none "
+            "of 40 training rows") in capsys.readouterr().err
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    assert not (tmp_path / "runs").exists()
+    assert run(tmp_path, "unlearn", *flags, "--unlearn_method", "exact_retrain") == 0
     entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
-    assert [e["status"] for e in entries] == ["failed"]
-    assert "requires a deletion set" in entries[0]["message"]
+    assert [e["status"] for e in entries] == ["done"]
 
 
 def test_unlearn_rejects_a_temperature_that_is_not_positive(tmp_path, capsys):
@@ -354,6 +360,16 @@ def test_sweep_rejects_workers_below_1_before_any_work(tmp_path, capsys, workers
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_sweep_with_an_empty_deletion_set_exits_1_before_any_work(tmp_path, capsys):
+    # 40 training rows: 5% deletes 2, 1% deletes none, and neg_grad needs a deletion set.
+    rc = run(tmp_path, "sweep", *FAST, "--data_name", "gaussian_blobs:c2:s25:d4", "--no-budget",
+             "--methods", "exact_retrain,neg_grad", "--ratios", "5,1", "--seeds", "0,1")
+    assert rc == 1
+    assert ("config error: neg_grad requires a deletion set, but del_ratio 1 deletes none "
+            "of 40 training rows") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_each_original_is_parsed_once_and_never_mutated(tmp_path):
     import unlearnkit.cli as cli
     from unlearnkit.unlearn import METHODS
@@ -396,6 +412,12 @@ def test_parse_grid_field_expands_ints_and_ascending_ranges(entries):
     for e in entries:
         expected.extend(range(e[0], e[1] + 1) if isinstance(e, tuple) else [e])
     assert _parse_grid_field(text, int) == expected
+
+
+def test_parse_grid_field_skips_empty_items_and_rejects_an_empty_field():
+    assert _parse_grid_field("1,,2", int) == [1, 2]
+    with pytest.raises(ConfigError, match="empty grid field ','"):
+        _parse_grid_field(",", int)
 
 
 def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsys):
@@ -569,6 +591,66 @@ def test_train_config_error_is_recorded_as_failed(tmp_path, monkeypatch, capsys)
     entries = list(Manifest(tmp_path).entries.values())
     assert [(e["kind"], e["status"]) for e in entries] == [("train", "failed")]
     assert "simulated config error in training" in entries[0]["message"]
+
+
+def _rows_without_seconds(path):
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    col = header.index("seconds")
+    return [row[:col] + row[col + 1:] for row in rows]
+
+
+def _library_trace_without_seconds(root, cfg, tmp_path):
+    """The rows the diverging run records alone in the library, as its trace.csv holds them."""
+    model = Model.load(root / "checkpoints" / train_hash(cfg) / "model.json")
+    split = generate(cfg.data_spec()).with_deletion(cfg.del_ratio)
+    with pytest.raises(NumericError) as info:
+        unlearn(cfg.unlearn_method, model, split, cfg)
+    path = tmp_path / "library_trace.csv"
+    write_trace_csv(info.value.trace, path)
+    return _rows_without_seconds(path)
+
+
+def test_unlearn_divergence_keeps_its_partial_trace(tmp_path, capsys):
+    import warnings
+
+    root = tmp_path / "root"
+    assert run(root, "train", *FAST, "--seed", "0") == 0
+    cfg = fast_cfg(seed=0, unlearn_method="neg_grad", learning_rate=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = run(root, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "neg_grad",
+                 "--learning_rate", "1e300", "--no-budget")
+        want = _library_trace_without_seconds(root, cfg, tmp_path)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "runtime error: NumericError: training loss became non-finite" in err
+    [entry] = [e for e in Manifest(root).entries.values() if e["kind"] == "unlearn"]
+    assert entry["status"] == "failed"
+    assert entry["message"].startswith("NumericError: training loss became non-finite")
+    run_dir = root / "runs" / config_hash(cfg)
+    assert [p.name for p in run_dir.iterdir()] == ["trace.csv"]
+    assert _rows_without_seconds(run_dir / "trace.csv") == want and len(want) >= 2
+
+
+def test_each_diverging_sweep_run_keeps_the_partial_trace_it_records_alone(tmp_path, capsys):
+    import warnings
+
+    root = tmp_path / "root"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = run(root, "sweep", *FAST, "--methods", "neg_grad", "--ratios", "5",
+                 "--seeds", "0,1", "--learning_rate", "1e300", "--no-budget")
+        cfgs = [fast_cfg(seed=seed, unlearn_method="neg_grad", learning_rate=1e300)
+                for seed in (0, 1)]
+        wants = [_library_trace_without_seconds(root, cfg, tmp_path) for cfg in cfgs]
+    assert rc == 2
+    entries = Manifest(root).entries
+    for cfg, want in zip(cfgs, wants):
+        key = config_hash(cfg)
+        assert entries[key]["status"] == "failed"
+        assert entries[key]["message"].startswith("NumericError: ")
+        trace = root / "runs" / key / "trace.csv"
+        assert _rows_without_seconds(trace) == want and len(want) >= 2
 
 
 def test_train_divergence_aborts_with_trace(tmp_path, capsys):
@@ -882,6 +964,11 @@ _BAD_VALUES = [
     ("train", ["--data_name", DATA + ":seed-2"], "data seed must be >= 0"),
     ("train", ["--data_name", "gaussian_blobs:c3:s30:d4:noisenan"], "noise must be finite"),
     ("train", ["--config", "missing.cfg"], "bad config file"),
+    ("train", ["--epochs", "x"], "bad value 'x' for config key 'epochs'"),
+    ("train", ["--learning_rate", "fast"], "bad value 'fast' for config key 'learning_rate'"),
+    ("train", ["--curriculum", "maybe"], "bad value 'maybe' for config key 'curriculum'"),
+    ("unlearn", ["--config", "no_equals.cfg"],
+     "no_equals.cfg:1: expected key=value, got 'epochs 5'"),
     ("unlearn", ["--batch_size", "0"], "batch_size must be an integer >= 1"),
     ("unlearn", ["--batch_size", "-4"], "batch_size must be an integer >= 1"),
     ("unlearn", ["--epochs", "-2"], "epochs must be an integer >= 0"),
@@ -920,6 +1007,8 @@ _BAD_VALUES = [
     ("unlearn", ["--unlearn_method", "mega"], "unknown unlearning method(s) mega; available: "),
     ("unlearn", ["--del_ratio", "0"], "deletion ratios must lie in 1..10, got 0"),
     ("unlearn", ["--del_ratio", "11"], "deletion ratios must lie in 1..10, got 11"),
+    ("unlearn", ["--data_name", "gaussian_blobs:c2:s25:d4", "--del_ratio", "1"],
+     "rand_label requires a deletion set, but del_ratio 1 deletes none of 40 training rows"),
     ("train", ["--optimizer", "foo"], "optimizer must be sgd or adam, got 'foo'"),
     ("train", ["--backbone", "mlp:0"], "bad backbone spec 'mlp:0'"),
     ("train", ["--backbone", "cnn:3"], "unknown backbone family 'cnn'"),
@@ -937,6 +1026,7 @@ def test_a_config_value_no_run_can_use_exits_1_before_any_work(tmp_path, monkeyp
     if command == "unlearn":
         assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
         argv.append("--no-budget")
+        (tmp_path / "no_equals.cfg").write_text("epochs 5\n")  # for the --config row
     before = (tmp_path / "manifest.json").read_bytes() if command == "unlearn" else None
     capsys.readouterr()
     assert run(tmp_path, *argv) == 1

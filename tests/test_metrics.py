@@ -20,7 +20,7 @@ def setup():
     cfg = UnlearnConfig(data_name=DATA, backbone="mlp:12", seed=3,
                         train_epochs=25, epochs=6, learning_rate=0.02)
     split = generate(cfg.data_spec()).with_deletion(10)
-    return train_original(split, cfg), split, cfg
+    return train_original(split, cfg).model, split, cfg
 
 
 def test_constant_model_on_balanced_four_class_test():

@@ -27,7 +27,7 @@ def small_cfg(**kwargs):
 def setup():
     cfg = small_cfg()
     split = generate(cfg.data_spec()).with_deletion(10)
-    f = train_original(split, cfg)
+    f = train_original(split, cfg).model
     return f, split, cfg
 
 
@@ -147,16 +147,30 @@ def test_train_original_is_exact_retrain_on_an_undeleted_split(backbone, optimiz
     cfg = small_cfg(backbone=backbone, optimizer=optimizer, train_epochs=6,
                     unlearn_method="exact_retrain")
     split = generate(cfg.data_spec())
-    recorder = RunRecorder(split)
-    f = train_original(split, cfg, recorder)
+    original = train_original(split, cfg)
     retrain = unlearn("exact_retrain", None, split, cfg)
 
     def rows(trace):
         return [dataclasses.replace(row, seconds=0.0) for row in trace]
 
-    assert f.param_digest() == retrain.model.param_digest()
-    assert rows(recorder.rows) == rows(retrain.trace) and len(recorder.rows) == 7
-    assert recorder.flos == retrain.flos > 0
+    assert original.method == "exact_retrain"
+    assert original.model.param_digest() == retrain.model.param_digest()
+    assert rows(original.trace) == rows(retrain.trace) and len(original.trace) == 7
+    assert original.flos == retrain.flos > 0
+
+
+def test_train_original_ignores_the_deletion_set():
+    """The original trains on every row: a split's deletion set changes nothing it records."""
+    cfg = small_cfg(train_epochs=6)
+    split = generate(cfg.data_spec())
+    marked, plain = train_original(split.with_deletion(10), cfg), train_original(split, cfg)
+
+    def rows(trace):
+        return [dataclasses.replace(row, seconds=0.0) for row in trace]
+
+    assert marked.model.param_digest() == plain.model.param_digest()
+    assert rows(marked.trace) == rows(plain.trace) and len(marked.trace) == 7
+    assert marked.flos == plain.flos > 0
 
 
 def test_exact_retrain_never_observes_deleted_rows(setup, monkeypatch):
@@ -182,7 +196,8 @@ def test_l1_zero_lambda_is_plain_finetune(setup):
     ref = f.clone()
     passes = _epochs(np.random.default_rng(cfg.seed), np.arange(len(split.retain_y)),
                      split.retain_x, split.retain_y, cfg.epochs, cfg.batch_size)
-    _drive([Plan(ref, passes, cfg.learning_rate)], cfg.optimizer)
+    _drive([Plan(ref, passes, cfg.learning_rate)], cfg.optimizer, cfg.temperature,
+           [RunRecorder(split)])
     assert plain.model.param_digest() == ref.param_digest()
 
 
@@ -407,7 +422,7 @@ def _golden_run(method, variant, tmp_path, originals):
     split = generate(cfg.data_spec()).with_deletion(10)
     key = (cfg.backbone, cfg.optimizer, cfg.train_learning_rate)
     if key not in originals:
-        originals[key] = train_original(split, cfg)
+        originals[key] = train_original(split, cfg).model
     run = unlearn(method, originals[key], split, dataclasses.replace(cfg, unlearn_method=method))
     path = tmp_path / "model_prime.json"
     run.model.save(path)
