@@ -28,7 +28,7 @@ from .data import DEL_RATIO_RANGE, generate
 from .errors import ConfigError, DomainError, InsufficientDataError, ShapeError, UnlearnkitError
 from .fileio import read_json, write_atomic
 from .manifest import Manifest
-from .metrics import EvalReport, build_report, split_logits
+from .metrics import MIN_TEST_FOR_MIA, EvalReport, build_report, split_logits
 from .nn import Model
 from .report import collect_runs, write_leaderboard
 from .unlearn import METHODS, UnlearnRun, train_original, unlearn_group, write_trace_csv
@@ -183,18 +183,25 @@ def execute_unlearn(root: Path, cfg: UnlearnConfig, key: str, no_budget: bool = 
 
 def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig], no_budget: bool,
                           keys: list[str]) -> list[Path | Exception]:
-    """:func:`execute_unlearn` for configs that differ only in seed, trained in lockstep.
+    """:func:`execute_unlearn` for configs of one method that differ only in seed and
+    deletion ratio, trained in lockstep.
 
-    ``keys`` are the configs' ``config_hash`` values. Returns each config's
-    run directory, or the exception its run raised; every run's artifacts
-    are those it writes alone (see ``unlearn_group``).
+    ``keys`` are the configs' ``config_hash`` values. Each distinct dataset
+    is generated once and shared by the runs that use it (``generate`` is
+    pure). Returns each config's run directory, or the exception its run
+    raised; every run's artifacts are those it writes alone (see
+    ``unlearn_group``).
     """
     outcomes: list[Path | Exception | None] = [None] * len(cfgs)
     started, members = [], []  # the runs whose checkpoint and data loaded
+    datasets: dict = {}  # data_spec() -> its split without a deletion set
     for i, cfg in enumerate(cfgs):
         try:
             f, meta = _load_checkpoint(root, cfg)
-            split = generate(cfg.data_spec()).with_deletion(cfg.del_ratio)
+            spec = cfg.data_spec()
+            if spec not in datasets:
+                datasets[spec] = generate(spec)
+            split = datasets[spec].with_deletion(cfg.del_ratio)
         except Exception as exc:  # this run fails; its siblings go on
             outcomes[i] = exc
             continue
@@ -234,10 +241,11 @@ def _write_run(root: Path, key: str, cfg: UnlearnConfig, split,
 
 
 def _check_methods_and_ratios(base: UnlearnConfig, methods: list[str], ratios: list[int]) -> None:
-    """Reject unknown methods, deletion ratios outside 1..10 and, for a method that
-    needs one, a ratio whose deletion set is empty, before any run is recorded.
+    """Reject unknown methods, deletion ratios outside 1..10, a test set too small to
+    calibrate the membership attack and, for a method that needs one, a ratio whose
+    deletion set is empty, before any run is recorded.
 
-    The training-set size does not depend on the seed, so ``base`` serves every seed.
+    The set sizes do not depend on the seed, so ``base`` serves every seed.
     """
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
@@ -246,9 +254,12 @@ def _check_methods_and_ratios(base: UnlearnConfig, methods: list[str], ratios: l
     outside = [r for r in ratios if r not in DEL_RATIO_RANGE]
     if outside:
         raise ConfigError(f"deletion ratios must lie in 1..10, got {', '.join(map(str, outside))}")
+    split = generate(base.data_spec())
+    if len(split.test_y) < MIN_TEST_FOR_MIA:
+        raise InsufficientDataError(f"need >= {MIN_TEST_FOR_MIA} test samples to calibrate "
+                                    f"the attack, got {len(split.test_y)}")
     needy = [m for m in methods if m != "exact_retrain"]
     if needy:
-        split = generate(base.data_spec())
         for ratio in ratios:
             if split.with_deletion(ratio).del_indices.size == 0:
                 raise ConfigError(f"{needy[0]} requires a deletion set, but del_ratio {ratio} "
@@ -326,7 +337,7 @@ def _parse_grid_field(text: str, kind=int) -> list:
 
 def _sweep_job(keys: list[str], cfg_dicts: list[dict], root: str,
                no_budget: bool) -> list[tuple[str, str, str | None]]:
-    """Run one group of seed siblings; return each run's (key, status, failure message)."""
+    """Run one lockstep group; return each run's (key, status, failure message)."""
     cfgs = [UnlearnConfig.from_mapping(d) for d in cfg_dicts]
     try:
         outcomes = execute_unlearn_group(Path(root), cfgs, no_budget, keys)
@@ -389,10 +400,10 @@ def cmd_sweep(args) -> int:
         manifest.start_all("unlearn", [(key, _run_dir(root, key)) for key in pending])
     print(f"sweep: {len(grid) - len(pending)} already done, {len(pending)} to run")
 
-    # Runs that differ only in seed train in lockstep, as one job.
-    groups: dict[tuple[str, int], dict[str, UnlearnConfig]] = {}
+    # The runs of one method train in lockstep, as one job; those of a ratio are adjacent.
+    groups: dict[str, dict[str, UnlearnConfig]] = {}
     for key, cfg in pending.items():
-        groups.setdefault((cfg.unlearn_method, cfg.del_ratio), {})[key] = cfg
+        groups.setdefault(cfg.unlearn_method, {})[key] = cfg
     failures = 0
 
     def record(cfgs: list[UnlearnConfig], results: list) -> None:

@@ -112,7 +112,9 @@ class DatasetSplit:
     def num_train(self) -> int:
         return len(self.train_y)
 
-    # The evaluation sets are sliced once per split and shared by every caller.
+    # The evaluation sets are sliced once per split and shared by every caller,
+    # except the remaining inputs: a lockstep group holds a split per run, and
+    # they are the one large slice, so each use slices them anew.
     @cached_property
     def retain_indices(self) -> np.ndarray:
         keep = np.ones(self.num_train, dtype=bool)
@@ -127,7 +129,7 @@ class DatasetSplit:
     def forget_y(self) -> np.ndarray:
         return self.train_y[self.del_indices]
 
-    @cached_property
+    @property
     def retain_x(self) -> np.ndarray:
         return self.train_x[self.retain_indices]
 

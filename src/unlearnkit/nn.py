@@ -10,13 +10,16 @@ view into it, and the trainable parameters are one contiguous slice of it
 (``Model.params``). A gradient is computed on plain arrays:
 :meth:`Model.forward_cache` keeps the activations, a loss kernel turns the
 logits into per-row values and a logits gradient, and :meth:`Model.backprop`
-writes the flat gradient into a preallocated buffer, layer by layer.
+writes the flat gradient into a buffer the model makes on first use and then
+reuses, layer by layer.
 
 :meth:`Model.stack` joins K models of one layout into a model over a
-``(K, P)`` buffer whose rows the K models view. The layer, backprop and loss
-code is the same for both: every array may carry that leading K axis
-(inputs ``(K, B, d)``, logits ``(K, B, C)``, per-row values ``(K, B)``), and
-a stacked step computes, slice for slice, exactly what K separate steps do.
+``(K, P)`` buffer whose rows the K models view, and :meth:`Model.rows` views
+a contiguous range of those rows as a stacked model of its own. The layer,
+backprop and loss code is the same for all of them: every array may carry
+that leading K axis (inputs ``(K, B, d)``, logits ``(K, B, C)``, per-row
+values ``(K, B)``), and a stacked step computes, slice for slice, exactly
+what K separate steps do.
 """
 
 from __future__ import annotations
@@ -123,8 +126,8 @@ class Model:
                     if layer.adapter is not None for name in ("down", "up")]
         return base, adapters
 
-    def _pack(self, buffer: np.ndarray | None = None) -> None:
-        """Bind every parameter to its view of one buffer; make the gradient buffer.
+    def _pack(self, buffer: np.ndarray | None = None, grad: np.ndarray | None = None) -> None:
+        """Bind every parameter to its view of one buffer, and the gradient to another.
 
         The buffer holds the base weights and biases in layer order, then
         each adapter's down and up, along its last axis; the trainable slice
@@ -133,6 +136,8 @@ class Model:
         after changing the layer or adapter structure, and nothing is shared
         with another model's buffer. A given ``buffer`` already holds the
         parameters in that layout; a leading axis stacks models (:meth:`stack`).
+        The gradient buffer is ``grad`` when given (shaped as ``params``),
+        else one made on first use (:attr:`grad`).
         """
         base, adapters = self._slots()
         slots = base + adapters
@@ -152,39 +157,81 @@ class Model:
         self._buffer, self._lead = buffer, lead
         trainable = slice(len(base), None) if adapters else slice(len(base))
         shapes, sizes = shapes[trainable], sizes[trainable]
-        # Live view of the trainable parameters (the buffer's tail), and their gradients.
+        # Live view of the trainable parameters (the buffer's tail).
         self.params = buffer[..., buffer.shape[-1] - sum(sizes):]
-        self.grad = np.zeros(lead + (sum(sizes),))
+        self._grad_shapes = shapes
+        # Per layer: whether its pair (its adapter's, when any is attached) is trainable.
+        self._trained = [layer.adapter is not None or not adapters for layer in self.layers]
+        self._lowest = self._trained.index(True)
+        self._grad = self._grad_views = None
+        if grad is not None:
+            self._bind_grad(grad)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The gradient buffer over the trainables, laid out as ``params``.
+
+        Made on first use, so a model that never backprops (a teacher) holds none.
+        """
+        if self._grad is None:
+            self._bind_grad(np.zeros(self.params.shape))
+        return self._grad
+
+    def _bind_grad(self, grad: np.ndarray) -> None:
+        """Make ``grad`` the gradient buffer, and each trainable layer's views of it."""
         views, offset = [], 0
-        for shape, size in zip(shapes, sizes):
-            views.append(self.grad[..., offset:offset + size].reshape(lead + shape))
+        for shape in self._grad_shapes:
+            size = math.prod(shape)
+            views.append(grad[..., offset:offset + size].reshape(self._lead + shape))
             offset += size
         pairs = iter(zip(views[::2], views[1::2]))
         # Per layer: gradient views of its trainable pair, or None when frozen.
-        self._grad_views = [next(pairs) if layer.adapter is not None or not adapters else None
-                            for layer in self.layers]
-        self._lowest = min(i for i, v in enumerate(self._grad_views) if v is not None)
+        self._grad, self._grad_views = grad, [next(pairs) if t else None for t in self._trained]
 
     @classmethod
-    def stack(cls, models: list["Model"]) -> "Model":
+    def stack(cls, models: list["Model"], copy: bool = False) -> "Model":
         """One model over the parameters of K models, to train them in lockstep.
 
         Its buffer is ``(K, P)``, row k holding model k's parameters, and
-        model k is rebound to view its row, so training the stack trains
-        each model in place. A single model is returned as it is. The
-        models must share their layout: activation, layer shapes, adapters.
+        model k is rebound to view its row and the stack's gradient row, and
+        to share the stack's workspace, so training the stack trains each
+        model in place. A single model is returned as it is. With ``copy``
+        the buffer holds copies and the models are left as they are, and
+        one model is stacked too (K = 1). The models must share their
+        layout: activation, layer shapes, adapters.
         """
         first = models[0]
-        if len(models) == 1:
+        if len(models) == 1 and not copy:
             return first
         if any(m._layout() != first._layout() for m in models):
             raise ShapeError("stacked models must share activation, layer shapes and adapters")
-        buffer = np.stack([m._buffer for m in models])
-        for model, row in zip(models, buffer):
-            model._pack(row)
-        out = first.clone()
-        out._pack(buffer)
+        out = first._skeleton()
+        out._pack(np.stack([m._buffer for m in models]))
+        if not copy:
+            for k, model in enumerate(models):
+                model._pack(out._buffer[k], out.grad[k])
+                model.share_workspace(out)
         return out
+
+    def rows(self, lo: int, hi: int) -> "Model":
+        """Models ``lo`` to ``hi - 1`` of a stacked model, as one stacked model.
+
+        Its parameters and gradient are views of rows ``[lo, hi)`` of this
+        model's, and it shares this model's workspace, so training it trains
+        those rows in place.
+        """
+        out = self._skeleton()
+        out._pack(self._buffer[lo:hi], self.grad[lo:hi])
+        return out.share_workspace(self)
+
+    def share_workspace(self, other: "Model") -> "Model":
+        """Run every later forward pass in ``other``'s workspace (:meth:`forward_cache`).
+
+        The two models (and any others sharing it) then overwrite each
+        other's cached activations. Returns this model.
+        """
+        self._workspace = other._workspace
+        return self
 
     def _layout(self) -> tuple:
         return (self.activation, [layer.weight.shape for layer in self.layers],
@@ -204,14 +251,16 @@ class Model:
         flat workspace buffer, which the model keeps and grows to the largest
         batch it has seen; so a pass allocates only the returned logits,
         which are a fresh array. The cached activations are valid until this
-        model's next forward pass (or :meth:`logits`): use or copy them
-        before then. Two threads must not run one model at once.
+        model's next forward pass (or :meth:`logits`), or that of a model
+        sharing its workspace (:meth:`stack`, :meth:`rows`): use or copy
+        them before then. Two threads must not run one model at once.
         """
         h = self._check_input(x)
         act = ACTIVATIONS[self.activation][0]
         rows = math.prod(h.shape[:-1])
         if not self._workspace or self._workspace[0].size < rows * self.hidden[0]:
-            self._workspace = [np.empty(rows * width) for width in self.hidden]
+            # Grown in place: models that share the list (stack, rows) see it.
+            self._workspace[:] = [np.empty(rows * width) for width in self.hidden]
         inputs, mids = [], []
         for layer, buffer, width in zip(self.layers[:-1], self._workspace, self.hidden):
             inputs.append(h)
@@ -232,10 +281,11 @@ class Model:
         (``model.grad.fill(0.0)``) and copy what must outlive the next call.
         Frozen layers below the lowest trainable one are skipped.
         """
+        grad = self.grad  # made on first use, with the views the layers write
         gh = self._backprop_layer(len(self.layers) - 1, cache, g)
         if gh is not None:
             self.backprop_hidden(cache, gh)
-        return self.grad
+        return grad
 
     def backprop_hidden(self, cache: tuple, gh: np.ndarray) -> np.ndarray:
         """Add the gradient of a loss with ``dL/d(penultimate) = gh`` into the buffer.
@@ -244,12 +294,13 @@ class Model:
         output layer gets no gradient. Returns the buffer, as
         :meth:`backprop` does.
         """
+        grad = self.grad  # made on first use, with the views the layers write
         inputs, _ = cache
         act_backward = ACTIVATIONS[self.activation][1]
         for i in range(len(self.layers) - 2, self._lowest - 1, -1):
             g = act_backward(gh, inputs[i + 1])
             gh = self._backprop_layer(i, cache, g)
-        return self.grad
+        return grad
 
     def _backprop_layer(self, i: int, cache, g: np.ndarray) -> np.ndarray | None:
         """Accumulate layer ``i``'s parameter gradients; return its input gradient.
@@ -320,14 +371,20 @@ class Model:
         return self._buffer.size
 
     def clone(self) -> "Model":
+        out = self._skeleton()
+        out._pack()
+        return out
+
+    def _skeleton(self) -> "Model":
+        """A model of this layout whose layers hold this model's arrays, not yet packed."""
         out = Model(self.input_dim, self.hidden, self.num_classes,
                     self.activation, self.seed, _init=False)
         for layer in self.layers:
-            copied = Linear(layer.weight, layer.bias)  # _pack copies
+            copied = Linear(layer.weight, layer.bias)  # _pack copies or rebinds
             if layer.adapter is not None:
                 copied.adapter = layer.adapter.clone()
             out.layers.append(copied)
-        out._pack()
+        out._lead = self._lead
         return out
 
     # ------------------------------------------------------------- checkpoint

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
+from itertools import zip_longest
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -143,6 +144,11 @@ class UnlearnRun:
 Part = tuple[np.ndarray, np.ndarray, np.ndarray | None, Model | None]
 Pass = tuple[str, bool, Iterable[list[Part]]]
 
+# A step stacks at most this many plans. On the default config a step costs
+# each plan about the same at K = 10 as at K = 20 (``tools/hotpath.py``), and
+# a wider stack only holds larger step temporaries.
+MAX_STACK = 10
+
 
 class Plan(NamedTuple):
     """What one run trains: a student, its passes, and the update rule.
@@ -255,29 +261,45 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     """Train every plan's student in place through its passes: the one training loop.
 
     The K plans train in lockstep as one stacked model (``nn.Model.stack``;
-    K = 1 trains the student itself). Their passes, steps and parts are
-    zipped, each drawn from its own plan in its own order (so from its own
-    RNG), and each step makes one forward, loss and backprop over the
-    stacked batch and one optimizer update of the stack. The plans must
-    come from configs that differ only in seed, so they agree on phases,
-    batch shapes, learning rate, curriculum use and L1 weight.
+    K = 1 trains the student itself). Their passes are zipped, and so are
+    their steps within a pass, each drawn from its own plan in its own
+    order (so from its own RNG); a plan whose pass has fewer steps sits out
+    the steps it lacks. The plans must come from configs that differ only
+    in seed and deletion ratio, so they agree on passes, phases, parts per
+    step, learning rate, curriculum use and L1 weight; their batch shapes
+    and steps per pass may differ.
 
-    Every part of a step backprops into one summed gradient. A non-finite
-    part makes that sum non-finite, so each part is checked on its own.
-    The sum gets the L1 pull, the pass's sign and one masked optimizer
-    update. Each phase name keeps its own optimizer state, so ascent and
-    descent never share Adam moments. ``recorders[k]`` counts plan k's
-    samples each step and snapshots plan k's student before training
-    (epoch 0, ``init``) and after every pass, numbered from 1, checking the
-    budget after each pass. The snapshots evaluate each student on its own:
-    a stacked evaluation over the larger evaluation sets was no faster than
-    K of them.
+    Each part of a step runs its forward, loss and backprop once per run
+    of adjacent plans whose parts have the same shape (maximal, up to
+    ``MAX_STACK`` plans), over those rows of the stack (``Model.rows``), and
+    every part backprops into the plan's one summed gradient row. A
+    non-finite part makes that sum non-finite, so each part is checked on
+    its own. Then each run of adjacent plans that stepped gets the L1 pull,
+    the pass's sign and one masked optimizer update; Adam counts each
+    plan's updates on its own. Teachers are stacked as copies, once per
+    distinct run of teachers. Each phase name keeps its own optimizer
+    state, so ascent and descent never share Adam moments.
+
+    ``recorders[k]`` counts plan k's samples each step it takes and
+    snapshots plan k's student before training (epoch 0, ``init``) and
+    after every pass, numbered from 1, checking the budget after each pass.
+    The snapshots evaluate each student on its own: a stacked evaluation
+    over the larger evaluation sets was no faster than K of them.
     """
     first = plans[0]
     model = Model.stack([plan.student for plan in plans])
+    alone = len(plans) == 1  # the student itself, without the leading K axis
     fresh = OptimizerState(optimizer, first.learning_rate)  # a bad recipe fails up front
     mask = None if first.mask is None else ParamMask(_stacked([p.mask.selected for p in plans]))
     curricula = None if first.curriculum is None else [plan.curriculum for plan in plans]
+    views: dict[tuple[int, int], tuple[Model, slice]] = {}
+
+    def stack_rows(lo: int, hi: int) -> tuple[Model, slice]:
+        """The model over plans ``lo`` to ``hi - 1``, and their rows of the stack."""
+        if (lo, hi) not in views:
+            views[lo, hi] = (model, slice(None)) if alone else (model.rows(lo, hi), slice(lo, hi))
+        return views[lo, hi]
+
     stacked_teachers: dict[tuple[int, ...], Model] = {}
     opts: dict[str, OptimizerState] = {}
     records = list(zip(recorders, plans))
@@ -288,29 +310,49 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
         phase, ascending, _ = passes[0]
         if phase not in opts:
             opts[phase] = replace(fresh)
-        for steps in zip(*(p[2] for p in passes), strict=True):
-            for i, parts in enumerate(zip(*steps, strict=True)):
-                _, xs, labels, teachers = zip(*parts)
-                x = _stacked(xs)
-                teacher = None
-                if teachers[0] is not None:
-                    key = tuple(map(id, teachers))
-                    if key not in stacked_teachers:  # copies: the teachers stay as they are
-                        stacked_teachers[key] = (teachers[0] if len(teachers) == 1 else
-                                                 Model.stack([t.clone() for t in teachers]))
-                    teacher = stacked_teachers[key].logits(x)
-                _, grad = _backprop_loss(  # inline, so the logits die with the call
-                    model, *model.forward_cache(x), None if labels[0] is None else _stacked(labels),
-                    teacher, temperature, curricula, step, accumulate=i > 0)
-            if first.l1_lambda:
-                grad = grad + first.l1_lambda * np.sign(model.params)
-            optimizer_step(opts[phase], model, -grad if ascending else grad, mask)
+        for steps in zip_longest(*(p[2] for p in passes)):  # None: that plan's pass is over
+            for i in range(len(next(s for s in steps if s is not None))):
+                for lo, hi in _runs([None if s is None else s[i][1].shape for s in steps]):
+                    view = stack_rows(lo, hi)[0]
+                    _, xs, labels, teachers = zip(*(s[i] for s in steps[lo:hi]))
+                    x = xs[0] if alone else np.array(xs)
+                    teacher = None
+                    if teachers[0] is not None:
+                        key = tuple(map(id, teachers))
+                        if key not in stacked_teachers:  # copies: the teachers stay as they are
+                            stacked_teachers[key] = (teachers[0] if alone else Model.stack(
+                                teachers, copy=True).share_workspace(model))
+                        teacher = stacked_teachers[key].logits(x)
+                    _backprop_loss(  # inline, so the logits die with the call
+                        view, *view.forward_cache(x),
+                        None if labels[0] is None else labels[0] if alone else np.array(labels),
+                        teacher, temperature, None if curricula is None else curricula[lo:hi],
+                        step, accumulate=i > 0)
+            for lo, hi in _runs([None if s is None else True for s in steps]):
+                view, members = stack_rows(lo, hi)
+                grad = view.grad
+                if first.l1_lambda:
+                    grad = grad + first.l1_lambda * np.sign(view.params)
+                optimizer_step(opts[phase], model, -grad if ascending else grad, mask, members)
             for (recorder, plan), parts in zip(records, steps):
-                recorder.add_samples(plan.student, sum(len(part[0]) for part in parts))
+                if parts is not None:
+                    recorder.add_samples(plan.student, sum(len(part[0]) for part in parts))
             step += 1
         for recorder, plan in records:
             recorder.snapshot(number, plan.student, phase)
             recorder.check_budget()
+
+
+def _runs(keys: list) -> list[tuple[int, int]]:
+    """Each ``[lo, hi)`` of adjacent equal keys that are not None, at most
+    ``MAX_STACK`` long and otherwise maximal."""
+    runs, lo = [], 0
+    for k in range(1, len(keys) + 1):
+        if k == len(keys) or keys[k] != keys[lo] or k - lo == MAX_STACK:
+            if keys[lo] is not None:
+                runs.append((lo, k))
+            lo = k
+    return runs
 
 
 # ------------------------------------------------------------------- registry
@@ -482,14 +524,17 @@ def unlearn(method: str, f: Model, split: DatasetSplit, config: UnlearnConfig) -
 def unlearn_group(method: str, members: Sequence[Member]) -> list[UnlearnRun | Exception]:
     """Run one method on K ``(original, split, config)`` members in lockstep.
 
-    The members' configs may differ only in ``seed`` (and ``budget_seconds``),
-    so their plans share phases and batch shapes: they train as one stacked
-    model (see ``_drive``). Each member's model, trace rows apart from
-    ``seconds``, FLOs and trained rows are bit-identical to its run alone
-    with :func:`unlearn`; its ``seconds`` (report, trace and budget) is the
-    group's elapsed time divided by K. If any member raises, the members are
-    rerun one by one, so each gets the result, error and partial trace it
-    gets alone. Returns each member's run, or the exception it raised.
+    The members' configs may differ only in ``seed``, ``del_ratio`` (and
+    ``budget_seconds``), so their plans share passes and phases: they train
+    as one stacked model, each step over the runs of adjacent members whose
+    batches have the same shapes (see ``_drive``). Order the members so that
+    those that share a deletion ratio are adjacent. Each member's model,
+    trace rows apart from ``seconds``, FLOs and trained rows are
+    bit-identical to its run alone with :func:`unlearn`; its ``seconds``
+    (report, trace and budget) is the group's elapsed time divided by K. If
+    any member raises, the members are rerun one by one, so each gets the
+    result, error and partial trace it gets alone. Returns each member's
+    run, or the exception it raised.
     """
     try:
         return _lockstep(method, members)
@@ -509,9 +554,10 @@ def _lockstep(method: str, members: Sequence[Member]) -> list[UnlearnRun]:
         raise ConfigError(f"unknown unlearning method {method!r}; available: "
                           + ", ".join(METHODS))
     configs = [config for _, _, config in members]
-    shared = [replace(config, seed=0, budget_seconds=None) for config in configs]
+    shared = [replace(config, seed=0, del_ratio=1, budget_seconds=None) for config in configs]
     if any(config != shared[0] for config in shared):
-        raise ConfigError("the configs of a lockstep group may differ only in seed")
+        raise ConfigError("the configs of a lockstep group may differ only in seed "
+                          "and del_ratio")
     if method != "exact_retrain" and any(split.del_indices.size == 0 for _, split, _ in members):
         raise ConfigError(f"{method} requires a deletion set; call "
                           "split.with_deletion(del_ratio) first")

@@ -44,20 +44,20 @@ def v1_checkpoint_bytes(model) -> bytes:
     return json.dumps(v1_checkpoint_record(model), indent=2, sort_keys=True).encode()
 
 
-def spy_trained_rows(monkeypatch) -> dict[int, list[np.ndarray]]:
+def spy_trained_rows(monkeypatch, key=lambda config: config.seed) -> dict:
     """Record the training-row indices every registered method trains on.
 
     Each planner in ``METHODS`` is wrapped so that its plan's passes append
     the rows of every part of every step, in the order the training loop
-    draws them, to the returned dict's list under the run's config seed.
-    The passes are only wrapped, so the draws and the training are those
-    of an unspied run.
+    draws them, to the returned dict's list under ``key(config)`` of the
+    run (its seed by default). The passes are only wrapped, so the draws
+    and the training are those of an unspied run.
     """
-    trained: dict[int, list[np.ndarray]] = {}
+    trained: dict = {}
 
     def spied(planner):
         def plan(f, split, config):
-            rows = trained.setdefault(config.seed, [])
+            rows = trained.setdefault(key(config), [])
 
             def steps(inner):
                 for parts in inner:

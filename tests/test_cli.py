@@ -426,20 +426,25 @@ def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsy
     real = cli.execute_unlearn_group
 
     def flaky(root, cfgs, no_budget=False, keys=None):
-        if cfgs[0].unlearn_method == "neg_grad" and cfgs[0].del_ratio == 4:
+        if cfgs[0].unlearn_method == "neg_grad":
             raise MemoryError("simulated out of memory")
         return real(root, cfgs, no_budget, keys)
 
     monkeypatch.setattr(cli, "execute_unlearn_group", flaky)
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
-             "--methods", "rand_label,neg_grad", "--ratios", "2,4", "--seeds", "0")
+             "--methods", "rand_label,neg_grad,l1_sparse_ft", "--ratios", "2,4", "--seeds", "0")
     assert rc == 2
-    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
-    failed = [e for e in entries if e["status"] == "failed"]
-    assert len(entries) == 4 and len(failed) == 1
-    assert failed[0]["message"] == "MemoryError: simulated out of memory"
-    assert "Traceback" in capsys.readouterr().err
-    assert all(e["status"] == "done" for e in entries if e is not failed[0])
+    entries = Manifest(tmp_path).entries
+    statuses = {(method, ratio): entries[config_hash(fast_cfg(
+        unlearn_method=method, del_ratio=ratio, seed=0))]["status"]
+        for method in ("rand_label", "neg_grad", "l1_sparse_ft") for ratio in (2, 4)}
+    # The error fails exactly its group's runs: neg_grad's, at both ratios.
+    assert {key for key, status in statuses.items() if status == "failed"} == {
+        ("neg_grad", 2), ("neg_grad", 4)}
+    assert sum(status == "done" for status in statuses.values()) == 4
+    failed = [e for e in entries.values() if e["status"] == "failed"]
+    assert all(e["message"] == "MemoryError: simulated out of memory" for e in failed)
+    assert capsys.readouterr().err.count("Traceback") == 1
 
 
 def test_sweep_writes_the_manifest_once_per_group(tmp_path, monkeypatch, capsys):
@@ -449,8 +454,8 @@ def test_sweep_writes_the_manifest_once_per_group(tmp_path, monkeypatch, capsys)
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
              "--methods", "rand_label,neg_grad", "--ratios", "2,4", "--seeds", "0,1")
     assert rc == 0
-    # 2 originals (start + finish each), all 8 runs marked pending, 4 seed groups finished
-    assert len(saves) == 2 * 2 + 1 + 4
+    # 2 originals (start + finish each), all 8 runs marked pending, 2 method groups finished
+    assert len(saves) == 2 * 2 + 1 + 2
     entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
     assert len(entries) == 8 and all(e["status"] == "done" for e in entries)
 
@@ -844,24 +849,25 @@ def test_a_dead_pool_worker_fails_its_runs_and_a_resumed_sweep_completes_them(
     real = cli.execute_unlearn_group
 
     def dies(root, cfgs, no_budget=False, keys=None):
-        if cfgs[0].unlearn_method == "neg_grad" and cfgs[0].del_ratio == 4:
+        if cfgs[0].unlearn_method == "neg_grad":
             os._exit(3)  # the worker process ends at once, as if killed
         return real(root, cfgs, no_budget, keys)
 
-    argv = ("sweep", *FAST, "--no-budget", "--workers", "2", "--methods", "rand_label,neg_grad",
-            "--ratios", "2,4", "--seeds", "0,1")
+    # One job per method; neg_grad's, the third, starts only once a worker is free.
+    argv = ("sweep", *FAST, "--no-budget", "--workers", "2", "--methods",
+            "rand_label,l1_sparse_ft,neg_grad", "--ratios", "2,4", "--seeds", "0,1")
     monkeypatch.setattr(cli, "execute_unlearn_group", dies)  # forked workers inherit it
     assert run(tmp_path, *argv) == 2
     entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
     failed = [e for e in entries if e["status"] == "failed"]
-    assert len(entries) == 8 and {e["status"] for e in entries} == {"done", "failed"}
-    assert len(failed) >= 2
+    assert len(entries) == 12 and {e["status"] for e in entries} == {"done", "failed"}
+    assert len(failed) >= 4
     assert all(e["message"].startswith("BrokenProcessPool: ") for e in failed)
     assert capsys.readouterr().err.count("BrokenProcessPool: ") == 1  # one traceback
 
     monkeypatch.setattr(cli, "execute_unlearn_group", real)
     assert run(tmp_path, *argv) == 0
-    assert f"{8 - len(failed)} already done, {len(failed)} to run" in capsys.readouterr().out
+    assert f"{12 - len(failed)} already done, {len(failed)} to run" in capsys.readouterr().out
     entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
     assert all(e["status"] == "done" for e in entries)
 
@@ -1009,6 +1015,10 @@ _BAD_VALUES = [
     ("unlearn", ["--del_ratio", "11"], "deletion ratios must lie in 1..10, got 11"),
     ("unlearn", ["--data_name", "gaussian_blobs:c2:s25:d4", "--del_ratio", "1"],
      "rand_label requires a deletion set, but del_ratio 1 deletes none of 40 training rows"),
+    ("unlearn", ["--data_name", "gaussian_blobs:c2:s10:d4", "--del_ratio", "10"],
+     "need >= 10 test samples to calibrate the attack, got 4"),
+    ("unlearn", ["--data_name", "gaussian_blobs:c2:s10:d4", "--unlearn_method", "exact_retrain"],
+     "need >= 10 test samples to calibrate the attack, got 4"),
     ("train", ["--optimizer", "foo"], "optimizer must be sgd or adam, got 'foo'"),
     ("train", ["--backbone", "mlp:0"], "bad backbone spec 'mlp:0'"),
     ("train", ["--backbone", "cnn:3"], "unknown backbone family 'cnn'"),
@@ -1051,6 +1061,25 @@ def test_a_sweep_with_a_float_value_no_run_can_use_exits_1_before_training_an_or
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"{flags[-2][2:]} must be" in err
     assert list(tmp_path.iterdir()) == []  # no original trained, no manifest written
+
+
+def test_a_test_set_too_small_for_the_attack_exits_1_before_any_run_is_recorded(
+        tmp_path, capsys):
+    # 4 test rows: the original trains, but no run can calibrate the membership attack.
+    flags = [*FAST, "--data_name", "gaussian_blobs:c2:s10:d4", "--no-budget"]
+    assert run(tmp_path, "train", *flags[:-1], "--seed", "0") == 0
+    before = (tmp_path / "manifest.json").read_bytes()
+    capsys.readouterr()
+    problem = "config error: need >= 10 test samples to calibrate the attack, got 4"
+    for argv in (["unlearn", *flags, "--seed", "0", "--del_ratio", "10",
+                  "--unlearn_method", "exact_retrain"],
+                 ["sweep", *flags, "--methods", "exact_retrain", "--ratios", "10",
+                  "--seeds", "0,1"]):
+        assert run(tmp_path, *argv) == 1
+        assert capsys.readouterr().err.startswith(problem)
+        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert not (tmp_path / "runs").exists()
+        assert len(list((tmp_path / "checkpoints").iterdir())) == 1  # no seed-1 original
 
 
 _INT_KEYS = ("seed", "train_epochs", "train_batch_size", "epochs", "batch_size", "del_ratio",

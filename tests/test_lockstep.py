@@ -1,4 +1,5 @@
-"""Seed lockstep: a group of runs that differ only in seed trains as one stacked model."""
+"""Lockstep: a group of runs that differ only in seed and deletion ratio trains as one
+stacked model."""
 
 import dataclasses
 import json
@@ -81,6 +82,59 @@ def test_group_is_bit_identical_to_solo_runs(originals, monkeypatch, method, var
         assert got[:3] == want[:3]
         assert [r.tolist() for r in got[3]] == [r.tolist() for r in want[3]]
         assert run.seconds > 0
+
+
+RATIOS = (1, 5, 10)
+
+
+@pytest.mark.parametrize("order", ["ratio_major", "seed_major_in_pairs"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_a_group_across_ratios_is_bit_identical_to_solo_runs(originals, monkeypatch,
+                                                             method, variant, order):
+    """Ratios 1, 5 and 10 x three seeds as one group.
+
+    At batch 7 the 71, 68 and 65 remaining rows take 11, 10 and 10 steps
+    per pass, with last batches of 1, 5 and 2 rows, and the deletion sets
+    of 1, 4 and 7 rows differ in shape too; so steps split into runs of
+    members and Adam's update counts part. Ratio-major, the members of a
+    ratio are adjacent. Seed-major, with stacks of at most two, parts that
+    differ by ratio run one member at a time and the rest run in pairs.
+    """
+    pairs = order != "ratio_major"
+    if pairs:
+        monkeypatch.setattr(U, "MAX_STACK", 2)
+    members = []
+    for ratio, seed in ([(r, s) for s in SEEDS for r in RATIOS] if pairs else
+                        [(r, s) for r in RATIOS for s in SEEDS]):
+        f, split, cfg = originals[variant, seed]
+        cfg = dataclasses.replace(cfg, unlearn_method=method, del_ratio=ratio,
+                                  batch_size=7, train_batch_size=7)
+        members.append((f, generate(cfg.data_spec()).with_deletion(ratio), cfg))
+    updates = _count_updates(monkeypatch)
+    trained = spy_trained_rows(monkeypatch, key=lambda cfg: (cfg.seed, cfg.del_ratio))
+    solo, solo_updates = [], []
+    for member in members:
+        before = len(updates)
+        run = unlearn(method, *member)
+        solo_updates.append(len(updates) - before)
+        solo.append((_fingerprint(run, trained.pop((member[2].seed, member[2].del_ratio))),
+                     run.logits))
+    before = len(updates)
+    runs = unlearn_group(method, members)
+    group_updates = len(updates) - before
+    for run, (_, _, cfg), (want, logits) in zip(runs, members, solo):
+        got = _fingerprint(run, trained.pop((cfg.seed, cfg.del_ratio)))
+        assert got[:3] == want[:3], (cfg.seed, cfg.del_ratio)
+        assert [r.tolist() for r in got[3]] == [r.tolist() for r in want[3]]
+        for a, b in zip(run.logits, logits):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    # Ratio-major, one update per step for the members that stepped: per-ratio groups
+    # make one per step of each ratio. Solo reruns would make one per member and step.
+    assert group_updates < sum(solo_updates)
+    if not pairs:
+        per_ratio = sum(solo_updates[i] for i in range(0, len(members), len(SEEDS)))
+        assert group_updates == max(solo_updates) and group_updates < per_ratio
 
 
 @pytest.mark.parametrize("error", [BudgetError, RuntimeError])
@@ -189,6 +243,23 @@ def test_a_member_without_a_checkpoint_fails_alone(tmp_path):
                                           keys=[config_hash(cfg) for cfg in cfgs])
     assert (done / "report.json").exists()
     assert isinstance(missing, ConfigError) and "no trained checkpoint" in str(missing)
+
+
+def test_a_group_generates_each_dataset_once(tmp_path, monkeypatch):
+    import unlearnkit.cli as cli
+
+    fast = ["--data_name", DATA, "--backbone", "mlp:12", "--train_epochs", "5", "--epochs", "2"]
+    for seed in ("0", "1"):
+        assert main(["--artifacts", str(tmp_path), "train", *fast, "--seed", seed]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "generate", lambda spec: calls.append(spec) or generate(spec))
+    cfgs = [UnlearnConfig(data_name=DATA, backbone="mlp:12", train_epochs=5, epochs=2,
+                          unlearn_method="neg_grad", del_ratio=ratio, seed=seed)
+            for ratio in (2, 6) for seed in (0, 1)]
+    outcomes = execute_unlearn_group(tmp_path, cfgs, no_budget=True,
+                                     keys=[config_hash(cfg) for cfg in cfgs])
+    assert all((path / "report.json").exists() for path in outcomes)
+    assert sorted(spec.seed for spec in calls) == [0, 1]
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

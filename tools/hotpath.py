@@ -5,9 +5,12 @@ step: the forward pass, the cross-entropy kernel with its row gradient, the
 backprop and the Adam update, and the whole step through the public
 ``loss_and_grad`` and ``optimizer_step``. It does this for two
 default-config models trained in lockstep (K = 2, batch 32 each) and for one
-``wide`` model (``mlp:256,256``, batch 256, 64 inputs, 10 classes). It also
-times one default-config trace snapshot: three evaluation passes and the
-accuracies and mean losses scored from them. Standard library and numpy only.
+``wide`` model (``mlp:256,256``, batch 256, 64 inputs, 10 classes). It then
+prints the whole step's cost per member of a default-config stack of K = 1,
+2, 4, 10 and 20 models, the figure that sets how many members a lockstep
+step stacks (``unlearn.MAX_STACK``). It also times one default-config trace
+snapshot: three evaluation passes and the accuracies and mean losses scored
+from them. Standard library and numpy only.
 
 Usage, from the repository root:
 
@@ -42,6 +45,7 @@ from unlearnkit.unlearn import RunRecorder, loss_and_grad
 WIDE = UnlearnConfig(data_name="gaussian_blobs:c10:s250:d64", backbone="mlp:256,256",
                      batch_size=256)
 PHASES = ("forward", "loss", "backprop", "adam", "step")
+STACK_SIZES = (1, 2, 4, 10, 20)
 
 
 def median_us(fn, repeat: int) -> float:
@@ -51,36 +55,46 @@ def median_us(fn, repeat: int) -> float:
     return 1e6 * statistics.median(timer.repeat(repeat, number)) / number
 
 
-def step_phases(config: UnlearnConfig, k: int, repeat: int) -> dict[str, float]:
-    """Median microseconds of each phase of one step of ``k`` models in lockstep."""
+def lockstep_batch(config: UnlearnConfig, k: int):
+    """``k`` default-seeded models stacked, a batch for each, and a fresh optimizer."""
     spec = config.data_spec()
     split = generate(spec)
-    dim, batch = split.train_x.shape[1], config.batch_size
+    n, dim, batch = split.num_train, split.train_x.shape[1], config.batch_size
     model = Model.stack([build_model(dim, spec.num_classes, config.backbone, seed=s)
                          for s in range(k)])
-    # Member s trains on rows [s * batch, (s + 1) * batch); one model is unstacked.
-    x = np.stack([split.train_x[s * batch:(s + 1) * batch] for s in range(k)])
-    y = np.stack([split.train_y[s * batch:(s + 1) * batch] for s in range(k)])
+    # Member s trains on rows s * batch onward, wrapping around; one model is unstacked.
+    rows = np.stack([np.arange(s * batch, (s + 1) * batch) % n for s in range(k)])
+    x, y = split.train_x[rows], split.train_y[rows]
     if k == 1:
         x, y = x[0], y[0]
+    return model, x, y, OptimizerState(config.optimizer, config.learning_rate)
+
+
+def step_phases(config: UnlearnConfig, k: int, repeat: int) -> dict[str, float]:
+    """Median microseconds of each phase of one step of ``k`` models in lockstep."""
+    model, x, y, state = lockstep_batch(config, k)
     logits, cache = model.forward_cache(x)
-    weight = np.float64(1.0 / batch)  # a batch mean's row weight
+    weight = np.float64(1.0 / config.batch_size)  # a batch mean's row weight
     g = nn.cross_entropy_rows(logits, y)[1](weight)
-    state = OptimizerState(config.optimizer, config.learning_rate)
 
     def backprop():
         model.grad.fill(0.0)
         model.backprop(cache, g)
-
-    def step():
-        optimizer_step(state, model, loss_and_grad(model, x, labels=y)[1])
 
     # The forward pass is timed first: the cache stays that of its last call.
     return {"forward": median_us(lambda: model.forward_cache(x), repeat),
             "loss": median_us(lambda: nn.cross_entropy_rows(logits, y)[1](weight), repeat),
             "backprop": median_us(backprop, repeat),
             "adam": median_us(lambda: optimizer_step(state, model, model.grad), repeat),
-            "step": median_us(step, repeat)}
+            "step": step_us(config, k, repeat)}
+
+
+def step_us(config: UnlearnConfig, k: int, repeat: int) -> float:
+    """Median microseconds of one whole step (``loss_and_grad`` and ``optimizer_step``)
+    of ``k`` models in lockstep."""
+    model, x, y, state = lockstep_batch(config, k)
+    return median_us(lambda: optimizer_step(state, model, loss_and_grad(model, x, labels=y)[1]),
+                     repeat)
 
 
 def snapshot_us(repeat: int) -> float:
@@ -106,6 +120,9 @@ def main(argv: list[str]) -> int:
     for phase in PHASES:
         print(f"{phase:<10}{lockstep[phase]:>14.1f}{wide[phase]:>12.1f}")
     print(f"{'snapshot':<10}{snapshot_us(args.repeat):>14.1f}")
+    print(f"{'K':<10}{'us per member-step':>20}")
+    for k in STACK_SIZES:
+        print(f"{k:<10}{step_us(UnlearnConfig(), k, args.repeat) / k:>20.1f}")
     return 0
 
 
