@@ -141,35 +141,19 @@ def cmd_train(args) -> int:
 
 # --------------------------------------------------------------------- unlearn
 
-# absolute model.json path -> (stat stamp of model.json and meta.json, model, meta)
-_ORIGINALS: dict[Path, tuple[tuple, Model, dict]] = {}
-
-
 def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
-    """The original model and its meta for this config, parsed once per process.
-
-    A checkpoint is read again only when the size or mtime of its
-    ``model.json`` or ``meta.json`` changes. The model and meta returned
-    are shared by every caller, so they must not be mutated: students and
-    stacked teachers are clones.
-    """
+    """The original model and its meta for this config, read from its checkpoint."""
     ckpt_dir = _checkpoint_dir(root, cfg)
     model_path, meta_path = ckpt_dir / "model.json", ckpt_dir / "meta.json"
-    try:
-        stamp = tuple((st.st_mtime_ns, st.st_size) for st in map(os.stat, (model_path, meta_path)))
-    except FileNotFoundError:
+    if not (model_path.exists() and meta_path.exists()):
         raise ConfigError(
             f"no trained checkpoint for this config (expected {model_path.name} and "
             f"{meta_path.name} in {ckpt_dir}); run 'unlearnkit train' with the same "
-            f"data_name/backbone/seed/train_* settings first") from None
-    key = model_path.absolute()
-    cached = _ORIGINALS.get(key)
-    if cached is None or cached[0] != stamp:
-        meta = read_json(meta_path, "checkpoint")
-        if "train_seconds" not in meta:
-            raise ConfigError(f"bad checkpoint {meta_path}: no key 'train_seconds'")
-        cached = _ORIGINALS[key] = (stamp, Model.load(model_path), meta)
-    return cached[1], cached[2]
+            f"data_name/backbone/seed/train_* settings first")
+    meta = read_json(meta_path, "checkpoint")
+    if "train_seconds" not in meta:
+        raise ConfigError(f"bad checkpoint {meta_path}: no key 'train_seconds'")
+    return Model.load(model_path), meta
 
 
 def execute_unlearn(root: Path, cfg: UnlearnConfig, key: str, no_budget: bool = False) -> Path:
@@ -186,21 +170,25 @@ def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig], no_budget: bool
     """:func:`execute_unlearn` for configs of one method that differ only in seed and
     deletion ratio, trained in lockstep.
 
-    ``keys`` are the configs' ``config_hash`` values. Each distinct dataset
-    is generated once and shared by the runs that use it (``generate`` is
-    pure). Returns each config's run directory, or the exception its run
-    raised; every run's artifacts are those it writes alone (see
-    ``unlearn_group``).
+    ``keys`` are the configs' ``config_hash`` values. Each distinct original
+    is loaded, and each distinct dataset generated, once per group and shared
+    by the runs that use it; students and stacked teachers are copies, so the
+    original is never mutated. Returns each config's run directory, or the
+    exception its run raised; every run's artifacts are those it writes
+    alone (see ``unlearn_group``).
     """
     outcomes: list[Path | Exception | None] = [None] * len(cfgs)
     started, members = [], []  # the runs whose checkpoint and data loaded
-    datasets: dict = {}  # data_spec() -> its split without a deletion set
+    originals: dict = {}  # train_hash -> (original, meta)
+    datasets: dict = {}  # data_spec -> split without a deletion set (seeds may pin one)
     for i, cfg in enumerate(cfgs):
         try:
-            f, meta = _load_checkpoint(root, cfg)
-            spec = cfg.data_spec()
+            trained, spec = train_hash(cfg), cfg.data_spec()
+            if trained not in originals:
+                originals[trained] = _load_checkpoint(root, cfg)
             if spec not in datasets:
                 datasets[spec] = generate(spec)
+            f, meta = originals[trained]
             split = datasets[spec].with_deletion(cfg.del_ratio)
         except Exception as exc:  # this run fails; its siblings go on
             outcomes[i] = exc
@@ -335,12 +323,11 @@ def _parse_grid_field(text: str, kind=int) -> list:
     return out
 
 
-def _sweep_job(keys: list[str], cfg_dicts: list[dict], root: str,
+def _sweep_job(keys: list[str], cfgs: list[UnlearnConfig], root: Path,
                no_budget: bool) -> list[tuple[str, str, str | None]]:
     """Run one lockstep group; return each run's (key, status, failure message)."""
-    cfgs = [UnlearnConfig.from_mapping(d) for d in cfg_dicts]
     try:
-        outcomes = execute_unlearn_group(Path(root), cfgs, no_budget, keys)
+        outcomes = execute_unlearn_group(root, cfgs, no_budget, keys)
     except Exception as exc:  # one bad job must not kill the sweep
         outcomes = [exc] * len(cfgs)
     return _results(keys, outcomes, set())
@@ -414,7 +401,7 @@ def cmd_sweep(args) -> int:
             failures += status == "failed"
 
     def job(group: dict[str, UnlearnConfig]) -> tuple:
-        return list(group), [cfg.to_dict() for cfg in group.values()], str(root), args.no_budget
+        return list(group), list(group.values()), root, args.no_budget
 
     if args.workers > 1 and pending:
         from concurrent.futures import as_completed

@@ -195,14 +195,11 @@ class Model:
         Its buffer is ``(K, P)``, row k holding model k's parameters, and
         model k is rebound to view its row and the stack's gradient row, and
         to share the stack's workspace, so training the stack trains each
-        model in place. A single model is returned as it is. With ``copy``
-        the buffer holds copies and the models are left as they are, and
-        one model is stacked too (K = 1). The models must share their
-        layout: activation, layer shapes, adapters.
+        model in place; one model is stacked too (K = 1). With ``copy`` the
+        buffer holds copies and the models are left as they are. The models
+        must share their layout: activation, layer shapes, adapters.
         """
         first = models[0]
-        if len(models) == 1 and not copy:
-            return first
         if any(m._layout() != first._layout() for m in models):
             raise ShapeError("stacked models must share activation, layer shapes and adapters")
         out = first._skeleton()

@@ -11,6 +11,7 @@ are dense or restricted to a saliency mask.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import zip_longest
@@ -67,11 +68,6 @@ class TraceRow:
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
-
-
-def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """One array for one run; K same-shaped arrays stacked on a leading axis for K."""
-    return arrays[0] if len(arrays) == 1 else np.array(arrays)
 
 
 class RunRecorder:
@@ -260,8 +256,8 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
            recorders: list[RunRecorder]) -> None:
     """Train every plan's student in place through its passes: the one training loop.
 
-    The K plans train in lockstep as one stacked model (``nn.Model.stack``;
-    K = 1 trains the student itself). Their passes are zipped, and so are
+    The K plans train in lockstep as one stacked model (``nn.Model.stack``),
+    a stack of one for a solo run. Their passes are zipped, and so are
     their steps within a pass, each drawn from its own plan in its own
     order (so from its own RNG); a plan whose pass has fewer steps sits out
     the steps it lacks. The plans must come from configs that differ only
@@ -288,18 +284,10 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     """
     first = plans[0]
     model = Model.stack([plan.student for plan in plans])
-    alone = len(plans) == 1  # the student itself, without the leading K axis
     fresh = OptimizerState(optimizer, first.learning_rate)  # a bad recipe fails up front
-    mask = None if first.mask is None else ParamMask(_stacked([p.mask.selected for p in plans]))
+    mask = None if first.mask is None else ParamMask(np.array([p.mask.selected for p in plans]))
     curricula = None if first.curriculum is None else [plan.curriculum for plan in plans]
-    views: dict[tuple[int, int], tuple[Model, slice]] = {}
-
-    def stack_rows(lo: int, hi: int) -> tuple[Model, slice]:
-        """The model over plans ``lo`` to ``hi - 1``, and their rows of the stack."""
-        if (lo, hi) not in views:
-            views[lo, hi] = (model, slice(None)) if alone else (model.rows(lo, hi), slice(lo, hi))
-        return views[lo, hi]
-
+    stack_rows = functools.cache(model.rows)  # one view per run of plans
     stacked_teachers: dict[tuple[int, ...], Model] = {}
     opts: dict[str, OptimizerState] = {}
     records = list(zip(recorders, plans))
@@ -313,27 +301,27 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
         for steps in zip_longest(*(p[2] for p in passes)):  # None: that plan's pass is over
             for i in range(len(next(s for s in steps if s is not None))):
                 for lo, hi in _runs([None if s is None else s[i][1].shape for s in steps]):
-                    view = stack_rows(lo, hi)[0]
+                    view = stack_rows(lo, hi)
                     _, xs, labels, teachers = zip(*(s[i] for s in steps[lo:hi]))
-                    x = xs[0] if alone else np.array(xs)
+                    x = np.array(xs)
                     teacher = None
                     if teachers[0] is not None:
                         key = tuple(map(id, teachers))
                         if key not in stacked_teachers:  # copies: the teachers stay as they are
-                            stacked_teachers[key] = (teachers[0] if alone else Model.stack(
-                                teachers, copy=True).share_workspace(model))
+                            stacked_teachers[key] = Model.stack(
+                                teachers, copy=True).share_workspace(model)
                         teacher = stacked_teachers[key].logits(x)
                     _backprop_loss(  # inline, so the logits die with the call
                         view, *view.forward_cache(x),
-                        None if labels[0] is None else labels[0] if alone else np.array(labels),
-                        teacher, temperature, None if curricula is None else curricula[lo:hi],
-                        step, accumulate=i > 0)
+                        None if labels[0] is None else np.array(labels), teacher, temperature,
+                        None if curricula is None else curricula[lo:hi], step, accumulate=i > 0)
             for lo, hi in _runs([None if s is None else True for s in steps]):
-                view, members = stack_rows(lo, hi)
+                view = stack_rows(lo, hi)
                 grad = view.grad
                 if first.l1_lambda:
                     grad = grad + first.l1_lambda * np.sign(view.params)
-                optimizer_step(opts[phase], model, -grad if ascending else grad, mask, members)
+                optimizer_step(opts[phase], model, -grad if ascending else grad, mask,
+                               slice(lo, hi))
             for (recorder, plan), parts in zip(records, steps):
                 if parts is not None:
                     recorder.add_samples(plan.student, sum(len(part[0]) for part in parts))

@@ -179,15 +179,16 @@ _WIDTHS = st.one_of(st.integers(1, 64), st.just(256))
 
 @settings(max_examples=150, deadline=None)
 @given(batch=st.integers(1, 300), fan_in=_WIDTHS, fan_out=_WIDTHS,
-       lead=st.sampled_from([(), (2,)]), adapter=st.booleans(),
+       lead=st.sampled_from([(), (1,), (2,)]), adapter=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 @example(batch=252, fan_in=63, fan_out=63, lead=(), adapter=False, seed=0)
+@example(batch=252, fan_in=63, fan_out=63, lead=(1,), adapter=False, seed=0)
 def test_weight_gradient_layout_keeps_the_bytes_of_the_transposed_product(
         batch, fan_in, fan_out, lead, adapter, seed):
     """A layer's weight gradient holds the bytes of ``(h^T @ g)^T``, for a
-    layer input ``h`` and output gradient ``g``, unstacked or stacked (K = 2);
-    so do an adapter's ``down`` and ``up`` gradients, from their own inputs
-    and output gradients.
+    layer input ``h`` and output gradient ``g``, unstacked or stacked (K = 1,
+    the path every solo run trains on, and K = 2); so do an adapter's ``down``
+    and ``up`` gradients, from their own inputs and output gradients.
 
     The golden digests were recorded with this form. The contiguous
     ``g^T @ h`` is the same sum but not the same bytes at every shape (a
@@ -199,7 +200,7 @@ def test_weight_gradient_layout_keeps_the_bytes_of_the_transposed_product(
         models = [attach_adapter(m, 0, rank=min(fan_in, fan_out, 3), scale=0.7) for m in models]
         for m in models:
             m.set_param_vector(rng.standard_normal(m.num_trainable()))
-    model = Model.stack(models)
+    model = Model.stack(models) if lead else models[0]
     h = rng.standard_normal(lead + (batch, fan_in))
     g = rng.standard_normal(lead + (batch, fan_out))
     ad = model.layers[0].adapter

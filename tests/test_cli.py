@@ -370,7 +370,7 @@ def test_a_sweep_with_an_empty_deletion_set_exits_1_before_any_work(tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
-def test_each_original_is_parsed_once_and_never_mutated(tmp_path):
+def test_a_group_loads_each_original_once_and_never_mutates_it(tmp_path, monkeypatch):
     import unlearnkit.cli as cli
     from unlearnkit.unlearn import METHODS
 
@@ -378,25 +378,42 @@ def test_each_original_is_parsed_once_and_never_mutated(tmp_path):
         assert run(tmp_path, "train", *FAST, "--seed", str(seed)) == 0
     paths = [tmp_path / "checkpoints" / train_hash(fast_cfg(seed=s)) / "model.json"
              for s in (0, 1)]
-    originals = [cli._load_checkpoint(tmp_path, fast_cfg(seed=s))[0] for s in (0, 1)]
-    assert cli._load_checkpoint(tmp_path, fast_cfg(seed=0))[0] is originals[0]
+    real_load = Model.load
+    loaded = []  # (path, model) of every load the groups make
+    monkeypatch.setattr(cli.Model, "load", classmethod(
+        lambda cls, path: loaded.append((Path(path), real_load(path))) or loaded[-1][1]))
+
+    def group(method, seeds, ratios):
+        cfgs = [fast_cfg(seed=s, unlearn_method=method, del_ratio=r)
+                for r in ratios for s in seeds]
+        outcomes = cli.execute_unlearn_group(tmp_path, cfgs, no_budget=True,
+                                             keys=[config_hash(c) for c in cfgs])
+        assert all(isinstance(o, Path) for o in outcomes), (method, outcomes)
+        return outcomes
+
+    group("neg_grad", (0, 1), (2, 6))  # four runs over two checkpoints: two loads
+    assert [path for path, _ in loaded] == paths
     for method in METHODS:  # stacked groups of two, and groups of one
         for seeds, ratio in (((0, 1), 5), ((0,), 3)):
-            cfgs = [fast_cfg(seed=s, unlearn_method=method, del_ratio=ratio) for s in seeds]
-            outcomes = cli.execute_unlearn_group(tmp_path, cfgs, no_budget=True,
-                                                 keys=[config_hash(c) for c in cfgs])
-            assert all(isinstance(o, Path) for o in outcomes), (method, outcomes)
-    for path, original, seed in zip(paths, originals, (0, 1)):
-        assert original.param_digest() == Model.load(path).param_digest()
-        assert cli._load_checkpoint(tmp_path, fast_cfg(seed=seed))[0] is original
+            group(method, seeds, (ratio,))
+    assert len(loaded) == 2 + len(METHODS) * 3
+    for path, original in loaded:
+        assert original.param_digest() == real_load(path).param_digest()
 
-    # A rewritten checkpoint is read again, here a version-1 one.
-    record = v1_checkpoint_record(Model.load(paths[0]))
+    # A checkpoint rewritten between two groups, here as version 1, is the one
+    # the second group trains from.
+    record = v1_checkpoint_record(real_load(paths[0]))
     record["params"]["layers.0.weight"][0] = 0.125
     paths[0].write_text(json.dumps(record, indent=2, sort_keys=True))
-    reread = cli._load_checkpoint(tmp_path, fast_cfg(seed=0))[0]
-    assert reread is not originals[0] and reread.layers[0].weight[0, 0] == 0.125
-    assert reread.param_digest() == Model.load(paths[0]).param_digest()
+    loaded.clear()
+    [run_dir] = group("neg_grad", (0,), (5,))
+    [(_, original)] = loaded
+    assert original.layers[0].weight[0, 0] == 0.125
+    assert original.param_digest() == real_load(paths[0]).param_digest()
+    cfg = fast_cfg(unlearn_method="neg_grad", del_ratio=5)
+    expected = unlearn("neg_grad", real_load(paths[0]),
+                       generate(cfg.data_spec()).with_deletion(5), cfg).model
+    assert real_load(run_dir / "model_prime.json").param_digest() == expected.param_digest()
 
 
 # An entry of a grid field: a single integer, or an ascending range (lo, hi).

@@ -206,6 +206,41 @@ def test_stack_views_member_rows_and_rejects_mixed_layouts():
     assert np.array_equal(a.param_vector(), before[0])
     with pytest.raises(ShapeError):
         Model.stack([a, build_model(4, 3, "mlp:6", seed=2)])
+    before = a.param_vector()
+    solo = Model.stack([a])  # one model is stacked too, and views its row
+    assert solo is not a and solo.params.shape == (1, a.num_trainable())
+    assert np.array_equal(solo.params[0], before)
+    solo.params[0] += 1.0
+    assert np.array_equal(a.param_vector(), before + 1.0)
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_a_solo_run_trains_as_a_stack_of_one(originals, monkeypatch, method):
+    """Every training step of a run alone goes through the stacked path: each
+    forward pass outside the snapshots gets a ``(1, B, d)`` batch."""
+    f, split, cfg = originals["plain", 0]
+    shapes, training = [], [False]
+    forward_cache, drive, snapshot = Model.forward_cache, U._drive, RunRecorder.snapshot
+
+    def spied_forward(model, x):
+        if training[0]:
+            shapes.append(np.shape(x))
+        return forward_cache(model, x)
+
+    def flagged(fn, flag):
+        def call(*args, **kwargs):
+            outer, training[0] = training[0], flag
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                training[0] = outer
+        return call
+
+    monkeypatch.setattr(Model, "forward_cache", spied_forward)
+    monkeypatch.setattr(U, "_drive", flagged(drive, True))
+    monkeypatch.setattr(RunRecorder, "snapshot", flagged(snapshot, False))
+    unlearn(method, f, split, dataclasses.replace(cfg, unlearn_method=method))
+    assert shapes and {(len(shape), shape[0]) for shape in shapes} == {(3, 1)}
 
 
 def test_cli_sweep_matches_per_config_unlearn_commands(tmp_path):
@@ -260,6 +295,16 @@ def test_a_group_generates_each_dataset_once(tmp_path, monkeypatch):
                                      keys=[config_hash(cfg) for cfg in cfgs])
     assert all((path / "report.json").exists() for path in outcomes)
     assert sorted(spec.seed for spec in calls) == [0, 1]
+    # A data name that pins its seed gives every seed of the group one dataset.
+    pinned = [*fast[:1], DATA + ":seed5", *fast[2:]]
+    for seed in ("0", "1"):
+        assert main(["--artifacts", str(tmp_path), "train", *pinned, "--seed", seed]) == 0
+    calls.clear()
+    cfgs = [dataclasses.replace(cfg, data_name=DATA + ":seed5") for cfg in cfgs]
+    outcomes = execute_unlearn_group(tmp_path, cfgs, no_budget=True,
+                                     keys=[config_hash(cfg) for cfg in cfgs])
+    assert all((path / "report.json").exists() for path in outcomes)
+    assert [spec.seed for spec in calls] == [5]
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

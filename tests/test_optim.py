@@ -121,11 +121,14 @@ def _adam_oracle(params, grads, selected, lr=0.01, beta1=0.9, beta2=0.999, eps=1
     return params, m, v
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [None, 1, 3])
 @pytest.mark.parametrize("masked", [False, True])
 def test_adam_matches_an_inline_oracle_bytewise_over_50_steps(k, masked):
-    m = Model.stack([build_model(5, 3, "mlp:8,6", seed=s) for s in range(k)])
-    shape = m.params.shape  # (T,) alone, (K, T) stacked
+    if k is None:  # one model, unstacked
+        m = build_model(5, 3, "mlp:8,6", seed=0)
+    else:
+        m = Model.stack([build_model(5, 3, "mlp:8,6", seed=s) for s in range(k)])
+    shape = m.params.shape  # (T,) alone, (K, T) stacked, a stack of one too
     rng = np.random.default_rng(11)
     grads = [rng.standard_normal(shape) * rng.choice([1e-6, 1.0, 1e3]) for _ in range(50)]
     selected = rng.random(shape) < 0.6 if masked else np.ones(shape, dtype=bool)

@@ -5,12 +5,13 @@ step: the forward pass, the cross-entropy kernel with its row gradient, the
 backprop and the Adam update, and the whole step through the public
 ``loss_and_grad`` and ``optimizer_step``. It does this for two
 default-config models trained in lockstep (K = 2, batch 32 each) and for one
-``wide`` model (``mlp:256,256``, batch 256, 64 inputs, 10 classes). It then
-prints the whole step's cost per member of a default-config stack of K = 1,
-2, 4, 10 and 20 models, the figure that sets how many members a lockstep
-step stacks (``unlearn.MAX_STACK``). It also times one default-config trace
-snapshot: three evaluation passes and the accuracies and mean losses scored
-from them. Standard library and numpy only.
+``wide`` model (``mlp:256,256``, batch 256, 64 inputs, 10 classes) in a
+stack of one, as a solo run trains. It then prints the whole step's cost
+per member of a default-config stack of K = 1, 2, 4, 10 and 20 models, the
+figure that sets how many members a lockstep step stacks
+(``unlearn.MAX_STACK``). It also times one default-config trace snapshot:
+three evaluation passes and the accuracies and mean losses scored from
+them. Standard library and numpy only.
 
 Usage, from the repository root:
 
@@ -62,11 +63,9 @@ def lockstep_batch(config: UnlearnConfig, k: int):
     n, dim, batch = split.num_train, split.train_x.shape[1], config.batch_size
     model = Model.stack([build_model(dim, spec.num_classes, config.backbone, seed=s)
                          for s in range(k)])
-    # Member s trains on rows s * batch onward, wrapping around; one model is unstacked.
+    # Member s trains on rows s * batch onward, wrapping around.
     rows = np.stack([np.arange(s * batch, (s + 1) * batch) % n for s in range(k)])
     x, y = split.train_x[rows], split.train_y[rows]
-    if k == 1:
-        x, y = x[0], y[0]
     return model, x, y, OptimizerState(config.optimizer, config.learning_rate)
 
 
