@@ -31,7 +31,7 @@ from .manifest import Manifest
 from .metrics import MIN_TEST_FOR_MIA, EvalReport, build_report, split_logits
 from .nn import Model
 from .report import collect_runs, write_leaderboard
-from .unlearn import METHODS, UnlearnRun, train_original, unlearn_group, write_trace_csv
+from .unlearn import MAX_STACK, METHODS, UnlearnRun, train_original, unlearn_group, write_trace_csv
 
 ENV_ARTIFACTS = "UNLEARNKIT_ARTIFACTS"
 
@@ -325,7 +325,7 @@ def _parse_grid_field(text: str, kind=int) -> list:
 
 def _sweep_job(keys: list[str], cfgs: list[UnlearnConfig], root: Path,
                no_budget: bool) -> list[tuple[str, str, str | None]]:
-    """Run one lockstep group; return each run's (key, status, failure message)."""
+    """Run one job's lockstep group; return each run's (key, status, failure message)."""
     try:
         outcomes = execute_unlearn_group(root, cfgs, no_budget, keys)
     except Exception as exc:  # one bad job must not kill the sweep
@@ -387,10 +387,13 @@ def cmd_sweep(args) -> int:
         manifest.start_all("unlearn", [(key, _run_dir(root, key)) for key in pending])
     print(f"sweep: {len(grid) - len(pending)} already done, {len(pending)} to run")
 
-    # The runs of one method train in lockstep, as one job; those of a ratio are adjacent.
-    groups: dict[str, dict[str, UnlearnConfig]] = {}
+    # A job is one stack: up to MAX_STACK consecutive runs of one method, ratio-major so
+    # a ratio's runs are adjacent. A step stacks no more, so a wider job only holds memory.
+    by_method: dict[str, list[str]] = {}
     for key, cfg in pending.items():
-        groups.setdefault(cfg.unlearn_method, {})[key] = cfg
+        by_method.setdefault(cfg.unlearn_method, []).append(key)
+    jobs = [{key: pending[key] for key in keys[lo:lo + MAX_STACK]}
+            for keys in by_method.values() for lo in range(0, len(keys), MAX_STACK)]
     failures = 0
 
     def record(cfgs: list[UnlearnConfig], results: list) -> None:
@@ -400,8 +403,8 @@ def cmd_sweep(args) -> int:
             print(f"  {cfg.unlearn_method} r={cfg.del_ratio} s={cfg.seed}: {status}")
             failures += status == "failed"
 
-    def job(group: dict[str, UnlearnConfig]) -> tuple:
-        return list(group), list(group.values()), root, args.no_budget
+    def job_args(job: dict[str, UnlearnConfig]) -> tuple:
+        return list(job), list(job.values()), root, args.no_budget
 
     if args.workers > 1 and pending:
         from concurrent.futures import as_completed
@@ -409,17 +412,17 @@ def cmd_sweep(args) -> int:
         pool_cls = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
         printed: set[int] = set()  # a broken pool fails every pending future with one error
         with pool_cls(max_workers=args.workers) as pool:
-            futures = {pool.submit(_sweep_job, *job(group)): group for group in groups.values()}
+            futures = {pool.submit(_sweep_job, *job_args(job)): job for job in jobs}
             for future in as_completed(futures):
-                group = futures[future]
+                job = futures[future]
                 try:
                     results = future.result()
-                except Exception as exc:  # the worker died: its group's runs failed
-                    results = _results(list(group), [exc] * len(group), printed)
-                record(list(group.values()), results)
+                except Exception as exc:  # the worker died: its job's runs failed
+                    results = _results(list(job), [exc] * len(job), printed)
+                record(list(job.values()), results)
     else:
-        for group in groups.values():
-            record(list(group.values()), _sweep_job(*job(group)))
+        for job in jobs:
+            record(list(job.values()), _sweep_job(*job_args(job)))
     print(f"sweep finished: {len(pending) - failures} ok, {failures} failed, "
           f"manifest at {manifest.path}")
     return 0 if failures == 0 else 2

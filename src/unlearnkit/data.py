@@ -99,9 +99,10 @@ class DatasetSplit:
         self.del_indices = np.asarray(self.del_indices, dtype=np.int64)
         n = len(self.train_y)
         if self.del_indices.size:
-            if self.del_indices.min() < 0 or self.del_indices.max() >= n:
+            ordered = np.sort(self.del_indices)  # a duplicate sits next to its twin
+            if ordered[0] < 0 or ordered[-1] >= n:
                 raise ConfigError("deletion indices out of range")
-            if np.unique(self.del_indices).size != self.del_indices.size:
+            if (ordered[1:] == ordered[:-1]).any():
                 raise ConfigError("deletion indices contain duplicates")
 
     @property

@@ -90,7 +90,9 @@ def fit_mia(member_losses: np.ndarray, nonmember_losses: np.ndarray) -> MiaAttac
     nonmembers = np.sort(np.asarray(nonmember_losses, dtype=np.float64))
     if members.size == 0 or nonmembers.size == 0:
         raise InsufficientDataError("calibration needs samples on both sides")
-    candidates = np.unique(np.concatenate([members, nonmembers]))
+    # np.unique's values, without the numpy.ma import it makes: each value's first occurrence
+    pooled = np.sort(np.concatenate([members, nonmembers]))
+    candidates = pooled[np.append(True, pooled[1:] != pooled[:-1])]
     candidates = np.append(candidates, candidates[-1] + 1.0)
     # loss < tau counts as predicted member
     tpr = np.searchsorted(members, candidates, side="left") / members.size

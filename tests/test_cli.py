@@ -1,6 +1,9 @@
 import base64
 import errno
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -464,17 +467,83 @@ def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err.count("Traceback") == 1
 
 
-def test_sweep_writes_the_manifest_once_per_group(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("methods, ratios, seeds, runs, saves_expected", [
+    # 2 originals (start + finish each), all 8 runs marked pending, 2 method jobs finished
+    ("rand_label,neg_grad", "2,4", "0,1", 8, 2 * 2 + 1 + 2),
+    # 3 originals, all 30 runs marked pending, 3 jobs of 10 finished
+    ("neg_grad", "1-10", "0-2", 30, 3 * 2 + 1 + 3)], ids=["8_runs", "30_runs"])
+def test_sweep_writes_the_manifest_once_per_job(tmp_path, monkeypatch, capsys, methods, ratios,
+                                                 seeds, runs, saves_expected):
     saves = []
     real = Manifest.save
     monkeypatch.setattr(Manifest, "save", lambda self: saves.append(1) or real(self))
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
-             "--methods", "rand_label,neg_grad", "--ratios", "2,4", "--seeds", "0,1")
+             "--methods", methods, "--ratios", ratios, "--seeds", seeds)
     assert rc == 0
-    # 2 originals (start + finish each), all 8 runs marked pending, 2 method groups finished
-    assert len(saves) == 2 * 2 + 1 + 2
+    assert len(saves) == saves_expected
     entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
-    assert len(entries) == 8 and all(e["status"] == "done" for e in entries)
+    assert len(entries) == runs and all(e["status"] == "done" for e in entries)
+
+
+def test_a_sweep_job_trains_at_most_one_stack_of_consecutive_runs(tmp_path, monkeypatch,
+                                                                   capsys):
+    import unlearnkit.cli as cli
+    from unlearnkit.unlearn import MAX_STACK
+
+    real = cli.execute_unlearn_group
+    jobs = []  # each job's (ratio, seed) pairs, in order
+
+    def spy(root, cfgs, no_budget=False, keys=None):
+        assert {cfg.unlearn_method for cfg in cfgs} == {"neg_grad"}
+        jobs.append([(cfg.del_ratio, cfg.seed) for cfg in cfgs])
+        return real(root, cfgs, no_budget, keys)
+
+    def sweep():
+        jobs.clear()
+        return run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
+                   "--methods", "neg_grad", "--ratios", "1-10", "--seeds", "0-2")
+
+    def check(pending):  # consecutive ratio-major slices that cover each pending run once
+        assert [run for job in jobs for run in job] == pending
+        assert [len(job) for job in jobs] == [
+            min(MAX_STACK, len(pending) - lo) for lo in range(0, len(pending), MAX_STACK)]
+
+    monkeypatch.setattr(cli, "execute_unlearn_group", spy)
+    assert sweep() == 0
+    grid = [(ratio, seed) for ratio in range(1, 11) for seed in range(3)]
+    check(grid)
+    assert len(jobs) == 3
+
+    # Resume after 13 runs lost their reports: the 13 pending runs make jobs of 10 and 3.
+    lost = sorted({*grid[1::3], (9, 0), (9, 2), (10, 2)})
+    for ratio, seed in lost:
+        key = config_hash(fast_cfg(unlearn_method="neg_grad", del_ratio=ratio, seed=seed))
+        (tmp_path / "runs" / key / "report.json").unlink()
+    assert sweep() == 0
+    check(lost)
+    assert "17 already done, 13 to run" in capsys.readouterr().out
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma; no command needs it, so none may load it.
+    script = f"""
+import sys
+from unlearnkit.cli import main
+argv = {["--artifacts", str(tmp_path), *FAST[:4], "--train_epochs", "2", "--epochs", "1"]!r}
+for command in (["train"], ["unlearn", "--unlearn_method", "neg_grad", "--no-budget"],
+                ["evaluate"], ["sweep", "--methods", "rand_label", "--ratios", "2",
+                               "--seeds", "0", "--no-budget"]):
+    assert main([*argv[:2], command[0], *argv[2:], *command[1:]]) == 0, command
+assert main([*argv[:2], "report"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_parallel_sweep_prints_a_line_per_run(tmp_path, capsys):

@@ -135,6 +135,20 @@ def test_deletion_partition_is_exact():
     assert split.del_indices.size == round(split.num_train * 7 / 100)
 
 
+@pytest.mark.parametrize("del_indices, problem", [
+    ([4, 4], "duplicates"), ([9, 2, 30, 2], "duplicates"), ([-1, 3], "out of range"),
+    ([0, 72], "out of range"), ([72, 72], "out of range")])
+def test_a_split_rejects_duplicate_or_out_of_range_deletion_indices(del_indices, problem):
+    split = generate(SynthSpec(samples_per_class=30, seed=0))
+    assert split.num_train == 72
+    with pytest.raises(ConfigError, match=problem):
+        DatasetSplit(split.train_x, split.train_y, split.test_x, split.test_y, split.seed,
+                     np.array(del_indices))
+    kept = DatasetSplit(split.train_x, split.train_y, split.test_x, split.test_y, split.seed,
+                        np.array([71, 0, 35]))  # unsorted, in range and distinct
+    assert kept.del_indices.tolist() == [71, 0, 35]
+
+
 def test_deletion_ratio_range():
     split = generate(SynthSpec(seed=0))
     for bad in (0, 11, -3, 2.5):

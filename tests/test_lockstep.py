@@ -165,6 +165,33 @@ def test_a_failing_member_reruns_the_group_one_by_one(originals, monkeypatch, er
                 == [dataclasses.replace(r, seconds=0.0) for r in want.trace])
 
 
+def test_a_failing_sweep_member_reruns_only_its_own_job_one_by_one(tmp_path, monkeypatch,
+                                                                   capsys):
+    from unlearnkit.manifest import Manifest
+
+    real_check, real_drive = RunRecorder.check_budget, U._drive
+    stacks = []  # the number of runs each training loop trains as one stack
+
+    def flaky(recorder):  # the seed-1 run at ratio 7 (5 of 72 rows deleted) fails
+        if recorder.split.seed == 1 and recorder.split.del_indices.size == 5:
+            raise BudgetError("simulated")
+        real_check(recorder)
+
+    monkeypatch.setattr(RunRecorder, "check_budget", flaky)
+    monkeypatch.setattr(U, "_drive", lambda plans, *args: stacks.append(len(plans))
+                        or real_drive(plans, *args))
+    fast = ["--data_name", DATA, "--backbone", "mlp:12", "--train_epochs", "5", "--epochs", "2"]
+    assert main(["--artifacts", str(tmp_path), "sweep", *fast, "--no-budget", "--methods",
+                 "neg_grad", "--ratios", "1-10", "--seeds", "0,1"]) == 2
+    # Two originals alone; the job of ratios 1-5 as one stack; the job of ratios 6-10 as
+    # one stack that fails, then its 10 runs one by one. The rerun is bounded by the job.
+    assert stacks == [1, 1, U.MAX_STACK, U.MAX_STACK] + [1] * U.MAX_STACK
+    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    assert sorted(e["status"] for e in entries) == ["done"] * 19 + ["failed"]
+    assert [e["message"] for e in entries if e["status"] == "failed"] == [
+        "BudgetError: simulated"]
+
+
 def test_members_whose_configs_differ_beyond_seed_run_one_by_one(originals):
     members = [originals["plain", seed] for seed in (0, 1)]
     members = [(f, split, dataclasses.replace(cfg, unlearn_method="rand_label",

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from unlearnkit import (ConfigError, InsufficientDataError, UnlearnConfig,
                         build_model, deletion_capacity, evaluate, fit_mia,
@@ -101,6 +102,32 @@ def test_mia_none_when_no_deletion_set(setup):
 def test_fit_mia_prefers_smallest_threshold_on_ties():
     attack = fit_mia(np.array([0.0, 0.0]), np.array([0.0, 0.0]))
     assert attack.threshold == 0.0
+
+
+def _fit_mia_by_unique(member_losses, nonmember_losses):
+    """The reference fit: fit_mia's rule over ``np.unique``'s candidate thresholds."""
+    members, nonmembers = np.sort(member_losses), np.sort(nonmember_losses)
+    candidates = np.unique(np.concatenate([members, nonmembers]))
+    candidates = np.append(candidates, candidates[-1] + 1.0)
+    tpr = np.searchsorted(members, candidates, side="left") / members.size
+    tnr = 1.0 - np.searchsorted(nonmembers, candidates, side="left") / nonmembers.size
+    balanced = 0.5 * (tpr + tnr)
+    best = int(np.argmax(balanced))
+    return float(candidates[best]), float(balanced[best])
+
+
+# Losses from a handful of values, so draws tie within and across the two sets.
+_LOSSES = st.lists(st.one_of(st.sampled_from([0.0, 0.125, 0.5, 0.5 + 2**-40, 3.0]),
+                             st.floats(0.0, 30.0)), min_size=1, max_size=40)
+
+
+@given(_LOSSES, _LOSSES)
+def test_fit_mia_keeps_the_bytes_of_np_unique_candidates(members, nonmembers):
+    attack = fit_mia(np.array(members), np.array(nonmembers))
+    threshold, balanced = _fit_mia_by_unique(np.array(members), np.array(nonmembers))
+    assert np.float64(attack.threshold).tobytes() == np.float64(threshold).tobytes()
+    assert (np.float64(attack.calibration_balanced_accuracy).tobytes()
+            == np.float64(balanced).tobytes())
 
 
 # ----------------------------------------------------------- deletion capacity
