@@ -338,14 +338,17 @@ def _results(keys: list[str], outcomes: list,
     """Each run's (key, status, failure message) from its outcome, a path or an exception.
 
     An unexpected error (not an ``UnlearnkitError``) prints its traceback
-    once, however many runs it failed: ``printed`` holds the ids of those
-    printed.
+    once, however many runs it failed: ``printed`` holds the ids of the
+    frames that raised those printed, which an error shares with its copies
+    (a group gives each member it fails one) and its re-raises.
     """
     for exc in outcomes:
-        unexpected = isinstance(exc, Exception) and not isinstance(exc, UnlearnkitError)
-        if unexpected and id(exc) not in printed:
-            printed.add(id(exc))
-            traceback.print_exception(exc)  # keep where it came from
+        if isinstance(exc, Exception) and not isinstance(exc, UnlearnkitError):
+            frames = [frame for frame, _ in traceback.walk_tb(exc.__traceback__)]
+            origin = id(frames[-1] if frames else exc)  # the frame that raised it
+            if origin not in printed:
+                printed.add(origin)
+                traceback.print_exception(exc)  # keep where it came from
     return [(key, "failed", _failure(o)) if isinstance(o, Exception) else (key, "done", None)
             for key, o in zip(keys, outcomes)]
 

@@ -11,6 +11,7 @@ are dense or restricted to a saliency mask.
 
 from __future__ import annotations
 
+import copy
 import functools
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -23,7 +24,7 @@ from . import metrics, nn
 from .config import UnlearnConfig
 from .curriculum import SuperLossParams, superloss_weights
 from .data import DatasetSplit, corrupt_labels
-from .errors import BudgetError, ConfigError, NumericError
+from .errors import BudgetError, ConfigError, NumericError, UnlearnkitError
 from .fileio import write_csv
 from .lora import attach_adapter
 from .nn import Model, build_model
@@ -71,11 +72,12 @@ TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 class RunRecorder:
-    """Accumulates FLOs, wall time, per-epoch metrics, and the budget check.
+    """Accumulates FLOs, steps, wall time, per-epoch metrics, and the budget check.
 
     ``share`` runs trained in lockstep share the wall clock: each one's
     ``seconds`` (trace, budget and result) is the elapsed time divided by
-    ``share``.
+    ``share``. A run that fails keeps its error in ``error`` (:meth:`fail`)
+    and stops.
     """
 
     def __init__(self, split: DatasetSplit, budget_seconds: float | None = None,
@@ -85,7 +87,9 @@ class RunRecorder:
         self.share = share
         self.rows: list[TraceRow] = []
         self.flos = 0.0
+        self.steps = 0  # training steps taken
         self.logits: metrics.SplitLogits | None = None  # the last snapshot's
+        self.error: Exception | None = None
         self._flos_per_sample: float | None = None  # a run trains one model
         self._start = time.perf_counter()
 
@@ -94,9 +98,11 @@ class RunRecorder:
         return (time.perf_counter() - self._start) / self.share
 
     def add_samples(self, model: Model, num_samples: int) -> None:
+        """Count one training step over ``num_samples`` rows."""
         if self._flos_per_sample is None:
             self._flos_per_sample = nn.count_flos(model, 1, 1)
         self.flos += self._flos_per_sample * float(num_samples)
+        self.steps += 1
 
     def snapshot(self, epoch: int, model: Model, phase: str = "train") -> None:
         """Append the trace row of ``model``'s state, kept in ``logits`` for the report."""
@@ -112,6 +118,11 @@ class RunRecorder:
         if self.budget_seconds is not None and self.seconds > self.budget_seconds:
             raise BudgetError(f"unlearning exceeded its budget of {self.budget_seconds:.3f}s "
                               f"after {self.seconds:.3f}s")
+
+    def fail(self, exc: Exception) -> None:
+        """Stop the run with ``exc``, which carries the rows recorded so far as ``trace``."""
+        exc.trace = self.rows
+        self.error = exc
 
 
 @dataclass
@@ -278,8 +289,8 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     distinct run of teachers. Each phase name keeps its own optimizer
     state, so ascent and descent never share Adam moments.
 
-    ``recorders[k]`` counts plan k's samples each step it takes and
-    snapshots plan k's student before training (epoch 0, ``init``) and
+    ``recorders[k]`` counts plan k's samples and steps each step it takes
+    and snapshots plan k's student before training (epoch 0, ``init``) and
     after every pass, numbered from 1, checking the budget after each pass.
     The snapshots evaluate each student on its own. Evaluating the test set
     as one stack per run of plans (K <= 10), and the retain and forget sets
@@ -287,6 +298,14 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     but left the benchmark grid's sweep time within its run-to-run noise on
     a 2-core VM (4.25, 4.80, 4.42 s against 4.52, 4.43, 4.22 s) and raised
     its peak RSS by 0.65 MB.
+
+    A plan fails alone (:meth:`RunRecorder.fail`) and sits out every later
+    step and snapshot, on an error from its snapshot or budget check, or
+    on an ``UnlearnkitError`` from its own rows of a part: a run of plans
+    whose part raises one is redone one plan at a time, from the
+    curriculum state it started from (every such error is raised before a
+    gradient row or optimizer state changes). A plan that fails in a step
+    gets no update in it. Any other error is raised.
     """
     first = plans[0]
     model = Model.stack([plan.student for plan in plans])
@@ -294,33 +313,56 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     mask = None if first.mask is None else ParamMask(np.array([p.mask.selected for p in plans]))
     curricula = None if first.curriculum is None else [plan.curriculum for plan in plans]
     stack_rows = functools.cache(model.rows)  # one view per run of plans
-    stacked_teachers: dict[tuple[int, ...], Model] = {}
+    stack_teachers = functools.cache(  # copies, once per run of teachers: they stay as they are
+        lambda *teachers: Model.stack(teachers, copy=True).share_workspace(model))
     opts: dict[str, OptimizerState] = {}
     records = list(zip(recorders, plans))
-    for recorder, plan in records:
-        recorder.snapshot(0, plan.student, "init")
-    step = 0
+
+    def part(steps: list, i: int, lo: int, hi: int) -> None:
+        """Part ``i`` of plans ``lo`` to ``hi - 1``: forward, loss and backprop."""
+        view = stack_rows(lo, hi)
+        _, xs, labels, teachers = zip(*(s[i] for s in steps[lo:hi]))
+        x = np.array(xs)
+        teacher = None if teachers[0] is None else stack_teachers(*teachers).logits(x)
+        _backprop_loss(  # inline, so the logits die with the call
+            view, *view.forward_cache(x), None if labels[0] is None else np.array(labels),
+            teacher, temperature, None if curricula is None else curricula[lo:hi],
+            recorders[lo].steps, accumulate=i > 0)
+
+    def end_pass(number: int, phase: str) -> None:
+        for recorder, plan in records:
+            if recorder.error is None:
+                try:
+                    recorder.snapshot(number, plan.student, phase)
+                    if number:
+                        recorder.check_budget()
+                except Exception as exc:  # the plan's own
+                    recorder.fail(exc)
+
+    end_pass(0, "init")
     for number, passes in enumerate(zip(*(plan.passes for plan in plans), strict=True), 1):
         phase, ascending, _ = passes[0]
         if phase not in opts:
             opts[phase] = replace(fresh)
-        for steps in zip_longest(*(p[2] for p in passes)):  # None: that plan's pass is over
+        for steps in zip_longest(*(() if r.error else p[2] for r, p in zip(recorders, passes))):
+            # None: that plan's pass is over, or the plan failed
+            steps = [s if r.error is None else None for r, s in zip(recorders, steps)]
+            if not any(steps):
+                break
             for i in range(len(next(s for s in steps if s is not None))):
                 for lo, hi in _runs([None if s is None else s[i][1].shape for s in steps]):
-                    view = stack_rows(lo, hi)
-                    _, xs, labels, teachers = zip(*(s[i] for s in steps[lo:hi]))
-                    x = np.array(xs)
-                    teacher = None
-                    if teachers[0] is not None:
-                        key = tuple(map(id, teachers))
-                        if key not in stacked_teachers:  # copies: the teachers stay as they are
-                            stacked_teachers[key] = Model.stack(
-                                teachers, copy=True).share_workspace(model)
-                        teacher = stacked_teachers[key].logits(x)
-                    _backprop_loss(  # inline, so the logits die with the call
-                        view, *view.forward_cache(x),
-                        None if labels[0] is None else np.array(labels), teacher, temperature,
-                        None if curricula is None else curricula[lo:hi], step, accumulate=i > 0)
+                    saved = [(c, c.tau) for c in (curricula or ())[lo:hi]]
+                    try:
+                        part(steps, i, lo, hi)
+                    except UnlearnkitError:
+                        for c, tau in saved:  # superloss_weights moved them before the check
+                            c.tau = tau
+                        for k in range(lo, hi):
+                            try:
+                                part(steps, i, k, k + 1)
+                            except UnlearnkitError as exc:
+                                recorders[k].fail(exc)
+                                steps[k] = None
             for lo, hi in _runs([None if s is None else True for s in steps]):
                 view = stack_rows(lo, hi)
                 grad = view.grad
@@ -330,11 +372,8 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
                                slice(lo, hi))
             for (recorder, plan), parts in zip(records, steps):
                 if parts is not None:
-                    recorder.add_samples(plan.student, sum(len(part[0]) for part in parts))
-            step += 1
-        for recorder, plan in records:
-            recorder.snapshot(number, plan.student, phase)
-            recorder.check_budget()
+                    recorder.add_samples(plan.student, sum(len(p[0]) for p in parts))
+        end_pass(number, phase)
 
 
 def _runs(keys: list) -> list[tuple[int, int]]:
@@ -525,48 +564,49 @@ def unlearn_group(method: str, members: Sequence[Member]) -> list[UnlearnRun | E
     those that share a deletion ratio are adjacent. Each member's model,
     trace rows apart from ``seconds``, FLOs and trained rows are
     bit-identical to its run alone with :func:`unlearn`; its ``seconds``
-    (report, trace and budget) is the group's elapsed time divided by K. If
-    any member raises, the members are rerun one by one, so each gets the
-    result, error and partial trace it gets alone. Returns each member's
-    run, or the exception it raised.
+    (report, trace and budget) is the group's elapsed time divided by K,
+    whichever members fail.
+
+    A member fails alone, with the error and partial trace it gets alone,
+    on an error from its planner, its snapshots or its budget check, or on
+    an ``UnlearnkitError`` from its own rows of a training step (a stacked
+    part that raises one is redone one member at a time); it then sits out
+    the rest, and the others go on. An error that belongs to no member (an
+    unknown method, configs that differ beyond seed and ratio, any other
+    error from a training step) fails every member still training, with
+    no rerun, each with a copy of it. A failed member's error carries the
+    rows it recorded as ``trace``. Returns each member's run, or its error.
     """
-    try:
-        return _lockstep(method, members)
-    except Exception as exc:  # the caller decides; unlearn() raises it
-        if len(members) == 1:
-            return [exc]
-    return [unlearn_group(method, [member])[0] for member in members]
-
-
-def _lockstep(method: str, members: Sequence[Member]) -> list[UnlearnRun]:
-    """Train the members as one group; any member's error stops the group.
-
-    The one place a run's recorder is built. The error of a group of one
-    carries the rows that run recorded as ``trace``.
-    """
-    if method not in METHODS:
-        raise ConfigError(f"unknown unlearning method {method!r}; available: "
-                          + ", ".join(METHODS))
-    configs = [config for _, _, config in members]
-    shared = [replace(config, seed=0, del_ratio=1, budget_seconds=None) for config in configs]
-    if any(config != shared[0] for config in shared):
-        raise ConfigError("the configs of a lockstep group may differ only in seed "
-                          "and del_ratio")
-    if method != "exact_retrain" and any(split.del_indices.size == 0 for _, split, _ in members):
-        raise ConfigError(f"{method} requires a deletion set; call "
-                          "split.with_deletion(del_ratio) first")
     recorders = [RunRecorder(split, budget_seconds=config.budget_seconds, share=len(members))
                  for _, split, config in members]
+    plans: dict[int, Plan] = {}
     try:
-        plans = [METHODS[method].plan(*member) for member in members]
-        _drive(plans, configs[0].optimizer, configs[0].temperature, recorders)
-    except Exception as exc:
-        if len(members) == 1:
-            exc.trace = recorders[0].rows
-        raise
-    return [UnlearnRun(method=method, config=config, model=plan.student, trace=recorder.rows,
-                       seconds=recorder.seconds, flos=recorder.flos, logits=recorder.logits)
-            for (_, _, config), plan, recorder in zip(members, plans, recorders)]
+        if method not in METHODS:
+            raise ConfigError(f"unknown unlearning method {method!r}; available: "
+                              + ", ".join(METHODS))
+        configs = [replace(c, seed=0, del_ratio=1, budget_seconds=None) for *_, c in members]
+        if any(config != configs[0] for config in configs):
+            raise ConfigError("the configs of a lockstep group may differ only in seed "
+                              "and del_ratio")
+        for k, (member, recorder) in enumerate(zip(members, recorders)):
+            try:
+                if method != "exact_retrain" and member[1].del_indices.size == 0:
+                    raise ConfigError(f"{method} requires a deletion set; call "
+                                      "split.with_deletion(del_ratio) first")
+                plans[k] = METHODS[method].plan(*member)
+            except Exception as exc:  # the member's own
+                recorder.fail(exc)
+        if plans:
+            _drive(list(plans.values()), configs[0].optimizer, configs[0].temperature,
+                   [recorders[k] for k in plans])
+    except Exception as exc:  # it belongs to no member
+        training = [recorder for recorder in recorders if recorder.error is None]
+        for recorder in training:
+            recorder.fail(exc if len(training) == 1
+                          else copy.copy(exc).with_traceback(exc.__traceback__))
+    return [recorder.error or UnlearnRun(method, config, plans[k].student, recorder.rows,
+                                         recorder.seconds, recorder.flos, recorder.logits)
+            for k, ((_, _, config), recorder) in enumerate(zip(members, recorders))]
 
 
 def train_original(split: DatasetSplit, config: UnlearnConfig) -> UnlearnRun:
@@ -575,9 +615,8 @@ def train_original(split: DatasetSplit, config: UnlearnConfig) -> UnlearnRun:
     The run sees ``split`` without its deletion set and has no budget; its
     trace gets an ``init`` row and one row per epoch.
     """
-    [run] = _lockstep("exact_retrain", [(None, replace(split, del_indices=()),
-                                         replace(config, budget_seconds=None))])
-    return run
+    return unlearn("exact_retrain", None, replace(split, del_indices=()),
+                   replace(config, budget_seconds=None))
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:

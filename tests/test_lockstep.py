@@ -2,6 +2,7 @@
 stacked model."""
 
 import dataclasses
+import itertools
 import json
 import sys
 import time
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import unlearnkit.unlearn  # noqa: F401  (the package attribute is the function)
-from unlearnkit import (BudgetError, ConfigError, ShapeError, UnlearnConfig, build_model,
-                        config_hash, unlearn, unlearn_group)
+from unlearnkit import (BudgetError, ConfigError, NumericError, ShapeError, UnlearnConfig,
+                        build_model, config_hash, unlearn, unlearn_group)
 from unlearnkit.cli import execute_unlearn_group, main
 from unlearnkit.data import generate
 from unlearnkit.metrics import build_report
@@ -137,8 +138,21 @@ def test_a_group_across_ratios_is_bit_identical_to_solo_runs(originals, monkeypa
         assert group_updates == max(solo_updates) and group_updates < per_ratio
 
 
+def _without_seconds(trace):
+    """The trace rows apart from ``seconds``, as reprs, so that NaN equals NaN."""
+    return [repr(dataclasses.replace(row, seconds=0.0)) for row in trace]
+
+
+def _spy_stacks(monkeypatch) -> list:
+    """The number of runs each training loop trains as one stack, in call order."""
+    stacks, real = [], U._drive
+    monkeypatch.setattr(U, "_drive", lambda plans, *args: stacks.append(len(plans))
+                        or real(plans, *args))
+    return stacks
+
+
 @pytest.mark.parametrize("error", [BudgetError, RuntimeError])
-def test_a_failing_member_reruns_the_group_one_by_one(originals, monkeypatch, error):
+def test_a_failing_member_leaves_the_group(originals, monkeypatch, error):
     real = RunRecorder.check_budget
 
     def flaky(recorder):  # the seed-1 run fails after its second pass, alone or not
@@ -150,27 +164,174 @@ def test_a_failing_member_reruns_the_group_one_by_one(originals, monkeypatch, er
     monkeypatch.setattr(RunRecorder, "check_budget", flaky)
     members = [(f, split, dataclasses.replace(cfg, unlearn_method="scrub"))
                for f, split, cfg in (originals["plain", seed] for seed in SEEDS)]
+    stacks = _spy_stacks(monkeypatch)
     runs = unlearn_group("scrub", members)
+    assert stacks == [len(members)]  # no member is rerun
     with pytest.raises(error) as alone:
         unlearn("scrub", *members[1])
     failed = runs[1]
     assert type(failed) is error and str(failed) == str(alone.value)
     assert len(failed.trace) == 3
-    assert ([dataclasses.replace(r, seconds=0.0) for r in failed.trace]
-            == [dataclasses.replace(r, seconds=0.0) for r in alone.value.trace])
+    assert _without_seconds(failed.trace) == _without_seconds(alone.value.trace)
     for i in (0, 2):
         want = unlearn("scrub", *members[i])
         assert runs[i].model.param_digest() == want.model.param_digest()
-        assert ([dataclasses.replace(r, seconds=0.0) for r in runs[i].trace]
-                == [dataclasses.replace(r, seconds=0.0) for r in want.trace])
+        assert _without_seconds(runs[i].trace) == _without_seconds(want.trace)
+        assert runs[i].flos == want.flos
+        for a, b in zip(runs[i].logits, want.logits):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
 
-def test_a_failing_sweep_member_reruns_only_its_own_job_one_by_one(tmp_path, monkeypatch,
-                                                                   capsys):
+def test_a_failing_member_does_not_change_its_siblings_verdicts(originals, monkeypatch):
+    """Each run is charged 1 s per snapshot taken, divided by the stack size,
+    against a budget of 2.5 s: two passes take 3 s alone and 0.75 s as one of
+    four. One member's deletion set holds a non-finite row, so it fails on
+    its first step; its siblings still pass, charged their share of the stack."""
+    monkeypatch.setattr(RunRecorder, "seconds", property(lambda r: len(r.rows) / r.share))
+    members = []
+    for seed in (0, 1, 2, 0):
+        f, split, cfg = originals["plain", seed]
+        members.append((f, split, dataclasses.replace(cfg, unlearn_method="rand_label",
+                                                      budget_seconds=2.5)))
+    f, split, cfg = members[1]
+    train_x = split.train_x.copy()
+    train_x[split.del_indices[0]] = np.nan
+    members[1] = (f, dataclasses.replace(split, train_x=train_x), cfg)
+    runs = unlearn_group("rand_label", members)
+    assert [type(run).__name__ for run in runs] == ["UnlearnRun", "NumericError"] + [
+        "UnlearnRun"] * 2
+    assert [runs[k].seconds for k in (0, 2, 3)] == [0.75] * 3
+    [alone] = unlearn_group("rand_label", [members[1]])
+    assert str(runs[1]) == str(alone) and "(step " in str(alone)
+    assert _without_seconds(runs[1].trace) == _without_seconds(alone.trace)
+    with pytest.raises(BudgetError, match="after 3.000s"):  # what a solo rerun would charge
+        unlearn("rand_label", *members[0])
+
+
+def _poison(monkeypatch, method, target, at):
+    """Give the run whose ``(seed, del_ratio)`` is ``target`` non-finite inputs at its
+    own step ``at`` (counted from 0 over all its passes), alone or in a group."""
+    real = METHODS[method]
+
+    def plan(f, split, config):
+        result = real.plan(f, split, config)
+        if (config.seed, config.del_ratio) != target:
+            return result
+        taken = itertools.count()
+
+        def steps(inner):
+            for parts in inner:
+                if next(taken) == at:
+                    parts = [(rows, np.full_like(x, np.nan), labels, teacher)
+                             for rows, x, labels, teacher in parts]
+                yield parts
+
+        return result._replace(passes=((phase, ascending, steps(inner))
+                                       for phase, ascending, inner in result.passes))
+
+    monkeypatch.setitem(METHODS, method, real._replace(plan=plan))
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_a_failing_member_of_a_mixed_ratio_group_fails_as_it_does_alone(
+        originals, monkeypatch, variant):
+    """Ratios 1, 5 and 10 x three seeds as one group of l1_sparse_ft runs, as in
+    the bit-identity test across ratios. At batch 7 the 65 remaining rows of
+    ratio 10 take 10 steps per pass, where the 71 of ratio 1 take 11. The
+    seed-1 run at ratio 10 sees non-finite inputs at its own step 12, the
+    third step of its second pass, when the group has zipped 13 steps: its
+    error names step 12, as alone. That step is one stacked part of all nine
+    members, so the siblings' curriculum baselines must be moved once."""
+    method = "l1_sparse_ft"
+    members = []
+    for ratio in RATIOS:
+        for seed in SEEDS:
+            f, split, cfg = originals[variant, seed]
+            cfg = dataclasses.replace(cfg, unlearn_method=method, del_ratio=ratio,
+                                      batch_size=7, train_batch_size=7)
+            members.append((f, generate(cfg.data_spec()).with_deletion(ratio), cfg))
+    _poison(monkeypatch, method, (1, 10), 12)
+    trained = spy_trained_rows(monkeypatch, key=lambda cfg: (cfg.seed, cfg.del_ratio))
+    solo = []
+    for member in members:
+        [run] = unlearn_group(method, [member])
+        solo.append((run, trained.pop((member[2].seed, member[2].del_ratio))))
+    stacks = _spy_stacks(monkeypatch)
+    runs = unlearn_group(method, members)
+    assert stacks == [len(members)]  # no member is rerun
+    failing = 7
+    for k, (run, (_, _, cfg), (want, seen)) in enumerate(zip(runs, members, solo)):
+        got = trained.pop((cfg.seed, cfg.del_ratio))
+        if k == failing:
+            assert type(run) is type(want) is NumericError
+            assert str(run) == str(want) == "training loss became non-finite (step 12)"
+            assert len(run.trace) == 2  # init and the first pass
+            assert _without_seconds(run.trace) == _without_seconds(want.trace)
+            continue
+        assert _fingerprint(run, got)[:3] == _fingerprint(want, seen)[:3], k
+        assert [r.tolist() for r in got] == [r.tolist() for r in seen]
+        for a, b in zip(run.logits, want.logits):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+def test_an_error_that_belongs_to_no_member_fails_every_member_still_training(
+        originals, monkeypatch):
+    """A MemoryError from a stacked part may leave gradients partly written,
+    so it is not redone: it fails the members still training, each with a
+    copy of it and its own partial trace. A member that failed before keeps
+    its own error."""
+    real_check, real_backprop = RunRecorder.check_budget, U._backprop_loss
+
+    def flaky(recorder):  # the seed-2 run fails after its first pass
+        if recorder.split.seed == 2:
+            raise BudgetError("simulated")
+        real_check(recorder)
+
+    def failing(model, *args, **kwargs):  # in the second pass, the stack of the other two
+        if model.params.shape[0] == 2:
+            raise MemoryError("simulated")
+        return real_backprop(model, *args, **kwargs)
+
+    members = [(f, split, dataclasses.replace(cfg, unlearn_method="neg_grad"))
+               for f, split, cfg in (originals["plain", seed] for seed in SEEDS)]
+    monkeypatch.setattr(RunRecorder, "check_budget", flaky)
+    monkeypatch.setattr(U, "_backprop_loss", failing)
+    runs = unlearn_group("neg_grad", members)
+    assert [type(run).__name__ for run in runs] == ["MemoryError", "MemoryError", "BudgetError"]
+    assert runs[0] is not runs[1] and [str(run) for run in runs[:2]] == ["simulated"] * 2
+    assert runs[0].__traceback__ is runs[1].__traceback__ is not None
+    assert [len(run.trace) for run in runs] == [2, 2, 2]  # init and the first pass
+    for run, member in zip(runs, members):  # each member's own rows, as alone
+        [alone] = unlearn_group("neg_grad", [member])
+        assert _without_seconds(run.trace) == _without_seconds(alone.trace[:2])
+
+
+def test_a_sweep_records_an_error_that_belongs_to_no_member_for_each_run(
+        tmp_path, monkeypatch, capsys):
     from unlearnkit.manifest import Manifest
 
-    real_check, real_drive = RunRecorder.check_budget, U._drive
-    stacks = []  # the number of runs each training loop trains as one stack
+    fast = ["--data_name", DATA, "--backbone", "mlp:12", "--train_epochs", "5", "--epochs", "2"]
+    for seed in ("0", "1"):
+        assert main(["--artifacts", str(tmp_path), "train", *fast, "--seed", seed]) == 0
+
+    def failing(*args, **kwargs):
+        raise MemoryError("simulated")
+
+    monkeypatch.setattr(U, "_backprop_loss", failing)
+    capsys.readouterr()
+    assert main(["--artifacts", str(tmp_path), "sweep", *fast, "--no-budget", "--methods",
+                 "neg_grad", "--ratios", "1,2", "--seeds", "0,1"]) == 2
+    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    assert [e["message"] for e in entries] == ["MemoryError: simulated"] * 4
+    for e in entries:  # each run keeps its own init row
+        assert len((Path(e["dir"]) / "trace.csv").read_text().splitlines()) == 2
+    assert capsys.readouterr().err.count("Traceback") == 1
+
+
+def test_a_failing_sweep_member_leaves_only_its_own_stack(tmp_path, monkeypatch, capsys):
+    from unlearnkit.manifest import Manifest
+
+    real_check = RunRecorder.check_budget
 
     def flaky(recorder):  # the seed-1 run at ratio 7 (5 of 72 rows deleted) fails
         if recorder.split.seed == 1 and recorder.split.del_indices.size == 5:
@@ -178,28 +339,39 @@ def test_a_failing_sweep_member_reruns_only_its_own_job_one_by_one(tmp_path, mon
         real_check(recorder)
 
     monkeypatch.setattr(RunRecorder, "check_budget", flaky)
-    monkeypatch.setattr(U, "_drive", lambda plans, *args: stacks.append(len(plans))
-                        or real_drive(plans, *args))
+    stacks = _spy_stacks(monkeypatch)
     fast = ["--data_name", DATA, "--backbone", "mlp:12", "--train_epochs", "5", "--epochs", "2"]
     assert main(["--artifacts", str(tmp_path), "sweep", *fast, "--no-budget", "--methods",
                  "neg_grad", "--ratios", "1-10", "--seeds", "0,1"]) == 2
     # Two originals alone; the job of ratios 1-5 as one stack; the job of ratios 6-10 as
-    # one stack that fails, then its 10 runs one by one. The rerun is bounded by the job.
-    assert stacks == [1, 1, U.MAX_STACK, U.MAX_STACK] + [1] * U.MAX_STACK
+    # one stack that the failing run leaves. Nothing is rerun.
+    assert stacks == [1, 1, U.MAX_STACK, U.MAX_STACK]
     entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
     assert sorted(e["status"] for e in entries) == ["done"] * 19 + ["failed"]
     assert [e["message"] for e in entries if e["status"] == "failed"] == [
         "BudgetError: simulated"]
 
 
-def test_members_whose_configs_differ_beyond_seed_run_one_by_one(originals):
+def test_members_whose_configs_differ_beyond_seed_all_fail(originals):
     members = [originals["plain", seed] for seed in (0, 1)]
     members = [(f, split, dataclasses.replace(cfg, unlearn_method="rand_label",
                                               learning_rate=0.01 * (1 + i)))
                for i, (f, split, cfg) in enumerate(members)]
     runs = unlearn_group("rand_label", members)
-    for run, member in zip(runs, members):
-        assert run.model.param_digest() == unlearn("rand_label", *member).model.param_digest()
+    assert [type(run) for run in runs] == [ConfigError, ConfigError]
+    assert all("may differ only in seed and del_ratio" in str(run) for run in runs)
+    assert [run.trace for run in runs] == [[], []]
+
+
+def test_a_member_without_a_deletion_set_fails_alone(originals):
+    members = [(f, split, dataclasses.replace(cfg, unlearn_method="neg_grad"))
+               for f, split, cfg in (originals["plain", seed] for seed in SEEDS)]
+    f, split, cfg = members[1]
+    members[1] = (f, dataclasses.replace(split, del_indices=()), cfg)
+    runs = unlearn_group("neg_grad", members)
+    assert isinstance(runs[1], ConfigError) and "requires a deletion set" in str(runs[1])
+    for run, member in zip(runs[::2], members[::2]):
+        assert run.model.param_digest() == unlearn("neg_grad", *member).model.param_digest()
 
 
 def test_each_member_is_charged_an_equal_share_of_the_group_time(originals):

@@ -18,7 +18,11 @@ Usage, from the repository root:
     python3 tools/hotpath.py [--repeat N]
 
 Each figure is the median of N samples (default 7); a sample runs the call
-as many times as fill 0.2 s (``timeit.Timer.autorange``). The inputs are
+as many times as fill 0.2 s (``timeit.Timer.autorange``). Before its first
+sample, each call runs untimed ``WARMUP_CALLS`` times: on a 2-core VM the
+first few dozen forward passes of a fresh ``wide`` model took about 40 ms
+each, against 0.8-1.0 ms afterwards, and the figure read over ten times
+the whole step that contains it. The inputs are
 fixed by seed, so two checkouts time the same work. The figures depend on the
 machine, its BLAS build and its load: compare checkouts on one machine,
 alternating runs.
@@ -47,10 +51,14 @@ WIDE = UnlearnConfig(data_name="gaussian_blobs:c10:s250:d64", backbone="mlp:256,
                      batch_size=256)
 PHASES = ("forward", "loss", "backprop", "adam", "step")
 STACK_SIZES = (1, 2, 4, 10, 20)
+WARMUP_CALLS = 50
 
 
 def median_us(fn, repeat: int) -> float:
-    """Median microseconds per call of ``fn`` over ``repeat`` samples."""
+    """Median microseconds per call of ``fn`` over ``repeat`` samples, after
+    ``WARMUP_CALLS`` untimed calls."""
+    for _ in range(WARMUP_CALLS):
+        fn()
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
     return 1e6 * statistics.median(timer.repeat(repeat, number)) / number
