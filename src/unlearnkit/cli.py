@@ -75,67 +75,152 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                             help=argparse.SUPPRESS)
 
 
-def _checkpoint_dir(root: Path, cfg: UnlearnConfig) -> Path:
-    return root / "checkpoints" / train_hash(cfg)
+# Each kind of run: its directories' parent under the root, and the files a complete run has.
+_KINDS = {"train": ("checkpoints", ("model.json", "meta.json")),
+          "unlearn": ("runs", ("report.json",))}
 
 
-def _run_dir(root: Path, key: str) -> Path:
-    """The directory of the run whose ``config_hash`` is ``key``."""
-    return root / "runs" / key
+def _locate(root: Path, kind: str, key: str,
+            manifest: Manifest | None = None) -> tuple[Path, bool]:
+    """The directory of the run of ``kind`` whose hash is ``key`` (its ``train_hash`` or
+    ``config_hash``), and whether ``manifest`` records that run done with its files on disk."""
+    parent, files = _KINDS[kind]
+    directory = root / parent / key
+    return directory, (manifest is not None and manifest.is_done(key)
+                       and all((directory / name).exists() for name in files))
+
+
+# ------------------------------------------------------------------------ jobs
+#
+# A job is a list of (key, config) runs of one kind, run together: a train job
+# holds one original, an unlearn job up to MAX_STACK runs trained in lockstep.
+
+def _run_jobs(root: Path, manifest: Manifest, kind: str, jobs: list[list], *,
+              no_budget: bool = False, workers: int = 1, loud: bool = False):
+    """Run ``jobs`` of one kind and record them; yield each job with its runs' outcomes
+    (a run's directory, or the error it raised) as the job ends.
+
+    All the jobs' runs are marked pending with one manifest save, and each
+    job's results (``done``, or ``failed`` with ``"<Type>: <message>"``)
+    are recorded with one more before it is yielded, so iterate to the end.
+    With ``workers`` above 1 the jobs run in a pool of at most that many
+    processes, and never more than there are jobs. With ``loud``, an error
+    that is not an ``UnlearnkitError`` prints its traceback once, in the
+    process that raised it: a pickled error has none. A caller that
+    re-raises the errors leaves it off.
+    """
+    if not jobs:
+        return
+    manifest.start_all(kind, [(key, _locate(root, kind, key)[0])
+                              for job in jobs for key, _ in job])
+    ended = (_pooled(root, kind, jobs, no_budget, workers, loud) if workers > 1 else
+             ((job, _run_job(root, kind, job, no_budget, loud)) for job in jobs))
+    for job, outcomes in ended:
+        manifest.finish_all([(key, "failed", f"{type(o).__name__}: {o}")
+                             if isinstance(o, Exception) else (key, "done", None)
+                             for (key, _), o in zip(job, outcomes)])
+        yield job, outcomes
+
+
+def _pooled(root: Path, kind: str, jobs: list[list], no_budget: bool, workers: int,
+            loud: bool):
+    """Each job with its outcomes as it ends, run in a pool of at most ``workers``
+    processes and never more than there are jobs."""
+    from concurrent.futures import as_completed
+
+    printed = set() if loud else None  # a broken pool fails every job left with one error
+    pool_cls = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
+    with pool_cls(max_workers=min(workers, len(jobs))) as pool:
+        futures = {pool.submit(_run_job, root, kind, job, no_budget, loud): job
+                   for job in jobs}
+        for future in as_completed(futures):
+            try:
+                outcomes = future.result()
+            except Exception as exc:  # the worker died: its job's runs failed
+                outcomes = [exc] * len(futures[future])
+                _print_unexpected(outcomes, printed)
+            yield futures[future], outcomes
+
+
+def _run_job(root: Path, kind: str, job: list, no_budget: bool,
+             loud: bool) -> list[Path | Exception]:
+    """Run one job in this process: each run's directory, or the error it raised."""
+    try:
+        if kind == "train":
+            outcomes = [ensure_checkpoint(root, cfg, key) for key, cfg in job]
+        else:
+            outcomes = execute_unlearn_group(root, [cfg for _, cfg in job], no_budget,
+                                             [key for key, _ in job])
+    except Exception as exc:  # one bad job must not stop the others
+        outcomes = [exc] * len(job)
+    for (key, _), outcome in zip(job, outcomes):
+        if getattr(outcome, "trace", None):  # a failed run keeps the rows it recorded
+            directory = _locate(root, kind, key)[0]
+            directory.mkdir(parents=True, exist_ok=True)
+            write_trace_csv(outcome.trace, directory / "trace.csv")
+    _print_unexpected(outcomes, set() if loud else None)
+    return outcomes
+
+
+def _print_unexpected(outcomes: list, printed: set[int] | None) -> None:
+    """Print the traceback of each error in ``outcomes`` that is not an ``UnlearnkitError``,
+    unless ``printed`` is None.
+
+    Each error prints once, however many runs it failed: ``printed`` holds
+    the ids of the frames that raised those printed, which an error shares
+    with its copies (a group gives each member it fails one) and its
+    re-raises. Those errors must stay alive while ``printed`` is in use, or
+    a frame id could be reused.
+    """
+    if printed is None:
+        return
+    for exc in outcomes:
+        if isinstance(exc, Exception) and not isinstance(exc, UnlearnkitError):
+            frames = [frame for frame, _ in traceback.walk_tb(exc.__traceback__)]
+            origin = id(frames[-1] if frames else exc)  # the frame that raised it
+            if origin not in printed:
+                printed.add(origin)
+                traceback.print_exception(exc)  # keep where it came from
+
+
+def _run_or_raise(root: Path, manifest: Manifest, kind: str, jobs: list[list],
+                  no_budget: bool = False) -> None:
+    """Run and record ``jobs`` in this process, then raise the first error a run raised."""
+    errors = [o for _, outcomes in _run_jobs(root, manifest, kind, jobs, no_budget=no_budget)
+              for o in outcomes if isinstance(o, Exception)]
+    if errors:
+        raise errors[0]
 
 
 # ----------------------------------------------------------------------- train
 
-def ensure_checkpoint(root: Path, cfg: UnlearnConfig, manifest: Manifest,
-                      force: bool = False, quiet: bool = False) -> Path:
-    """Train (or reuse) the original model for this config; return its directory."""
-    ckpt_dir = _checkpoint_dir(root, cfg)
-    key = train_hash(cfg)
-    model_path, meta_path = ckpt_dir / "model.json", ckpt_dir / "meta.json"
-    if model_path.exists() and meta_path.exists() and manifest.is_done(key) and not force:
-        if not quiet:
-            print(f"checkpoint {key} already exists at {ckpt_dir} (use --force to retrain)")
-        return ckpt_dir
-    spec = cfg.data_spec()
-    split = generate(spec)
+def ensure_checkpoint(root: Path, cfg: UnlearnConfig, key: str) -> Path:
+    """Train the original model for this config, whose ``train_hash`` is ``key``, and
+    write its checkpoint directory."""
+    run = train_original(generate(cfg.data_spec()), cfg)
+    ckpt_dir, _ = _locate(root, "train", key)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    manifest.start_all("train", [(key, ckpt_dir)])
-    try:
-        run = train_original(split, cfg)
-        run.model.save(model_path)
-        last = run.trace[-1]  # the trained model's: recorded after the last update
-        seconds, test_acc = last.seconds, last.acc_test
-        meta = {"train_seconds": seconds, "test_acc": test_acc,
-                "train_config": cfg.train_dict(), "flos": run.flos}
-        write_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True))
-        write_trace_csv(run.trace, ckpt_dir / "trace.csv")
-    except Exception as exc:
-        _keep_partial_trace(getattr(exc, "trace", []), ckpt_dir)
-        manifest.finish_all([(key, "failed", _failure(exc))])
-        raise
-    manifest.finish_all([(key, "done", None)])
-    if not quiet:
-        print(f"trained original {key}: test_acc={test_acc:.1f} "
-              f"seconds={seconds:.3f} -> {ckpt_dir}")
+    run.model.save(ckpt_dir / "model.json")
+    last = run.trace[-1]  # the trained model's: recorded after the last update
+    meta = {"train_seconds": last.seconds, "test_acc": last.acc_test,
+            "train_config": cfg.train_dict(), "flos": run.flos}
+    write_atomic(ckpt_dir / "meta.json", json.dumps(meta, indent=2, sort_keys=True))
+    write_trace_csv(run.trace, ckpt_dir / "trace.csv")
+    print(f"trained original {key}: test_acc={last.acc_test:.1f} "
+          f"seconds={last.seconds:.3f} -> {ckpt_dir}")
     return ckpt_dir
-
-
-def _failure(exc: Exception) -> str:
-    """The manifest message of a run that raised ``exc``: ``"<Type>: <message>"``."""
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _keep_partial_trace(rows: list, directory: Path) -> None:
-    """Write the trace rows a failed run recorded, if any, to ``directory/trace.csv``."""
-    if rows:
-        directory.mkdir(parents=True, exist_ok=True)
-        write_trace_csv(rows, directory / "trace.csv")
 
 
 def cmd_train(args) -> int:
     root = _artifacts_root(args)
     cfg = _resolve_config(args)
-    ensure_checkpoint(root, cfg, Manifest(root), force=args.force)
+    manifest = Manifest(root)
+    key = train_hash(cfg)
+    ckpt_dir, done = _locate(root, "train", key, manifest)
+    if done and not args.force:
+        print(f"checkpoint {key} already exists at {ckpt_dir} (use --force to retrain)")
+    else:
+        _run_or_raise(root, manifest, "train", [[(key, cfg)]])
     return 0
 
 
@@ -143,7 +228,7 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
     """The original model and its meta for this config, read from its checkpoint."""
-    ckpt_dir = _checkpoint_dir(root, cfg)
+    ckpt_dir, _ = _locate(root, "train", train_hash(cfg))
     model_path, meta_path = ckpt_dir / "model.json", ckpt_dir / "meta.json"
     if not (model_path.exists() and meta_path.exists()):
         raise ConfigError(
@@ -156,19 +241,10 @@ def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
     return Model.load(model_path), meta
 
 
-def execute_unlearn(root: Path, cfg: UnlearnConfig, key: str, no_budget: bool = False) -> Path:
-    """Run unlearn + evaluate for the config whose ``config_hash`` is ``key``, and write
-    the full artifact directory."""
-    [outcome] = execute_unlearn_group(root, [cfg], no_budget, [key])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig], no_budget: bool,
                           keys: list[str]) -> list[Path | Exception]:
-    """:func:`execute_unlearn` for configs of one method that differ only in seed and
-    deletion ratio, trained in lockstep.
+    """Unlearn and evaluate configs of one method that differ only in seed and deletion
+    ratio, trained in lockstep, and write each run's artifact directory.
 
     ``keys`` are the configs' ``config_hash`` values. Each distinct original
     is loaded, and each distinct dataset generated, once per group and shared
@@ -201,25 +277,22 @@ def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig], no_budget: bool
     runs = unlearn_group(cfgs[0].unlearn_method, members) if members else []
     for i, (_, split, cfg), run in zip(started, members, runs):
         try:
-            outcomes[i] = _write_run(root, keys[i], cfg, split, run)
+            outcomes[i] = run if isinstance(run, Exception) else _write_run(
+                root, keys[i], cfg, split, run)
         except Exception as exc:
             outcomes[i] = exc
     return outcomes
 
 
-def _write_run(root: Path, key: str, cfg: UnlearnConfig, split,
-               run: UnlearnRun | Exception) -> Path:
-    """Write one run's artifact directory; raise the error of a failed run.
+def _write_run(root: Path, key: str, cfg: UnlearnConfig, split, run: UnlearnRun) -> Path:
+    """Write one run's artifact directory.
 
     The report scores the logits of the run's last trace row, which are its
     final model's: writing a run makes no forward pass.
     """
-    run_dir = _run_dir(root, key)  # made only when something is written to it
-    if isinstance(run, Exception):
-        _keep_partial_trace(getattr(run, "trace", []), run_dir)
-        raise run
     report = build_report(split, run.logits, seconds=run.seconds, flos=run.flos,
                           config_hash=key, seed=cfg.seed)
+    run_dir, _ = _locate(root, "unlearn", key)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(run_dir / "config.json", json.dumps(cfg.resolved_dict(), indent=2, sort_keys=True))
     run.model.save(run_dir / "model_prime.json")
@@ -259,20 +332,13 @@ def cmd_unlearn(args) -> int:
     cfg = _resolve_config(args)
     _check_methods_and_ratios(cfg, [cfg.unlearn_method], [cfg.del_ratio])
     key = config_hash(cfg)
-    run_dir = _run_dir(root, key)
     manifest = Manifest(root)
-    if manifest.is_done(key) and (run_dir / "report.json").exists() and not args.force:
+    run_dir, done = _locate(root, "unlearn", key, manifest)
+    if done and not args.force:
         print(f"run {key} already complete at {run_dir} (use --force to redo)")
-        print((run_dir / "report.json").read_text())
-        return 0
-    manifest.start_all("unlearn", [(key, run_dir)])
-    try:
-        execute_unlearn(root, cfg, key, no_budget=args.no_budget)
-    except Exception as exc:
-        manifest.finish_all([(key, "failed", _failure(exc))])
-        raise
-    manifest.finish_all([(key, "done", None)])
-    print(f"run {key} complete -> {run_dir}")
+    else:
+        _run_or_raise(root, manifest, "unlearn", [[(key, cfg)]], args.no_budget)
+        print(f"run {key} complete -> {run_dir}")
     print((run_dir / "report.json").read_text())
     return 0
 
@@ -323,36 +389,6 @@ def _parse_grid_field(text: str, kind=int) -> list:
     return out
 
 
-def _sweep_job(keys: list[str], cfgs: list[UnlearnConfig], root: Path,
-               no_budget: bool) -> list[tuple[str, str, str | None]]:
-    """Run one job's lockstep group; return each run's (key, status, failure message)."""
-    try:
-        outcomes = execute_unlearn_group(root, cfgs, no_budget, keys)
-    except Exception as exc:  # one bad job must not kill the sweep
-        outcomes = [exc] * len(cfgs)
-    return _results(keys, outcomes, set())
-
-
-def _results(keys: list[str], outcomes: list,
-             printed: set[int]) -> list[tuple[str, str, str | None]]:
-    """Each run's (key, status, failure message) from its outcome, a path or an exception.
-
-    An unexpected error (not an ``UnlearnkitError``) prints its traceback
-    once, however many runs it failed: ``printed`` holds the ids of the
-    frames that raised those printed, which an error shares with its copies
-    (a group gives each member it fails one) and its re-raises.
-    """
-    for exc in outcomes:
-        if isinstance(exc, Exception) and not isinstance(exc, UnlearnkitError):
-            frames = [frame for frame, _ in traceback.walk_tb(exc.__traceback__)]
-            origin = id(frames[-1] if frames else exc)  # the frame that raised it
-            if origin not in printed:
-                printed.add(origin)
-                traceback.print_exception(exc)  # keep where it came from
-    return [(key, "failed", _failure(o)) if isinstance(o, Exception) else (key, "done", None)
-            for key, o in zip(keys, outcomes)]
-
-
 def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
@@ -378,16 +414,16 @@ def cmd_sweep(args) -> int:
     print(f"sweep: {len(grid)} runs ({len(methods)} methods x {len(ratios)} "
           f"ratios x {len(seeds)} seeds)")
 
-    # Originals are shared across methods/ratios; train them up front, serially.
-    for seed in seeds:
-        ensure_checkpoint(root, dataclasses.replace(base, seed=seed), manifest,
-                          quiet=True)
+    # Originals are shared across methods and ratios: train each one missing first, in this
+    # process. If any fails, the sweep ends with its error before any run is recorded.
+    originals = {train_hash(cfg): cfg for cfg in (dataclasses.replace(base, seed=seed)
+                                                  for seed in seeds)}
+    _run_or_raise(root, manifest, "train", [[(key, cfg)] for key, cfg in originals.items()
+                                            if not _locate(root, "train", key, manifest)[1]])
 
     # resume: never redo a completed run
     pending = {key: cfg for key, cfg in grid.items()
-               if not (manifest.is_done(key) and (_run_dir(root, key) / "report.json").exists())}
-    if pending:
-        manifest.start_all("unlearn", [(key, _run_dir(root, key)) for key in pending])
+               if not _locate(root, "unlearn", key, manifest)[1]}
     print(f"sweep: {len(grid) - len(pending)} already done, {len(pending)} to run")
 
     # A job is one stack: up to MAX_STACK consecutive runs of one method, ratio-major so
@@ -395,37 +431,15 @@ def cmd_sweep(args) -> int:
     by_method: dict[str, list[str]] = {}
     for key, cfg in pending.items():
         by_method.setdefault(cfg.unlearn_method, []).append(key)
-    jobs = [{key: pending[key] for key in keys[lo:lo + MAX_STACK]}
+    jobs = [[(key, pending[key]) for key in keys[lo:lo + MAX_STACK]]
             for keys in by_method.values() for lo in range(0, len(keys), MAX_STACK)]
     failures = 0
-
-    def record(cfgs: list[UnlearnConfig], results: list) -> None:
-        nonlocal failures
-        manifest.finish_all(results)
-        for cfg, (_, status, _) in zip(cfgs, results):
+    for job, outcomes in _run_jobs(root, manifest, "unlearn", jobs, no_budget=args.no_budget,
+                                   workers=args.workers, loud=True):
+        for (_, cfg), outcome in zip(job, outcomes):
+            status = "failed" if isinstance(outcome, Exception) else "done"
             print(f"  {cfg.unlearn_method} r={cfg.del_ratio} s={cfg.seed}: {status}")
             failures += status == "failed"
-
-    def job_args(job: dict[str, UnlearnConfig]) -> tuple:
-        return list(job), list(job.values()), root, args.no_budget
-
-    if args.workers > 1 and pending:
-        from concurrent.futures import as_completed
-
-        pool_cls = sys.modules[__name__].ProcessPoolExecutor  # see __getattr__
-        printed: set[int] = set()  # a broken pool fails every pending future with one error
-        with pool_cls(max_workers=args.workers) as pool:
-            futures = {pool.submit(_sweep_job, *job_args(job)): job for job in jobs}
-            for future in as_completed(futures):
-                job = futures[future]
-                try:
-                    results = future.result()
-                except Exception as exc:  # the worker died: its job's runs failed
-                    results = _results(list(job), [exc] * len(job), printed)
-                record(list(job.values()), results)
-    else:
-        for job in jobs:
-            record(list(job.values()), _sweep_job(*job_args(job)))
     print(f"sweep finished: {len(pending) - failures} ok, {failures} failed, "
           f"manifest at {manifest.path}")
     return 0 if failures == 0 else 2

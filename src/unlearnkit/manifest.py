@@ -12,6 +12,7 @@ import json
 import time
 from pathlib import Path
 
+from .errors import ConfigError
 from .fileio import read_json, write_atomic
 
 
@@ -22,14 +23,17 @@ class Manifest:
         self.entries: dict[str, dict] = {}
         if self.path.exists():
             self.entries = read_json(self.path, "manifest")
+        for key, entry in self.entries.items():
+            if not (isinstance(entry, dict) and isinstance(entry.get("status"), str)):
+                raise ConfigError(f"bad manifest {self.path}: entry {key!r} is not an "
+                                  "object with a string 'status'")
 
     def save(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
         write_atomic(self.path, json.dumps(self.entries, indent=2, sort_keys=True))
 
     def is_done(self, key: str) -> bool:
-        entry = self.entries.get(key)
-        return entry is not None and entry.get("status") == "done"
+        return self.entries.get(key, {}).get("status") == "done"
 
     def start_all(self, kind: str, items) -> None:
         """Mark every ``(key, directory)`` of one kind pending, with one save."""

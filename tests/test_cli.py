@@ -468,10 +468,12 @@ def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("methods, ratios, seeds, runs, saves_expected", [
-    # 2 originals (start + finish each), all 8 runs marked pending, 2 method jobs finished
-    ("rand_label,neg_grad", "2,4", "0,1", 8, 2 * 2 + 1 + 2),
-    # 3 originals, all 30 runs marked pending, 3 jobs of 10 finished
-    ("neg_grad", "1-10", "0-2", 30, 3 * 2 + 1 + 3)], ids=["8_runs", "30_runs"])
+    # 2 originals marked pending, each finished; all 8 runs marked pending, 2 method jobs
+    # finished
+    ("rand_label,neg_grad", "2,4", "0,1", 8, 1 + 2 + 1 + 2),
+    # 3 originals marked pending, each finished; all 30 runs marked pending, 3 jobs of 10
+    # finished
+    ("neg_grad", "1-10", "0-2", 30, 1 + 3 + 1 + 3)], ids=["8_runs", "30_runs"])
 def test_sweep_writes_the_manifest_once_per_job(tmp_path, monkeypatch, capsys, methods, ratios,
                                                  seeds, runs, saves_expected):
     saves = []
@@ -761,18 +763,42 @@ def test_train_divergence_aborts_with_trace(tmp_path, capsys):
     assert all(e["status"] == "failed" for e in manifest.entries.values())
 
 
+def test_a_sweep_whose_originals_diverge_records_each_failed_and_runs_nothing(tmp_path,
+                                                                              capsys):
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = run(tmp_path, "sweep", *FAST, "--train_learning_rate", "1e200", "--no-budget",
+                 "--methods", "neg_grad", "--ratios", "2", "--seeds", "0,1")
+    assert rc == 2
+    assert "runtime error: NumericError" in capsys.readouterr().err
+    entries = list(Manifest(tmp_path).entries.values())
+    assert entries and {(e["kind"], e["status"]) for e in entries} == {("train", "failed")}
+    for e in entries:
+        assert sorted(p.name for p in Path(e["dir"]).iterdir()) == ["trace.csv"]
+    assert not (tmp_path / "runs").exists()
+
+
 # ----------------------------------------------------- malformed artifact files
 
 def test_a_malformed_manifest_is_a_config_error_naming_it(tmp_path, capsys):
     assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(manifest.read_text()[:40])
-    for argv in (["train", *FAST, "--seed", "0"],
-                 ["unlearn", *FAST, "--seed", "0", "--no-budget"],
-                 ["sweep", *FAST, "--methods", "neg_grad", "--ratios", "2", "--seeds", "0"]):
-        capsys.readouterr()
-        assert run(tmp_path, *argv) == 1
-        assert f"config error: bad manifest {manifest}: " in capsys.readouterr().err
+    good = manifest.read_text()
+    key = train_hash(fast_cfg(seed=0))
+    entry = json.loads(good)[key]
+    # Truncated, and the checkpoint's entry as a string, without a status, with a number.
+    for text in (good[:40], json.dumps({key: "done"}), json.dumps({key: {"kind": "train"}}),
+                 json.dumps({key: {**entry, "status": 1}})):
+        manifest.write_text(text)
+        for argv in (["train", *FAST, "--seed", "0"],
+                     ["unlearn", *FAST, "--seed", "0", "--no-budget"],
+                     ["sweep", *FAST, "--methods", "neg_grad", "--ratios", "2", "--seeds", "0"]):
+            capsys.readouterr()
+            assert run(tmp_path, *argv) == 1
+            assert f"config error: bad manifest {manifest}: " in capsys.readouterr().err
+        assert manifest.read_text() == text
     assert list((tmp_path / "runs").glob("*")) == []
 
 
@@ -956,6 +982,43 @@ def test_a_dead_pool_worker_fails_its_runs_and_a_resumed_sweep_completes_them(
     assert f"{12 - len(failed)} already done, {len(failed)} to run" in capsys.readouterr().out
     entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
     assert all(e["status"] == "done" for e in entries)
+
+
+def test_a_pool_worker_prints_a_non_toolkit_errors_traceback_once_naming_its_raise_site(
+        tmp_path, monkeypatch, capfd):
+    import unlearnkit.cli as cli
+
+    real = cli.execute_unlearn_group
+
+    def out_of_memory(root, cfgs, no_budget=False, keys=None):
+        if cfgs[0].unlearn_method == "neg_grad":
+            raise MemoryError("simulated out of memory")
+        return real(root, cfgs, no_budget, keys)
+
+    monkeypatch.setattr(cli, "execute_unlearn_group", out_of_memory)  # workers inherit it
+    assert run(tmp_path, "sweep", *FAST, "--no-budget", "--workers", "2", "--methods",
+               "neg_grad,rand_label", "--ratios", "2,4", "--seeds", "0") == 2
+    err = capfd.readouterr().err
+    assert err.count("Traceback") == 1
+    assert "in out_of_memory" in err and 'raise MemoryError("simulated out of memory")' in err
+    failed = [e for e in Manifest(tmp_path).entries.values() if e["status"] == "failed"]
+    assert [e["message"] for e in failed] == ["MemoryError: simulated out of memory"] * 2
+
+
+def test_a_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch, capsys):
+    import unlearnkit.cli as cli
+
+    sizes = []
+
+    class Recording(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recording)
+    assert run(tmp_path, "sweep", *FAST, "--no-budget", "--workers", "4", "--methods",
+               "neg_grad,rand_label", "--ratios", "2", "--seeds", "0") == 0
+    assert sizes == [2]  # two jobs, one per method
 
 
 @pytest.mark.parametrize("damage", ["truncated", "without_train_seconds"])
