@@ -85,33 +85,34 @@ class SuperLossParams:
 
 
 def superloss_sigma(loss: float, params: SuperLossParams) -> float:
-    """Optimal confidence sigma* for a single loss value at the current baseline."""
+    """Optimal confidence sigma* for a single loss value at the current baseline:
+    :func:`superloss_weights`' sigma for a batch of that one loss."""
     if params.tau is None:
         raise ConfigError("tau is unset; weight a batch with superloss_weights first or set it")
-    beta = (float(loss) - params.tau) / params.lam
-    return math.exp(-lambert_w0(0.5 * max(-2.0 * math.exp(-1.0), beta)))
+    return float(superloss_weights(np.array([float(loss)]), params)[1][0])
 
 
-def superloss_weights(losses: np.ndarray, params: SuperLossParams) -> tuple[float, np.ndarray]:
-    """Weighted scalar loss over a batch of per-sample losses, and the sigmas.
+def superloss_weights(losses: np.ndarray,
+                      params: SuperLossParams) -> tuple[float, np.ndarray, float]:
+    """Weighted scalar loss over a batch of per-sample losses, the sigmas, and
+    the baseline the batch moves ``tau`` to.
 
     The value is ``mean_i (l_i - tau) * sigma_i + lam * (log sigma_i)**2``
     with each sigma_i computed at its loss. Its exact derivative with
     respect to l_i is ``sigma_i / n`` (the confidence is the argmin, so its
-    own dependence on l_i drops out). ``params.tau`` starts at the first
-    batch's mean when unset and advances by its moving average after the
-    batch.
+    own dependence on l_i drops out). An unset ``params.tau`` is taken as
+    the batch's mean; the returned baseline is ``tau``'s moving average
+    toward that mean. Assigns nothing: the caller commits the baseline to
+    ``params.tau`` once the value is accepted.
     """
     vals = losses.ravel()
     if vals.size == 0:
         raise ConfigError("superloss_weights needs a non-empty batch")
-    if params.tau is None:
-        params.tau = float(vals.mean())
-    tau, lam = params.tau, params.lam
+    mean = float(vals.mean())
+    tau = mean if params.tau is None else params.tau
+    lam = params.lam
     floor = -2.0 * math.exp(-1.0)
     log_sigmas = np.array([-lambert_w0(0.5 * max(floor, (v - tau) / lam)) for v in vals])
     sigmas = np.exp(log_sigmas)
     value = float(np.mean((vals - tau) * sigmas + lam * log_sigmas ** 2))
-    params.tau = params.decay * tau + (1.0 - params.decay) * float(vals.mean())
-    return value, sigmas
-
+    return value, sigmas, params.decay * tau + (1.0 - params.decay) * mean

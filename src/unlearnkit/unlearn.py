@@ -247,9 +247,9 @@ def _backprop_loss(model: Model, logits: np.ndarray, cache: tuple, labels: np.nd
     rows = terms[0][0] if len(terms) == 1 else terms[0][0] + terms[1][0]
     n = rows.shape[-1]
     if curricula is not None:
-        # Per model: superloss_weights ravels its batch and moves that model's tau.
-        values, sigmas = zip(*(superloss_weights(r, c) for r, c in
-                               zip(rows.reshape(len(curricula), n), curricula)))
+        # Per model: superloss_weights ravels its batch and returns that model's next tau.
+        values, sigmas, taus = zip(*(superloss_weights(r, c) for r, c in
+                                     zip(rows.reshape(len(curricula), n), curricula)))
         value = np.array(values).reshape(rows.shape[:-1])[()]  # [()]: a scalar for one model
         weights = (1.0 / n) * np.array(sigmas).reshape(rows.shape)
     else:
@@ -257,6 +257,9 @@ def _backprop_loss(model: Model, logits: np.ndarray, cache: tuple, labels: np.nd
         weights = np.float64(1.0 / n)  # every row's weight (see the loss kernels in nn)
     if not np.logical_and.reduce(np.isfinite(value), axis=None):
         raise NumericError("training loss became non-finite", step=step)
+    if curricula is not None:  # the one commit point: a step that raises moves no tau
+        for curriculum, tau in zip(curricula, taus):
+            curriculum.tau = tau
     g = terms[0][1](weights)
     if len(terms) == 2:
         g += terms[1][1](weights)
@@ -302,10 +305,10 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     A plan fails alone (:meth:`RunRecorder.fail`) and sits out every later
     step and snapshot, on an error from its snapshot or budget check, or
     on an ``UnlearnkitError`` from its own rows of a part: a run of plans
-    whose part raises one is redone one plan at a time, from the
-    curriculum state it started from (every such error is raised before a
-    gradient row or optimizer state changes). A plan that fails in a step
-    gets no update in it. Any other error is raised.
+    whose part raises one is redone one plan at a time (every such error is
+    raised before a gradient row, optimizer state or curriculum baseline
+    changes). A plan that fails in a step gets no update in it. Any other
+    error is raised.
     """
     first = plans[0]
     model = Model.stack([plan.student for plan in plans])
@@ -351,12 +354,9 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
                 break
             for i in range(len(next(s for s in steps if s is not None))):
                 for lo, hi in _runs([None if s is None else s[i][1].shape for s in steps]):
-                    saved = [(c, c.tau) for c in (curricula or ())[lo:hi]]
                     try:
                         part(steps, i, lo, hi)
                     except UnlearnkitError:
-                        for c, tau in saved:  # superloss_weights moved them before the check
-                            c.tau = tau
                         for k in range(lo, hi):
                             try:
                                 part(steps, i, k, k + 1)

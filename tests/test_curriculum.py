@@ -4,9 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from unlearnkit import ConfigError, DomainError
+from unlearnkit import ConfigError, DomainError, Model, NumericError, build_model, nn
 from unlearnkit.curriculum import (SuperLossParams, lambert_w0, superloss_sigma,
                                    superloss_weights)
+from unlearnkit.unlearn import loss_and_grad
 
 
 def halley_oracle(x, w0=0.5, iters=200):
@@ -91,8 +92,9 @@ def test_params_validation():
 
 def test_batch_at_baseline_gives_zero_loss_and_mean_gradient():
     params = SuperLossParams(lam=1.0, tau=0.7, decay=0.9)
-    value, sigmas = superloss_weights(np.full(4, 0.7), params)
+    value, sigmas, tau = superloss_weights(np.full(4, 0.7), params)
     assert value == pytest.approx(0.0, abs=1e-12)
+    assert tau == pytest.approx(0.7) and params.tau == 0.7
     # d value / d l_i = sigma_i / n; sigma=1 -> plain mean grad
     assert np.allclose(sigmas / sigmas.size, np.full(4, 0.25))
 
@@ -106,11 +108,13 @@ def test_outlier_gets_smaller_confidence():
 
 def test_tau_initializes_to_first_batch_mean_then_tracks_ema():
     params = SuperLossParams(lam=1.0, decay=0.9)
-    superloss_weights(np.array([1.0, 3.0]), params)
+    *_, tau = superloss_weights(np.array([1.0, 3.0]), params)
     # initialized to mean 2.0, then one EMA step toward the same mean
-    assert params.tau == pytest.approx(2.0)
-    superloss_weights(np.array([4.0, 4.0]), params)
-    assert params.tau == pytest.approx(0.9 * 2.0 + 0.1 * 4.0)
+    assert tau == pytest.approx(2.0)
+    assert params.tau is None  # the caller commits it
+    params.tau = tau
+    *_, tau = superloss_weights(np.array([4.0, 4.0]), params)
+    assert tau == pytest.approx(0.9 * 2.0 + 0.1 * 4.0)
 
 
 def test_empty_batch_rejected():
@@ -134,3 +138,56 @@ def test_curriculum_gradient_matches_finite_differences():
         down[i] -= h
         fd = (value(up) - value(down)) / (2 * h)
         assert grad[i] == pytest.approx(fd, abs=1e-7)
+
+
+# ------------------------------------------------------ a step that raises
+
+X = np.random.default_rng(0).standard_normal((6, 4))
+Y = np.arange(6) % 3
+
+
+def _nan_row(x):
+    x = x.copy()
+    x[..., 2, :] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("tau", [None, 0.5])
+@pytest.mark.parametrize("bad", ["nan input", "inf loss"])
+def test_a_step_that_raises_leaves_the_curriculum_as_it_was(monkeypatch, bad, tau):
+    """The loss check raises before tau moves, so the next clean batch
+    trains as it would from a fresh state. A +inf loss row, which the
+    clamped kernels never give, reaches lambert_w0 at a set tau."""
+    model = build_model(4, 3, "mlp:8", seed=0)
+    params = SuperLossParams(tau=tau)
+    x, error = _nan_row(X), NumericError
+    if bad == "inf loss":
+        real = nn.cross_entropy_rows
+
+        def inf_row(logits, labels):
+            rows, row_grad = real(logits, labels)
+            rows[..., 2] = np.inf
+            return rows, row_grad
+
+        monkeypatch.setattr(nn, "cross_entropy_rows", inf_row)
+        x, error = X, NumericError if tau is None else DomainError
+    with np.errstate(invalid="ignore"), pytest.raises(error):  # inf - inf at an unset tau
+        loss_and_grad(model, x, labels=Y, curriculum=params)
+    assert params.tau == tau
+    monkeypatch.undo()
+    fresh = SuperLossParams(tau=tau)
+    value = loss_and_grad(model, X, labels=Y, curriculum=params)[0]
+    assert value == loss_and_grad(model, X, labels=Y, curriculum=fresh)[0]
+    assert params.tau == fresh.tau
+    if tau is None:
+        assert value == pytest.approx(-0.0131968, abs=1e-7)
+        assert params.tau == pytest.approx(1.06984, abs=1e-5)
+
+
+def test_a_stacked_step_that_raises_moves_no_members_tau():
+    model = Model.stack([build_model(4, 3, "mlp:8", seed=s) for s in (0, 1)])
+    curricula = [SuperLossParams(), SuperLossParams(tau=0.5)]
+    with pytest.raises(NumericError):  # the second member's NaN row
+        loss_and_grad(model, np.stack([X, _nan_row(X)]), labels=np.stack([Y, Y]),
+                      curriculum=curricula)
+    assert [c.tau for c in curricula] == [None, 0.5]

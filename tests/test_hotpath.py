@@ -28,3 +28,11 @@ def test_the_wide_batch_is_a_stack_of_one(hotpath):
     model, x, y, _ = hotpath.lockstep_batch(hotpath.WIDE, 1)
     assert x.shape == (1, 256, 64) and y.shape == (1, 256)
     assert model.forward_cache(x)[0].shape == (1, 256, 10)
+
+
+def test_superloss_us_times_the_wide_batch(hotpath):
+    assert 0 < hotpath.superloss_us(hotpath.WIDE_CURRICULUM, 1) < math.inf
+
+
+def test_step_us_gives_each_member_its_curriculum(hotpath):
+    assert 0 < hotpath.step_us(UnlearnConfig(curriculum=True), 2, 1) < math.inf

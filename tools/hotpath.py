@@ -6,12 +6,14 @@ backprop and the Adam update, and the whole step through the public
 ``loss_and_grad`` and ``optimizer_step``. It does this for two
 default-config models trained in lockstep (K = 2, batch 32 each) and for one
 ``wide`` model (``mlp:256,256``, batch 256, 64 inputs, 10 classes) in a
-stack of one, as a solo run trains. It then prints the whole step's cost
-per member of a default-config stack of K = 1, 2, 4, 10 and 20 models, the
-figure that sets how many members a lockstep step stacks
-(``unlearn.MAX_STACK``). It also times one default-config trace snapshot:
-three evaluation passes and the accuracies and mean losses scored from
-them. Standard library and numpy only.
+stack of one, as a solo run trains. For the ``wide`` model it also times the
+curriculum: ``superloss_weights`` on the batch's 256 per-row losses, and the
+whole step with a curriculum, as the benchmark's ``wide`` sweep trains. It
+then prints the whole step's cost per member of a default-config stack of
+K = 1, 2, 4, 10 and 20 models, the figure that sets how many members a
+lockstep step stacks (``unlearn.MAX_STACK``). It also times one
+default-config trace snapshot: three evaluation passes and the accuracies
+and mean losses scored from them. Standard library and numpy only.
 
 Usage, from the repository root:
 
@@ -34,6 +36,7 @@ import argparse
 import statistics
 import sys
 import timeit
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -42,13 +45,15 @@ import numpy as np
 
 from unlearnkit import nn
 from unlearnkit.config import UnlearnConfig
+from unlearnkit.curriculum import superloss_weights
 from unlearnkit.data import generate
 from unlearnkit.nn import Model, build_model
 from unlearnkit.optim import OptimizerState, optimizer_step
-from unlearnkit.unlearn import RunRecorder, loss_and_grad
+from unlearnkit.unlearn import RunRecorder, _curriculum_state, loss_and_grad
 
 WIDE = UnlearnConfig(data_name="gaussian_blobs:c10:s250:d64", backbone="mlp:256,256",
                      batch_size=256)
+WIDE_CURRICULUM = replace(WIDE, curriculum=True)
 PHASES = ("forward", "loss", "backprop", "adam", "step")
 STACK_SIZES = (1, 2, 4, 10, 20)
 WARMUP_CALLS = 50
@@ -98,10 +103,23 @@ def step_phases(config: UnlearnConfig, k: int, repeat: int) -> dict[str, float]:
 
 def step_us(config: UnlearnConfig, k: int, repeat: int) -> float:
     """Median microseconds of one whole step (``loss_and_grad`` and ``optimizer_step``)
-    of ``k`` models in lockstep."""
+    of ``k`` models in lockstep, each with its own curriculum if ``config`` has one."""
     model, x, y, state = lockstep_batch(config, k)
-    return median_us(lambda: optimizer_step(state, model, loss_and_grad(model, x, labels=y)[1]),
-                     repeat)
+    curricula = [_curriculum_state(config) for _ in range(k)] if config.curriculum else None
+
+    def step():
+        optimizer_step(state, model, loss_and_grad(model, x, labels=y, curriculum=curricula)[1])
+
+    return median_us(step, repeat)
+
+
+def superloss_us(config: UnlearnConfig, repeat: int) -> float:
+    """Median microseconds of ``superloss_weights`` on one model's per-row losses
+    of its batch."""
+    model, x, y, _ = lockstep_batch(config, 1)
+    rows = nn.cross_entropy_rows(model.forward_cache(x)[0], y)[0][0]
+    params = _curriculum_state(config)
+    return median_us(lambda: superloss_weights(rows, params), repeat)
 
 
 def snapshot_us(repeat: int) -> float:
@@ -126,6 +144,8 @@ def main(argv: list[str]) -> int:
     print(f"{'phase':<10}{'default K=2':>14}{'wide':>12}")
     for phase in PHASES:
         print(f"{phase:<10}{lockstep[phase]:>14.1f}{wide[phase]:>12.1f}")
+    print(f"{'superloss':<10}{'':>14}{superloss_us(WIDE_CURRICULUM, args.repeat):>12.1f}")
+    print(f"{'step+curr':<10}{'':>14}{step_us(WIDE_CURRICULUM, 1, args.repeat):>12.1f}")
     print(f"{'snapshot':<10}{snapshot_us(args.repeat):>14.1f}")
     print(f"{'K':<10}{'us per member-step':>20}")
     for k in STACK_SIZES:
