@@ -39,15 +39,16 @@ PROB_FLOOR = 1e-12  # probabilities are clamped to [PROB_FLOOR, 1] before any lo
 CHECKPOINT_VERSION = 2
 
 
-def _relu_backward(g, y):
-    return g * (y > 0.0)  # y > 0 exactly where z > 0, at +-0 and NaN too
+def _relu_backward(g, y, out=None):
+    return np.multiply(g, y > 0.0, out=out)  # y > 0 exactly where z > 0, at +-0 and NaN too
 
 
-def _tanh_backward(g, y):
-    return g * (1.0 - y * y)
+def _tanh_backward(g, y, out=None):
+    t = y * y
+    return np.multiply(g, np.subtract(1.0, t, out=t), out=out)
 
 
-# name -> (forward(z, out=None), backward(grad of output, output))
+# name -> (forward(z, out=None), backward(grad of output, output, out=None))
 ACTIVATIONS = {
     "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), _relu_backward),
     "tanh": (np.tanh, _tanh_backward),
@@ -87,7 +88,10 @@ class Linear:
         if self.adapter is not None:
             ad = self.adapter
             mid = x @ ad.down.swapaxes(-1, -2)
-            y += ad.scale * (mid @ ad.up.swapaxes(-1, -2))
+            term = mid @ ad.up.swapaxes(-1, -2)
+            term *= ad.scale  # one temporary, scaled in place
+            y += term
+            del term  # freed before the bias add takes its iterator buffer
         y += self.bias[..., None, :]
         return y, mid
 
@@ -196,14 +200,17 @@ class Model:
         model k is rebound to view its row and the stack's gradient row, and
         to share the stack's workspace, so training the stack trains each
         model in place; one model is stacked too (K = 1). With ``copy`` the
-        buffer holds copies and the models are left as they are. The models
-        must share their layout: activation, layer shapes, adapters.
+        models are left as they are, for a stack that is only run, never
+        trained (a teacher): its buffer holds copies of theirs, or views the
+        one model's buffer when K = 1. The models must share their layout:
+        activation, layer shapes, adapters.
         """
         first = models[0]
         if any(m._layout() != first._layout() for m in models):
             raise ShapeError("stacked models must share activation, layer shapes and adapters")
         out = first._skeleton()
-        out._pack(np.stack([m._buffer for m in models]))
+        out._pack(first._buffer[None] if copy and len(models) == 1
+                  else np.stack([m._buffer for m in models]))
         if not copy:
             for k, model in enumerate(models):
                 model._pack(out._buffer[k], out.grad[k])
@@ -281,22 +288,23 @@ class Model:
         grad = self.grad  # made on first use, with the views the layers write
         gh = self._backprop_layer(len(self.layers) - 1, cache, g)
         if gh is not None:
-            self.backprop_hidden(cache, gh)
+            self.backprop_hidden(cache, gh, _own=True)
         return grad
 
-    def backprop_hidden(self, cache: tuple, gh: np.ndarray) -> np.ndarray:
+    def backprop_hidden(self, cache: tuple, gh: np.ndarray, _own: bool = False) -> np.ndarray:
         """Add the gradient of a loss with ``dL/d(penultimate) = gh`` into the buffer.
 
         For a loss on the penultimate activations (``cache[0][-1]``); the
         output layer gets no gradient. Returns the buffer, as
-        :meth:`backprop` does.
+        :meth:`backprop` does. ``gh`` keeps its bytes: each activation's
+        backward writes in place only into an input gradient backprop made.
         """
         grad = self.grad  # made on first use, with the views the layers write
         inputs, _ = cache
         act_backward = ACTIVATIONS[self.activation][1]
         for i in range(len(self.layers) - 2, self._lowest - 1, -1):
-            g = act_backward(gh, inputs[i + 1])
-            gh = self._backprop_layer(i, cache, g)
+            g = act_backward(gh, inputs[i + 1], gh if _own else None)
+            gh, _own = self._backprop_layer(i, cache, g), True
         return grad
 
     def _backprop_layer(self, i: int, cache, g: np.ndarray) -> np.ndarray | None:
@@ -327,7 +335,7 @@ class Model:
             return None
         gh = g @ layer.weight
         if ad is not None:
-            gh = gh + g_mid @ ad.down
+            gh += g_mid @ ad.down
         return gh
 
     def _check_input(self, x) -> np.ndarray:

@@ -286,11 +286,13 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     ``MAX_STACK`` plans), over those rows of the stack (``Model.rows``), and
     every part backprops into the plan's one summed gradient row. A
     non-finite part makes that sum non-finite, so each part is checked on
-    its own. Then each run of adjacent plans that stepped gets the L1 pull,
-    the pass's sign and one masked optimizer update; Adam counts each
-    plan's updates on its own. Teachers are stacked as copies, once per
-    distinct run of teachers. Each phase name keeps its own optimizer
-    state, so ascent and descent never share Adam moments.
+    its own. Then each run of adjacent plans that stepped gets the L1 pull
+    and the pass's sign, both written into its spent gradient rows, and one
+    masked optimizer update; Adam counts each plan's updates on its own.
+    Teachers are stacked once per distinct run of teachers, as copies or,
+    for a run of one, as a view of that teacher; nothing trains them. Each
+    phase name keeps its own optimizer state, so ascent and descent never
+    share Adam moments.
 
     ``recorders[k]`` counts plan k's samples and steps each step it takes
     and snapshots plan k's student before training (epoch 0, ``init``) and
@@ -316,7 +318,7 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     mask = None if first.mask is None else ParamMask(np.array([p.mask.selected for p in plans]))
     curricula = None if first.curriculum is None else [plan.curriculum for plan in plans]
     stack_rows = functools.cache(model.rows)  # one view per run of plans
-    stack_teachers = functools.cache(  # copies, once per run of teachers: they stay as they are
+    stack_teachers = functools.cache(  # once per run of teachers, which stay as they are
         lambda *teachers: Model.stack(teachers, copy=True).share_workspace(model))
     opts: dict[str, OptimizerState] = {}
     records = list(zip(recorders, plans))
@@ -365,11 +367,12 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
                                 steps[k] = None
             for lo, hi in _runs([None if s is None else True for s in steps]):
                 view = stack_rows(lo, hi)
-                grad = view.grad
+                grad = view.grad  # spent by this update, so pulled and negated in place
                 if first.l1_lambda:
-                    grad = grad + first.l1_lambda * np.sign(view.params)
-                optimizer_step(opts[phase], model, -grad if ascending else grad, mask,
-                               slice(lo, hi))
+                    grad += first.l1_lambda * np.sign(view.params)
+                if ascending:
+                    np.negative(grad, out=grad)
+                optimizer_step(opts[phase], model, grad, mask, slice(lo, hi))
             for (recorder, plan), parts in zip(records, steps):
                 if parts is not None:
                     recorder.add_samples(plan.student, sum(len(p[0]) for p in parts))

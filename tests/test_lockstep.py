@@ -16,6 +16,7 @@ from unlearnkit import (BudgetError, ConfigError, NumericError, ShapeError, Unle
                         build_model, config_hash, unlearn, unlearn_group)
 from unlearnkit.cli import execute_unlearn_group, main
 from unlearnkit.data import generate
+from unlearnkit.lora import attach_adapter
 from unlearnkit.metrics import build_report
 from unlearnkit.nn import Model
 from unlearnkit.unlearn import METHODS, RunRecorder, train_original
@@ -411,6 +412,30 @@ def test_stack_views_member_rows_and_rejects_mixed_layouts():
     assert np.array_equal(solo.params[0], before)
     solo.params[0] += 1.0
     assert np.array_equal(a.param_vector(), before + 1.0)
+
+
+@pytest.mark.parametrize("adapter", [False, True], ids=["plain", "adapter"])
+def test_a_copied_stack_of_one_views_its_model_and_leaves_it_as_it_was(adapter):
+    """A teacher is never trained, so its stack of one views it rather than copying it."""
+    m = build_model(4, 3, "mlp:5,6", seed=0)
+    if adapter:
+        m = attach_adapter(m, 1, 2, scale=0.5, seed=1)
+    buffer, weight = m._buffer, m.layers[0].weight
+    stack = Model.stack([m], copy=True)
+    assert np.shares_memory(stack._buffer, m._buffer)
+    assert m._buffer is buffer and m.layers[0].weight is weight
+    assert not np.shares_memory(stack.grad, m.grad)
+    x = np.random.default_rng(0).standard_normal((7, 4))
+    assert stack.logits(x[None])[0].tobytes() == m.logits(x).tobytes()
+
+
+def test_a_copied_stack_of_two_shares_memory_with_neither_model():
+    models = [build_model(4, 3, "mlp:5", seed=s) for s in range(2)]
+    buffers = [m._buffer for m in models]
+    stack = Model.stack(models, copy=True)
+    for m, buffer in zip(models, buffers):
+        assert m._buffer is buffer and not np.shares_memory(stack._buffer, buffer)
+    assert np.array_equal(stack.params, np.stack([m.params for m in models]))
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

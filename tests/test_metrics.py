@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,24 @@ def test_constant_model_on_balanced_four_class_test():
     m = build_model(2, 4, "mlp:4", seed=0)
     m.set_param_vector(np.zeros(m.num_trainable()))  # always predicts class 0
     assert evaluate(m, split)[0] == 25.0
+
+
+def test_split_logits_makes_a_fresh_models_workspace_once_at_its_full_size():
+    """The retain set, the largest, runs first: a ``wide`` model's two hidden
+    workspace buffers are made once for its 1800 rows. Forget, test and retain in
+    that order made them three times, each growth holding the old pair and the new."""
+    split = generate(UnlearnConfig(data_name="gaussian_blobs:c10:s250:d64").data_spec())
+    split = split.with_deletion(10)
+    split.forget_x  # cached on first use; not part of the workspace
+    model = build_model(64, 10, "mlp:256,256", seed=0)
+    tracemalloc.start()
+    try:
+        split_logits(model, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    workspace = 2 * len(split.retain_y) * 256 * 8
+    assert peak <= workspace + split.retain_x.nbytes + 2**19  # its retain_x copy, logits
 
 
 def test_perfect_memorizer_scores_100_on_both_train_sets(setup):

@@ -478,6 +478,46 @@ def test_a_repeated_forward_allocates_only_the_logits():
     assert peak <= logits.nbytes + ufunc_buffer + 4096
 
 
+@pytest.mark.parametrize("rows", [100, 1800])
+def test_an_adapted_layer_holds_one_adapter_temporary(rows):
+    """``logits`` of ``mlp:256,256`` with an adapter on layer 1 holds one ``(rows, 256)``
+    adapter term at a time, scaled in place, not the product and its scaled copy. At
+    1800 rows numpy's temporary elision already reused the product for the scaling;
+    at 100 rows (a 200 KiB term, under elision's 256 KiB floor) it did not."""
+    m = _adapted(build_model(64, 10, "mlp:256,256", seed=0), 1, 8)
+    x = np.random.default_rng(0).standard_normal((rows, 64))
+    m.logits(x)  # grows the workspace
+    y, b = np.zeros((rows, 256)), np.zeros(256)
+    tracemalloc.start()
+    try:
+        y += b  # the bias add's transient iterator buffer
+        ufunc_buffer = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        m.logits(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    term, mid = rows * 256 * 8, rows * 8 * 8
+    assert peak <= term + mid + ufunc_buffer + 4096
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_model(6, 4, "mlp:16,12,8", seed=0),
+    lambda: build_model(6, 4, "mlp:16,12,8:tanh", seed=0),
+    lambda: _adapted(build_model(6, 4, "mlp:16,12,8", seed=1), 1, 2),
+    lambda: Model.stack([build_model(6, 4, "mlp:16,12,8:tanh", seed=s) for s in range(2)]),
+], ids=["relu", "tanh", "adapter", "stacked"])
+def test_backprop_writes_into_no_gradient_its_caller_passed(make):
+    m = make()
+    rng = np.random.default_rng(0)
+    logits, cache = m.forward_cache(rng.standard_normal(m._lead + (5, 6)))
+    g, gh = rng.standard_normal(logits.shape), rng.standard_normal(cache[0][-1].shape)
+    before = g.tobytes(), gh.tobytes()
+    m.backprop(cache, g)
+    m.backprop_hidden(cache, gh)
+    assert (g.tobytes(), gh.tobytes()) == before
+
+
 def test_parse_backbone():
     assert parse_backbone("mlp:16,8") == ([16, 8], "relu")
     assert parse_backbone("mlp") == ([32], "relu")

@@ -155,3 +155,17 @@ def test_adam_states_replaced_from_one_fresh_state_move_independently():
         for step in grads:
             optimizer_step(state, mm, step[i])
         assert mm.params.tobytes() == models[i].params.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+def test_optimizer_step_leaves_its_gradient_as_it_was(kind, masked):
+    stack = Model.stack([build_model(3, 2, "mlp:4", seed=s) for s in range(3)])
+    rng = np.random.default_rng(0)
+    mask = ParamMask(rng.random(stack.params.shape) < 0.5) if masked else None
+    state = OptimizerState(kind, 0.1)
+    for _ in range(2):  # the first Adam update makes its moments, the second reuses them
+        gradient = rng.standard_normal((2, stack.params.shape[1]))
+        before = gradient.tobytes()
+        optimizer_step(state, stack, gradient, mask, slice(1, 3))
+        assert gradient.tobytes() == before

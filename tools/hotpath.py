@@ -13,7 +13,10 @@ then prints the whole step's cost per member of a default-config stack of
 K = 1, 2, 4, 10 and 20 models, the figure that sets how many members a
 lockstep step stacks (``unlearn.MAX_STACK``). It also times one
 default-config trace snapshot: three evaluation passes and the accuracies
-and mean losses scored from them. Standard library and numpy only.
+and mean losses scored from them. Next to the step times it prints the
+``tracemalloc`` peak of one whole step, in MB (10^6 bytes): the most memory
+the step's arrays and objects held at once, beyond what the model, its
+batch and its optimizer already held. Standard library and numpy only.
 
 Usage, from the repository root:
 
@@ -36,6 +39,7 @@ import argparse
 import statistics
 import sys
 import timeit
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -67,6 +71,18 @@ def median_us(fn, repeat: int) -> float:
     timer = timeit.Timer(fn)
     number, _ = timer.autorange()
     return 1e6 * statistics.median(timer.repeat(repeat, number)) / number
+
+
+def peak_mb(fn) -> float:
+    """Traced peak, in MB, of one call of ``fn`` after ``WARMUP_CALLS`` untimed calls."""
+    for _ in range(WARMUP_CALLS):
+        fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def lockstep_batch(config: UnlearnConfig, k: int):
@@ -101,16 +117,21 @@ def step_phases(config: UnlearnConfig, k: int, repeat: int) -> dict[str, float]:
             "step": step_us(config, k, repeat)}
 
 
-def step_us(config: UnlearnConfig, k: int, repeat: int) -> float:
-    """Median microseconds of one whole step (``loss_and_grad`` and ``optimizer_step``)
-    of ``k`` models in lockstep, each with its own curriculum if ``config`` has one."""
+def lockstep_step(config: UnlearnConfig, k: int):
+    """One whole step (``loss_and_grad`` and ``optimizer_step``) of ``k`` models in
+    lockstep, each with its own curriculum if ``config`` has one, as a callable."""
     model, x, y, state = lockstep_batch(config, k)
     curricula = [_curriculum_state(config) for _ in range(k)] if config.curriculum else None
 
     def step():
         optimizer_step(state, model, loss_and_grad(model, x, labels=y, curriculum=curricula)[1])
 
-    return median_us(step, repeat)
+    return step
+
+
+def step_us(config: UnlearnConfig, k: int, repeat: int) -> float:
+    """Median microseconds of one whole step of ``k`` models in lockstep."""
+    return median_us(lockstep_step(config, k), repeat)
 
 
 def superloss_us(config: UnlearnConfig, repeat: int) -> float:
@@ -140,10 +161,13 @@ def main(argv: list[str]) -> int:
         parser.error("--repeat must be >= 1")
     lockstep = step_phases(UnlearnConfig(), 2, args.repeat)
     wide = step_phases(WIDE, 1, args.repeat)
-    print(f"numpy {np.__version__}; median us per call over {args.repeat} samples")
+    print(f"numpy {np.__version__}; median us per call over {args.repeat} samples,"
+          " and the traced peak MB of one step")
     print(f"{'phase':<10}{'default K=2':>14}{'wide':>12}")
     for phase in PHASES:
         print(f"{phase:<10}{lockstep[phase]:>14.1f}{wide[phase]:>12.1f}")
+    print(f"{'step MB':<10}{peak_mb(lockstep_step(UnlearnConfig(), 2)):>14.2f}"
+          f"{peak_mb(lockstep_step(WIDE, 1)):>12.2f}")
     print(f"{'superloss':<10}{'':>14}{superloss_us(WIDE_CURRICULUM, args.repeat):>12.1f}")
     print(f"{'step+curr':<10}{'':>14}{step_us(WIDE_CURRICULUM, 1, args.repeat):>12.1f}")
     print(f"{'snapshot':<10}{snapshot_us(args.repeat):>14.1f}")
