@@ -20,6 +20,8 @@ from .fileio import read_json, write_atomic
 from .nn import Model
 
 MIN_TEST_FOR_MIA = 10
+# float64 values one evaluation block may put in each hidden workspace buffer (2 MiB)
+EVAL_BLOCK_VALUES = 2**18
 
 
 def chance_level(num_classes: int) -> float:
@@ -36,14 +38,39 @@ class SplitLogits(NamedTuple):
 
 
 def split_logits(model: Model, split: DatasetSplit) -> SplitLogits:
-    """One forward pass over each evaluation set: every score derives from these."""
+    """One forward pass over each evaluation set: every score derives from these.
+
+    Each set runs in the row blocks of :func:`row_blocks`, at most
+    ``EVAL_BLOCK_VALUES // max(model.hidden)`` rows each (a model with no hidden
+    layer counts as width 1), so a model's workspace holds at most that many
+    rows for evaluation whatever the data's size. D_r's rows are gathered block
+    by block through ``retain_indices``, never copied whole.
+    """
     if len(split.test_y) == 0 or split.num_train == 0:
         raise ConfigError("evaluate needs non-empty train and test sets")
-    # The retain set first: under an 80/20 split with at most 10% of the training rows
-    # deleted it is the largest, so the workspace is made once at full size, not regrown.
-    retain = model.logits(split.retain_x)
-    forget = model.logits(split.forget_x) if split.del_indices.size else None
-    return SplitLogits(model.logits(split.test_x), retain, forget)
+    test = _block_logits(model, split.test_x)
+    retain = _block_logits(model, split.train_x, split.retain_indices)
+    forget = _block_logits(model, split.forget_x) if split.del_indices.size else None
+    return SplitLogits(test, retain, forget)
+
+
+def row_blocks(n: int, cap: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` bounds cutting ``n`` rows into ``ceil(n / cap)`` near-equal blocks.
+
+    Block sizes differ by at most one row, so none is shorter than half of
+    ``cap``: a short tail block changed the last bits of its rows' logits.
+    """
+    k = -(-n // cap)
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _block_logits(model: Model, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """``model``'s logits of ``x`` (of ``x[rows]`` when given), one row block at a time."""
+    n = len(x if rows is None else rows)
+    out = np.empty((n, model.num_classes))
+    for lo, hi in row_blocks(n, EVAL_BLOCK_VALUES // max(model.hidden, default=1)):
+        out[lo:hi] = model.logits(x[lo:hi] if rows is None else x[rows[lo:hi]])
+    return out
 
 
 def accuracies(split: DatasetSplit, logits: SplitLogits) -> tuple[float, float | None, float]:

@@ -201,15 +201,17 @@ class Model:
         to share the stack's workspace, so training the stack trains each
         model in place; one model is stacked too (K = 1). With ``copy`` the
         models are left as they are, for a stack that is only run, never
-        trained (a teacher): its buffer holds copies of theirs, or views the
-        one model's buffer when K = 1. The models must share their layout:
+        trained (a teacher): its buffer holds copies of theirs, or, when every
+        model is one and the same (K = 1 too), a read-only view of that
+        model's buffer K times. The models must share their layout:
         activation, layer shapes, adapters.
         """
         first = models[0]
         if any(m._layout() != first._layout() for m in models):
             raise ShapeError("stacked models must share activation, layer shapes and adapters")
         out = first._skeleton()
-        out._pack(first._buffer[None] if copy and len(models) == 1
+        out._pack(np.broadcast_to(first._buffer, (len(models),) + first._buffer.shape)
+                  if copy and all(m is first for m in models)
                   else np.stack([m._buffer for m in models]))
         if not copy:
             for k, model in enumerate(models):

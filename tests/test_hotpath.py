@@ -51,3 +51,10 @@ def test_one_wide_loss_and_grad_holds_at_most_1_6_mb_of_temporaries(hotpath):
     with the gradient written in place."""
     model, x, y, _ = hotpath.lockstep_batch(hotpath.WIDE, 1)
     assert hotpath.peak_mb(lambda: loss_and_grad(model, x, labels=y)) <= 1.6
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["default", "wide"])
+def test_a_snapshot_is_timed_and_traced(hotpath, wide):
+    fn = hotpath.snapshot(hotpath.WIDE if wide else UnlearnConfig())
+    assert 0 < hotpath.median_us(fn, 1) < math.inf
+    assert 0 < hotpath.peak_mb(fn) < 1.0

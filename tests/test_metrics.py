@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 from unlearnkit import (ConfigError, InsufficientDataError, UnlearnConfig,
                         build_model, deletion_capacity, evaluate, fit_mia,
                         metrics, mia_success, unlearn)
-from unlearnkit.data import SynthSpec, generate
+from unlearnkit.data import DatasetSplit, SynthSpec, generate
 from unlearnkit.metrics import (EvalReport, build_report, chance_level, split_logits,
                                 task_losses)
+from unlearnkit.nn import Model
 from unlearnkit.unlearn import train_original
 
 DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
@@ -32,13 +33,18 @@ def test_constant_model_on_balanced_four_class_test():
     assert evaluate(m, split)[0] == 25.0
 
 
-def test_split_logits_makes_a_fresh_models_workspace_once_at_its_full_size():
-    """The retain set, the largest, runs first: a ``wide`` model's two hidden
-    workspace buffers are made once for its 1800 rows. Forget, test and retain in
-    that order made them three times, each growth holding the old pair and the new."""
-    split = generate(UnlearnConfig(data_name="gaussian_blobs:c10:s250:d64").data_spec())
-    split = split.with_deletion(10)
-    split.forget_x  # cached on first use; not part of the workspace
+WIDE_DATA = "gaussian_blobs:c10:s250:d64"
+WIDE_CAP = 1024  # the row cap of a 256-wide model: 2 MiB of float64 per hidden buffer
+
+
+def test_split_logits_holds_at_most_one_row_block_of_workspace():
+    """A fresh ``wide`` model evaluates its 1800 retain rows in two 900-row blocks
+    gathered through ``retain_indices``: the traced peak is the 500-row test set's
+    workspace pair, the 900-row pair that replaces it, one gathered block and the
+    logits. In one call per set it was the 1800-row pair (7.4 MB) and a whole
+    ``retain_x`` copy (0.92 MB)."""
+    split = generate(UnlearnConfig(data_name=WIDE_DATA).data_spec()).with_deletion(10)
+    split.forget_x, split.retain_indices  # cached on first use; not part of the pass
     model = build_model(64, 10, "mlp:256,256", seed=0)
     tracemalloc.start()
     try:
@@ -46,8 +52,58 @@ def test_split_logits_makes_a_fresh_models_workspace_once_at_its_full_size():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    workspace = 2 * len(split.retain_y) * 256 * 8
-    assert peak <= workspace + split.retain_x.nbytes + 2**19  # its retain_x copy, logits
+    block = 900
+    assert len(split.retain_y) == 2 * block and len(split.test_y) < block
+    workspaces = 2 * (len(split.test_y) + block) * 256 * 8
+    assert peak <= workspaces + block * 64 * 8 + 2**19  # the gathered block, logits
+
+
+@pytest.mark.parametrize("n", [1800, 2000, 2250])
+def test_split_logits_in_blocks_equal_one_forward_pass_per_set(n):
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal((n + 200, 64)), rng.integers(0, 10, n + 200)
+    split = DatasetSplit(x, y, x[:n], y[:n], seed=0,
+                         del_indices=rng.permutation(n + 200)[:200])
+    model = build_model(64, 10, "mlp:256,256", seed=1)
+    got = split_logits(model, split)
+    assert len(metrics.row_blocks(n, WIDE_CAP)) > 1
+    for logits, rows in ((got.test, split.test_x), (got.retain, split.retain_x),
+                         (got.forget, split.forget_x)):
+        assert logits.tobytes() == model.logits(rows).tobytes()
+
+
+@pytest.mark.parametrize("cap", [1, 7, WIDE_CAP, metrics.EVAL_BLOCK_VALUES // 32])
+def test_row_blocks_are_near_equal_and_never_leave_a_short_tail(cap):
+    assert metrics.row_blocks(0, cap) == []
+    assert metrics.row_blocks(cap, cap) == [(0, cap)]
+    (lo, mid), (mid2, hi) = metrics.row_blocks(cap + 1, cap)
+    assert lo == 0 and mid == mid2 and hi == cap + 1 and abs((hi - mid) - mid) <= 1
+    for n in range(1, 5 * cap, max(1, cap // 5)):
+        blocks = metrics.row_blocks(n, cap)
+        sizes = [hi - lo for lo, hi in blocks]
+        assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+        assert blocks[0][0] == 0 and blocks[-1][1] == n and len(blocks) == -(-n // cap)
+        assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+
+
+def test_a_model_with_no_hidden_layer_is_evaluated_as_in_one_call():
+    split = generate(SynthSpec(seed=2)).with_deletion(5)
+    model = Model(2, [], 3, seed=0)
+    got = split_logits(model, split)
+    assert got.retain.tobytes() == model.logits(split.retain_x).tobytes()
+    assert got.test.tobytes() == model.logits(split.test_x).tobytes()
+
+
+def test_a_wide_snapshot_leaves_each_workspace_buffer_at_most_one_block():
+    from unlearnkit.unlearn import RunRecorder
+
+    split = generate(UnlearnConfig(data_name=WIDE_DATA).data_spec()).with_deletion(10)
+    model = build_model(64, 10, "mlp:256,256", seed=0)
+    RunRecorder(split).snapshot(1, model)
+    assert metrics.EVAL_BLOCK_VALUES // 256 == WIDE_CAP
+    assert len(model._workspace) == len(model.hidden) == 2
+    for buffer, width in zip(model._workspace, model.hidden):
+        assert buffer.size <= WIDE_CAP * width
 
 
 def test_perfect_memorizer_scores_100_on_both_train_sets(setup):

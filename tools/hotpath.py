@@ -11,12 +11,13 @@ curriculum: ``superloss_weights`` on the batch's 256 per-row losses, and the
 whole step with a curriculum, as the benchmark's ``wide`` sweep trains. It
 then prints the whole step's cost per member of a default-config stack of
 K = 1, 2, 4, 10 and 20 models, the figure that sets how many members a
-lockstep step stacks (``unlearn.MAX_STACK``). It also times one
-default-config trace snapshot: three evaluation passes and the accuracies
-and mean losses scored from them. Next to the step times it prints the
-``tracemalloc`` peak of one whole step, in MB (10^6 bytes): the most memory
-the step's arrays and objects held at once, beyond what the model, its
-batch and its optimizer already held. Standard library and numpy only.
+lockstep step stacks (``unlearn.MAX_STACK``). It also times one trace
+snapshot of a default-config model and of a ``wide`` one: three evaluation
+passes, in row blocks, and the accuracies and mean losses scored from them.
+Next to the step and snapshot times it prints the ``tracemalloc`` peak of
+one whole step or snapshot, in MB (10^6 bytes): the most memory its arrays
+and objects held at once, beyond what the model, its data, its workspace
+and its optimizer already held. Standard library and numpy only.
 
 Usage, from the repository root:
 
@@ -143,14 +144,13 @@ def superloss_us(config: UnlearnConfig, repeat: int) -> float:
     return median_us(lambda: superloss_weights(rows, params), repeat)
 
 
-def snapshot_us(repeat: int) -> float:
-    """Median microseconds of one default-config trace snapshot."""
-    config = UnlearnConfig()
+def snapshot(config: UnlearnConfig):
+    """One trace snapshot of a fresh model of ``config`` on its split, as a callable."""
     spec = config.data_spec()
     split = generate(spec).with_deletion(config.del_ratio)
     model = build_model(split.train_x.shape[1], spec.num_classes, config.backbone, config.seed)
     recorder = RunRecorder(split)
-    return median_us(lambda: recorder.snapshot(1, model), repeat)
+    return lambda: recorder.snapshot(1, model)
 
 
 def main(argv: list[str]) -> int:
@@ -162,7 +162,7 @@ def main(argv: list[str]) -> int:
     lockstep = step_phases(UnlearnConfig(), 2, args.repeat)
     wide = step_phases(WIDE, 1, args.repeat)
     print(f"numpy {np.__version__}; median us per call over {args.repeat} samples,"
-          " and the traced peak MB of one step")
+          " and the traced peak MB of one step and of one snapshot")
     print(f"{'phase':<10}{'default K=2':>14}{'wide':>12}")
     for phase in PHASES:
         print(f"{phase:<10}{lockstep[phase]:>14.1f}{wide[phase]:>12.1f}")
@@ -170,7 +170,10 @@ def main(argv: list[str]) -> int:
           f"{peak_mb(lockstep_step(WIDE, 1)):>12.2f}")
     print(f"{'superloss':<10}{'':>14}{superloss_us(WIDE_CURRICULUM, args.repeat):>12.1f}")
     print(f"{'step+curr':<10}{'':>14}{step_us(WIDE_CURRICULUM, 1, args.repeat):>12.1f}")
-    print(f"{'snapshot':<10}{snapshot_us(args.repeat):>14.1f}")
+    print(f"{'snapshot':<10}{median_us(snapshot(UnlearnConfig()), args.repeat):>14.1f}"
+          f"{median_us(snapshot(WIDE), args.repeat):>12.1f}")
+    print(f"{'snap MB':<10}{peak_mb(snapshot(UnlearnConfig())):>14.2f}"
+          f"{peak_mb(snapshot(WIDE)):>12.2f}")
     print(f"{'K':<10}{'us per member-step':>20}")
     for k in STACK_SIZES:
         print(f"{k:<10}{step_us(UnlearnConfig(), k, args.repeat) / k:>20.1f}")
