@@ -130,10 +130,6 @@ class DatasetSplit:
     def forget_y(self) -> np.ndarray:
         return self.train_y[self.del_indices]
 
-    @property
-    def retain_x(self) -> np.ndarray:
-        return self.train_x[self.retain_indices]
-
     @cached_property
     def retain_y(self) -> np.ndarray:
         return self.train_y[self.retain_indices]

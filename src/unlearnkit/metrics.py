@@ -20,8 +20,10 @@ from .fileio import read_json, write_atomic
 from .nn import Model
 
 MIN_TEST_FOR_MIA = 10
-# float64 values one evaluation block may put in each hidden workspace buffer (2 MiB)
-EVAL_BLOCK_VALUES = 2**18
+# float64 values one evaluation block may put in each hidden workspace buffer
+# (512 KiB). At width 256 that is 256 rows, the rows of the ``wide`` training
+# step, so a snapshot never grows the workspace past what that step holds.
+EVAL_BLOCK_VALUES = 2**16
 
 
 def chance_level(num_classes: int) -> float:
@@ -41,10 +43,10 @@ def split_logits(model: Model, split: DatasetSplit) -> SplitLogits:
     """One forward pass over each evaluation set: every score derives from these.
 
     Each set runs in the row blocks of :func:`row_blocks`, at most
-    ``EVAL_BLOCK_VALUES // max(model.hidden)`` rows each (a model with no hidden
-    layer counts as width 1), so a model's workspace holds at most that many
-    rows for evaluation whatever the data's size. D_r's rows are gathered block
-    by block through ``retain_indices``, never copied whole.
+    ``EVAL_BLOCK_VALUES // max(model.hidden)`` rows each, and at least one (a
+    model with no hidden layer counts as width 1), so a model's workspace holds
+    at most that many rows for evaluation whatever the data's size. D_r's rows
+    are gathered block by block through ``retain_indices``, never copied whole.
     """
     if len(split.test_y) == 0 or split.num_train == 0:
         raise ConfigError("evaluate needs non-empty train and test sets")
@@ -68,7 +70,7 @@ def _block_logits(model: Model, x: np.ndarray, rows: np.ndarray | None = None) -
     """``model``'s logits of ``x`` (of ``x[rows]`` when given), one row block at a time."""
     n = len(x if rows is None else rows)
     out = np.empty((n, model.num_classes))
-    for lo, hi in row_blocks(n, EVAL_BLOCK_VALUES // max(model.hidden, default=1)):
+    for lo, hi in row_blocks(n, max(1, EVAL_BLOCK_VALUES // max(model.hidden, default=1))):
         out[lo:hi] = model.logits(x[lo:hi] if rows is None else x[rows[lo:hi]])
     return out
 

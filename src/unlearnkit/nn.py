@@ -355,9 +355,6 @@ class Model:
 
     # ------------------------------------------------------------- parameters
 
-    def has_adapter(self) -> bool:
-        return any(layer.adapter is not None for layer in self.layers)
-
     def param_vector(self) -> np.ndarray:
         """Flat copy of all trainable parameters, in layer order."""
         return self.params.copy()

@@ -232,17 +232,20 @@ def test_evaluate_run_directory(tmp_path, capsys):
 
 def test_evaluate_run_reproduces_the_stored_report_of_a_run_whose_retain_set_is_split(
         tmp_path, capsys):
-    """At width 4096 an evaluation block holds 64 rows, fewer than D_r's 65:
-    the report ``evaluate --run`` scores from the saved model is the stored one."""
+    """At a width of ``EVAL_BLOCK_VALUES // 64`` an evaluation block holds 64 rows,
+    fewer than D_r's 65: the report ``evaluate --run`` scores from the saved
+    model is the stored one."""
     from unlearnkit.metrics import EVAL_BLOCK_VALUES, row_blocks
 
-    wide = [*FAST, "--backbone", "mlp:4096", "--seed", "0"]
+    width = EVAL_BLOCK_VALUES // 64
+    backbone = f"mlp:{width}"
+    wide = [*FAST, "--backbone", backbone, "--seed", "0"]
     assert run(tmp_path, "train", *wide) == 0
     assert run(tmp_path, "unlearn", *wide, "--no-budget", "--del_ratio", "10",
                "--unlearn_method", "l1_sparse_ft") == 0
-    cfg = fast_cfg(backbone="mlp:4096", seed=0, del_ratio=10, unlearn_method="l1_sparse_ft")
+    cfg = fast_cfg(backbone=backbone, seed=0, del_ratio=10, unlearn_method="l1_sparse_ft")
     split = generate(cfg.data_spec()).with_deletion(cfg.del_ratio)
-    assert len(row_blocks(len(split.retain_y), EVAL_BLOCK_VALUES // 4096)) == 2
+    assert len(row_blocks(len(split.retain_y), EVAL_BLOCK_VALUES // width)) == 2
     run_dir = tmp_path / "runs" / config_hash(cfg)
     capsys.readouterr()
     assert run(tmp_path, "evaluate", "--run", str(run_dir)) == 0

@@ -33,7 +33,7 @@ def test_attach_leaves_original_untouched():
     digest = m.param_digest()
     attach_adapter(m, 0, rank=2)
     assert m.param_digest() == digest
-    assert not m.has_adapter()
+    assert all(layer.adapter is None for layer in m.layers)
 
 
 def test_trainable_counts_rank2_on_8x8():
@@ -93,7 +93,7 @@ def test_merge_matches_adapted_forward_and_rank(seed):
     adapted = attach_adapter(m, layer, rank=rank, scale=float(rng.uniform(0.2, 2.0)), seed=seed + 50)
     adapted.set_param_vector(rng.standard_normal(adapted.num_trainable()) * 0.4)
     merged = merge_adapter(adapted)
-    assert not merged.has_adapter()
+    assert all(layer.adapter is None for layer in merged.layers)
     x = rng.standard_normal((10, 6))
     assert np.max(np.abs(merged.logits(x) - adapted.logits(x))) < 1e-6
     delta = merged.layers[layer].weight - m.layers[layer].weight

@@ -34,15 +34,15 @@ def test_constant_model_on_balanced_four_class_test():
 
 
 WIDE_DATA = "gaussian_blobs:c10:s250:d64"
-WIDE_CAP = 1024  # the row cap of a 256-wide model: 2 MiB of float64 per hidden buffer
+WIDE_CAP = metrics.EVAL_BLOCK_VALUES // 256  # the row cap of a 256-wide model
 
 
 def test_split_logits_holds_at_most_one_row_block_of_workspace():
-    """A fresh ``wide`` model evaluates its 1800 retain rows in two 900-row blocks
-    gathered through ``retain_indices``: the traced peak is the 500-row test set's
-    workspace pair, the 900-row pair that replaces it, one gathered block and the
-    logits. In one call per set it was the 1800-row pair (7.4 MB) and a whole
-    ``retain_x`` copy (0.92 MB)."""
+    """A fresh ``wide`` model evaluates its 500 test rows in two 250-row blocks
+    and its 1800 retain rows in eight 225-row blocks gathered through
+    ``retain_indices``: the traced peak is one 250-row workspace pair, one
+    gathered block and the logits. In one call per set it was the 1800-row
+    pair (7.4 MB) and a whole copy of D_r (0.92 MB)."""
     split = generate(UnlearnConfig(data_name=WIDE_DATA).data_spec()).with_deletion(10)
     split.forget_x, split.retain_indices  # cached on first use; not part of the pass
     model = build_model(64, 10, "mlp:256,256", seed=0)
@@ -52,10 +52,11 @@ def test_split_logits_holds_at_most_one_row_block_of_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = 900
-    assert len(split.retain_y) == 2 * block and len(split.test_y) < block
-    workspaces = 2 * (len(split.test_y) + block) * 256 * 8
-    assert peak <= workspaces + block * 64 * 8 + 2**19  # the gathered block, logits
+    sizes = {n: max(hi - lo for lo, hi in metrics.row_blocks(n, WIDE_CAP))
+             for n in (len(split.test_y), len(split.retain_y), len(split.forget_y))}
+    assert sizes == {500: 250, 1800: 225, 200: 200}
+    workspaces = 2 * max(sizes.values()) * 256 * 8
+    assert peak <= workspaces + sizes[1800] * 64 * 8 + 2**19  # the gathered block, logits
 
 
 @pytest.mark.parametrize("n", [1800, 2000, 2250])
@@ -67,7 +68,8 @@ def test_split_logits_in_blocks_equal_one_forward_pass_per_set(n):
     model = build_model(64, 10, "mlp:256,256", seed=1)
     got = split_logits(model, split)
     assert len(metrics.row_blocks(n, WIDE_CAP)) > 1
-    for logits, rows in ((got.test, split.test_x), (got.retain, split.retain_x),
+    retain_x = split.train_x[split.retain_indices]
+    for logits, rows in ((got.test, split.test_x), (got.retain, retain_x),
                          (got.forget, split.forget_x)):
         assert logits.tobytes() == model.logits(rows).tobytes()
 
@@ -90,20 +92,36 @@ def test_a_model_with_no_hidden_layer_is_evaluated_as_in_one_call():
     split = generate(SynthSpec(seed=2)).with_deletion(5)
     model = Model(2, [], 3, seed=0)
     got = split_logits(model, split)
-    assert got.retain.tobytes() == model.logits(split.retain_x).tobytes()
+    assert got.retain.tobytes() == model.logits(split.train_x[split.retain_indices]).tobytes()
     assert got.test.tobytes() == model.logits(split.test_x).tobytes()
 
 
-def test_a_wide_snapshot_leaves_each_workspace_buffer_at_most_one_block():
-    from unlearnkit.unlearn import RunRecorder
+def test_a_wide_snapshot_leaves_the_workspace_at_the_size_of_one_training_step():
+    """A 256-row ``wide`` step sizes each hidden buffer to 256 rows, and a
+    snapshot after it evaluates in blocks of at most 256 rows, so it grows
+    neither buffer."""
+    from unlearnkit.unlearn import RunRecorder, loss_and_grad
 
     split = generate(UnlearnConfig(data_name=WIDE_DATA).data_spec()).with_deletion(10)
     model = build_model(64, 10, "mlp:256,256", seed=0)
+    loss_and_grad(model, split.train_x[:256], labels=split.train_y[:256])
     RunRecorder(split).snapshot(1, model)
-    assert metrics.EVAL_BLOCK_VALUES // 256 == WIDE_CAP
     assert len(model._workspace) == len(model.hidden) == 2
     for buffer, width in zip(model._workspace, model.hidden):
-        assert buffer.size <= WIDE_CAP * width
+        assert buffer.size == 256 * width
+
+
+def test_a_layer_wider_than_the_block_budget_is_evaluated_one_row_at_a_time(monkeypatch):
+    split = generate(SynthSpec(seed=2)).with_deletion(5)
+    model = build_model(2, 3, "mlp:12", seed=0)
+    monkeypatch.setattr(metrics, "EVAL_BLOCK_VALUES", 5)  # a row cap of 0 rows, floored to 1
+    got = split_logits(model, split)
+    assert model._workspace[0].size == 12
+    retain_x = split.train_x[split.retain_indices]
+    for logits, rows in ((got.test, split.test_x), (got.retain, retain_x),
+                         (got.forget, split.forget_x)):
+        assert logits.shape == (len(rows), 3)
+        np.testing.assert_allclose(logits, model.logits(rows), rtol=1e-12, atol=1e-12)
 
 
 def test_perfect_memorizer_scores_100_on_both_train_sets(setup):
@@ -164,7 +182,8 @@ def test_mia_calibration_never_touches_deleted_rows(setup, monkeypatch):
     monkeypatch.setattr(metrics, "fit_mia", lambda *losses: fitted.append(losses) or real(*losses))
     mia_success(f, split)
     [(members, nonmembers)] = fitted
-    assert np.array_equal(members, task_losses(f.logits(split.retain_x), split.retain_y))
+    retain_x = split.train_x[split.retain_indices]
+    assert np.array_equal(members, task_losses(f.logits(retain_x), split.retain_y))
     assert np.array_equal(nonmembers, task_losses(f.logits(split.test_x), split.test_y))
     assert len(members) == split.num_train - split.del_indices.size
 

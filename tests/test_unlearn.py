@@ -195,7 +195,8 @@ def test_l1_zero_lambda_is_plain_finetune(setup):
     plain = unlearn("l1_sparse_ft", f, split, dataclasses.replace(cfg, l1_lambda=0.0))
     ref = f.clone()
     passes = _epochs(np.random.default_rng(cfg.seed), np.arange(len(split.retain_y)),
-                     split.retain_x, split.retain_y, cfg.epochs, cfg.batch_size)
+                     split.train_x[split.retain_indices], split.retain_y, cfg.epochs,
+                     cfg.batch_size)
     _drive([Plan(ref, passes, cfg.learning_rate)], cfg.optimizer, cfg.temperature,
            [RunRecorder(split)])
     assert plain.model.param_digest() == ref.param_digest()
@@ -271,7 +272,7 @@ def test_bad_t_loss_is_zero_when_student_matches_both_teachers(setup):
 
     g = build_model(split.train_x.shape[1], split.num_classes, cfg.backbone,
                     seed=cfg.bad_teacher_seed)
-    xf, xr = split.forget_x, split.retain_x[:16]
+    xf, xr = split.forget_x, split.train_x[split.retain_indices][:16]
     total = (kl_rows(g.logits(xf), g.logits(xf), cfg.temperature)[0].mean()
              + kl_rows(f.logits(xr), f.logits(xr), cfg.temperature)[0].mean())
     assert total == 0.0
@@ -397,7 +398,7 @@ def test_adapter_run_trains_only_adapter(setup):
     f, split, cfg = setup
     run = unlearn("rand_label", f, split,
                   dataclasses.replace(cfg, adapter_rank=2, adapter_layer=0))
-    assert run.model.has_adapter()
+    assert any(layer.adapter is not None for layer in run.model.layers)
     for layer, ref in zip(run.model.layers, f.layers):
         assert np.array_equal(layer.weight, ref.weight)
         assert np.array_equal(layer.bias, ref.bias)
