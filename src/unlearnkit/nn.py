@@ -44,8 +44,8 @@ def _relu_backward(g, y, out=None):
 
 
 def _tanh_backward(g, y, out=None):
-    t = y * y
-    return np.multiply(g, np.subtract(1.0, t, out=t), out=out)
+    t = np.multiply(y, y, out=out)  # out may be y itself: each step reads only its own element
+    return np.multiply(g, np.subtract(1.0, t, out=t), out=t)
 
 
 # name -> (forward(z, out=None), backward(grad of output, output, out=None))
@@ -256,10 +256,13 @@ class Model:
         Each hidden layer writes its output, activated in place, into its own
         flat workspace buffer, which the model keeps and grows to the largest
         batch it has seen; so a pass allocates only the returned logits,
-        which are a fresh array. The cached activations are valid until this
-        model's next forward pass (or :meth:`logits`), or that of a model
-        sharing its workspace (:meth:`stack`, :meth:`rows`): use or copy
-        them before then. Two threads must not run one model at once.
+        which are a fresh array. The hidden activations are valid until this
+        model's next forward pass (or :meth:`logits`) or backprop, or that of
+        a model sharing its workspace (:meth:`stack`, :meth:`rows`): a
+        backprop writes each one's gradient over it. Use or copy them before
+        then. The batch, the adapter projections, the logits and the ``g`` or
+        ``gh`` a caller backprops keep their bytes; that gradient must not
+        be a view of the cache. Two threads must not run one model at once.
         """
         h = self._check_input(x)
         act = ACTIVATIONS[self.activation][0]
@@ -285,35 +288,42 @@ class Model:
         Returns the flat gradient buffer over the trainables, laid out as
         ``Model.params``. The buffer is reused by every call: zero it first
         (``model.grad.fill(0.0)``) and copy what must outlive the next call.
-        Frozen layers below the lowest trainable one are skipped.
+        Frozen layers below the lowest trainable one are skipped. Each hidden
+        activation of ``cache`` is overwritten by its gradient
+        (:meth:`forward_cache`); ``g`` keeps its bytes.
         """
-        grad = self.grad  # made on first use, with the views the layers write
-        gh = self._backprop_layer(len(self.layers) - 1, cache, g)
-        if gh is not None:
-            self.backprop_hidden(cache, gh, _own=True)
-        return grad
+        return self._backprop_from(len(self.layers) - 1, cache, g)
 
-    def backprop_hidden(self, cache: tuple, gh: np.ndarray, _own: bool = False) -> np.ndarray:
+    def backprop_hidden(self, cache: tuple, gh: np.ndarray) -> np.ndarray:
         """Add the gradient of a loss with ``dL/d(penultimate) = gh`` into the buffer.
 
         For a loss on the penultimate activations (``cache[0][-1]``); the
-        output layer gets no gradient. Returns the buffer, as
-        :meth:`backprop` does. ``gh`` keeps its bytes: each activation's
-        backward writes in place only into an input gradient backprop made.
+        output layer gets no gradient. Returns the buffer and spends the
+        cache, as :meth:`backprop` does; ``gh`` keeps its bytes.
         """
+        i = len(self.layers) - 2
+        if i < self._lowest:
+            return self.grad
+        y = cache[0][i + 1]
+        return self._backprop_from(i, cache, ACTIVATIONS[self.activation][1](gh, y, out=y))
+
+    def _backprop_from(self, top: int, cache: tuple, g: np.ndarray) -> np.ndarray:
+        """Backprop the gradient ``g`` of layer ``top``'s output down to the lowest
+        trainable layer; return the gradient buffer."""
         grad = self.grad  # made on first use, with the views the layers write
-        inputs, _ = cache
-        act_backward = ACTIVATIONS[self.activation][1]
-        for i in range(len(self.layers) - 2, self._lowest - 1, -1):
-            g = act_backward(gh, inputs[i + 1], gh if _own else None)
-            gh, _own = self._backprop_layer(i, cache, g), True
+        for i in range(top, self._lowest - 1, -1):
+            g = self._backprop_layer(i, cache, g)
         return grad
 
     def _backprop_layer(self, i: int, cache, g: np.ndarray) -> np.ndarray | None:
-        """Accumulate layer ``i``'s parameter gradients; return its input gradient.
+        """Accumulate layer ``i``'s parameter gradients; return the gradient of
+        layer ``i - 1``'s output before its activation, written over that
+        activation (this layer's input).
 
-        ``g`` is the gradient of the layer's output. The input gradient is
-        None at the lowest trainable layer, where backprop stops.
+        ``g`` is the gradient of the layer's output. The result is None at
+        the lowest trainable layer, where backprop stops. This layer is its
+        input's last reader, so the input gradient ``g @ W`` lives only until
+        the activation's backward has written it over the activation.
 
         A weight gradient is the transpose of ``h^T @ g``, not ``g^T @ h``:
         the two differ in their last bits at some shapes (a batch of 252
@@ -338,7 +348,7 @@ class Model:
         gh = g @ layer.weight
         if ad is not None:
             gh += g_mid @ ad.down
-        return gh
+        return ACTIVATIONS[self.activation][1](gh, h, out=h)
 
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

@@ -8,6 +8,10 @@ outside the mask is exactly zero, not merely small. On a stacked model
 moves exactly as it would alone. An update may cover any contiguous range of
 the rows, and Adam counts each row's updates on its own, so models that
 step unequally often still each move as they would alone.
+
+An update runs over blocks of at most ``UPDATE_BLOCK`` columns of each
+row, through two work arrays of one block per row, so that nothing it
+allocates grows with the model beyond the moments themselves.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .errors import ConfigError, ShapeError
 from .nn import Model
 
 OPTIMIZERS = ("sgd", "adam")
+UPDATE_BLOCK = 8192  # parameters per model row in one block of an update: 64 KiB of float64
 
 
 @dataclass
@@ -61,8 +66,9 @@ class OptimizerState:
     # Adam's update count of each model, shaped (1,) alone and (K, 1) stacked,
     # made with the moments; replace() leaves it unset.
     steps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # Adam's two flat work arrays, grown to the largest update. They hold nothing
-    # between updates, so the states replace() makes from one state share them.
+    # The update's two flat work arrays, one block per updated row each, grown to
+    # the largest update. They hold nothing between updates, so the states
+    # replace() makes from one state share them.
     work: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,7 +87,7 @@ def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
     +0.0, so they keep their bytes. On a stacked model, ``rows`` picks the
     models to update (all by default): ``gradient`` is theirs, ``mask``
     covers every model, and the others keep their parameters, moments and
-    update counts.
+    update counts. ``gradient`` keeps its bytes.
     """
     params = model.params[rows]
     shape, n = params.shape, params.size
@@ -89,51 +95,60 @@ def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
     if gradient.size != n:
         raise ShapeError(f"gradient has {gradient.size} entries, model has {n}")
     gradient = gradient.reshape(shape)
-    off = None
+    selected = None
     if mask is not None:
         if len(mask) != model.params.size:
             raise ShapeError(f"mask has {len(mask)} entries, model has {model.params.size}")
-        # Flat indices rather than a masked ufunc, which is several times slower;
-        # found anew each step, since a caller may edit ``mask.selected``.
-        off = np.flatnonzero(~mask.selected.reshape(model.params.shape)[rows])
-        gradient = gradient.copy()
-        gradient.reshape(-1)[off] = 0.0
-
-    if state.kind == "sgd":
-        update = state.learning_rate * gradient
-    else:
+        selected = mask.selected.reshape(model.params.shape)[rows]
+    if state.kind == "adam":
         full = model.params.shape
         if state.m is None:
-            state.m = np.zeros(full)
-            state.v = np.zeros(full)
+            state.m, state.v = np.zeros(full), np.zeros(full)
         elif state.m.shape != full:
             raise ShapeError("optimizer state was created for a different model")
         if state.steps is None:
             state.steps = np.zeros(full[:-1] + (1,), dtype=np.int64)
-        if not state.work or state.work[0].size < n:
-            state.work[:] = [np.empty(n), np.empty(n)]
-        # In place, one ufunc at a time in the order of the textbook expressions:
+        # One ufunc at a time in the order of the textbook expressions:
         #   m = beta1 * m + (1 - beta1) * g
         #   v = beta2 * v + (1 - beta2) * g * g
         #   update = lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
         # with each model's own t: the powers are taken in Python floats, one per row.
         m, v, steps = state.m[rows], state.v[rows], state.steps[rows]
-        a, b = (work[:n].reshape(shape) for work in state.work)
         steps += 1
         c1, c2 = (np.array([1.0 - beta ** t for t in steps.ravel().tolist()]).reshape(steps.shape)
                   for beta in (state.beta1, state.beta2))
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, gradient, out=a)
+        m *= state.beta1  # in place, so over whole rows: the blocks below need no scratch for it
         v *= state.beta2
-        np.multiply(1.0 - state.beta2, gradient, out=a)
-        v += np.multiply(a, gradient, out=a)
-        update = np.divide(m, c1, out=a)
-        update *= state.learning_rate
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += state.eps
-        update /= b
-    if off is not None:  # moment history must not leak into masked-out coordinates either
-        update.reshape(-1)[off] = 0.0
-    np.subtract(params, update, out=params)
+    block = n // shape[-1] * min(shape[-1], UPDATE_BLOCK)
+    if not state.work or state.work[0].size < block:
+        state.work[:] = [np.empty(block), np.empty(block)]
+    # Every operation is elementwise, so each block of columns moves as the whole would.
+    for lo in range(0, shape[-1], UPDATE_BLOCK):
+        cols = (..., slice(lo, lo + UPDATE_BLOCK))
+        g = gradient[cols]
+        a, b = (work[:g.size].reshape(g.shape) for work in state.work)
+        off = None
+        if selected is not None:
+            # Flat indices rather than a masked ufunc, which is several times slower;
+            # found anew each step, since a caller may edit ``mask.selected``.
+            off = np.flatnonzero(~selected[cols])
+            np.copyto(b, g)  # nothing writes b again before g's last read
+            b.reshape(-1)[off] = 0.0
+            g = b
+        if state.kind == "sgd":
+            update = np.multiply(state.learning_rate, g, out=a)
+        else:
+            mb, vb = m[cols], v[cols]
+            mb += np.multiply(1.0 - state.beta1, g, out=a)
+            np.multiply(1.0 - state.beta2, g, out=a)
+            vb += np.multiply(a, g, out=a)
+            update = np.divide(mb, c1, out=a)
+            update *= state.learning_rate
+            np.divide(vb, c2, out=b)
+            np.sqrt(b, out=b)
+            b += state.eps
+            update /= b
+        if off is not None:  # moment history must not leak into masked-out coordinates either
+            update.reshape(-1)[off] = 0.0
+        np.subtract(params[cols], update, out=params[cols])
     return model

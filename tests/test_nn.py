@@ -508,14 +508,20 @@ def test_an_adapted_layer_holds_one_adapter_temporary(rows):
     lambda: Model.stack([build_model(6, 4, "mlp:16,12,8:tanh", seed=s) for s in range(2)]),
 ], ids=["relu", "tanh", "adapter", "stacked"])
 def test_backprop_writes_into_no_gradient_its_caller_passed(make):
+    """Backprop writes each hidden activation's gradient over that activation, and
+    nothing else a caller holds: the gradient it was given, the batch, the adapter
+    projections and the logits keep their bytes."""
     m = make()
     rng = np.random.default_rng(0)
-    logits, cache = m.forward_cache(rng.standard_normal(m._lead + (5, 6)))
-    g, gh = rng.standard_normal(logits.shape), rng.standard_normal(cache[0][-1].shape)
-    before = g.tobytes(), gh.tobytes()
-    m.backprop(cache, g)
-    m.backprop_hidden(cache, gh)
-    assert (g.tobytes(), gh.tobytes()) == before
+    x = rng.standard_normal(m._lead + (5, 6))
+    for hidden in (False, True):
+        logits, cache = m.forward_cache(x)
+        inputs, mids = cache
+        g = rng.standard_normal((inputs[-1] if hidden else logits).shape)
+        kept = [g, logits, inputs[0]] + [mid for mid in mids if mid is not None]
+        before = [a.tobytes() for a in kept]
+        (m.backprop_hidden if hidden else m.backprop)(cache, g)
+        assert [a.tobytes() for a in kept] == before
 
 
 def test_parse_backbone():

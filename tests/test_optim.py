@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -121,13 +122,19 @@ def _adam_oracle(params, grads, selected, lr=0.01, beta1=0.9, beta2=0.999, eps=1
     return params, m, v
 
 
+# A default-sized model, one block per row, and one of 10,627 parameters, whose
+# updates cross block boundaries (optim.UPDATE_BLOCK = 8192).
+MODELS = {"small": (5, 3, "mlp:8,6"), "blocks": (16, 3, "mlp:128,64")}
+
+
 @pytest.mark.parametrize("k", [None, 1, 3])
 @pytest.mark.parametrize("masked", [False, True])
-def test_adam_matches_an_inline_oracle_bytewise_over_50_steps(k, masked):
+@pytest.mark.parametrize("model", MODELS)
+def test_adam_matches_an_inline_oracle_bytewise_over_50_steps(k, masked, model):
     if k is None:  # one model, unstacked
-        m = build_model(5, 3, "mlp:8,6", seed=0)
+        m = build_model(*MODELS[model], seed=0)
     else:
-        m = Model.stack([build_model(5, 3, "mlp:8,6", seed=s) for s in range(k)])
+        m = Model.stack([build_model(*MODELS[model], seed=s) for s in range(k)])
     shape = m.params.shape  # (T,) alone, (K, T) stacked, a stack of one too
     rng = np.random.default_rng(11)
     grads = [rng.standard_normal(shape) * rng.choice([1e-6, 1.0, 1e3]) for _ in range(50)]
@@ -138,6 +145,29 @@ def test_adam_matches_an_inline_oracle_bytewise_over_50_steps(k, masked):
         optimizer_step(state, m, g, ParamMask(selected) if masked else None)
     assert m.params.tobytes() == expected.tobytes()
     assert state.m.tobytes() == exp_m.tobytes() and state.v.tobytes() == exp_v.tobytes()
+
+
+def _sgd_oracle(params, grads, selected, lr=0.01):
+    """SGD written as plain expressions, one fresh array per operation."""
+    for g in grads:
+        np.subtract(params, lr * np.where(selected, g, 0.0), out=params, where=selected)
+    return params
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_a_masked_update_of_a_row_range_crosses_blocks_as_its_oracle_moves(kind):
+    stack = Model.stack([build_model(*MODELS["blocks"], seed=s) for s in range(3)])
+    rng = np.random.default_rng(4)
+    selected = rng.random(stack.params.shape) < 0.5
+    grads = [rng.standard_normal((2, stack.params.shape[1])) for _ in range(20)]
+    before = stack.params.copy()
+    oracle = _sgd_oracle if kind == "sgd" else lambda *a: _adam_oracle(*a)[0]
+    expected = oracle(before[1:].copy(), grads, selected[1:])
+    state = OptimizerState(kind, 0.01)
+    for g in grads:
+        optimizer_step(state, stack, g, ParamMask(selected), slice(1, 3))
+    assert stack.params[1:].tobytes() == expected.tobytes()
+    assert stack.params[0].tobytes() == before[0].tobytes()
 
 
 def test_adam_states_replaced_from_one_fresh_state_move_independently():
@@ -159,8 +189,9 @@ def test_adam_states_replaced_from_one_fresh_state_move_independently():
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
-def test_optimizer_step_leaves_its_gradient_as_it_was(kind, masked):
-    stack = Model.stack([build_model(3, 2, "mlp:4", seed=s) for s in range(3)])
+@pytest.mark.parametrize("model", MODELS)
+def test_optimizer_step_leaves_its_gradient_as_it_was(kind, masked, model):
+    stack = Model.stack([build_model(*MODELS[model], seed=s) for s in range(3)])
     rng = np.random.default_rng(0)
     mask = ParamMask(rng.random(stack.params.shape) < 0.5) if masked else None
     state = OptimizerState(kind, 0.1)
@@ -169,3 +200,27 @@ def test_optimizer_step_leaves_its_gradient_as_it_was(kind, masked):
         before = gradient.tobytes()
         optimizer_step(state, stack, gradient, mask, slice(1, 3))
         assert gradient.tobytes() == before
+
+
+def _traced_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_wide_adam_update_allocates_no_model_sized_scratch():
+    """On ``mlp:256,256`` (85,002 parameters, 0.68 MB a copy) the first Adam update
+    makes its two moments and two block-sized work arrays; it peaked at 2.72 MB when
+    its work arrays were as long as the model. A masked update after it allocates one
+    block's mask and indices at a time; it peaked at 1.02 MB with a masked copy of
+    the whole gradient and the flat indices of all of it."""
+    m = build_model(64, 10, "mlp:256,256", seed=0)
+    rng = np.random.default_rng(0)
+    gradient = rng.standard_normal(m.params.shape)
+    mask = ParamMask(rng.random(m.params.shape) < 0.5)
+    state = OptimizerState("adam", 0.01)
+    assert _traced_mb(lambda: optimizer_step(state, m, gradient)) <= 1.6
+    assert _traced_mb(lambda: optimizer_step(state, m, gradient, mask)) <= 0.3

@@ -2,8 +2,9 @@
 
 Prints the median wall time, in microseconds, of each phase of one training
 step: the forward pass, the cross-entropy kernel with its row gradient, the
-backprop and the Adam update, and the whole step through the public
-``loss_and_grad`` and ``optimizer_step``. It does this for two
+backprop (timed with the forward pass that makes the cache it spends, less
+the forward pass's median) and the Adam update, and the whole step through
+the public ``loss_and_grad`` and ``optimizer_step``. It does this for two
 default-config models trained in lockstep (K = 2, batch 32 each) and for one
 ``wide`` model (``mlp:256,256``, batch 256, 64 inputs, 10 classes) in a
 stack of one, as a solo run trains. For the ``wide`` model it also times the
@@ -17,7 +18,9 @@ passes, in row blocks, and the accuracies and mean losses scored from them.
 Next to the step and snapshot times it prints the ``tracemalloc`` peak of
 one whole step or snapshot, in MB (10^6 bytes): the most memory its arrays
 and objects held at once, beyond what the model, its data, its workspace
-and its optimizer already held. Standard library and numpy only.
+and its optimizer already held; and that of one Adam update alone, dense
+(``adam MB``) and with a random half of the parameters masked out
+(``mask MB``). Standard library and numpy only.
 
 Usage, from the repository root:
 
@@ -28,10 +31,14 @@ as many times as fill 0.2 s (``timeit.Timer.autorange``). Before its first
 sample, each call runs untimed ``WARMUP_CALLS`` times: on a 2-core VM the
 first few dozen forward passes of a fresh ``wide`` model took about 40 ms
 each, against 0.8-1.0 ms afterwards, and the figure read over ten times
-the whole step that contains it. The inputs are
-fixed by seed, so two checkouts time the same work. The figures depend on the
-machine, its BLAS build and its load: compare checkouts on one machine,
-alternating runs.
+the whole step that contains it. During such a stall the main thread and
+the OpenBLAS worker thread both ran on one CPU (field 39 of
+``/proc/self/task/*/stat``), and it ended once one of them moved to the
+other CPU; it hit 1 of 10 and 1 of 40 fresh processes in two probes on
+that VM. So any ``wide`` timing taken in a fresh process, without such a
+warm-up, may read the stall. The inputs are fixed by seed, so two
+checkouts time the same work. The figures depend on the machine, its BLAS
+build and its load: compare checkouts on one machine, alternating runs.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from unlearnkit.config import UnlearnConfig
 from unlearnkit.curriculum import superloss_weights
 from unlearnkit.data import generate
 from unlearnkit.nn import Model, build_model
-from unlearnkit.optim import OptimizerState, optimizer_step
+from unlearnkit.optim import OptimizerState, ParamMask, optimizer_step
 from unlearnkit.unlearn import RunRecorder, _curriculum_state, loss_and_grad
 
 WIDE = UnlearnConfig(data_name="gaussian_blobs:c10:s250:d64", backbone="mlp:256,256",
@@ -102,18 +109,20 @@ def lockstep_batch(config: UnlearnConfig, k: int):
 def step_phases(config: UnlearnConfig, k: int, repeat: int) -> dict[str, float]:
     """Median microseconds of each phase of one step of ``k`` models in lockstep."""
     model, x, y, state = lockstep_batch(config, k)
-    logits, cache = model.forward_cache(x)
+    logits = model.forward_cache(x)[0]
     weight = np.float64(1.0 / config.batch_size)  # a batch mean's row weight
     g = nn.cross_entropy_rows(logits, y)[1](weight)
 
-    def backprop():
+    def forward_backprop():
         model.grad.fill(0.0)
-        model.backprop(cache, g)
+        model.backprop(model.forward_cache(x)[1], g)
 
-    # The forward pass is timed first: the cache stays that of its last call.
-    return {"forward": median_us(lambda: model.forward_cache(x), repeat),
+    # Backprop spends the cache it reads, writing each activation's gradient over
+    # it, so it is timed after the forward pass that makes its cache, less that pass.
+    forward = median_us(lambda: model.forward_cache(x), repeat)
+    return {"forward": forward,
             "loss": median_us(lambda: nn.cross_entropy_rows(logits, y)[1](weight), repeat),
-            "backprop": median_us(backprop, repeat),
+            "backprop": median_us(forward_backprop, repeat) - forward,
             "adam": median_us(lambda: optimizer_step(state, model, model.grad), repeat),
             "step": step_us(config, k, repeat)}
 
@@ -128,6 +137,16 @@ def lockstep_step(config: UnlearnConfig, k: int):
         optimizer_step(state, model, loss_and_grad(model, x, labels=y, curriculum=curricula)[1])
 
     return step
+
+
+def adam_update(config: UnlearnConfig, k: int, masked: bool):
+    """One Adam update of ``k`` models in lockstep on their step's gradient, as a
+    callable; with ``masked``, a random half of the parameters is masked out."""
+    model, x, y, _ = lockstep_batch(config, k)
+    gradient = loss_and_grad(model, x, labels=y)[1].copy()
+    mask = ParamMask(np.random.default_rng(0).random(model.params.shape) < 0.5) if masked else None
+    state = OptimizerState("adam", config.learning_rate)
+    return lambda: optimizer_step(state, model, gradient, mask)
 
 
 def step_us(config: UnlearnConfig, k: int, repeat: int) -> float:
@@ -162,12 +181,15 @@ def main(argv: list[str]) -> int:
     lockstep = step_phases(UnlearnConfig(), 2, args.repeat)
     wide = step_phases(WIDE, 1, args.repeat)
     print(f"numpy {np.__version__}; median us per call over {args.repeat} samples,"
-          " and the traced peak MB of one step and of one snapshot")
+          " and the traced peak MB of one step, one Adam update and one snapshot")
     print(f"{'phase':<10}{'default K=2':>14}{'wide':>12}")
     for phase in PHASES:
         print(f"{phase:<10}{lockstep[phase]:>14.1f}{wide[phase]:>12.1f}")
     print(f"{'step MB':<10}{peak_mb(lockstep_step(UnlearnConfig(), 2)):>14.2f}"
           f"{peak_mb(lockstep_step(WIDE, 1)):>12.2f}")
+    for label, masked in (("adam MB", False), ("mask MB", True)):
+        print(f"{label:<10}{peak_mb(adam_update(UnlearnConfig(), 2, masked)):>14.2f}"
+              f"{peak_mb(adam_update(WIDE, 1, masked)):>12.2f}")
     print(f"{'superloss':<10}{'':>14}{superloss_us(WIDE_CURRICULUM, args.repeat):>12.1f}")
     print(f"{'step+curr':<10}{'':>14}{step_us(WIDE_CURRICULUM, 1, args.repeat):>12.1f}")
     print(f"{'snapshot':<10}{median_us(snapshot(UnlearnConfig()), args.repeat):>14.1f}"
