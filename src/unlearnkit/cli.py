@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import traceback
@@ -26,7 +25,7 @@ from pathlib import Path
 from .config import UnlearnConfig, config_hash, load_config_file, train_hash
 from .data import DEL_RATIO_RANGE, generate
 from .errors import ConfigError, DomainError, InsufficientDataError, ShapeError, UnlearnkitError
-from .fileio import read_json, write_atomic
+from .fileio import read_json, write_json
 from .manifest import Manifest
 from .metrics import MIN_TEST_FOR_MIA, EvalReport, build_report, split_logits
 from .nn import Model
@@ -204,7 +203,7 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, key: str) -> Path:
     last = run.trace[-1]  # the trained model's: recorded after the last update
     meta = {"train_seconds": last.seconds, "test_acc": last.acc_test,
             "train_config": cfg.train_dict(), "flos": run.flos}
-    write_atomic(ckpt_dir / "meta.json", json.dumps(meta, indent=2, sort_keys=True))
+    write_json(ckpt_dir / "meta.json", meta)
     write_trace_csv(run.trace, ckpt_dir / "trace.csv")
     print(f"trained original {key}: test_acc={last.acc_test:.1f} "
           f"seconds={last.seconds:.3f} -> {ckpt_dir}")
@@ -294,7 +293,7 @@ def _write_run(root: Path, key: str, cfg: UnlearnConfig, split, run: UnlearnRun)
                           config_hash=key, seed=cfg.seed)
     run_dir, _ = _locate(root, "unlearn", key)
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_atomic(run_dir / "config.json", json.dumps(cfg.resolved_dict(), indent=2, sort_keys=True))
+    write_json(run_dir / "config.json", cfg.resolved_dict())
     run.model.save(run_dir / "model_prime.json")
     write_trace_csv(run.trace, run_dir / "trace.csv")
     report.save(run_dir / "report.json")

@@ -37,6 +37,11 @@ def write_csv(path, rows) -> None:
     write_atomic(path, text.getvalue())
 
 
+def write_json(path, value) -> None:
+    """Write ``json.dumps(value, indent=2, sort_keys=True)`` through :func:`write_atomic`."""
+    write_atomic(path, json.dumps(value, indent=2, sort_keys=True))
+
+
 def read_json(path, what: str) -> dict:
     """Parse the JSON object in the file at ``path``.
 

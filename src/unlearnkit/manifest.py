@@ -8,12 +8,11 @@ and records each group of results with one more.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 from .errors import ConfigError
-from .fileio import read_json, write_atomic
+from .fileio import read_json, write_json
 
 
 class Manifest:
@@ -30,7 +29,7 @@ class Manifest:
 
     def save(self) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        write_atomic(self.path, json.dumps(self.entries, indent=2, sort_keys=True))
+        write_json(self.path, self.entries)
 
     def is_done(self, key: str) -> bool:
         return self.entries.get(key, {}).get("status") == "done"

@@ -25,30 +25,29 @@ what K separate steps do.
 from __future__ import annotations
 
 import binascii
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .fileio import write_atomic
+from .fileio import read_json, write_json
 
 PROB_FLOOR = 1e-12  # probabilities are clamped to [PROB_FLOOR, 1] before any log
 
 CHECKPOINT_VERSION = 2
 
 
-def _relu_backward(g, y, out=None):
-    return np.multiply(g, y > 0.0, out=out)  # y > 0 exactly where z > 0, at +-0 and NaN too
+def _relu_backward(g, y):
+    return np.multiply(g, y > 0.0, out=y)  # y > 0 exactly where z > 0, at +-0 and NaN too
 
 
-def _tanh_backward(g, y, out=None):
-    t = np.multiply(y, y, out=out)  # out may be y itself: each step reads only its own element
-    return np.multiply(g, np.subtract(1.0, t, out=t), out=t)
+def _tanh_backward(g, y):
+    np.multiply(y, y, out=y)  # each step reads only its own element
+    return np.multiply(g, np.subtract(1.0, y, out=y), out=y)
 
 
-# name -> (forward(z, out=None), backward(grad of output, output, out=None))
+# name -> (forward(z, out=None), backward(grad of output, output)); a backward
+# returns the gradient of its input written over the output it reads.
 ACTIVATIONS = {
     "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), _relu_backward),
     "tanh": (np.tanh, _tanh_backward),
@@ -305,7 +304,7 @@ class Model:
         if i < self._lowest:
             return self.grad
         y = cache[0][i + 1]
-        return self._backprop_from(i, cache, ACTIVATIONS[self.activation][1](gh, y, out=y))
+        return self._backprop_from(i, cache, ACTIVATIONS[self.activation][1](gh, y))
 
     def _backprop_from(self, top: int, cache: tuple, g: np.ndarray) -> np.ndarray:
         """Backprop the gradient ``g`` of layer ``top``'s output down to the lowest
@@ -348,7 +347,7 @@ class Model:
         gh = g @ layer.weight
         if ad is not None:
             gh += g_mid @ ad.down
-        return ACTIVATIONS[self.activation][1](gh, h, out=h)
+        return ACTIVATIONS[self.activation][1](gh, h)
 
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -463,16 +462,17 @@ class Model:
         return model
 
     def save(self, path) -> None:
-        """Write ``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` atomically."""
-        write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        """Write :meth:`to_dict` through :func:`fileio.write_json`."""
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "Model":
         """Read a checkpoint of either version; a missing or malformed one
         raises ConfigError naming the file and, where there is one, the array."""
+        record = read_json(path, "checkpoint")
         try:
-            return cls.from_dict(json.loads(Path(path).read_bytes()))
-        except (OSError, AttributeError, TypeError, ValueError) as exc:  # any malformed record
+            return cls.from_dict(record)
+        except (TypeError, ValueError) as exc:  # any malformed record
             raise ConfigError(f"bad checkpoint {path}: {exc}") from None
 
     def param_digest(self) -> str:

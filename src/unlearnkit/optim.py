@@ -25,6 +25,7 @@ from .nn import Model
 
 OPTIMIZERS = ("sgd", "adam")
 UPDATE_BLOCK = 8192  # parameters per model row in one block of an update: 64 KiB of float64
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's hyperparameters
 
 
 @dataclass
@@ -58,9 +59,6 @@ class OptimizerState:
 
     kind: str
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: np.ndarray | None = field(default=None, repr=False)
     v: np.ndarray | None = field(default=None, repr=False)
     # Adam's update count of each model, shaped (1,) alone and (K, 1) stacked,
@@ -109,16 +107,16 @@ def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
         if state.steps is None:
             state.steps = np.zeros(full[:-1] + (1,), dtype=np.int64)
         # One ufunc at a time in the order of the textbook expressions:
-        #   m = beta1 * m + (1 - beta1) * g
-        #   v = beta2 * v + (1 - beta2) * g * g
-        #   update = lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+        #   m = BETA1 * m + (1 - BETA1) * g
+        #   v = BETA2 * v + (1 - BETA2) * g * g
+        #   update = lr * (m / (1 - BETA1**t)) / (sqrt(v / (1 - BETA2**t)) + EPS)
         # with each model's own t: the powers are taken in Python floats, one per row.
         m, v, steps = state.m[rows], state.v[rows], state.steps[rows]
         steps += 1
         c1, c2 = (np.array([1.0 - beta ** t for t in steps.ravel().tolist()]).reshape(steps.shape)
-                  for beta in (state.beta1, state.beta2))
-        m *= state.beta1  # in place, so over whole rows: the blocks below need no scratch for it
-        v *= state.beta2
+                  for beta in (BETA1, BETA2))
+        m *= BETA1  # in place, so over whole rows: the blocks below need no scratch for it
+        v *= BETA2
     block = n // shape[-1] * min(shape[-1], UPDATE_BLOCK)
     if not state.work or state.work[0].size < block:
         state.work[:] = [np.empty(block), np.empty(block)]
@@ -139,14 +137,14 @@ def optimizer_step(state: OptimizerState, model: Model, gradient: np.ndarray,
             update = np.multiply(state.learning_rate, g, out=a)
         else:
             mb, vb = m[cols], v[cols]
-            mb += np.multiply(1.0 - state.beta1, g, out=a)
-            np.multiply(1.0 - state.beta2, g, out=a)
+            mb += np.multiply(1.0 - BETA1, g, out=a)
+            np.multiply(1.0 - BETA2, g, out=a)
             vb += np.multiply(a, g, out=a)
             update = np.divide(mb, c1, out=a)
             update *= state.learning_rate
             np.divide(vb, c2, out=b)
             np.sqrt(b, out=b)
-            b += state.eps
+            b += EPS
             update /= b
         if off is not None:  # moment history must not leak into masked-out coordinates either
             update.reshape(-1)[off] = 0.0

@@ -90,7 +90,6 @@ class RunRecorder:
         self.steps = 0  # training steps taken
         self.logits: metrics.SplitLogits | None = None  # the last snapshot's
         self.error: Exception | None = None
-        self._flos_per_sample: float | None = None  # a run trains one model
         self._start = time.perf_counter()
 
     @property
@@ -99,9 +98,7 @@ class RunRecorder:
 
     def add_samples(self, model: Model, num_samples: int) -> None:
         """Count one training step over ``num_samples`` rows."""
-        if self._flos_per_sample is None:
-            self._flos_per_sample = nn.count_flos(model, 1, 1)
-        self.flos += self._flos_per_sample * float(num_samples)
+        self.flos += nn.count_flos(model, num_samples, 1)
         self.steps += 1
 
     def snapshot(self, epoch: int, model: Model, phase: str = "train") -> None:

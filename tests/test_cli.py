@@ -15,6 +15,7 @@ from unlearnkit.config import UnlearnConfig, config_hash, train_hash
 from unlearnkit.data import generate
 from unlearnkit.errors import ConfigError, NumericError
 from unlearnkit.manifest import Manifest
+from unlearnkit.report import aggregate
 from unlearnkit.unlearn import METHODS, TraceRow, unlearn, write_trace_csv
 
 from conftest import v1_checkpoint_record
@@ -462,6 +463,29 @@ def test_parse_grid_field_skips_empty_items_and_rejects_an_empty_field():
         _parse_grid_field(",", int)
 
 
+def test_a_run_whose_write_raises_is_failed_and_its_group_sibling_done(tmp_path, monkeypatch,
+                                                                        capsys):
+    real, saves = Model.save, []
+
+    def first_run_save_fails(model, path):
+        if Path(path).name == "model_prime.json" and not saves:
+            saves.append(path)
+            raise OSError("simulated full disk")
+        real(model, path)
+
+    monkeypatch.setattr(Model, "save", first_run_save_fails)
+    rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
+             "--methods", "rand_label", "--ratios", "2,4", "--seeds", "0")
+    assert rc == 2
+    entries = Manifest(tmp_path).entries
+    failed_dir = str(Path(saves[0]).parent)
+    runs = {e["dir"]: e for e in entries.values() if e["kind"] == "unlearn"}
+    assert len(runs) == 2
+    failed = runs.pop(failed_dir)
+    assert (failed["status"], failed["message"]) == ("failed", "OSError: simulated full disk")
+    assert [e["status"] for e in runs.values()] == ["done"]
+
+
 def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsys):
     import unlearnkit.cli as cli
 
@@ -642,6 +666,11 @@ def test_report_refuses_mixed_datasets(tmp_path, capsys):
 def test_report_without_runs_exits_1(tmp_path, capsys):
     assert run(tmp_path, "report") == 1
     assert "no completed runs" in capsys.readouterr().err
+
+
+def test_aggregate_of_no_records_raises_config_error():
+    with pytest.raises(ConfigError, match="no completed runs to report on"):
+        aggregate([])
 
 
 def test_sweep_parallel_workers(tmp_path, capsys):

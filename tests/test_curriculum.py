@@ -191,3 +191,9 @@ def test_a_stacked_step_that_raises_moves_no_members_tau():
         loss_and_grad(model, np.stack([X, _nan_row(X)]), labels=np.stack([Y, Y]),
                       curriculum=curricula)
     assert [c.tau for c in curricula] == [None, 0.5]
+
+
+def test_lambert_just_below_the_branch_point_is_clamped_to_minus_one():
+    x = -math.exp(-1.0) - 1e-13
+    assert x < -math.exp(-1.0)
+    assert lambert_w0(x) == -1.0

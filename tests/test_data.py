@@ -211,3 +211,13 @@ def test_corrupt_labels_single_class_error():
 def test_a_data_name_field_no_generator_can_use_is_a_config_error(name):
     with pytest.raises(ConfigError, match="data name|noise|seed"):
         parse_data_name(name)
+
+
+def test_a_spec_of_one_dimension_raises_config_error():
+    with pytest.raises(ConfigError, match="need dim >= 2, got 1"):
+        SynthSpec(dim=1)
+
+
+def test_blob_centroids_of_a_spiral_spec_raises_config_error():
+    with pytest.raises(ConfigError, match="only defined for gaussian_blobs"):
+        blob_centroids(SynthSpec(generator="spiral"))

@@ -287,3 +287,10 @@ def test_overfit_original_scores_forget_at_least_test(setup):
     f, split, _ = setup
     acc_test, acc_f, _ = evaluate(f, split)
     assert acc_f >= acc_test
+
+
+@pytest.mark.parametrize("members, nonmembers", [([], [1.0]), ([1.0], [])],
+                         ids=["no_members", "no_nonmembers"])
+def test_fit_mia_with_an_empty_side_raises_insufficient_data(members, nonmembers):
+    with pytest.raises(InsufficientDataError, match="samples on both sides"):
+        fit_mia(np.array(members), np.array(nonmembers))

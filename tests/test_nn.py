@@ -355,7 +355,7 @@ def _adapter_wrong_length(record):  # up of layer 1 at rank 4 holds 32 * 4
 @pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
 @pytest.mark.parametrize("break_it,message", [
     pytest.param(_truncated, r"line \d+ column \d+", id="truncated"),
-    pytest.param(_not_an_object, "'list' object", id="not_an_object"),
+    pytest.param(_not_an_object, "not a JSON object", id="not_an_object"),
     pytest.param(_missing_key, "no key 'layers.1.bias'", id="missing_key"),
     pytest.param(_wrong_length, "array layers.0.weight has", id="wrong_length"),
     pytest.param(_bad_encoding, "array layers.0.bias does not decode", id="bad_encoding"),
@@ -540,3 +540,37 @@ def test_checkpoint_version_is_enforced(tmp_path):
     with pytest.raises(ConfigError):
         Model.from_dict(record)
 
+
+
+@pytest.mark.parametrize("num_classes, activation, message", [
+    (1, "relu", "num_classes must be >= 2, got 1"),
+    (3, "gelu", "unknown activation 'gelu'; choose from \\['relu', 'tanh'\\]"),
+])
+def test_a_model_with_one_class_or_an_unknown_activation_raises_config_error(
+        num_classes, activation, message):
+    with pytest.raises(ConfigError, match=message):
+        Model(4, [8], num_classes, activation)
+
+
+def test_set_param_vector_of_the_wrong_size_raises_and_keeps_the_parameters():
+    m = build_model(4, 3, "mlp:5", seed=1)
+    before = m.param_vector()
+    with pytest.raises(ShapeError, match=f"vector has 3 entries, model has {before.size}"):
+        m.set_param_vector(np.zeros(3))
+    np.testing.assert_array_equal(m.param_vector(), before)
+
+
+def test_representation_rows_on_mismatched_shapes_raises_shape_error():
+    with pytest.raises(ShapeError, match="activation shapes differ"):
+        representation_rows(np.zeros((4, 3)), np.zeros((4, 2)))
+
+
+def test_backprop_hidden_with_the_only_adapter_on_the_output_layer_adds_nothing():
+    m = attach_adapter(build_model(4, 3, "mlp:6,5", seed=2), 2, 2)
+    x = np.random.default_rng(0).standard_normal((7, 4))
+    cache = m.forward_cache(x)[1]
+    penultimate = cache[0][-1].copy()
+    grad = m.backprop_hidden(cache, np.ones((7, 5)))
+    assert grad is m.grad
+    assert not grad.any()
+    np.testing.assert_array_equal(cache[0][-1], penultimate)  # the cache is not spent

@@ -224,3 +224,13 @@ def test_a_wide_adam_update_allocates_no_model_sized_scratch():
     state = OptimizerState("adam", 0.01)
     assert _traced_mb(lambda: optimizer_step(state, m, gradient)) <= 1.6
     assert _traced_mb(lambda: optimizer_step(state, m, gradient, mask)) <= 0.3
+
+
+def test_an_adam_state_made_for_another_model_raises_shape_error():
+    state = OptimizerState("adam", 0.01)
+    small, large = build_model(3, 2, "mlp:4", seed=0), build_model(3, 2, "mlp:5", seed=0)
+    optimizer_step(state, small, np.ones(small.num_trainable()))
+    before = large.param_vector()
+    with pytest.raises(ShapeError, match="created for a different model"):
+        optimizer_step(state, large, np.ones(large.num_trainable()))
+    np.testing.assert_array_equal(large.param_vector(), before)

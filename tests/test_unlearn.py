@@ -479,3 +479,11 @@ def test_trained_outputs_match_golden_digests(method, variant, tmp_path, golden_
     method on plain, curriculum, adapter and tanh+SGD recipes, pinned."""
     got = _golden_run(method, variant, tmp_path, golden_originals)
     assert got == GOLDEN_DIGESTS[method, variant]
+
+
+def test_exact_retrain_on_a_split_with_every_training_row_deleted_raises_config_error(setup):
+    f, split, cfg = setup
+    everything = dataclasses.replace(split, del_indices=np.arange(split.num_train))
+    with pytest.raises(ConfigError, match="the remaining set is empty"):
+        unlearn("exact_retrain", f, everything, dataclasses.replace(
+            cfg, unlearn_method="exact_retrain"))
