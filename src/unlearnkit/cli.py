@@ -154,9 +154,7 @@ def _run_job(root: Path, kind: str, job: list, no_budget: bool,
         outcomes = [exc] * len(job)
     for (key, _), outcome in zip(job, outcomes):
         if getattr(outcome, "trace", None):  # a failed run keeps the rows it recorded
-            directory = _locate(root, kind, key)[0]
-            directory.mkdir(parents=True, exist_ok=True)
-            write_trace_csv(outcome.trace, directory / "trace.csv")
+            write_trace_csv(outcome.trace, _locate(root, kind, key)[0] / "trace.csv")
     _print_unexpected(outcomes, set() if loud else None)
     return outcomes
 
@@ -198,7 +196,6 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, key: str) -> Path:
     write its checkpoint directory."""
     run = train_original(generate(cfg.data_spec()), cfg)
     ckpt_dir, _ = _locate(root, "train", key)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     run.model.save(ckpt_dir / "model.json")
     last = run.trace[-1]  # the trained model's: recorded after the last update
     meta = {"train_seconds": last.seconds, "test_acc": last.acc_test,
@@ -292,7 +289,6 @@ def _write_run(root: Path, key: str, cfg: UnlearnConfig, split, run: UnlearnRun)
     report = build_report(split, run.logits, seconds=run.seconds, flos=run.flos,
                           config_hash=key, seed=cfg.seed)
     run_dir, _ = _locate(root, "unlearn", key)
-    run_dir.mkdir(parents=True, exist_ok=True)
     write_json(run_dir / "config.json", cfg.resolved_dict())
     run.model.save(run_dir / "model_prime.json")
     write_trace_csv(run.trace, run_dir / "trace.csv")
@@ -450,11 +446,14 @@ def cmd_report(args) -> int:
     root = _artifacts_root(args)
     if args.run_dirs:
         run_dirs = [Path(d) for d in args.run_dirs]
-    else:
-        run_dirs = sorted((root / "runs").glob("*"))
+    else:  # the runs a sweep would not redo
+        manifest = Manifest(root)
+        run_dirs = [d for d in sorted((root / "runs").glob("*"))
+                    if _locate(root, "unlearn", d.name, manifest)[1]]
     records = collect_runs(run_dirs)
     if not records:
-        raise ConfigError("no completed runs found (need report.json + config.json)")
+        raise ConfigError("no completed runs found (need report.json + config.json and, "
+                          "unless the run directory is named, a done manifest entry)")
     out_dir = Path(args.out) if args.out else root / "reports"
     paths = write_leaderboard(records, out_dir)
     for name, path in paths.items():

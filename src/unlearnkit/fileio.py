@@ -1,7 +1,6 @@
 """Crash-safe artifact files: every artifact the toolkit writes goes through here."""
 
 import csv
-import io
 import json
 import os
 from pathlib import Path
@@ -9,20 +8,22 @@ from pathlib import Path
 from .errors import ConfigError
 
 
-def write_atomic(path, text: str) -> None:
-    """Replace the file at ``path`` with ``text`` through a temp file beside it.
+def write_atomic(path, write) -> None:
+    """Replace the file at ``path`` with what ``write(fh)`` writes to ``fh``, through a
+    temp file beside it, making ``path``'s directory first if it is missing.
 
     The temp file is renamed over ``path`` only once it is complete, so a
     reader, or a process killed mid-write, sees the previous file or the new
     one, never part of one. On any error the temp file is removed and the
     previous file is left as it was. The temp name carries the process id,
-    so two processes writing one path do not share a temp file. The text is
-    written as UTF-8 with its line endings as given.
+    so two processes writing one path do not share a temp file. ``fh`` is a
+    text file that writes UTF-8 with line endings as given.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -32,14 +33,12 @@ def write_atomic(path, text: str) -> None:
 
 def write_csv(path, rows) -> None:
     """Write ``rows``, the header row first, as one CSV file through :func:`write_atomic`."""
-    text = io.StringIO()
-    csv.writer(text).writerows(rows)
-    write_atomic(path, text.getvalue())
+    write_atomic(path, lambda fh: csv.writer(fh).writerows(rows))
 
 
 def write_json(path, value) -> None:
-    """Write ``json.dumps(value, indent=2, sort_keys=True)`` through :func:`write_atomic`."""
-    write_atomic(path, json.dumps(value, indent=2, sort_keys=True))
+    """Write ``json.dump(value, indent=2, sort_keys=True)`` through :func:`write_atomic`."""
+    write_atomic(path, lambda fh: json.dump(value, fh, indent=2, sort_keys=True))
 
 
 def read_json(path, what: str) -> dict:

@@ -28,7 +28,6 @@ class Manifest:
                                   "object with a string 'status'")
 
     def save(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
         write_json(self.path, self.entries)
 
     def is_done(self, key: str) -> bool:

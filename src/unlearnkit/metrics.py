@@ -217,7 +217,7 @@ class EvalReport:
         return cls.from_dict(values)
 
     def save(self, path) -> None:
-        write_atomic(path, self.to_json())
+        write_atomic(path, lambda fh: fh.write(self.to_json()))
 
 
 REPORT_KEYS = tuple(f.name for f in fields(EvalReport))

@@ -161,12 +161,12 @@ def _scaling_rows(records: list[RunRecord]) -> list[dict]:
 def write_leaderboard(records: list[RunRecord], out_dir) -> dict[str, Path]:
     """Emit leaderboard.md / leaderboard.csv / per-ratio and scaling curve CSVs."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = aggregate(records)
     paths = {"markdown": out_dir / "leaderboard.md", "csv": out_dir / "leaderboard.csv",
              "ratio_curves": out_dir / "ratio_curves.csv",
              "scaling_curves": out_dir / "scaling_curves.csv"}
-    write_atomic(paths["markdown"], leaderboard_markdown(rows, _base_data_name(records[0].config)))
+    markdown = leaderboard_markdown(rows, _base_data_name(records[0].config))
+    write_atomic(paths["markdown"], lambda fh: fh.write(markdown))
     write_csv(paths["csv"], _table(LEADERBOARD_FIELDS, rows))
     ratios = _group_means(records, lambda r: (r.method, r.config.del_ratio), METRICS)
     write_csv(paths["ratio_curves"], _table(RATIO_FIELDS, [

@@ -185,11 +185,10 @@ def _fresh_model(split: DatasetSplit, config: UnlearnConfig, seed: int) -> Model
 
 def _student(original: Model, config: UnlearnConfig) -> Model:
     """Deep copy of the original, with an adapter attached when configured."""
-    student = original.clone()
     if config.adapter_rank > 0:
-        student = attach_adapter(student, config.adapter_layer, config.adapter_rank,
-                                 config.adapter_scale, seed=config.seed)
-    return student
+        return attach_adapter(original, config.adapter_layer, config.adapter_rank,
+                              config.adapter_scale, seed=config.seed)
+    return original.clone()
 
 
 def _stream(rng: np.random.Generator, idx: np.ndarray, x: np.ndarray,
@@ -211,7 +210,7 @@ def _epochs(rng: np.random.Generator, idx: np.ndarray, x: np.ndarray, labels: np
 def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = None,
                   teacher: np.ndarray | None = None, temperature: float = 1.0,
                   curriculum: SuperLossParams | list[SuperLossParams] | None = None,
-                  step: int = 0, accumulate: bool = False) -> tuple[float, np.ndarray]:
+                  accumulate: bool = False) -> tuple[float, np.ndarray]:
     """One training step's loss and gradient, on plain arrays.
 
     Runs one forward pass over ``x``, checks the ``labels`` against the
@@ -229,7 +228,7 @@ def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = No
     if isinstance(curriculum, SuperLossParams):
         curriculum = [curriculum]
     return _backprop_loss(model, logits, cache, labels, teacher, temperature,
-                          curriculum, step, accumulate)
+                          curriculum, 0, accumulate)
 
 
 def _backprop_loss(model: Model, logits: np.ndarray, cache: tuple, labels: np.ndarray | None,

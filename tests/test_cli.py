@@ -175,7 +175,7 @@ def test_unlearn_on_a_malformed_checkpoint_exits_1_and_records_failed(
     pytest.param(lambda path: build_model(4, 3, "mlp:5").save(path), id="model"),
     pytest.param(lambda path: EvalReport(90.0, 80.0, 95.0, 0.5, 1e6, 50.0).save(path),
                  id="report"),
-    pytest.param(lambda path: fileio.write_atomic(path, json.dumps({"meta": 1})), id="meta_config"),
+    pytest.param(lambda path: fileio.write_json(path, {"meta": 1}), id="meta_config"),
     pytest.param(lambda path: Manifest(path.parent).start_all("train", [("k", path.parent)]),
                  id="manifest"),
     pytest.param(lambda path: write_trace_csv([TraceRow(0, None, 0.5, 90.0, None, 95.0, 0.0, 0.1)],
@@ -613,10 +613,18 @@ def test_sweep_ratio_range_syntax(tmp_path, capsys):
 
 # ---------------------------------------------------------------------- report
 
+def _record_done(root, run_dir):
+    """Record the run in ``run_dir`` done in the manifest, as a completed run is."""
+    manifest = Manifest(root)
+    manifest.start_all("unlearn", [(run_dir.name, run_dir)])
+    manifest.finish_all([(run_dir.name, "done", None)])
+
+
 def _fake_run(root, method, seed, ratio, report_overrides):
     cfg = fast_cfg(unlearn_method=method, seed=seed, del_ratio=ratio)
     run_dir = root / "runs" / config_hash(cfg)
     run_dir.mkdir(parents=True)
+    _record_done(root, run_dir)
     (run_dir / "config.json").write_text(json.dumps(cfg.resolved_dict()))
     report = {"acc_test": 95.0, "acc_f": 33.3, "acc_r": 99.0, "seconds": 1.0,
               "flos": 1e6, "mia_success": 50.0, "transfer_acc": None,
@@ -649,12 +657,29 @@ def test_report_averages_runs(tmp_path):
     assert float(row[2]) == 50.0
 
 
+def test_report_leaves_out_a_run_the_manifest_records_failed(tmp_path, capsys):
+    run(tmp_path, "train", *FAST, "--seed", "0")
+    for method in ("neg_grad", "rand_label"):
+        assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0",
+                   "--unlearn_method", method) == 0
+    # budget_seconds is not in the hash: the rerun fails in the complete run's directory.
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "rand_label",
+               "--force", "--budget_seconds", "0.000001") == 2
+    assert "BudgetError" in capsys.readouterr().err
+    assert run(tmp_path, "report") == 0
+    out = tmp_path / "reports"
+    for name in ("leaderboard.csv", "ratio_curves.csv", "scaling_curves.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert rows and {row.split(",")[0] for row in rows} == {"neg_grad"}, name
+
+
 def test_report_refuses_mixed_datasets(tmp_path, capsys):
     _fake_run(tmp_path, "rand_label", 0, 5, {})
     cfg = fast_cfg(unlearn_method="neg_grad", seed=0,
                    data_name="spiral:c3:s30:d2:noise0.1")
     run_dir = tmp_path / "runs" / config_hash(cfg)
     run_dir.mkdir(parents=True)
+    _record_done(tmp_path, run_dir)
     (run_dir / "config.json").write_text(json.dumps(cfg.resolved_dict()))
     (run_dir / "report.json").write_text(json.dumps(
         {"acc_test": 1.0, "acc_f": 1.0, "acc_r": 1.0, "seconds": 1.0, "flos": 1.0,

@@ -64,3 +64,20 @@ def test_a_snapshot_is_timed_and_traced(hotpath, wide):
     fn = hotpath.snapshot(hotpath.WIDE if wide else UnlearnConfig())
     assert 0 < hotpath.median_us(fn, 1) < math.inf
     assert 0 < hotpath.peak_mb(fn) < 1.0
+
+
+def test_a_save_is_timed_and_traced(hotpath, tmp_path):
+    fn = hotpath.save(UnlearnConfig(), tmp_path / "model.json")
+    assert 0 < hotpath.median_us(fn, 1) < math.inf
+    assert 0 < hotpath.peak_mb(fn) < 1.0
+
+
+def test_one_wide_save_traces_at_most_2_5_mb(hotpath, tmp_path):
+    """``Model.save`` streams its JSON into the file: one ``wide`` save
+    (``mlp:256,256``, a 0.91 MB checkpoint) traced 2.73 MB when it built the whole
+    JSON text and its UTF-8 bytes before writing, and 2.32 MB streamed, which
+    holds the base64 strings of ``to_dict`` and one array's text at a time."""
+    path = tmp_path / "model.json"
+    fn = hotpath.save(hotpath.WIDE, path)
+    assert hotpath.peak_mb(fn) <= 2.5
+    assert path.stat().st_size > 900_000

@@ -179,6 +179,12 @@ def test_kl_errors():
         kl_rows(np.array([[np.inf, 0.0]]), np.ones((1, 2)), 1.0)
 
 
+def test_a_non_finite_loss_in_loss_and_grad_reads_step_0():
+    model = build_model(2, 2, "mlp:3", seed=0)
+    with pytest.raises(NumericError, match=r"^training loss became non-finite \(step 0\)$"):
+        loss_and_grad(model, np.array([[np.nan, 0.0]]), labels=np.array([0]))
+
+
 def test_representation_distance_value_and_gradient():
     rng = np.random.default_rng(3)
     m = build_model(3, 3, "mlp:6", seed=1)

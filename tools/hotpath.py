@@ -14,12 +14,14 @@ then prints the whole step's cost per member of a default-config stack of
 K = 1, 2, 4, 10 and 20 models, the figure that sets how many members a
 lockstep step stacks (``unlearn.MAX_STACK``). It also times one trace
 snapshot of a default-config model and of a ``wide`` one: three evaluation
-passes, in row blocks, and the accuracies and mean losses scored from them.
-Next to the step and snapshot times it prints the ``tracemalloc`` peak of
-one whole step or snapshot, in MB (10^6 bytes): the most memory its arrays
-and objects held at once, beyond what the model, its data, its workspace
-and its optimizer already held; and that of one Adam update alone, dense
-(``adam MB``) and with a random half of the parameters masked out
+passes, in row blocks, and the accuracies and mean losses scored from them,
+and one checkpoint write (``Model.save``) of a default-config model and of
+a ``wide`` one, into a temporary directory.
+Next to the step, snapshot and save times it prints the ``tracemalloc`` peak
+of one whole step, snapshot or save, in MB (10^6 bytes): the most memory its
+arrays and objects held at once, beyond what the model, its data, its
+workspace and its optimizer already held; and that of one Adam update alone,
+dense (``adam MB``) and with a random half of the parameters masked out
 (``mask MB``). Standard library and numpy only.
 
 Usage, from the repository root:
@@ -46,6 +48,7 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
+import tempfile
 import timeit
 import tracemalloc
 from dataclasses import replace
@@ -172,6 +175,14 @@ def snapshot(config: UnlearnConfig):
     return lambda: recorder.snapshot(1, model)
 
 
+def save(config: UnlearnConfig, path: Path):
+    """One ``Model.save`` of a fresh model of ``config`` to ``path``, as a callable."""
+    spec = config.data_spec()
+    model = build_model(generate(spec).train_x.shape[1], spec.num_classes, config.backbone,
+                        config.seed)
+    return lambda: model.save(path)
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7, help="samples per figure (default 7)")
@@ -181,7 +192,7 @@ def main(argv: list[str]) -> int:
     lockstep = step_phases(UnlearnConfig(), 2, args.repeat)
     wide = step_phases(WIDE, 1, args.repeat)
     print(f"numpy {np.__version__}; median us per call over {args.repeat} samples,"
-          " and the traced peak MB of one step, one Adam update and one snapshot")
+          " and the traced peak MB of one step, one Adam update, one snapshot and one save")
     print(f"{'phase':<10}{'default K=2':>14}{'wide':>12}")
     for phase in PHASES:
         print(f"{phase:<10}{lockstep[phase]:>14.1f}{wide[phase]:>12.1f}")
@@ -196,6 +207,11 @@ def main(argv: list[str]) -> int:
           f"{median_us(snapshot(WIDE), args.repeat):>12.1f}")
     print(f"{'snap MB':<10}{peak_mb(snapshot(UnlearnConfig())):>14.2f}"
           f"{peak_mb(snapshot(WIDE)):>12.2f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        saves = [save(config, Path(tmp) / "model.json") for config in (UnlearnConfig(), WIDE)]
+        print(f"{'save':<10}{median_us(saves[0], args.repeat):>14.1f}"
+              f"{median_us(saves[1], args.repeat):>12.1f}")
+        print(f"{'save MB':<10}{peak_mb(saves[0]):>14.2f}{peak_mb(saves[1]):>12.2f}")
     print(f"{'K':<10}{'us per member-step':>20}")
     for k in STACK_SIZES:
         print(f"{k:<10}{step_us(UnlearnConfig(), k, args.repeat) / k:>20.1f}")
