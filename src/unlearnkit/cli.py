@@ -102,6 +102,8 @@ def _run_jobs(root: Path, manifest: Manifest, kind: str, jobs: list[list], *,
     All the jobs' runs are marked pending with one manifest save, and each
     job's results (``done``, or ``failed`` with ``"<Type>: <message>"``)
     are recorded with one more before it is yielded, so iterate to the end.
+    A failed run's directory first loses the files that mark a run complete
+    (``_KINDS``), which an earlier attempt may have left there.
     With ``workers`` above 1 the jobs run in a pool of at most that many
     processes, and never more than there are jobs. With ``loud``, an error
     that is not an ``UnlearnkitError`` prints its traceback once, in the
@@ -115,6 +117,10 @@ def _run_jobs(root: Path, manifest: Manifest, kind: str, jobs: list[list], *,
     ended = (_pooled(root, kind, jobs, no_budget, workers, loud) if workers > 1 else
              ((job, _run_job(root, kind, job, no_budget, loud)) for job in jobs))
     for job, outcomes in ended:
+        for (key, _), o in zip(job, outcomes):
+            if isinstance(o, Exception):
+                for name in _KINDS[kind][1]:
+                    (_locate(root, kind, key)[0] / name).unlink(missing_ok=True)
         manifest.finish_all([(key, "failed", f"{type(o).__name__}: {o}")
                              if isinstance(o, Exception) else (key, "done", None)
                              for (key, _), o in zip(job, outcomes)])

@@ -542,12 +542,13 @@ def build_model(input_dim: int, num_classes: int, backbone: str = "mlp:32,32",
 # of the reduced loss with respect to each row; ``1/n`` for a batch mean) to
 # the gradient of the weighted rows with respect to the kernel's input. A
 # logits gradient goes to :meth:`Model.backprop`, a penultimate-activation
-# gradient to :meth:`Model.backprop_hidden`; ``unlearn.loss_and_grad`` does
-# this for the training losses. Rows run along the second-to-last axis of the
-# input, so a stacked ``(K, B, C)`` input gives ``(K, B)`` rows and takes
-# ``(K, B)`` weights. The cross-entropy and KL kernels also take one numpy
-# scalar for every row (a batch mean's ``1/n``): it multiplies each row as
-# the array of equal weights would, byte for byte.
+# gradient to :meth:`Model.backprop_hidden`. ``unlearn.loss_and_grad``, the
+# training loop's one step kernel, does this for the training losses. Rows
+# run along the second-to-last axis of the input, so a stacked ``(K, B, C)``
+# input gives ``(K, B)`` rows and takes ``(K, B)`` weights. The cross-entropy
+# and KL kernels also take one numpy scalar for every row (a batch mean's
+# ``1/n``): it multiplies each row as the array of equal weights would, byte
+# for byte.
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; every row sums to 1 within 1e-6."""
@@ -588,22 +589,16 @@ def validate_labels(logits: np.ndarray, labels) -> np.ndarray:
     """Return ``labels`` as an array after checking them against batched logits.
 
     ``logits`` is ``(..., B, C)``; the labels must have shape ``(..., B)``
-    and lie in ``[0, C)`` (:func:`check_label_range`).
+    and lie in ``[0, C)``.
     """
     labels = np.asarray(labels)
     if logits.ndim < 2:
         raise ShapeError(f"labels need batched logits, got shape {logits.shape}")
     if labels.shape != logits.shape[:-1]:
         raise ShapeError(f"labels shape {labels.shape} does not match batch {logits.shape[:-1]}")
-    return check_label_range(labels, logits.shape[-1])
-
-
-def check_label_range(labels, num_classes: int) -> np.ndarray:
-    """Return ``labels`` as an array after checking each lies in ``[0, num_classes)``."""
-    labels = np.asarray(labels)
     if labels.size and (np.minimum.reduce(labels, axis=None) < 0
-                        or np.maximum.reduce(labels, axis=None) >= num_classes):
-        raise ConfigError(f"labels must lie in [0, {num_classes})")
+                        or np.maximum.reduce(labels, axis=None) >= logits.shape[-1]):
+        raise ConfigError(f"labels must lie in [0, {logits.shape[-1]})")
     return labels
 
 

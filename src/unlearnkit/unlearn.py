@@ -210,42 +210,33 @@ def _epochs(rng: np.random.Generator, idx: np.ndarray, x: np.ndarray, labels: np
 def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = None,
                   teacher: np.ndarray | None = None, temperature: float = 1.0,
                   curriculum: SuperLossParams | list[SuperLossParams] | None = None,
-                  accumulate: bool = False) -> tuple[float, np.ndarray]:
-    """One training step's loss and gradient, on plain arrays.
+                  step: int = 0, accumulate: bool = False) -> tuple[float, np.ndarray]:
+    """One training step's loss and gradient, on plain arrays: the loop's one step kernel.
 
     Runs one forward pass over ``x``, checks the ``labels`` against the
     logits (:func:`nn.validate_labels`), sums the per-row task cross-entropy
     (when ``labels`` is given) and KL to the ``teacher`` logits (when given),
     reduces the rows by their mean or by the curriculum, checks the value
-    is finite, and backprops. Returns the value and the model's gradient
-    buffer, overwritten unless ``accumulate`` is set. On a stacked model
-    (``nn.Model.stack``) every array has a leading K axis, the value is one
-    per model, and ``curriculum`` is a list of K states.
+    is finite (a ``NumericError`` names ``step``), and backprops. Returns
+    the value and the model's gradient buffer, overwritten unless
+    ``accumulate`` is set. On a stacked model (``nn.Model.stack``) every
+    array has a leading K axis, the value is one per model, and
+    ``curriculum`` is a list of K states.
     """
     logits, cache = model.forward_cache(x)
-    if labels is not None:
-        labels = nn.validate_labels(logits, labels)
-    if isinstance(curriculum, SuperLossParams):
-        curriculum = [curriculum]
-    return _backprop_loss(model, logits, cache, labels, teacher, temperature,
-                          curriculum, 0, accumulate)
-
-
-def _backprop_loss(model: Model, logits: np.ndarray, cache: tuple, labels: np.ndarray | None,
-                   teacher: np.ndarray | None, temperature: float,
-                   curricula: list[SuperLossParams] | None, step: int, accumulate: bool):
-    """:func:`loss_and_grad` after its forward pass, on labels already checked."""
     terms = []
     if labels is not None:
-        terms.append(nn.cross_entropy_rows(logits, labels))
+        terms.append(nn.cross_entropy_rows(logits, nn.validate_labels(logits, labels)))
     if teacher is not None:
         terms.append(nn.kl_rows(logits, teacher, temperature))
+    if isinstance(curriculum, SuperLossParams):
+        curriculum = [curriculum]
     rows = terms[0][0] if len(terms) == 1 else terms[0][0] + terms[1][0]
     n = rows.shape[-1]
-    if curricula is not None:
+    if curriculum is not None:
         # Per model: superloss_weights ravels its batch and returns that model's next tau.
         values, sigmas, taus = zip(*(superloss_weights(r, c) for r, c in
-                                     zip(rows.reshape(len(curricula), n), curricula)))
+                                     zip(rows.reshape(len(curriculum), n), curriculum)))
         value = np.array(values).reshape(rows.shape[:-1])[()]  # [()]: a scalar for one model
         weights = (1.0 / n) * np.array(sigmas).reshape(rows.shape)
     else:
@@ -253,9 +244,9 @@ def _backprop_loss(model: Model, logits: np.ndarray, cache: tuple, labels: np.nd
         weights = np.float64(1.0 / n)  # every row's weight (see the loss kernels in nn)
     if not np.logical_and.reduce(np.isfinite(value), axis=None):
         raise NumericError("training loss became non-finite", step=step)
-    if curricula is not None:  # the one commit point: a step that raises moves no tau
-        for curriculum, tau in zip(curricula, taus):
-            curriculum.tau = tau
+    if curriculum is not None:  # the one commit point: a step that raises moves no tau
+        for state, tau in zip(curriculum, taus):
+            state.tau = tau
     g = terms[0][1](weights)
     if len(terms) == 2:
         g += terms[1][1](weights)
@@ -277,10 +268,10 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     step, learning rate, curriculum use and L1 weight; their batch shapes
     and steps per pass may differ.
 
-    Each part of a step runs its forward, loss and backprop once per run
-    of adjacent plans whose parts have the same shape (maximal, up to
-    ``MAX_STACK`` plans), over those rows of the stack (``Model.rows``), and
-    every part backprops into the plan's one summed gradient row. A
+    Each part of a step runs :func:`loss_and_grad` once per run of adjacent
+    plans whose parts have the same shape (maximal, up to ``MAX_STACK``
+    plans), over those rows of the stack (``Model.rows``), and every part
+    backprops into the plan's one summed gradient row. A
     non-finite part makes that sum non-finite, so each part is checked on
     its own. Then each run of adjacent plans that stepped gets the L1 pull
     and the pass's sign, both written into its spent gradient rows, and one
@@ -321,14 +312,13 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
 
     def part(steps: list, i: int, lo: int, hi: int) -> None:
         """Part ``i`` of plans ``lo`` to ``hi - 1``: forward, loss and backprop."""
-        view = stack_rows(lo, hi)
         _, xs, labels, teachers = zip(*(s[i] for s in steps[lo:hi]))
         x = np.array(xs)
         teacher = None if teachers[0] is None else stack_teachers(*teachers).logits(x)
-        _backprop_loss(  # inline, so the logits die with the call
-            view, *view.forward_cache(x), None if labels[0] is None else np.array(labels),
-            teacher, temperature, None if curricula is None else curricula[lo:hi],
-            recorders[lo].steps, accumulate=i > 0)
+        loss_and_grad(stack_rows(lo, hi), x, teacher=teacher, temperature=temperature,
+                      labels=None if labels[0] is None else np.array(labels),
+                      curriculum=None if curricula is None else curricula[lo:hi],
+                      step=recorders[lo].steps, accumulate=i > 0)
 
     def end_pass(number: int, phase: str) -> None:
         for recorder, plan in records:
@@ -414,7 +404,6 @@ def _finetune(f: Model, split: DatasetSplit, config: UnlearnConfig, idx: np.ndar
               labels: np.ndarray, phase: str = "train", ascending: bool = False,
               mask: ParamMask | None = None, l1_lambda: float = 0.0) -> Plan:
     """Task-loss passes over the training rows ``idx`` with the unlearning recipe."""
-    labels = nn.check_label_range(labels, f.num_classes)
     passes = _epochs(np.random.default_rng(config.seed), idx, split.train_x, labels,
                      config.epochs, config.batch_size, phase, ascending)
     return Plan(_student(f, config), passes, config.learning_rate,
@@ -430,11 +419,9 @@ def exact_retrain(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     """
     if split.retain_indices.size == 0:
         raise ConfigError("cannot retrain: the remaining set is empty")
-    student = _fresh_model(split, config, config.seed)
-    labels = nn.check_label_range(split.train_y, student.num_classes)
     passes = _epochs(np.random.default_rng(config.seed), split.retain_indices, split.train_x,
-                     labels, config.train_epochs, config.train_batch_size)
-    return Plan(student, passes, config.train_learning_rate)
+                     split.train_y, config.train_epochs, config.train_batch_size)
+    return Plan(_fresh_model(split, config, config.seed), passes, config.train_learning_rate)
 
 
 @register(TeacherSpec("Loss", "Grad", "none", (), ("Dense", "Internal")))
@@ -499,10 +486,9 @@ def scrub(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     """
     max_steps, min_steps = config.scrub_max_steps, config.scrub_min_steps
     rng = np.random.default_rng(config.seed)
-    labels = nn.check_label_range(split.train_y, f.num_classes)
 
     def one_pass(idx):
-        return _stream(rng, idx, split.train_x, labels, f, config.batch_size)
+        return _stream(rng, idx, split.train_x, split.train_y, f, config.batch_size)
 
     def passes():
         for cycle in range(max(max_steps, min_steps)):

@@ -673,6 +673,21 @@ def test_report_leaves_out_a_run_the_manifest_records_failed(tmp_path, capsys):
         assert rows and {row.split(",")[0] for row in rows} == {"neg_grad"}, name
 
 
+def test_a_failed_rerun_leaves_no_completion_file_for_the_explicit_readers(tmp_path, capsys):
+    run(tmp_path, "train", *FAST, "--seed", "0")
+    assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0",
+               "--unlearn_method", "rand_label") == 0
+    [run_dir] = (tmp_path / "runs").iterdir()
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "rand_label",
+               "--force", "--budget_seconds", "0.000001") == 2
+    assert not (run_dir / "report.json").exists()
+    capsys.readouterr()
+    assert run(tmp_path, "report", str(run_dir)) == 1
+    assert "no completed runs" in capsys.readouterr().err
+    assert run(tmp_path, "evaluate", "--run", str(run_dir)) == 1
+    assert "bad run file" in capsys.readouterr().err
+
+
 def test_report_refuses_mixed_datasets(tmp_path, capsys):
     _fake_run(tmp_path, "rand_label", 0, 5, {})
     cfg = fast_cfg(unlearn_method="neg_grad", seed=0,

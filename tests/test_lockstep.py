@@ -281,7 +281,7 @@ def test_an_error_that_belongs_to_no_member_fails_every_member_still_training(
     so it is not redone: it fails the members still training, each with a
     copy of it and its own partial trace. A member that failed before keeps
     its own error."""
-    real_check, real_backprop = RunRecorder.check_budget, U._backprop_loss
+    real_check, real_backprop = RunRecorder.check_budget, U.loss_and_grad
 
     def flaky(recorder):  # the seed-2 run fails after its first pass
         if recorder.split.seed == 2:
@@ -296,7 +296,7 @@ def test_an_error_that_belongs_to_no_member_fails_every_member_still_training(
     members = [(f, split, dataclasses.replace(cfg, unlearn_method="neg_grad"))
                for f, split, cfg in (originals["plain", seed] for seed in SEEDS)]
     monkeypatch.setattr(RunRecorder, "check_budget", flaky)
-    monkeypatch.setattr(U, "_backprop_loss", failing)
+    monkeypatch.setattr(U, "loss_and_grad", failing)
     runs = unlearn_group("neg_grad", members)
     assert [type(run).__name__ for run in runs] == ["MemoryError", "MemoryError", "BudgetError"]
     assert runs[0] is not runs[1] and [str(run) for run in runs[:2]] == ["simulated"] * 2
@@ -318,7 +318,7 @@ def test_a_sweep_records_an_error_that_belongs_to_no_member_for_each_run(
     def failing(*args, **kwargs):
         raise MemoryError("simulated")
 
-    monkeypatch.setattr(U, "_backprop_loss", failing)
+    monkeypatch.setattr(U, "loss_and_grad", failing)
     capsys.readouterr()
     assert main(["--artifacts", str(tmp_path), "sweep", *fast, "--no-budget", "--methods",
                  "neg_grad", "--ratios", "1,2", "--seeds", "0,1"]) == 2
@@ -373,6 +373,27 @@ def test_a_member_without_a_deletion_set_fails_alone(originals):
     assert isinstance(runs[1], ConfigError) and "requires a deletion set" in str(runs[1])
     for run, member in zip(runs[::2], members[::2]):
         assert run.model.param_digest() == unlearn("neg_grad", *member).model.param_digest()
+
+
+@pytest.mark.parametrize("method", ["rand_label", "exact_retrain", "scrub"])
+def test_a_member_with_an_out_of_range_training_label_fails_alone(originals, method):
+    """Every training row's label is checked before the first step, by the
+    init snapshot's task losses on D_r and D_f, and again by the step kernel
+    where a loss reads it: one member's out-of-range retain label fails that
+    member alone, with no trace rows, and its siblings train as they do alone."""
+    members = [(f, split, dataclasses.replace(cfg, unlearn_method=method))
+               for f, split, cfg in (originals["plain", seed] for seed in SEEDS)]
+    f, split, cfg = members[1]
+    train_y = split.train_y.copy()
+    train_y[split.retain_indices[0]] = 3
+    members[1] = (f, dataclasses.replace(split, train_y=train_y), cfg)
+    runs = unlearn_group(method, members)
+    assert isinstance(runs[1], ConfigError) and str(runs[1]) == "labels must lie in [0, 3)"
+    assert runs[1].trace == []
+    for run, member in zip(runs[::2], members[::2]):
+        alone = unlearn(method, *member)
+        assert run.model.param_digest() == alone.model.param_digest()
+        assert _without_seconds(run.trace) == _without_seconds(alone.trace)
 
 
 def test_each_member_is_charged_an_equal_share_of_the_group_time(originals):

@@ -4,7 +4,9 @@ Prints the median wall time, in microseconds, of each phase of one training
 step: the forward pass, the cross-entropy kernel with its row gradient, the
 backprop (timed with the forward pass that makes the cache it spends, less
 the forward pass's median) and the Adam update, and the whole step through
-the public ``loss_and_grad`` and ``optimizer_step``. It does this for two
+``loss_and_grad`` and ``optimizer_step``: the kernel and the update the
+training loop itself calls each step (the loop also adds the L1 pull and
+the ascent sign, when a method has them). It does this for two
 default-config models trained in lockstep (K = 2, batch 32 each) and for one
 ``wide`` model (``mlp:256,256``, batch 256, 64 inputs, 10 classes) in a
 stack of one, as a solo run trains. For the ``wide`` model it also times the
