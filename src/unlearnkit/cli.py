@@ -4,7 +4,7 @@ Artifacts live under one root (``--artifacts`` flag or the
 ``UNLEARNKIT_ARTIFACTS`` environment variable, default ``./artifacts``):
 
     artifacts/
-      manifest.json                     run index (single writer)
+      manifest.json                     status log (single writer; read by no decision)
       checkpoints/<train_hash>/         model.json + meta.json
       runs/<config_hash>/               config.json, report.json,
                                         model_prime.json, trace.csv
@@ -79,14 +79,13 @@ _KINDS = {"train": ("checkpoints", ("model.json", "meta.json")),
           "unlearn": ("runs", ("report.json",))}
 
 
-def _locate(root: Path, kind: str, key: str,
-            manifest: Manifest | None = None) -> tuple[Path, bool]:
+def _locate(root: Path, kind: str, key: str) -> tuple[Path, bool]:
     """The directory of the run of ``kind`` whose hash is ``key`` (its ``train_hash`` or
-    ``config_hash``), and whether ``manifest`` records that run done with its files on disk."""
+    ``config_hash``), and whether it holds the files of a complete run: the one rule
+    by which every command decides that a run is complete."""
     parent, files = _KINDS[kind]
     directory = root / parent / key
-    return directory, (manifest is not None and manifest.is_done(key)
-                       and all((directory / name).exists() for name in files))
+    return directory, all((directory / name).exists() for name in files)
 
 
 # ------------------------------------------------------------------------ jobs
@@ -102,8 +101,10 @@ def _run_jobs(root: Path, manifest: Manifest, kind: str, jobs: list[list], *,
     All the jobs' runs are marked pending with one manifest save, and each
     job's results (``done``, or ``failed`` with ``"<Type>: <message>"``)
     are recorded with one more before it is yielded, so iterate to the end.
-    A failed run's directory first loses the files that mark a run complete
-    (``_KINDS``), which an earlier attempt may have left there.
+    Only a run's files say whether it is complete (``_locate``), so a failed
+    run first loses the files that mark it complete (``_KINDS``), which an
+    earlier attempt may have left there, and then gets the partial trace its
+    error carries (``trace``): both steps run here, in the parent.
     With ``workers`` above 1 the jobs run in a pool of at most that many
     processes, and never more than there are jobs. With ``loud``, an error
     that is not an ``UnlearnkitError`` prints its traceback once, in the
@@ -112,15 +113,17 @@ def _run_jobs(root: Path, manifest: Manifest, kind: str, jobs: list[list], *,
     """
     if not jobs:
         return
-    manifest.start_all(kind, [(key, _locate(root, kind, key)[0])
-                              for job in jobs for key, _ in job])
+    dirs = {key: _locate(root, kind, key)[0] for job in jobs for key, _ in job}
+    manifest.start_all(kind, dirs.items())
     ended = (_pooled(root, kind, jobs, no_budget, workers, loud) if workers > 1 else
              ((job, _run_job(root, kind, job, no_budget, loud)) for job in jobs))
     for job, outcomes in ended:
         for (key, _), o in zip(job, outcomes):
             if isinstance(o, Exception):
                 for name in _KINDS[kind][1]:
-                    (_locate(root, kind, key)[0] / name).unlink(missing_ok=True)
+                    (dirs[key] / name).unlink(missing_ok=True)
+                if getattr(o, "trace", None):  # a failed run keeps the rows it recorded
+                    write_trace_csv(o.trace, dirs[key] / "trace.csv")
         manifest.finish_all([(key, "failed", f"{type(o).__name__}: {o}")
                              if isinstance(o, Exception) else (key, "done", None)
                              for (key, _), o in zip(job, outcomes)])
@@ -158,9 +161,6 @@ def _run_job(root: Path, kind: str, job: list, no_budget: bool,
                                              [key for key, _ in job])
     except Exception as exc:  # one bad job must not stop the others
         outcomes = [exc] * len(job)
-    for (key, _), outcome in zip(job, outcomes):
-        if getattr(outcome, "trace", None):  # a failed run keeps the rows it recorded
-            write_trace_csv(outcome.trace, _locate(root, kind, key)[0] / "trace.csv")
     _print_unexpected(outcomes, set() if loud else None)
     return outcomes
 
@@ -218,7 +218,7 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     manifest = Manifest(root)
     key = train_hash(cfg)
-    ckpt_dir, done = _locate(root, "train", key, manifest)
+    ckpt_dir, done = _locate(root, "train", key)
     if done and not args.force:
         print(f"checkpoint {key} already exists at {ckpt_dir} (use --force to retrain)")
     else:
@@ -334,7 +334,7 @@ def cmd_unlearn(args) -> int:
     _check_methods_and_ratios(cfg, [cfg.unlearn_method], [cfg.del_ratio])
     key = config_hash(cfg)
     manifest = Manifest(root)
-    run_dir, done = _locate(root, "unlearn", key, manifest)
+    run_dir, done = _locate(root, "unlearn", key)
     if done and not args.force:
         print(f"run {key} already complete at {run_dir} (use --force to redo)")
     else:
@@ -420,11 +420,11 @@ def cmd_sweep(args) -> int:
     originals = {train_hash(cfg): cfg for cfg in (dataclasses.replace(base, seed=seed)
                                                   for seed in seeds)}
     _run_or_raise(root, manifest, "train", [[(key, cfg)] for key, cfg in originals.items()
-                                            if not _locate(root, "train", key, manifest)[1]])
+                                            if not _locate(root, "train", key)[1]])
 
     # resume: never redo a completed run
     pending = {key: cfg for key, cfg in grid.items()
-               if not _locate(root, "unlearn", key, manifest)[1]}
+               if not _locate(root, "unlearn", key)[1]}
     print(f"sweep: {len(grid) - len(pending)} already done, {len(pending)} to run")
 
     # A job is one stack: up to MAX_STACK consecutive runs of one method, ratio-major so
@@ -450,16 +450,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     root = _artifacts_root(args)
-    if args.run_dirs:
-        run_dirs = [Path(d) for d in args.run_dirs]
-    else:  # the runs a sweep would not redo
-        manifest = Manifest(root)
-        run_dirs = [d for d in sorted((root / "runs").glob("*"))
-                    if _locate(root, "unlearn", d.name, manifest)[1]]
-    records = collect_runs(run_dirs)
+    records = collect_runs(args.run_dirs or sorted((root / "runs").glob("*")))
     if not records:
-        raise ConfigError("no completed runs found (need report.json + config.json and, "
-                          "unless the run directory is named, a done manifest entry)")
+        raise ConfigError("no completed runs found (need report.json + config.json)")
     out_dir = Path(args.out) if args.out else root / "reports"
     paths = write_leaderboard(records, out_dir)
     for name, path in paths.items():

@@ -1,4 +1,10 @@
-"""Run manifest: one JSON index mapping config hashes to artifact directories.
+"""Run manifest: a JSON status log mapping config hashes to artifact directories.
+
+It records each run's kind, directory, status (``pending``, ``done`` or
+``failed``), times and failure message, for people and tools to read. No
+command decides anything by it: a run is complete when its directory holds
+its completion files (``cli._locate``), so an entry lost to a second CLI
+writing the same root misleads no resume and no report.
 
 All writes go through a single writer (the CLI process); sweep workers return
 results to the parent, which records them here. Every start_all or finish_all call
@@ -29,9 +35,6 @@ class Manifest:
 
     def save(self) -> None:
         write_json(self.path, self.entries)
-
-    def is_done(self, key: str) -> bool:
-        return self.entries.get(key, {}).get("status") == "done"
 
     def start_all(self, kind: str, items) -> None:
         """Mark every ``(key, directory)`` of one kind pending, with one save."""

@@ -1,6 +1,9 @@
 """Leaderboard generation: aggregate run reports into Markdown, CSV, and
 plot-ready curve files.
 
+Each table has one row per method and recipe (``_recipe``): runs of one method
+under different recipes are labelled apart, never averaged together.
+
 Ranking uses a documented composite of the four headline metrics:
 
     composite = (acc_test + acc_r + (100 - |acc_f - chance|) + (100 - mia)) / 4
@@ -32,10 +35,6 @@ class RunRecord:
     config: UnlearnConfig
     report: dict
 
-    @property
-    def method(self) -> str:
-        return self.config.unlearn_method
-
     def composite(self) -> float | None:
         r = self.report
         if r.get("acc_f") is None or r.get("mia_success") is None:
@@ -65,6 +64,27 @@ def _base_data_name(config: UnlearnConfig) -> str:
     return format_data_name(config.data_spec()).rsplit(":seed", 1)[0]
 
 
+# The resolved config keys that vary between the runs of one recipe.
+_NOT_RECIPE = ("seed", "del_ratio", "budget_seconds", "unlearn_method")
+
+
+def _recipe(config: UnlearnConfig) -> dict:
+    """A run's recipe: its resolved config but ``_NOT_RECIPE``, with its data name's
+    seed removed. Every grouping of runs in a report keys on it."""
+    recipe = {**config.resolved_dict(), "data_name": _base_data_name(config)}
+    return {k: v for k, v in recipe.items() if k not in _NOT_RECIPE}
+
+
+def _labels(records: list[RunRecord]) -> list[str]:
+    """Each run's row label: its method and, where that method's runs have more than
+    one recipe, the recipe keys that differ between them, e.g. ``rand_label[curriculum=True]``."""
+    runs = [(r.config.unlearn_method, _recipe(r.config)) for r in records]
+    ref = dict(runs)  # one run's recipe per method
+    differ = {(m, k) for m, recipe in runs for k, v in recipe.items() if v != ref[m][k]}
+    names = [[f"{k}={v}" for k, v in recipe.items() if (m, k) in differ] for m, recipe in runs]
+    return [f"{m}[{','.join(n)}]" if n else m for (m, _), n in zip(runs, names)]
+
+
 # Each table's columns, declared once. The leaderboard and the ratio curves
 # average METRICS; the scaling curves copy trace rows.
 METRICS = ("acc_test", "acc_f", "acc_r", "mia_success")
@@ -80,11 +100,12 @@ def _mean(values) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def _group_means(records: list[RunRecord], key, names) -> dict:
-    """``{key(record): {"runs": n, name: mean, ...}}`` over the runs sharing each key."""
+def _group_means(records: list[RunRecord], keys, names) -> dict:
+    """``{key: {"runs": n, name: mean, ...}}`` over the runs sharing each key, where
+    ``keys`` gives each record's key in order."""
     groups: dict = {}
-    for record in records:
-        groups.setdefault(key(record), []).append(record)
+    for key, record in zip(keys, records):
+        groups.setdefault(key, []).append(record)
     return {k: {"runs": len(runs), **{name: _mean(r.value(name) for r in runs) for name in names}}
             for k, runs in groups.items()}
 
@@ -103,15 +124,16 @@ def _md_row(cells) -> str:
 
 
 def aggregate(records: list[RunRecord]) -> list[dict]:
-    """Per-method averages, ranked by composite (undefined composites last)."""
+    """Averages per method and recipe (``_labels``), ranked by composite (undefined
+    composites last)."""
     if not records:
         raise ConfigError("no completed runs to report on")
     datasets = sorted({_base_data_name(r.config) for r in records})
     if len(datasets) > 1:
         raise ConfigError("runs mix dataset specs, refusing to average them: "
                           + "; ".join(datasets))
-    groups = _group_means(records, lambda r: r.method, LEADERBOARD_FIELDS[2:])
-    rows = [{"method": method, **means} for method, means in groups.items()]
+    groups = _group_means(records, _labels(records), LEADERBOARD_FIELDS[2:])
+    rows = [{"method": label, **means} for label, means in groups.items()]
     rows.sort(key=lambda row: (row["composite"] is None,
                                -(row["composite"] or 0.0), row["method"]))
     return rows
@@ -146,13 +168,13 @@ def leaderboard_markdown(rows: list[dict], dataset: str) -> str:
 
 
 def _scaling_rows(records: list[RunRecord]) -> list[dict]:
-    """Every trace row with a forget accuracy, with its run's method, seed and ratio."""
+    """Every trace row with a forget accuracy, with its run's label, seed and ratio."""
     rows = []
-    for record in records:
+    for record, label in zip(records, _labels(records)):
         trace_path = record.directory / "trace.csv"
         if trace_path.exists():
             with open(trace_path, newline="") as tf:
-                rows += ({**row, "method": record.method, "seed": record.config.seed,
+                rows += ({**row, "method": label, "seed": record.config.seed,
                           "del_ratio": record.config.del_ratio}
                          for row in csv.DictReader(tf) if row["acc_f"] != "")
     return rows
@@ -168,9 +190,10 @@ def write_leaderboard(records: list[RunRecord], out_dir) -> dict[str, Path]:
     markdown = leaderboard_markdown(rows, _base_data_name(records[0].config))
     write_atomic(paths["markdown"], lambda fh: fh.write(markdown))
     write_csv(paths["csv"], _table(LEADERBOARD_FIELDS, rows))
-    ratios = _group_means(records, lambda r: (r.method, r.config.del_ratio), METRICS)
+    ratios = _group_means(records, [(label, r.config.del_ratio) for label, r
+                                    in zip(_labels(records), records)], METRICS)
     write_csv(paths["ratio_curves"], _table(RATIO_FIELDS, [
-        {"method": method, "del_ratio": ratio, **means}
-        for (method, ratio), means in sorted(ratios.items())]))
+        {"method": label, "del_ratio": ratio, **means}
+        for (label, ratio), means in sorted(ratios.items())]))
     write_csv(paths["scaling_curves"], _table(SCALING_FIELDS, _scaling_rows(records)))
     return paths

@@ -1,4 +1,5 @@
 import base64
+import csv
 import errno
 import json
 import os
@@ -613,18 +614,10 @@ def test_sweep_ratio_range_syntax(tmp_path, capsys):
 
 # ---------------------------------------------------------------------- report
 
-def _record_done(root, run_dir):
-    """Record the run in ``run_dir`` done in the manifest, as a completed run is."""
-    manifest = Manifest(root)
-    manifest.start_all("unlearn", [(run_dir.name, run_dir)])
-    manifest.finish_all([(run_dir.name, "done", None)])
-
-
 def _fake_run(root, method, seed, ratio, report_overrides):
     cfg = fast_cfg(unlearn_method=method, seed=seed, del_ratio=ratio)
     run_dir = root / "runs" / config_hash(cfg)
     run_dir.mkdir(parents=True)
-    _record_done(root, run_dir)
     (run_dir / "config.json").write_text(json.dumps(cfg.resolved_dict()))
     report = {"acc_test": 95.0, "acc_f": 33.3, "acc_r": 99.0, "seconds": 1.0,
               "flos": 1e6, "mia_success": 50.0, "transfer_acc": None,
@@ -688,13 +681,121 @@ def test_a_failed_rerun_leaves_no_completion_file_for_the_explicit_readers(tmp_p
     assert "bad run file" in capsys.readouterr().err
 
 
+def _methods_in(path):
+    """The set of ``method`` cells of a report CSV."""
+    with open(path, newline="") as fh:
+        return {row["method"] for row in csv.DictReader(fh)}
+
+
+def test_a_stale_manifest_hides_no_complete_run(tmp_path, monkeypatch, capsys):
+    import unlearnkit.cli as cli
+
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    for method in ("neg_grad", "rand_label"):
+        assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0",
+                   "--unlearn_method", method) == 0
+    # A second CLI that read the manifest before neg_grad finished writes back its view.
+    neg_grad = config_hash(fast_cfg(seed=0, unlearn_method="neg_grad"))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({k: v for k, v in json.loads(path.read_text()).items()
+                                if k != neg_grad}))
+    assert run(tmp_path, "report") == 0
+    for name in ("leaderboard.csv", "ratio_curves.csv", "scaling_curves.csv"):
+        assert _methods_in(tmp_path / "reports" / name) == {"neg_grad", "rand_label"}, name
+    monkeypatch.setattr(cli, "unlearn_group", lambda *a, **k: pytest.fail("trained again"))
+    capsys.readouterr()
+    assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0",
+               "--unlearn_method", "neg_grad") == 0
+    assert f"run {neg_grad} already complete" in capsys.readouterr().out
+
+
+def test_a_truncated_manifest_stops_the_runners_but_not_report(tmp_path, capsys):
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0") == 0
+    path = tmp_path / "manifest.json"
+    path.write_text(path.read_text()[:40])
+    capsys.readouterr()
+    assert run(tmp_path, "report") == 0
+    assert _methods_in(tmp_path / "reports" / "leaderboard.csv") == {"rand_label"}
+    for argv in (["train", *FAST, "--seed", "0"],
+                 ["unlearn", *FAST, "--seed", "0", "--no-budget"],
+                 ["sweep", *FAST, "--methods", "neg_grad", "--ratios", "2", "--seeds", "0"]):
+        capsys.readouterr()
+        assert run(tmp_path, *argv) == 1
+        assert f"config error: bad manifest {path}: " in capsys.readouterr().err
+
+
+def test_report_with_no_run_dirs_reads_every_run_dir_the_same_way(tmp_path, capsys):
+    run(tmp_path, "train", *FAST, "--seed", "0")
+    for method in ("neg_grad", "rand_label"):
+        assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0",
+                   "--unlearn_method", method) == 0
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "rand_label",
+               "--force", "--budget_seconds", "0.000001") == 2
+    unfinished = tmp_path / "runs" / "unfinished"  # a config but no report
+    unfinished.mkdir()
+    (unfinished / "config.json").write_text(json.dumps(fast_cfg(seed=0).resolved_dict()))
+    run_dirs = sorted(str(d) for d in (tmp_path / "runs").iterdir())
+    assert len(run_dirs) == 3
+    assert run(tmp_path, "report", "--out", str(tmp_path / "default")) == 0
+    assert run(tmp_path, "report", *run_dirs, "--out", str(tmp_path / "named")) == 0
+    names = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "named").iterdir()) and len(names) == 4
+    for name in names:
+        assert ((tmp_path / "default" / name).read_bytes()
+                == (tmp_path / "named" / name).read_bytes()), name
+    assert _methods_in(tmp_path / "default" / "leaderboard.csv") == {"neg_grad"}
+
+
+def test_each_recipe_of_a_method_gets_its_own_row(tmp_path, capsys):
+    grid = ["--methods", "rand_label", "--ratios", "5", "--seeds", "0,1", "--no-budget"]
+    assert run(tmp_path, "sweep", *FAST, *grid) == 0
+    assert run(tmp_path, "sweep", *FAST, *grid, "--curriculum", "true") == 0
+    assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0",
+               "--unlearn_method", "neg_grad") == 0
+    assert run(tmp_path, "report") == 0
+    out = tmp_path / "reports"
+    labels = {"rand_label[curriculum=False]", "rand_label[curriculum=True]", "neg_grad"}
+    for name in ("leaderboard.csv", "ratio_curves.csv", "scaling_curves.csv"):
+        assert _methods_in(out / name) == labels, name
+    with open(out / "leaderboard.csv", newline="") as fh:
+        assert {row["method"]: row["runs"] for row in csv.DictReader(fh)} == {
+            "rand_label[curriculum=False]": "2", "rand_label[curriculum=True]": "2",
+            "neg_grad": "1"}
+    with open(out / "ratio_curves.csv", newline="") as fh:
+        assert sorted((row["method"], row["del_ratio"], row["runs"])
+                      for row in csv.DictReader(fh)) == [
+            ("neg_grad", "5", "1"), ("rand_label[curriculum=False]", "5", "2"),
+            ("rand_label[curriculum=True]", "5", "2")]
+
+
+def test_a_row_label_names_every_recipe_key_that_differs_within_its_method(tmp_path):
+    from unlearnkit.report import _labels, collect_runs
+
+    variants = [("rand_label", {}), ("rand_label", {"curriculum": True}),
+                ("rand_label", {"learning_rate": 0.1}), ("neg_grad", {"seed": 3}),
+                ("neg_grad", {"del_ratio": 2, "budget_seconds": 1.0})]
+    run_dirs = []
+    for i, (method, overrides) in enumerate(variants):
+        run_dir = tmp_path / str(i)
+        run_dir.mkdir()
+        cfg = fast_cfg(unlearn_method=method, **overrides)
+        (run_dir / "config.json").write_text(json.dumps(cfg.resolved_dict()))
+        EvalReport(90.0, 80.0, 95.0, 0.5, 1e6, 50.0).save(run_dir / "report.json")
+        run_dirs.append(run_dir)
+    assert _labels(collect_runs(run_dirs)) == [
+        "rand_label[learning_rate=0.02,curriculum=False]",
+        "rand_label[learning_rate=0.02,curriculum=True]",
+        "rand_label[learning_rate=0.1,curriculum=False]",
+        "neg_grad", "neg_grad"]
+
+
 def test_report_refuses_mixed_datasets(tmp_path, capsys):
     _fake_run(tmp_path, "rand_label", 0, 5, {})
     cfg = fast_cfg(unlearn_method="neg_grad", seed=0,
                    data_name="spiral:c3:s30:d2:noise0.1")
     run_dir = tmp_path / "runs" / config_hash(cfg)
     run_dir.mkdir(parents=True)
-    _record_done(tmp_path, run_dir)
     (run_dir / "config.json").write_text(json.dumps(cfg.resolved_dict()))
     (run_dir / "report.json").write_text(json.dumps(
         {"acc_test": 1.0, "acc_f": 1.0, "acc_r": 1.0, "seconds": 1.0, "flos": 1.0,
@@ -835,6 +936,33 @@ def test_each_diverging_sweep_run_keeps_the_partial_trace_it_records_alone(tmp_p
         assert entries[key]["message"].startswith("NumericError: ")
         trace = root / "runs" / key / "trace.csv"
         assert _rows_without_seconds(trace) == want and len(want) >= 2
+
+
+def test_a_pooled_sweep_writes_each_failed_runs_partial_trace_in_the_parent(tmp_path,
+                                                                           monkeypatch, capsys):
+    import warnings
+
+    import unlearnkit.cli as cli
+
+    root = tmp_path / "root"
+    assert run(root, "train", *FAST, "--seed", "0") == 0
+    written = []  # the trace files this process writes; a worker's go unseen
+    real = cli.write_trace_csv
+    monkeypatch.setattr(cli, "write_trace_csv",
+                        lambda trace, path: written.append(path) or real(trace, path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = run(root, "sweep", *FAST, "--methods", "neg_grad,rand_label", "--ratios", "5",
+                 "--seeds", "0", "--learning_rate", "1e300", "--no-budget", "--workers", "2")
+        cfgs = [fast_cfg(seed=0, unlearn_method=m, learning_rate=1e300)
+                for m in ("neg_grad", "rand_label")]
+        wants = [_library_trace_without_seconds(root, cfg, tmp_path) for cfg in cfgs]
+    assert rc == 2
+    traces = [root / "runs" / config_hash(cfg) / "trace.csv" for cfg in cfgs]
+    assert sorted(written) == sorted(traces)
+    for trace, want in zip(traces, wants):
+        assert sorted(p.name for p in trace.parent.iterdir()) == ["trace.csv"]
+        assert _rows_without_seconds(trace) == want and want
 
 
 def test_train_divergence_aborts_with_trace(tmp_path, capsys):
