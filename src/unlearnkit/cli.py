@@ -4,11 +4,15 @@ Artifacts live under one root (``--artifacts`` flag or the
 ``UNLEARNKIT_ARTIFACTS`` environment variable, default ``./artifacts``):
 
     artifacts/
-      manifest.json                     status log (single writer; read by no decision)
-      checkpoints/<train_hash>/         model.json + meta.json
+      checkpoints/<train_hash>/         model.json + meta.json, trace.csv, status.json
       runs/<config_hash>/               config.json, report.json,
-                                        model_prime.json, trace.csv
+                                        model_prime.json, trace.csv, status.json
       reports/                          leaderboard outputs
+
+Each run's ``status.json`` records its kind, its status (``pending``, ``done``
+or ``failed``), its times and a failure's message, for people and tools to
+read. No command decides anything by it: a run is complete when its
+directory holds its completion files (``_locate``).
 
 Exit codes: 0 success, 1 configuration or usage error, 2 runtime/numeric error.
 """
@@ -19,6 +23,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import time
 import traceback
 from pathlib import Path
 
@@ -26,7 +31,6 @@ from .config import UnlearnConfig, config_hash, load_config_file, train_hash
 from .data import DEL_RATIO_RANGE, generate
 from .errors import ConfigError, DomainError, InsufficientDataError, ShapeError, UnlearnkitError
 from .fileio import read_json, write_json
-from .manifest import Manifest
 from .metrics import MIN_TEST_FOR_MIA, EvalReport, build_report, split_logits
 from .nn import Model
 from .report import collect_runs, write_leaderboard
@@ -93,18 +97,21 @@ def _locate(root: Path, kind: str, key: str) -> tuple[Path, bool]:
 # A job is a list of (key, config) runs of one kind, run together: a train job
 # holds one original, an unlearn job up to MAX_STACK runs trained in lockstep.
 
-def _run_jobs(root: Path, manifest: Manifest, kind: str, jobs: list[list], *,
-              no_budget: bool = False, workers: int = 1, loud: bool = False):
+def _run_jobs(root: Path, kind: str, jobs: list[list], *, no_budget: bool = False,
+              workers: int = 1, loud: bool = False):
     """Run ``jobs`` of one kind and record them; yield each job with its runs' outcomes
     (a run's directory, or the error it raised) as the job ends.
 
-    All the jobs' runs are marked pending with one manifest save, and each
-    job's results (``done``, or ``failed`` with ``"<Type>: <message>"``)
-    are recorded with one more before it is yielded, so iterate to the end.
-    Only a run's files say whether it is complete (``_locate``), so a failed
-    run first loses the files that mark it complete (``_KINDS``), which an
+    Every run of the jobs first gets a ``status.json`` in its directory that
+    reads ``pending``. As a job ends, each of its runs' ``status.json`` is
+    rewritten to read ``done``, or ``failed`` with ``"<Type>: <message>"``,
+    before the job is yielded, so iterate to the end. Each write costs the
+    same however many runs there are, and touches no other run's file. Only
+    a run's files say whether it is complete (``_locate``), so a failed run
+    first loses the files that mark it complete (``_KINDS``), which an
     earlier attempt may have left there, and then gets the partial trace its
-    error carries (``trace``): both steps run here, in the parent.
+    error carries (``trace``), before its status is written: all three steps
+    run here, in the parent.
     With ``workers`` above 1 the jobs run in a pool of at most that many
     processes, and never more than there are jobs. With ``loud``, an error
     that is not an ``UnlearnkitError`` prints its traceback once, in the
@@ -114,19 +121,24 @@ def _run_jobs(root: Path, manifest: Manifest, kind: str, jobs: list[list], *,
     if not jobs:
         return
     dirs = {key: _locate(root, kind, key)[0] for job in jobs for key, _ in job}
-    manifest.start_all(kind, dirs.items())
+    started = {"kind": kind, "status": "pending",
+               "started_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    for directory in dirs.values():
+        write_json(directory / "status.json", started)
     ended = (_pooled(root, kind, jobs, no_budget, workers, loud) if workers > 1 else
              ((job, _run_job(root, kind, job, no_budget, loud)) for job in jobs))
     for job, outcomes in ended:
+        finished = {**started, "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S")}
         for (key, _), o in zip(job, outcomes):
             if isinstance(o, Exception):
                 for name in _KINDS[kind][1]:
                     (dirs[key] / name).unlink(missing_ok=True)
                 if getattr(o, "trace", None):  # a failed run keeps the rows it recorded
                     write_trace_csv(o.trace, dirs[key] / "trace.csv")
-        manifest.finish_all([(key, "failed", f"{type(o).__name__}: {o}")
-                             if isinstance(o, Exception) else (key, "done", None)
-                             for (key, _), o in zip(job, outcomes)])
+                status = {"status": "failed", "message": f"{type(o).__name__}: {o}"}
+            else:
+                status = {"status": "done"}
+            write_json(dirs[key] / "status.json", {**finished, **status})
         yield job, outcomes
 
 
@@ -186,10 +198,9 @@ def _print_unexpected(outcomes: list, printed: set[int] | None) -> None:
                 traceback.print_exception(exc)  # keep where it came from
 
 
-def _run_or_raise(root: Path, manifest: Manifest, kind: str, jobs: list[list],
-                  no_budget: bool = False) -> None:
+def _run_or_raise(root: Path, kind: str, jobs: list[list], no_budget: bool = False) -> None:
     """Run and record ``jobs`` in this process, then raise the first error a run raised."""
-    errors = [o for _, outcomes in _run_jobs(root, manifest, kind, jobs, no_budget=no_budget)
+    errors = [o for _, outcomes in _run_jobs(root, kind, jobs, no_budget=no_budget)
               for o in outcomes if isinstance(o, Exception)]
     if errors:
         raise errors[0]
@@ -216,13 +227,12 @@ def ensure_checkpoint(root: Path, cfg: UnlearnConfig, key: str) -> Path:
 def cmd_train(args) -> int:
     root = _artifacts_root(args)
     cfg = _resolve_config(args)
-    manifest = Manifest(root)
     key = train_hash(cfg)
     ckpt_dir, done = _locate(root, "train", key)
     if done and not args.force:
         print(f"checkpoint {key} already exists at {ckpt_dir} (use --force to retrain)")
     else:
-        _run_or_raise(root, manifest, "train", [[(key, cfg)]])
+        _run_or_raise(root, "train", [[(key, cfg)]])
     return 0
 
 
@@ -333,12 +343,11 @@ def cmd_unlearn(args) -> int:
     cfg = _resolve_config(args)
     _check_methods_and_ratios(cfg, [cfg.unlearn_method], [cfg.del_ratio])
     key = config_hash(cfg)
-    manifest = Manifest(root)
     run_dir, done = _locate(root, "unlearn", key)
     if done and not args.force:
         print(f"run {key} already complete at {run_dir} (use --force to redo)")
     else:
-        _run_or_raise(root, manifest, "unlearn", [[(key, cfg)]], args.no_budget)
+        _run_or_raise(root, "unlearn", [[(key, cfg)]], args.no_budget)
         print(f"run {key} complete -> {run_dir}")
     print((run_dir / "report.json").read_text())
     return 0
@@ -399,7 +408,6 @@ def cmd_sweep(args) -> int:
     ratios = _parse_grid_field(args.ratios, int)
     _check_methods_and_ratios(base, methods, ratios)
     seeds = _parse_grid_field(args.seeds, int)
-    manifest = Manifest(root)
 
     grid: dict[str, UnlearnConfig] = {}  # config_hash -> config: each run's one hash
     for method in methods:
@@ -419,8 +427,8 @@ def cmd_sweep(args) -> int:
     # process. If any fails, the sweep ends with its error before any run is recorded.
     originals = {train_hash(cfg): cfg for cfg in (dataclasses.replace(base, seed=seed)
                                                   for seed in seeds)}
-    _run_or_raise(root, manifest, "train", [[(key, cfg)] for key, cfg in originals.items()
-                                            if not _locate(root, "train", key)[1]])
+    _run_or_raise(root, "train", [[(key, cfg)] for key, cfg in originals.items()
+                                  if not _locate(root, "train", key)[1]])
 
     # resume: never redo a completed run
     pending = {key: cfg for key, cfg in grid.items()
@@ -435,14 +443,14 @@ def cmd_sweep(args) -> int:
     jobs = [[(key, pending[key]) for key in keys[lo:lo + MAX_STACK]]
             for keys in by_method.values() for lo in range(0, len(keys), MAX_STACK)]
     failures = 0
-    for job, outcomes in _run_jobs(root, manifest, "unlearn", jobs, no_budget=args.no_budget,
+    for job, outcomes in _run_jobs(root, "unlearn", jobs, no_budget=args.no_budget,
                                    workers=args.workers, loud=True):
         for (_, cfg), outcome in zip(job, outcomes):
             status = "failed" if isinstance(outcome, Exception) else "done"
             print(f"  {cfg.unlearn_method} r={cfg.del_ratio} s={cfg.seed}: {status}")
             failures += status == "failed"
-    print(f"sweep finished: {len(pending) - failures} ok, {failures} failed, "
-          f"manifest at {manifest.path}")
+    print(f"sweep finished: {len(pending) - failures} ok, {failures} failed; "
+          f"each run's status.json under {root}")
     return 0 if failures == 0 else 2
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,13 @@ def central_difference(loss_fn, model, h=1e-5):
         grad[i] = (up - down) / (2.0 * h)
     model.set_param_vector(base)
     return grad
+
+
+def run_statuses(root) -> dict:
+    """Each run directory under the artifacts ``root`` that holds a ``status.json``, mapped
+    to the record that file holds."""
+    return {path.parent: json.loads(path.read_text())
+            for path in sorted(Path(root).glob("*/*/status.json"))}
 
 
 def v1_checkpoint_record(model) -> dict:

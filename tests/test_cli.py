@@ -5,21 +5,21 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from unlearnkit import EvalReport, Model, build_model, fileio
-from unlearnkit.cli import _parse_grid_field, main
+from unlearnkit.cli import _parse_grid_field, _run_jobs, main
 from unlearnkit.config import UnlearnConfig, config_hash, train_hash
 from unlearnkit.data import generate
 from unlearnkit.errors import ConfigError, NumericError
-from unlearnkit.manifest import Manifest
 from unlearnkit.report import aggregate
 from unlearnkit.unlearn import METHODS, TraceRow, unlearn, write_trace_csv
 
-from conftest import v1_checkpoint_record
+from conftest import run_statuses, v1_checkpoint_record
 
 DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
 FAST = ["--data_name", DATA, "--backbone", "mlp:12", "--train_epochs", "20",
@@ -115,15 +115,15 @@ def test_config_errors_leave_no_run_directory(tmp_path, capsys):
     # for exact_retrain, which needs no deletion set.
     flags = [*FAST, "--data_name", "gaussian_blobs:c2:s25:d4", "--seed", "0", "--del_ratio", "1"]
     assert run(tmp_path, "train", *flags) == 0
-    before = (tmp_path / "manifest.json").read_bytes()
+    before = run_statuses(tmp_path)
     capsys.readouterr()
     assert run(tmp_path, "unlearn", *flags) == 1
     assert ("config error: rand_label requires a deletion set, but del_ratio 1 deletes none "
             "of 40 training rows") in capsys.readouterr().err
-    assert (tmp_path / "manifest.json").read_bytes() == before
+    assert run_statuses(tmp_path) == before
     assert not (tmp_path / "runs").exists()
     assert run(tmp_path, "unlearn", *flags, "--unlearn_method", "exact_retrain") == 0
-    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    entries = [e for e in run_statuses(tmp_path).values() if e["kind"] == "unlearn"]
     assert [e["status"] for e in entries] == ["done"]
 
 
@@ -167,9 +167,15 @@ def test_unlearn_on_a_malformed_checkpoint_exits_1_and_records_failed(
     assert "Traceback" not in err
     if damage == "short_array":
         assert "layers.0.weight" in err
-    [entry] = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    [entry] = [e for e in run_statuses(tmp_path).values() if e["kind"] == "unlearn"]
     assert entry["status"] == "failed" and str(path) in entry["message"]
-    assert list((tmp_path / "runs").glob("*")) == []
+    assert [p.name for p in (tmp_path / "runs").glob("*/*")] == ["status.json"]
+
+
+def _record_a_run_without_its_checkpoint(path):
+    """Run and record an unlearning run whose directory is ``path``'s, whose original was
+    never trained: its ``status.json``, ``path``, is written pending, then failed."""
+    list(_run_jobs(path.parents[2], "unlearn", [[(path.parent.name, fast_cfg())]]))
 
 
 @pytest.mark.parametrize("write", [
@@ -177,16 +183,16 @@ def test_unlearn_on_a_malformed_checkpoint_exits_1_and_records_failed(
     pytest.param(lambda path: EvalReport(90.0, 80.0, 95.0, 0.5, 1e6, 50.0).save(path),
                  id="report"),
     pytest.param(lambda path: fileio.write_json(path, {"meta": 1}), id="meta_config"),
-    pytest.param(lambda path: Manifest(path.parent).start_all("train", [("k", path.parent)]),
-                 id="manifest"),
+    pytest.param(_record_a_run_without_its_checkpoint, id="status"),
     pytest.param(lambda path: write_trace_csv([TraceRow(0, None, 0.5, 90.0, None, 95.0, 0.0, 0.1)],
                                               path), id="trace"),
     pytest.param(lambda path: fileio.write_csv(path, [["method", "runs"], ["rand_label", 2]]),
                  id="leaderboard_csv"),
 ])
 def test_a_write_that_fails_halfway_keeps_the_previous_file(tmp_path, monkeypatch, write):
-    path = tmp_path / "manifest.json"  # the name Manifest writes; any name for the others
-    previous = b'{"old": {"status": "done"}}'
+    path = tmp_path / "runs" / "k" / "status.json"  # a run's status; any file for the others
+    path.parent.mkdir(parents=True)
+    previous = b'{"status": "done"}'
     path.write_bytes(previous)
 
     def open_on_a_full_disk(file, mode, **kwargs):
@@ -202,11 +208,11 @@ def test_a_write_that_fails_halfway_keeps_the_previous_file(tmp_path, monkeypatc
     with pytest.raises(OSError, match="No space left"):
         write(path)
     assert path.read_bytes() == previous
-    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert [p.name for p in path.parent.iterdir()] == ["status.json"]
     monkeypatch.undo()
     write(path)
     assert path.read_bytes() != previous
-    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert [p.name for p in path.parent.iterdir()] == ["status.json"]
 
 
 def test_budget_enforced_by_default_and_releasable(tmp_path, capsys):
@@ -297,24 +303,21 @@ def test_env_var_artifact_root(tmp_path, monkeypatch):
 
 # ----------------------------------------------------------------------- sweep
 
-def test_sweep_grid_resume_and_manifest_integrity(tmp_path, capsys):
+def test_sweep_grid_resume_and_status_integrity(tmp_path, capsys):
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
              "--methods", "rand_label,neg_grad", "--ratios", "2,4", "--seeds", "0,1")
     assert rc == 0
     out = capsys.readouterr().out
     assert "sweep: 8 runs (2 methods x 2 ratios x 2 seeds)" in out
-    manifest = Manifest(tmp_path)
-    unlearn_entries = [e for e in manifest.entries.values() if e["kind"] == "unlearn"]
+    found = run_statuses(tmp_path)
+    unlearn_entries = [e for e in found.values() if e["kind"] == "unlearn"]
     assert len(unlearn_entries) == 8
     assert all(e["status"] == "done" for e in unlearn_entries)
 
-    # every artifact dir is reachable from the manifest and vice versa
-    on_disk = {str(p) for p in (tmp_path / "runs").iterdir()}
-    on_disk |= {str(p) for p in (tmp_path / "checkpoints").iterdir()}
-    in_manifest = {e["dir"] for e in manifest.entries.values()}
-    assert on_disk == in_manifest
-    for d in in_manifest:
-        assert Path(d).exists()
+    # every artifact directory has a status of its own kind
+    assert set(found) == {*(tmp_path / "runs").iterdir(), *(tmp_path / "checkpoints").iterdir()}
+    kinds = {"runs": "unlearn", "checkpoints": "train"}
+    assert all(e["kind"] == kinds[d.parent.name] for d, e in found.items())
 
     # resume executes nothing new
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
@@ -341,8 +344,7 @@ def test_sweep_isolates_failures(tmp_path, capsys, monkeypatch):
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
              "--methods", "salun,rand_label", "--ratios", "2", "--seeds", "0")
     assert rc == 2
-    manifest = Manifest(tmp_path)
-    statuses = sorted(e["status"] for e in manifest.entries.values()
+    statuses = sorted(e["status"] for e in run_statuses(tmp_path).values()
                       if e["kind"] == "unlearn")
     assert statuses == ["done", "failed"]
 
@@ -353,7 +355,7 @@ def test_sweep_rejects_unknown_methods_before_any_work(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "mega" in err and "available: exact_retrain, neg_grad, rand_label" in err
-    assert list(tmp_path.iterdir()) == []  # nothing trained, no manifest written
+    assert list(tmp_path.iterdir()) == []  # nothing trained, no status written
 
 
 @pytest.mark.parametrize("ratios, problem", [("x", "bad grid entry 'x'"),
@@ -370,7 +372,7 @@ def test_sweep_rejects_bad_ratio_lists_before_any_work(tmp_path, capsys, ratios,
 
 @pytest.mark.parametrize("ratios, outside", [("0,11", "0, 11"), ("5,12", "12"), ("0-3", "0")])
 def test_sweep_rejects_ratios_outside_1_to_10_before_any_work(tmp_path, capsys, ratios, outside):
-    # Checked before the originals train: no checkpoint, run directory or manifest.
+    # Checked before the originals train: no checkpoint or run directory.
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--methods", "rand_label,neg_grad",
              "--ratios", ratios, "--seeds", "0")
     assert rc == 1
@@ -478,11 +480,9 @@ def test_a_run_whose_write_raises_is_failed_and_its_group_sibling_done(tmp_path,
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
              "--methods", "rand_label", "--ratios", "2,4", "--seeds", "0")
     assert rc == 2
-    entries = Manifest(tmp_path).entries
-    failed_dir = str(Path(saves[0]).parent)
-    runs = {e["dir"]: e for e in entries.values() if e["kind"] == "unlearn"}
+    runs = {d: e for d, e in run_statuses(tmp_path).items() if e["kind"] == "unlearn"}
     assert len(runs) == 2
-    failed = runs.pop(failed_dir)
+    failed = runs.pop(Path(saves[0]).parent)
     assert (failed["status"], failed["message"]) == ("failed", "OSError: simulated full disk")
     assert [e["status"] for e in runs.values()] == ["done"]
 
@@ -501,8 +501,8 @@ def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsy
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
              "--methods", "rand_label,neg_grad,l1_sparse_ft", "--ratios", "2,4", "--seeds", "0")
     assert rc == 2
-    entries = Manifest(tmp_path).entries
-    statuses = {(method, ratio): entries[config_hash(fast_cfg(
+    entries = run_statuses(tmp_path)
+    statuses = {(method, ratio): entries[tmp_path / "runs" / config_hash(fast_cfg(
         unlearn_method=method, del_ratio=ratio, seed=0))]["status"]
         for method in ("rand_label", "neg_grad", "l1_sparse_ft") for ratio in (2, 4)}
     # The error fails exactly its group's runs: neg_grad's, at both ratios.
@@ -514,24 +514,91 @@ def test_sweep_records_non_toolkit_errors_as_failed(tmp_path, monkeypatch, capsy
     assert capsys.readouterr().err.count("Traceback") == 1
 
 
-@pytest.mark.parametrize("methods, ratios, seeds, runs, saves_expected", [
-    # 2 originals marked pending, each finished; all 8 runs marked pending, 2 method jobs
-    # finished
-    ("rand_label,neg_grad", "2,4", "0,1", 8, 1 + 2 + 1 + 2),
-    # 3 originals marked pending, each finished; all 30 runs marked pending, 3 jobs of 10
-    # finished
-    ("neg_grad", "1-10", "0-2", 30, 1 + 3 + 1 + 3)], ids=["8_runs", "30_runs"])
-def test_sweep_writes_the_manifest_once_per_job(tmp_path, monkeypatch, capsys, methods, ratios,
-                                                 seeds, runs, saves_expected):
-    saves = []
-    real = Manifest.save
-    monkeypatch.setattr(Manifest, "save", lambda self: saves.append(1) or real(self))
-    rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0",
-             "--methods", methods, "--ratios", ratios, "--seeds", seeds)
-    assert rc == 0
-    assert len(saves) == saves_expected
-    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
-    assert len(entries) == runs and all(e["status"] == "done" for e in entries)
+def test_a_sweep_writes_each_runs_status_twice_at_a_size_no_grid_grows(tmp_path, monkeypatch,
+                                                                        capsys):
+    import unlearnkit.cli as cli
+
+    real, writes = cli.write_json, []  # (run directory, bytes) of each status write
+
+    def spy(path, value):
+        real(path, value)
+        if Path(path).name == "status.json":
+            writes.append((Path(path).parent, os.path.getsize(path)))
+
+    monkeypatch.setattr(cli, "write_json", spy)
+    largest = []
+    # 2 originals and 8 runs, then 3 originals and 30 runs in jobs of 10
+    for name, methods, ratios, seeds, runs in (("a", "rand_label,neg_grad", "2,4", "0,1", 10),
+                                               ("b", "neg_grad", "1-10", "0-2", 33)):
+        writes.clear()
+        root = tmp_path / name
+        assert run(root, "sweep", *FAST, "--no-budget", "--seed", "0",
+                   "--methods", methods, "--ratios", ratios, "--seeds", seeds) == 0
+        counts = Counter(directory for directory, _ in writes)
+        assert len(counts) == runs and set(counts.values()) == {2}  # pending, then done
+        found = run_statuses(root)
+        assert set(found) == set(counts) and {e["status"] for e in found.values()} == {"done"}
+        largest.append(max(size for _, size in writes))
+    assert largest[0] == largest[1]
+
+
+def test_each_runs_status_reads_how_it_ended_or_that_it_never_did(tmp_path, monkeypatch,
+                                                                    capsys):
+    import unlearnkit.cli as cli
+
+    real = cli.execute_unlearn_group
+
+    def fails_then_interrupted(root, cfgs, no_budget=False, keys=None):
+        if cfgs[0].unlearn_method == "neg_grad":
+            raise MemoryError("simulated out of memory")
+        if cfgs[0].unlearn_method == "l1_sparse_ft":
+            raise KeyboardInterrupt
+        return real(root, cfgs, no_budget, keys)
+
+    monkeypatch.setattr(cli, "execute_unlearn_group", fails_then_interrupted)
+    methods = ("rand_label", "neg_grad", "l1_sparse_ft", "bad_t")  # one job each, in order
+    with pytest.raises(KeyboardInterrupt):
+        run(tmp_path, "sweep", *FAST, "--no-budget", "--methods", ",".join(methods),
+            "--ratios", "2", "--seeds", "0")
+    found = run_statuses(tmp_path)
+    status = {m: found[tmp_path / "runs" / config_hash(fast_cfg(unlearn_method=m, del_ratio=2))]
+              for m in methods}
+    [original] = [e for e in found.values() if e["kind"] == "train"]
+    assert original["status"] == "done"
+    pending = {"kind": "unlearn", "status": "pending",
+               "started_at": status["rand_label"]["started_at"]}
+    # The interrupted job's run and the run that never started read pending.
+    assert status["l1_sparse_ft"] == status["bad_t"] == pending
+    done, failed = status["rand_label"], status["neg_grad"]
+    assert done == {**pending, "status": "done", "finished_at": done["finished_at"]}
+    assert failed == {**pending, "status": "failed", "finished_at": failed["finished_at"],
+                      "message": "MemoryError: simulated out of memory"}
+    assert pending["started_at"] <= done["finished_at"] <= failed["finished_at"]
+
+
+def test_two_sweeps_on_one_root_each_record_every_run_done(tmp_path):
+    for seed in (0, 1):
+        assert run(tmp_path, "train", *FAST, "--seed", str(seed)) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    sweeps = [subprocess.Popen(
+        [sys.executable, "-m", "unlearnkit.cli", "--artifacts", str(tmp_path), "sweep", *FAST,
+         "--no-budget", "--methods", methods, "--ratios", "2,4", "--seeds", "0,1"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        for methods in ("rand_label,neg_grad", "l1_sparse_ft,bad_t")]
+    try:
+        for sweep in sweeps:
+            _, err = sweep.communicate(timeout=120)
+            assert sweep.returncode == 0, err
+    finally:
+        for sweep in sweeps:
+            sweep.kill()  # a no-op on a sweep that has ended
+            sweep.wait()
+    found = run_statuses(tmp_path)
+    assert len([e for e in found.values() if e["kind"] == "unlearn"]) == 16
+    assert set(found) == {*(tmp_path / "runs").iterdir(), *(tmp_path / "checkpoints").iterdir()}
+    assert {e["status"] for e in found.values()} == {"done"}
 
 
 def test_a_sweep_job_trains_at_most_one_stack_of_consecutive_runs(tmp_path, monkeypatch,
@@ -650,7 +717,7 @@ def test_report_averages_runs(tmp_path):
     assert float(row[2]) == 50.0
 
 
-def test_report_leaves_out_a_run_the_manifest_records_failed(tmp_path, capsys):
+def test_report_leaves_out_a_run_whose_rerun_failed(tmp_path, capsys):
     run(tmp_path, "train", *FAST, "--seed", "0")
     for method in ("neg_grad", "rand_label"):
         assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0",
@@ -659,6 +726,8 @@ def test_report_leaves_out_a_run_the_manifest_records_failed(tmp_path, capsys):
     assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--unlearn_method", "rand_label",
                "--force", "--budget_seconds", "0.000001") == 2
     assert "BudgetError" in capsys.readouterr().err
+    rand_label = tmp_path / "runs" / config_hash(fast_cfg(seed=0, unlearn_method="rand_label"))
+    assert run_statuses(tmp_path)[rand_label]["message"].startswith("BudgetError: ")
     assert run(tmp_path, "report") == 0
     out = tmp_path / "reports"
     for name in ("leaderboard.csv", "ratio_curves.csv", "scaling_curves.csv"):
@@ -687,18 +756,18 @@ def _methods_in(path):
         return {row["method"] for row in csv.DictReader(fh)}
 
 
-def test_a_stale_manifest_hides_no_complete_run(tmp_path, monkeypatch, capsys):
+def test_a_stale_status_hides_no_complete_run(tmp_path, monkeypatch, capsys):
     import unlearnkit.cli as cli
 
     assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
     for method in ("neg_grad", "rand_label"):
         assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0",
                    "--unlearn_method", method) == 0
-    # A second CLI that read the manifest before neg_grad finished writes back its view.
+    # A status left pending, as a killed process leaves it, and one that is unreadable.
     neg_grad = config_hash(fast_cfg(seed=0, unlearn_method="neg_grad"))
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps({k: v for k, v in json.loads(path.read_text()).items()
-                                if k != neg_grad}))
+    path = tmp_path / "runs" / neg_grad / "status.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "status": "pending"}))
+    (tmp_path / "runs" / config_hash(fast_cfg(seed=0)) / "status.json").write_text("{")
     assert run(tmp_path, "report") == 0
     for name in ("leaderboard.csv", "ratio_curves.csv", "scaling_curves.csv"):
         assert _methods_in(tmp_path / "reports" / name) == {"neg_grad", "rand_label"}, name
@@ -709,20 +778,16 @@ def test_a_stale_manifest_hides_no_complete_run(tmp_path, monkeypatch, capsys):
     assert f"run {neg_grad} already complete" in capsys.readouterr().out
 
 
-def test_a_truncated_manifest_stops_the_runners_but_not_report(tmp_path, capsys):
-    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
-    assert run(tmp_path, "unlearn", *FAST, "--no-budget", "--seed", "0") == 0
+def test_a_manifest_left_in_an_old_root_is_neither_read_nor_written(tmp_path, capsys):
     path = tmp_path / "manifest.json"
-    path.write_text(path.read_text()[:40])
-    capsys.readouterr()
-    assert run(tmp_path, "report") == 0
-    assert _methods_in(tmp_path / "reports" / "leaderboard.csv") == {"rand_label"}
+    path.write_text('{"truncated": {"sta')
     for argv in (["train", *FAST, "--seed", "0"],
                  ["unlearn", *FAST, "--seed", "0", "--no-budget"],
-                 ["sweep", *FAST, "--methods", "neg_grad", "--ratios", "2", "--seeds", "0"]):
-        capsys.readouterr()
-        assert run(tmp_path, *argv) == 1
-        assert f"config error: bad manifest {path}: " in capsys.readouterr().err
+                 ["sweep", *FAST, "--methods", "neg_grad", "--ratios", "2", "--seeds", "0",
+                  "--no-budget"],
+                 ["report"]):
+        assert run(tmp_path, *argv) == 0, argv
+    assert path.read_text() == '{"truncated": {"sta'
 
 
 def test_report_with_no_run_dirs_reads_every_run_dir_the_same_way(tmp_path, capsys):
@@ -818,8 +883,7 @@ def test_sweep_parallel_workers(tmp_path, capsys):
     rc = run(tmp_path, "sweep", *FAST, "--no-budget", "--seed", "0", "--workers", "2",
              "--methods", "neg_grad,l1_sparse_ft", "--ratios", "3", "--seeds", "0,1")
     assert rc == 0
-    manifest = Manifest(tmp_path)
-    done = [e for e in manifest.entries.values()
+    done = [e for e in run_statuses(tmp_path).values()
             if e["kind"] == "unlearn" and e["status"] == "done"]
     assert len(done) == 4
 
@@ -855,8 +919,7 @@ def test_sweep_full_grid_counts_250_entries(tmp_path, capsys):
              "--ratios", "1-10", "--seeds", "0-4")
     assert rc == 0
     assert "sweep: 250 runs (5 methods x 10 ratios x 5 seeds)" in capsys.readouterr().out
-    manifest = Manifest(tmp_path)
-    entries = [e for e in manifest.entries.values() if e["kind"] == "unlearn"]
+    entries = [e for e in run_statuses(tmp_path).values() if e["kind"] == "unlearn"]
     assert len(entries) == 250
     assert all(e["status"] == "done" for e in entries)
 
@@ -873,7 +936,7 @@ def test_train_config_error_is_recorded_as_failed(tmp_path, monkeypatch, capsys)
     rc = run(tmp_path, "train", "--data_name", DATA, "--seed", "0")
     assert rc == 1
     assert "config error" in capsys.readouterr().err
-    entries = list(Manifest(tmp_path).entries.values())
+    entries = list(run_statuses(tmp_path).values())
     assert [(e["kind"], e["status"]) for e in entries] == [("train", "failed")]
     assert "simulated config error in training" in entries[0]["message"]
 
@@ -909,11 +972,11 @@ def test_unlearn_divergence_keeps_its_partial_trace(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "runtime error: NumericError: training loss became non-finite" in err
-    [entry] = [e for e in Manifest(root).entries.values() if e["kind"] == "unlearn"]
+    [entry] = [e for e in run_statuses(root).values() if e["kind"] == "unlearn"]
     assert entry["status"] == "failed"
     assert entry["message"].startswith("NumericError: training loss became non-finite")
     run_dir = root / "runs" / config_hash(cfg)
-    assert [p.name for p in run_dir.iterdir()] == ["trace.csv"]
+    assert sorted(p.name for p in run_dir.iterdir()) == ["status.json", "trace.csv"]
     assert _rows_without_seconds(run_dir / "trace.csv") == want and len(want) >= 2
 
 
@@ -929,12 +992,12 @@ def test_each_diverging_sweep_run_keeps_the_partial_trace_it_records_alone(tmp_p
                 for seed in (0, 1)]
         wants = [_library_trace_without_seconds(root, cfg, tmp_path) for cfg in cfgs]
     assert rc == 2
-    entries = Manifest(root).entries
+    entries = run_statuses(root)
     for cfg, want in zip(cfgs, wants):
-        key = config_hash(cfg)
-        assert entries[key]["status"] == "failed"
-        assert entries[key]["message"].startswith("NumericError: ")
-        trace = root / "runs" / key / "trace.csv"
+        run_dir = root / "runs" / config_hash(cfg)
+        assert entries[run_dir]["status"] == "failed"
+        assert entries[run_dir]["message"].startswith("NumericError: ")
+        trace = run_dir / "trace.csv"
         assert _rows_without_seconds(trace) == want and len(want) >= 2
 
 
@@ -961,7 +1024,7 @@ def test_a_pooled_sweep_writes_each_failed_runs_partial_trace_in_the_parent(tmp_
     traces = [root / "runs" / config_hash(cfg) / "trace.csv" for cfg in cfgs]
     assert sorted(written) == sorted(traces)
     for trace, want in zip(traces, wants):
-        assert sorted(p.name for p in trace.parent.iterdir()) == ["trace.csv"]
+        assert sorted(p.name for p in trace.parent.iterdir()) == ["status.json", "trace.csv"]
         assert _rows_without_seconds(trace) == want and want
 
 
@@ -978,8 +1041,7 @@ def test_train_divergence_aborts_with_trace(tmp_path, capsys):
     ckpt_dir = next((tmp_path / "checkpoints").iterdir())
     assert (ckpt_dir / "trace.csv").exists()  # partial trace survives the abort
     assert not (ckpt_dir / "model.json").exists()
-    manifest = Manifest(tmp_path)
-    assert all(e["status"] == "failed" for e in manifest.entries.values())
+    assert [e["status"] for e in run_statuses(tmp_path).values()] == ["failed"]
 
 
 def test_a_sweep_whose_originals_diverge_records_each_failed_and_runs_nothing(tmp_path,
@@ -992,34 +1054,15 @@ def test_a_sweep_whose_originals_diverge_records_each_failed_and_runs_nothing(tm
                  "--methods", "neg_grad", "--ratios", "2", "--seeds", "0,1")
     assert rc == 2
     assert "runtime error: NumericError" in capsys.readouterr().err
-    entries = list(Manifest(tmp_path).entries.values())
-    assert entries and {(e["kind"], e["status"]) for e in entries} == {("train", "failed")}
-    for e in entries:
-        assert sorted(p.name for p in Path(e["dir"]).iterdir()) == ["trace.csv"]
+    entries = run_statuses(tmp_path)
+    assert entries and {(e["kind"], e["status"]) for e in entries.values()} == {
+        ("train", "failed")}
+    for ckpt_dir in entries:
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == ["status.json", "trace.csv"]
     assert not (tmp_path / "runs").exists()
 
 
 # ----------------------------------------------------- malformed artifact files
-
-def test_a_malformed_manifest_is_a_config_error_naming_it(tmp_path, capsys):
-    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
-    manifest = tmp_path / "manifest.json"
-    good = manifest.read_text()
-    key = train_hash(fast_cfg(seed=0))
-    entry = json.loads(good)[key]
-    # Truncated, and the checkpoint's entry as a string, without a status, with a number.
-    for text in (good[:40], json.dumps({key: "done"}), json.dumps({key: {"kind": "train"}}),
-                 json.dumps({key: {**entry, "status": 1}})):
-        manifest.write_text(text)
-        for argv in (["train", *FAST, "--seed", "0"],
-                     ["unlearn", *FAST, "--seed", "0", "--no-budget"],
-                     ["sweep", *FAST, "--methods", "neg_grad", "--ratios", "2", "--seeds", "0"]):
-            capsys.readouterr()
-            assert run(tmp_path, *argv) == 1
-            assert f"config error: bad manifest {manifest}: " in capsys.readouterr().err
-        assert manifest.read_text() == text
-    assert list((tmp_path / "runs").glob("*")) == []
-
 
 @pytest.mark.parametrize("name, text", [
     ("report.json", lambda text: text[:40]),
@@ -1155,7 +1198,7 @@ def test_a_non_toolkit_error_is_recorded_failed_and_raised(tmp_path, monkeypatch
     monkeypatch.setattr(cli, target, out_of_memory)
     with pytest.raises(MemoryError):
         run(tmp_path, *argv)
-    [entry] = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == command]
+    [entry] = [e for e in run_statuses(tmp_path).values() if e["kind"] == command]
     assert entry["status"] == "failed"
     assert entry["message"] == "MemoryError: simulated out of memory"
 
@@ -1189,7 +1232,7 @@ def test_a_dead_pool_worker_fails_its_runs_and_a_resumed_sweep_completes_them(
             "rand_label,l1_sparse_ft,neg_grad", "--ratios", "2,4", "--seeds", "0,1")
     monkeypatch.setattr(cli, "execute_unlearn_group", dies)  # forked workers inherit it
     assert run(tmp_path, *argv) == 2
-    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    entries = [e for e in run_statuses(tmp_path).values() if e["kind"] == "unlearn"]
     failed = [e for e in entries if e["status"] == "failed"]
     assert len(entries) == 12 and {e["status"] for e in entries} == {"done", "failed"}
     assert len(failed) >= 4
@@ -1199,7 +1242,7 @@ def test_a_dead_pool_worker_fails_its_runs_and_a_resumed_sweep_completes_them(
     monkeypatch.setattr(cli, "execute_unlearn_group", real)
     assert run(tmp_path, *argv) == 0
     assert f"{12 - len(failed)} already done, {len(failed)} to run" in capsys.readouterr().out
-    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    entries = [e for e in run_statuses(tmp_path).values() if e["kind"] == "unlearn"]
     assert all(e["status"] == "done" for e in entries)
 
 
@@ -1220,7 +1263,7 @@ def test_a_pool_worker_prints_a_non_toolkit_errors_traceback_once_naming_its_rai
     err = capfd.readouterr().err
     assert err.count("Traceback") == 1
     assert "in out_of_memory" in err and 'raise MemoryError("simulated out of memory")' in err
-    failed = [e for e in Manifest(tmp_path).entries.values() if e["status"] == "failed"]
+    failed = [e for e in run_statuses(tmp_path).values() if e["status"] == "failed"]
     assert [e["message"] for e in failed] == ["MemoryError: simulated out of memory"] * 2
 
 
@@ -1252,7 +1295,7 @@ def test_unlearn_on_a_malformed_checkpoint_meta_exits_1_and_records_failed(
     assert run(tmp_path, "unlearn", *FAST, "--seed", "0") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: bad checkpoint {meta}: ") and "Traceback" not in err
-    [entry] = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    [entry] = [e for e in run_statuses(tmp_path).values() if e["kind"] == "unlearn"]
     assert entry["status"] == "failed" and str(meta) in entry["message"]
 
 
@@ -1286,7 +1329,7 @@ def test_unlearn_after_a_checkpoint_meta_is_removed_exits_1_and_train_repairs_it
     assert run(tmp_path, "unlearn", *FAST, "--seed", "0") == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: no trained checkpoint") and "Traceback" not in err
-    [entry] = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    [entry] = [e for e in run_statuses(tmp_path).values() if e["kind"] == "unlearn"]
     assert entry["status"] == "failed" and "no trained checkpoint" in entry["message"]
     assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
     assert "already exists" not in capsys.readouterr().out
@@ -1405,7 +1448,7 @@ def test_a_config_value_no_run_can_use_exits_1_before_any_work(tmp_path, monkeyp
         assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
         argv.append("--no-budget")
         (tmp_path / "no_equals.cfg").write_text("epochs 5\n")  # for the --config row
-    before = (tmp_path / "manifest.json").read_bytes() if command == "unlearn" else None
+    before = run_statuses(tmp_path)
     capsys.readouterr()
     assert run(tmp_path, *argv) == 1
     err = capsys.readouterr().err
@@ -1413,7 +1456,7 @@ def test_a_config_value_no_run_can_use_exits_1_before_any_work(tmp_path, monkeyp
     if command == "train":
         assert list(tmp_path.iterdir()) == []
     else:
-        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert run_statuses(tmp_path) == before
         assert not (tmp_path / "runs").exists()
 
 
@@ -1428,7 +1471,7 @@ def test_a_sweep_with_a_float_value_no_run_can_use_exits_1_before_training_an_or
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and f"{flags[-2][2:]} must be" in err
-    assert list(tmp_path.iterdir()) == []  # no original trained, no manifest written
+    assert list(tmp_path.iterdir()) == []  # no original trained, no status written
 
 
 def test_a_test_set_too_small_for_the_attack_exits_1_before_any_run_is_recorded(
@@ -1436,7 +1479,7 @@ def test_a_test_set_too_small_for_the_attack_exits_1_before_any_run_is_recorded(
     # 4 test rows: the original trains, but no run can calibrate the membership attack.
     flags = [*FAST, "--data_name", "gaussian_blobs:c2:s10:d4", "--no-budget"]
     assert run(tmp_path, "train", *flags[:-1], "--seed", "0") == 0
-    before = (tmp_path / "manifest.json").read_bytes()
+    before = run_statuses(tmp_path)
     capsys.readouterr()
     problem = "config error: need >= 10 test samples to calibrate the attack, got 4"
     for argv in (["unlearn", *flags, "--seed", "0", "--del_ratio", "10",
@@ -1445,7 +1488,7 @@ def test_a_test_set_too_small_for_the_attack_exits_1_before_any_run_is_recorded(
                   "--seeds", "0,1"]):
         assert run(tmp_path, *argv) == 1
         assert capsys.readouterr().err.startswith(problem)
-        assert (tmp_path / "manifest.json").read_bytes() == before
+        assert run_statuses(tmp_path) == before
         assert not (tmp_path / "runs").exists()
         assert len(list((tmp_path / "checkpoints").iterdir())) == 1  # no seed-1 original
 
@@ -1466,7 +1509,7 @@ def test_train_on_any_small_int_config_exits_0_or_1_and_leaves_nothing_pending(i
         flags += [f"--{key}", str(value)]
     with tempfile.TemporaryDirectory() as root:
         assert run(root, "train", *flags) in (0, 1)
-        statuses = [e["status"] for e in Manifest(root).entries.values()]
+        statuses = [e["status"] for e in run_statuses(root).values()]
     assert "pending" not in statuses
 
 
@@ -1495,8 +1538,7 @@ def test_unlearn_on_any_small_int_config_exits_0_or_1_and_records_nothing_on_1(
         flags += [f"--{key}", str(value)]
     with tempfile.TemporaryDirectory() as root:
         run(root, "train", *flags)
-        manifest = Path(root) / "manifest.json"
-        before = manifest.read_bytes() if manifest.exists() else None
+        before = run_statuses(root)
         rc = run(root, "unlearn", *flags, "--unlearn_method", method, "--no-budget")
-        after = manifest.read_bytes() if manifest.exists() else None
+        after = run_statuses(root)
         assert rc == 0 or (rc == 1 and after == before and not (Path(root) / "runs").exists())

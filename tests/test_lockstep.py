@@ -21,7 +21,7 @@ from unlearnkit.metrics import build_report
 from unlearnkit.nn import Model
 from unlearnkit.unlearn import METHODS, RunRecorder, train_original
 
-from conftest import spy_trained_rows
+from conftest import run_statuses, spy_trained_rows
 
 U = sys.modules["unlearnkit.unlearn"]
 DATA = "gaussian_blobs:c3:s30:d4:noise0.1"
@@ -309,8 +309,6 @@ def test_an_error_that_belongs_to_no_member_fails_every_member_still_training(
 
 def test_a_sweep_records_an_error_that_belongs_to_no_member_for_each_run(
         tmp_path, monkeypatch, capsys):
-    from unlearnkit.manifest import Manifest
-
     fast = ["--data_name", DATA, "--backbone", "mlp:12", "--train_epochs", "5", "--epochs", "2"]
     for seed in ("0", "1"):
         assert main(["--artifacts", str(tmp_path), "train", *fast, "--seed", seed]) == 0
@@ -322,16 +320,14 @@ def test_a_sweep_records_an_error_that_belongs_to_no_member_for_each_run(
     capsys.readouterr()
     assert main(["--artifacts", str(tmp_path), "sweep", *fast, "--no-budget", "--methods",
                  "neg_grad", "--ratios", "1,2", "--seeds", "0,1"]) == 2
-    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
-    assert [e["message"] for e in entries] == ["MemoryError: simulated"] * 4
-    for e in entries:  # each run keeps its own init row
-        assert len((Path(e["dir"]) / "trace.csv").read_text().splitlines()) == 2
+    runs = {d: e for d, e in run_statuses(tmp_path).items() if e["kind"] == "unlearn"}
+    assert [e["message"] for e in runs.values()] == ["MemoryError: simulated"] * 4
+    for run_dir in runs:  # each run keeps its own init row
+        assert len((run_dir / "trace.csv").read_text().splitlines()) == 2
     assert capsys.readouterr().err.count("Traceback") == 1
 
 
 def test_a_failing_sweep_member_leaves_only_its_own_stack(tmp_path, monkeypatch, capsys):
-    from unlearnkit.manifest import Manifest
-
     real_check = RunRecorder.check_budget
 
     def flaky(recorder):  # the seed-1 run at ratio 7 (5 of 72 rows deleted) fails
@@ -347,7 +343,7 @@ def test_a_failing_sweep_member_leaves_only_its_own_stack(tmp_path, monkeypatch,
     # Two originals alone; the job of ratios 1-5 as one stack; the job of ratios 6-10 as
     # one stack that the failing run leaves. Nothing is rerun.
     assert stacks == [1, 1, U.MAX_STACK, U.MAX_STACK]
-    entries = [e for e in Manifest(tmp_path).entries.values() if e["kind"] == "unlearn"]
+    entries = [e for e in run_statuses(tmp_path).values() if e["kind"] == "unlearn"]
     assert sorted(e["status"] for e in entries) == ["done"] * 19 + ["failed"]
     assert [e["message"] for e in entries if e["status"] == "failed"] == [
         "BudgetError: simulated"]
