@@ -7,7 +7,7 @@ membership-inference success, deletion capacity).
 """
 
 from .config import UnlearnConfig, config_hash, train_hash
-from .curriculum import SuperLossParams, lambert_w0, superloss_sigma
+from .curriculum import SuperLossParams, lambert_w0
 from .data import (DatasetSplit, SynthSpec, corrupt_labels, generate,
                    parse_data_name, sample_deletion_set)
 from .errors import (BudgetError, ConfigError, DomainError,

@@ -240,9 +240,9 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
     """The original model and its meta for this config, read from its checkpoint."""
-    ckpt_dir, _ = _locate(root, "train", train_hash(cfg))
+    ckpt_dir, done = _locate(root, "train", train_hash(cfg))
     model_path, meta_path = ckpt_dir / "model.json", ckpt_dir / "meta.json"
-    if not (model_path.exists() and meta_path.exists()):
+    if not done:
         raise ConfigError(
             f"no trained checkpoint for this config (expected {model_path.name} and "
             f"{meta_path.name} in {ckpt_dir}); run 'unlearnkit train' with the same "

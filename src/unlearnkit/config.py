@@ -57,6 +57,14 @@ class UnlearnConfig:
     budget_seconds: float | None = None
 
     def __post_init__(self):
+        # Only the bool key takes a bool and only the str keys take text.
+        # from_mapping passes a JSON value that is not text through as it is,
+        # and a bool is an int to isinstance.
+        for name, ftype in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if (isinstance(value, bool) != (ftype == "bool")
+                    or isinstance(value, str) != (ftype == "str")):
+                raise ConfigError(f"{name} must be of type {ftype}, got {value!r}")
         for name, least in _INT_FLOORS.items():
             value = getattr(self, name)
             if not isinstance(value, int) or value < least:

@@ -84,14 +84,6 @@ class SuperLossParams:
             raise ConfigError(f"decay must be in [0, 1), got {self.decay}")
 
 
-def superloss_sigma(loss: float, params: SuperLossParams) -> float:
-    """Optimal confidence sigma* for a single loss value at the current baseline:
-    :func:`superloss_weights`' sigma for a batch of that one loss."""
-    if params.tau is None:
-        raise ConfigError("tau is unset; weight a batch with superloss_weights first or set it")
-    return float(superloss_weights(np.array([float(loss)]), params)[1][0])
-
-
 def superloss_weights(losses: np.ndarray,
                       params: SuperLossParams) -> tuple[float, np.ndarray, float]:
     """Weighted scalar loss over a batch of per-sample losses, the sigmas, and

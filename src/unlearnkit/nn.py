@@ -249,8 +249,7 @@ class Model:
         """Return the logits and the activations :meth:`backprop` needs.
 
         The cache is ``(inputs, mids)``: each layer's input and each layer's
-        adapter projection (None when unadapted). ``inputs[-1]`` is the
-        penultimate activation, the input of :meth:`backprop_hidden`.
+        adapter projection (None when unadapted).
 
         Each hidden layer writes its output, activated in place, into its own
         flat workspace buffer, which the model keeps and grows to the largest
@@ -259,9 +258,9 @@ class Model:
         model's next forward pass (or :meth:`logits`) or backprop, or that of
         a model sharing its workspace (:meth:`stack`, :meth:`rows`): a
         backprop writes each one's gradient over it. Use or copy them before
-        then. The batch, the adapter projections, the logits and the ``g`` or
-        ``gh`` a caller backprops keep their bytes; that gradient must not
-        be a view of the cache. Two threads must not run one model at once.
+        then. The batch, the adapter projections, the logits and the ``g`` a
+        caller backprops keep their bytes; that gradient must not be a view
+        of the cache. Two threads must not run one model at once.
         """
         h = self._check_input(x)
         act = ACTIVATIONS[self.activation][0]
@@ -291,26 +290,8 @@ class Model:
         activation of ``cache`` is overwritten by its gradient
         (:meth:`forward_cache`); ``g`` keeps its bytes.
         """
-        return self._backprop_from(len(self.layers) - 1, cache, g)
-
-    def backprop_hidden(self, cache: tuple, gh: np.ndarray) -> np.ndarray:
-        """Add the gradient of a loss with ``dL/d(penultimate) = gh`` into the buffer.
-
-        For a loss on the penultimate activations (``cache[0][-1]``); the
-        output layer gets no gradient. Returns the buffer and spends the
-        cache, as :meth:`backprop` does; ``gh`` keeps its bytes.
-        """
-        i = len(self.layers) - 2
-        if i < self._lowest:
-            return self.grad
-        y = cache[0][i + 1]
-        return self._backprop_from(i, cache, ACTIVATIONS[self.activation][1](gh, y))
-
-    def _backprop_from(self, top: int, cache: tuple, g: np.ndarray) -> np.ndarray:
-        """Backprop the gradient ``g`` of layer ``top``'s output down to the lowest
-        trainable layer; return the gradient buffer."""
         grad = self.grad  # made on first use, with the views the layers write
-        for i in range(top, self._lowest - 1, -1):
+        for i in range(len(self.layers) - 1, self._lowest - 1, -1):
             g = self._backprop_layer(i, cache, g)
         return grad
 
@@ -540,15 +521,13 @@ def build_model(input_dim: int, num_classes: int, backbone: str = "mlp:32,32",
 # Each loss is an array kernel ``*_rows(...) -> (rows, row_grad)``: the
 # per-row values and a function mapping per-row weights ``w`` (the gradient
 # of the reduced loss with respect to each row; ``1/n`` for a batch mean) to
-# the gradient of the weighted rows with respect to the kernel's input. A
-# logits gradient goes to :meth:`Model.backprop`, a penultimate-activation
-# gradient to :meth:`Model.backprop_hidden`. ``unlearn.loss_and_grad``, the
-# training loop's one step kernel, does this for the training losses. Rows
-# run along the second-to-last axis of the input, so a stacked ``(K, B, C)``
-# input gives ``(K, B)`` rows and takes ``(K, B)`` weights. The cross-entropy
-# and KL kernels also take one numpy scalar for every row (a batch mean's
-# ``1/n``): it multiplies each row as the array of equal weights would, byte
-# for byte.
+# the gradient of the weighted rows with respect to the logits, which goes to
+# :meth:`Model.backprop`. ``unlearn.loss_and_grad``, the training loop's one
+# step kernel, does this for the training losses. Rows run along the
+# second-to-last axis of the input, so a stacked ``(K, B, C)`` input gives
+# ``(K, B)`` rows and takes ``(K, B)`` weights. The kernels also take one
+# numpy scalar for every row (a batch mean's ``1/n``): it multiplies each row
+# as the array of equal weights would, byte for byte.
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; every row sums to 1 within 1e-6."""
@@ -630,15 +609,6 @@ def kl_rows(student_logits: np.ndarray, teacher_logits: np.ndarray, temperature:
         return ps * (r - rows[..., None]) * (w[..., None] / temperature)
 
     return rows, row_grad
-
-
-def representation_rows(student_h: np.ndarray, teacher_h: np.ndarray):
-    """Squared distance between penultimate-layer activations, per row."""
-    if student_h.shape != teacher_h.shape:
-        raise ShapeError("activation shapes differ")
-    diff = student_h - teacher_h
-    rows = (diff * diff).sum(axis=-1)
-    return rows, lambda w: 2.0 * diff * w[..., None]
 
 
 # ----------------------------------------------------------------------- FLOs

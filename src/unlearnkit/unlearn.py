@@ -2,8 +2,8 @@
 
 Every method produces a new model: the original is cloned (or, for exact
 retraining, freshly initialized) and never mutated. Methods differ along
-three axes — how knowledge is measured (task loss, output distribution,
-representation), how it is corrupted on the deletion set (reversed
+three axes — how knowledge is measured (task loss or output
+distribution), how it is corrupted on the deletion set (reversed
 gradients, relabeled data, an incompetent teacher), and how it is retained
 on the remaining set (matching the original model) — plus whether updates
 are dense or restricted to a saliency mask.
@@ -43,7 +43,7 @@ class TeacherSpec:
     (see ``register``); ``TAXONOMY`` is derived from the registry.
     """
 
-    km: str | None  # Loss | Rep | Logit
+    km: str | None  # Loss | Logit
     corrupt: str | None  # Grad | Data | Model
     retain: str  # original_f | none
     retain_km: tuple[str, ...]  # measures used on the remaining data
@@ -209,7 +209,7 @@ def _epochs(rng: np.random.Generator, idx: np.ndarray, x: np.ndarray, labels: np
 
 def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = None,
                   teacher: np.ndarray | None = None, temperature: float = 1.0,
-                  curriculum: SuperLossParams | list[SuperLossParams] | None = None,
+                  curriculum: list[SuperLossParams] | None = None,
                   step: int = 0, accumulate: bool = False) -> tuple[float, np.ndarray]:
     """One training step's loss and gradient, on plain arrays: the loop's one step kernel.
 
@@ -219,9 +219,9 @@ def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = No
     reduces the rows by their mean or by the curriculum, checks the value
     is finite (a ``NumericError`` names ``step``), and backprops. Returns
     the value and the model's gradient buffer, overwritten unless
-    ``accumulate`` is set. On a stacked model (``nn.Model.stack``) every
-    array has a leading K axis, the value is one per model, and
-    ``curriculum`` is a list of K states.
+    ``accumulate`` is set. ``curriculum`` holds one state per model: one
+    for a plain model, K for a stacked one (``nn.Model.stack``), on which
+    every array has a leading K axis and the value is one per model.
     """
     logits, cache = model.forward_cache(x)
     terms = []
@@ -229,8 +229,6 @@ def loss_and_grad(model: Model, x: np.ndarray, *, labels: np.ndarray | None = No
         terms.append(nn.cross_entropy_rows(logits, nn.validate_labels(logits, labels)))
     if teacher is not None:
         terms.append(nn.kl_rows(logits, teacher, temperature))
-    if isinstance(curriculum, SuperLossParams):
-        curriculum = [curriculum]
     rows = terms[0][0] if len(terms) == 1 else terms[0][0] + terms[1][0]
     n = rows.shape[-1]
     if curriculum is not None:

@@ -19,9 +19,8 @@ from unlearnkit import (UnlearnConfig, attach_adapter, build_model,
                         unlearn)
 from unlearnkit.cli import main as cli_main
 from unlearnkit.config import config_hash, train_hash
-from unlearnkit.curriculum import SuperLossParams, lambert_w0, superloss_sigma
+from unlearnkit.curriculum import SuperLossParams, lambert_w0, superloss_weights
 from unlearnkit.data import generate, sample_deletion_set
-from unlearnkit.nn import representation_rows
 from unlearnkit.optim import ParamMask
 from unlearnkit.unlearn import loss_and_grad, train_original
 
@@ -56,14 +55,6 @@ def originals():
 
 # ---------------------------------------------------------------- criterion 1
 
-def representation_loss_and_grad(model, x, target):
-    """Mean squared distance of the penultimate activations to ``target``, and its gradient."""
-    _, cache = model.forward_cache(x)
-    rows, row_grad = representation_rows(cache[0][-1], target)
-    model.grad.fill(0.0)
-    return rows.mean(), model.backprop_hidden(cache, row_grad(np.full(len(rows), 1.0 / len(rows))))
-
-
 def test_criterion_1_gradients_match_finite_differences():
     start = time.perf_counter()
     rng = np.random.default_rng(20240601)
@@ -85,13 +76,12 @@ def test_criterion_1_gradients_match_finite_differences():
         kind = checked % 3
         if kind == 0:
             loss_fn = lambda m: loss_and_grad(m, x, labels=y)
-        elif kind == 1:
+        else:
             teacher = rng.standard_normal((4, classes))
             temp = float(rng.uniform(0.5, 4.0))
-            loss_fn = lambda m: loss_and_grad(m, x, teacher=teacher, temperature=temp)
-        else:
-            target = rng.standard_normal((4, widths[-1]))
-            loss_fn = lambda m: representation_loss_and_grad(m, x, target)
+            labels = y if kind == 2 else None  # CE + KL, the step scrub trains on
+            loss_fn = lambda m: loss_and_grad(m, x, labels=labels, teacher=teacher,
+                                              temperature=temp)
         grad = loss_fn(model)[1].copy()
         base = model.param_vector()
         h = 1e-5
@@ -260,9 +250,8 @@ def test_criterion_7_superloss_lambert_numerics():
     assert abs(lambert_w0(1.0) - halley_oracle(1.0)) <= 1e-12
     assert abs(lambert_w0(1.0) - 0.5671432904) <= 1e-9
     params = SuperLossParams(lam=1.0, tau=2.5)
-    assert superloss_sigma(2.5, params) == 1.0
-    losses = np.linspace(-4.0, 8.0, 1000)
-    sigmas = [superloss_sigma(float(l), params) for l in losses]
+    assert superloss_weights(np.array([2.5]), params)[1][0] == 1.0
+    sigmas = superloss_weights(np.linspace(-4.0, 8.0, 1000), params)[1].tolist()
     assert all(b <= a + 1e-12 for a, b in zip(sigmas, sigmas[1:]))
     elapsed = time.perf_counter() - start
     report(7, elapsed, "W identities exact, W(1) to 1e-9, sigma monotone on 1e3 grid")

@@ -45,7 +45,7 @@ CASES = {
 def _kernel(model, x, y, teacher, kind, curriculum=False):
     return loss_and_grad(model, x, labels=y if "ce" in kind else None,
                          teacher=teacher if "kl" in kind else None, temperature=TEMPERATURE,
-                         curriculum=SuperLossParams(lam=LAM, tau=TAU) if curriculum else None)
+                         curriculum=[SuperLossParams(lam=LAM, tau=TAU)] if curriculum else None)
 
 
 def _log_softmax(z):

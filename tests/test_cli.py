@@ -295,6 +295,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", True), ("train_epochs", False), ("learning_rate", True), ("budget_seconds", False),
+    ("curriculum", 1), ("curriculum", 0.0), ("backbone", 5), ("data_name", None),
+    ("optimizer", ["adam"]),
+])
+def test_a_json_value_of_the_wrong_type_is_a_config_error(key, value):
+    """Only the bool key takes a bool, and only the str keys take text."""
+    with pytest.raises(ConfigError, match=f"^{key} must be of type "):
+        UnlearnConfig.from_mapping({key: value})
+
+
 def test_env_var_artifact_root(tmp_path, monkeypatch):
     monkeypatch.setenv("UNLEARNKIT_ARTIFACTS", str(tmp_path / "from_env"))
     assert main(["train", *FAST, "--seed", "7"]) == 0
@@ -1071,8 +1082,9 @@ def test_a_sweep_whose_originals_diverge_records_each_failed_and_runs_nothing(tm
                                              if k != "acc_f"})),
     ("config.json", lambda text: text[:40]),
     ("config.json", lambda text: json.dumps({**json.loads(text), "colour": "red"})),
+    ("config.json", lambda text: json.dumps({**json.loads(text), "backbone": 5})),
 ], ids=["truncated_report", "report_not_an_object", "report_without_acc_f",
-        "truncated_config", "config_with_unknown_key"])
+        "truncated_config", "config_with_unknown_key", "config_with_a_number_for_backbone"])
 def test_report_on_a_malformed_run_file_is_a_config_error_naming_it(tmp_path, capsys,
                                                                      name, text):
     _fake_run(tmp_path, "rand_label", 0, 5, {})
@@ -1302,11 +1314,13 @@ def test_unlearn_on_a_malformed_checkpoint_meta_exits_1_and_records_failed(
 @pytest.mark.parametrize("name, text", [
     ("config.json", lambda text: text[:30]),
     ("config.json", lambda text: json.dumps({**json.loads(text), "seed": -1})),
+    ("config.json", lambda text: json.dumps({**json.loads(text), "backbone": 5})),
+    ("config.json", lambda text: json.dumps({**json.loads(text), "seed": True})),
     ("report.json", lambda text: text[:30]),
     ("report.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                              if k != "seconds"})),
-], ids=["truncated_config", "config_with_a_negative_seed", "truncated_report",
-        "report_without_seconds"])
+], ids=["truncated_config", "config_with_a_negative_seed", "config_with_a_number_for_backbone",
+        "config_with_a_bool_for_seed", "truncated_report", "report_without_seconds"])
 def test_evaluate_on_a_malformed_run_file_is_a_config_error_naming_it(tmp_path, capsys,
                                                                       name, text):
     assert run(tmp_path, "train", *FAST, "--seed", "0") == 0

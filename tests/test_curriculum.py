@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from unlearnkit import ConfigError, DomainError, Model, NumericError, build_model, nn
-from unlearnkit.curriculum import (SuperLossParams, lambert_w0, superloss_sigma,
-                                   superloss_weights)
+from unlearnkit.curriculum import SuperLossParams, lambert_w0, superloss_weights
 from unlearnkit.unlearn import loss_and_grad
 
 
@@ -56,27 +55,32 @@ def test_lambert_domain_error():
         lambert_w0(float("nan"))
 
 
+def sigma(loss, params):
+    """The sigma that superloss_weights gives a batch of the one loss."""
+    return superloss_weights(np.array([loss]), params)[1][0]
+
+
 def test_sigma_at_baseline_is_one():
     params = SuperLossParams(lam=1.0, tau=0.5)
-    assert superloss_sigma(0.5, params) == pytest.approx(1.0, abs=1e-12)
+    assert sigma(0.5, params) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sigma_at_clamp_boundary_is_e():
     params = SuperLossParams(lam=1.0, tau=0.0)
-    assert superloss_sigma(-2.0 * math.exp(-1.0), params) == pytest.approx(math.e, abs=1e-12)
+    assert sigma(-2.0 * math.exp(-1.0), params) == pytest.approx(math.e, abs=1e-12)
 
 
 def test_sigma_at_beta_one():
     params = SuperLossParams(lam=1.0, tau=0.0)
     expected = math.exp(-halley_oracle(0.5))
-    assert superloss_sigma(1.0, params) == pytest.approx(expected, abs=1e-12)
-    assert superloss_sigma(1.0, params) == pytest.approx(0.7035, abs=1e-4)
+    assert sigma(1.0, params) == pytest.approx(expected, abs=1e-12)
+    assert sigma(1.0, params) == pytest.approx(0.7035, abs=1e-4)
 
 
 def test_sigma_monotone_nonincreasing_and_positive():
     params = SuperLossParams(lam=0.8, tau=1.0)
     losses = np.linspace(-5.0, 5.0, 1000)
-    sigmas = [superloss_sigma(l, params) for l in losses]
+    sigmas = superloss_weights(losses, params)[1].tolist()
     assert all(s > 0 for s in sigmas)
     assert all(b <= a + 1e-12 for a, b in zip(sigmas, sigmas[1:]))
 
@@ -86,8 +90,6 @@ def test_params_validation():
         SuperLossParams(lam=0.0)
     with pytest.raises(ConfigError):
         SuperLossParams(lam=1.0, decay=1.0)
-    with pytest.raises(ConfigError):
-        superloss_sigma(1.0, SuperLossParams(lam=1.0))  # tau unset
 
 
 def test_batch_at_baseline_gives_zero_loss_and_mean_gradient():
@@ -101,8 +103,8 @@ def test_batch_at_baseline_gives_zero_loss_and_mean_gradient():
 
 def test_outlier_gets_smaller_confidence():
     params = SuperLossParams(lam=1.0, tau=1.0)
-    sig_base = superloss_sigma(1.0, params)
-    sig_hard = superloss_sigma(6.0, params)
+    sig_base = sigma(1.0, params)
+    sig_hard = sigma(6.0, params)
     assert sig_hard < sig_base
 
 
@@ -172,12 +174,12 @@ def test_a_step_that_raises_leaves_the_curriculum_as_it_was(monkeypatch, bad, ta
         monkeypatch.setattr(nn, "cross_entropy_rows", inf_row)
         x, error = X, NumericError if tau is None else DomainError
     with np.errstate(invalid="ignore"), pytest.raises(error):  # inf - inf at an unset tau
-        loss_and_grad(model, x, labels=Y, curriculum=params)
+        loss_and_grad(model, x, labels=Y, curriculum=[params])
     assert params.tau == tau
     monkeypatch.undo()
     fresh = SuperLossParams(tau=tau)
-    value = loss_and_grad(model, X, labels=Y, curriculum=params)[0]
-    assert value == loss_and_grad(model, X, labels=Y, curriculum=fresh)[0]
+    value = loss_and_grad(model, X, labels=Y, curriculum=[params])[0]
+    assert value == loss_and_grad(model, X, labels=Y, curriculum=[fresh])[0]
     assert params.tau == fresh.tau
     if tau is None:
         assert value == pytest.approx(-0.0131968, abs=1e-7)

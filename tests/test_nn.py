@@ -13,8 +13,7 @@ from hypothesis.extra.numpy import arrays
 from unlearnkit import (ConfigError, Model, NumericError, ShapeError, build_model,
                         count_flos, softmax)
 from unlearnkit.lora import attach_adapter
-from unlearnkit.nn import (ACTIVATIONS, kl_rows, parse_backbone, representation_rows,
-                           validate_labels)
+from unlearnkit.nn import ACTIVATIONS, kl_rows, parse_backbone, validate_labels
 from unlearnkit.unlearn import loss_and_grad
 
 from conftest import (central_difference, max_rel_err, v1_checkpoint_bytes,
@@ -183,30 +182,6 @@ def test_a_non_finite_loss_in_loss_and_grad_reads_step_0():
     model = build_model(2, 2, "mlp:3", seed=0)
     with pytest.raises(NumericError, match=r"^training loss became non-finite \(step 0\)$"):
         loss_and_grad(model, np.array([[np.nan, 0.0]]), labels=np.array([0]))
-
-
-def test_representation_distance_value_and_gradient():
-    rng = np.random.default_rng(3)
-    m = build_model(3, 3, "mlp:6", seed=1)
-    x = rng.standard_normal((4, 3))
-    target = rng.standard_normal((4, 6))
-
-    def loss_and_grad_of(mm):
-        _, cache = mm.forward_cache(x)
-        rows, row_grad = representation_rows(cache[0][-1], target)
-        mm.grad.fill(0.0)
-        return rows.mean(), mm.backprop_hidden(cache, row_grad(np.full(len(rows), 1.0 / len(rows))))
-
-    hidden = np.maximum(x @ m.layers[0].weight.T + m.layers[0].bias, 0.0)
-    expected = np.mean(((hidden - target) ** 2).sum(axis=1))
-    value, grad = loss_and_grad_of(m)
-    assert abs(value - expected) < 1e-12
-    grad = grad.copy()
-    fd = central_difference(lambda mm: loss_and_grad_of(mm)[0], m)
-    assert max_rel_err(grad, fd) < 1e-4
-    # the output layer never feeds the representation, so its gradient is zero
-    out_params = m.layers[-1].weight.size + m.layers[-1].bias.size
-    assert np.array_equal(grad[-out_params:], np.zeros(out_params))
 
 
 def test_softmax_rows_sum_to_one():
@@ -520,14 +495,13 @@ def test_backprop_writes_into_no_gradient_its_caller_passed(make):
     m = make()
     rng = np.random.default_rng(0)
     x = rng.standard_normal(m._lead + (5, 6))
-    for hidden in (False, True):
-        logits, cache = m.forward_cache(x)
-        inputs, mids = cache
-        g = rng.standard_normal((inputs[-1] if hidden else logits).shape)
-        kept = [g, logits, inputs[0]] + [mid for mid in mids if mid is not None]
-        before = [a.tobytes() for a in kept]
-        (m.backprop_hidden if hidden else m.backprop)(cache, g)
-        assert [a.tobytes() for a in kept] == before
+    logits, cache = m.forward_cache(x)
+    inputs, mids = cache
+    g = rng.standard_normal(logits.shape)
+    kept = [g, logits, inputs[0]] + [mid for mid in mids if mid is not None]
+    before = [a.tobytes() for a in kept]
+    m.backprop(cache, g)
+    assert [a.tobytes() for a in kept] == before
 
 
 def test_parse_backbone():
@@ -564,19 +538,3 @@ def test_set_param_vector_of_the_wrong_size_raises_and_keeps_the_parameters():
     with pytest.raises(ShapeError, match=f"vector has 3 entries, model has {before.size}"):
         m.set_param_vector(np.zeros(3))
     np.testing.assert_array_equal(m.param_vector(), before)
-
-
-def test_representation_rows_on_mismatched_shapes_raises_shape_error():
-    with pytest.raises(ShapeError, match="activation shapes differ"):
-        representation_rows(np.zeros((4, 3)), np.zeros((4, 2)))
-
-
-def test_backprop_hidden_with_the_only_adapter_on_the_output_layer_adds_nothing():
-    m = attach_adapter(build_model(4, 3, "mlp:6,5", seed=2), 2, 2)
-    x = np.random.default_rng(0).standard_normal((7, 4))
-    cache = m.forward_cache(x)[1]
-    penultimate = cache[0][-1].copy()
-    grad = m.backprop_hidden(cache, np.ones((7, 5)))
-    assert grad is m.grad
-    assert not grad.any()
-    np.testing.assert_array_equal(cache[0][-1], penultimate)  # the cache is not spent
