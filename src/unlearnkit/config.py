@@ -77,10 +77,15 @@ class UnlearnConfig:
                 raise ConfigError(f"{name} must be {rule}, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+            setattr(self, name, float(value))  # one form, so 1 and 1.0 hash alike
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be {' or '.join(OPTIMIZERS)}, "
                               f"got {self.optimizer!r}")
-        hidden = parse_backbone(self.backbone)[0]
+        hidden, activation = parse_backbone(self.backbone)
+        # The spelling the parse implies, so every spelling of one model hashes alike;
+        # "mlp:," keeps its comma, since "mlp:" means the default hidden layer.
+        self.backbone = "mlp:" + (",".join(map(str, hidden)) or ",") + (
+            "" if activation == "relu" else f":{activation}")
         if self.adapter_rank > 0:
             spec = self.data_spec()
             dims = [spec.dim, *hidden, spec.num_classes]  # layer i maps dims[i] to dims[i + 1]
@@ -120,7 +125,11 @@ class UnlearnConfig:
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"unknown config key {key!r}; valid keys: "
                                   + ", ".join(sorted(_FIELD_TYPES)))
-            kwargs[key] = coerce_value(key, raw)
+            try:  # text goes through the key's parser; __post_init__ checks any other value
+                kwargs[key] = (_PARSERS[_FIELD_TYPES[key]](raw.strip())
+                               if isinstance(raw, str) else raw)
+            except ValueError as exc:
+                raise ConfigError(f"bad value {raw!r} for config key {key!r}") from exc
         return cls(**kwargs)
 
     @classmethod
@@ -161,31 +170,19 @@ TRAIN_KEYS = ("data_name", "backbone", "seed", "train_epochs",
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(UnlearnConfig)}
 
 
-def coerce_value(key: str, raw):
-    """Convert a raw string (or already-typed value) to the type of the field ``key``."""
-    if not isinstance(raw, str):
-        return raw
-    text = raw.strip()
-    ftype = _FIELD_TYPES[key]
-    try:
-        if ftype == "bool":
-            low = text.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(text)
-        if ftype == "int":
-            return int(text)
-        if ftype == "float":
-            return float(text)
-        if ftype == "float | None":
-            if text.lower() in ("", "none", "null"):
-                return None
-            return float(text)
-        return text
-    except ValueError as exc:
-        raise ConfigError(f"bad value {raw!r} for config key {key!r}") from exc
+def _parse_bool(text: str) -> bool:
+    low = text.lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(text)
+
+
+# How from_mapping reads a key's text, by the key's type.
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str,
+            "float | None": lambda text: (None if text.lower() in ("", "none", "null")
+                                          else float(text))}
 
 
 def load_config_file(path) -> dict[str, str]:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from unlearnkit import EvalReport, Model, build_model, fileio
-from unlearnkit.cli import _parse_grid_field, _run_jobs, main
+from unlearnkit.cli import _parse_grid_field, _run_jobs, ensure_checkpoint, main
 from unlearnkit.config import UnlearnConfig, config_hash, train_hash
 from unlearnkit.data import generate
 from unlearnkit.errors import ConfigError, NumericError
@@ -277,6 +277,22 @@ def test_config_file_with_flag_overrides(tmp_path):
     cfg = UnlearnConfig(data_name=DATA, backbone="mlp:12", train_epochs=20,
                         epochs=4, unlearn_method="rand_label", del_ratio=3, seed=4)
     assert (tmp_path / "runs" / config_hash(cfg) / "report.json").exists()
+
+
+def test_unlearn_finds_the_checkpoint_trained_under_another_backbone_spelling(tmp_path):
+    assert run(tmp_path, "train", *FAST, "--seed", "0", "--backbone", "mlp:32,32:relu") == 0
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--backbone", "mlp:32,32",
+               "--no-budget") == 0
+    stored = json.loads((tmp_path / "runs" / config_hash(fast_cfg(
+        seed=0, backbone="mlp:32,32")) / "config.json").read_text())
+    assert stored["backbone"] == "mlp:32,32"
+
+
+def test_unlearn_finds_a_library_checkpoint_of_an_int_learning_rate(tmp_path):
+    cfg = fast_cfg(seed=0, train_learning_rate=1)
+    ensure_checkpoint(tmp_path, cfg, train_hash(cfg))
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--train_learning_rate", "1",
+               "--no-budget") == 0
 
 
 @pytest.mark.parametrize("off, unset", [("false", "none"), ("Off", "null"), ("0", " ")])

@@ -481,6 +481,55 @@ def test_trained_outputs_match_golden_digests(method, variant, tmp_path, golden_
     assert got == GOLDEN_DIGESTS[method, variant]
 
 
+# The package's default recipe, which the benchmark's grid sweeps: sha256 prefix of each
+# run's param digest and its trace rows without ``seconds``, at seed 0. Recorded, like
+# GOLDEN_DIGESTS, on numpy 2.4.6 and OpenBLAS 0.3.31 (SkylakeX core, 2 threads), with the
+# ufunc loops ``tools/numeric_platform.py`` prints there (exp, log, tanh: X86_V4).
+DEFAULT_RECIPE_DIGESTS = {
+    ("bad_t", 1): "1fd0f94a71a522b5",
+    ("bad_t", 5): "38c3334a4239fa3a",
+    ("bad_t", 10): "186f3e27c2dea42b",
+    ("exact_retrain", 1): "d6362f89ac929841",
+    ("exact_retrain", 5): "e6dcb5cd1d284834",
+    ("exact_retrain", 10): "b9c842ee16797db2",
+    ("l1_sparse_ft", 1): "f254edde73888acf",
+    ("l1_sparse_ft", 5): "2966c6b273b7a7de",
+    ("l1_sparse_ft", 10): "dc3de5599b00fb41",
+    ("neg_grad", 1): "a5449e3f6a8ba85a",
+    ("neg_grad", 5): "e6774840d631bc84",
+    ("neg_grad", 10): "e4f0aad0d2b440c3",
+    ("rand_label", 1): "1694573e1b0e11a9",
+    ("rand_label", 5): "b4c67f43704004e1",
+    ("rand_label", 10): "170fcdaed4e64f8e",
+    ("salun", 1): "64a3ba9a447884ee",
+    ("salun", 5): "2f997fe1b166345d",
+    ("salun", 10): "6d7e441ff587352c",
+    ("scrub", 1): "a8212f3dbb508220",
+    ("scrub", 5): "90392477de666891",
+    ("scrub", 10): "6447bc660d0d646a",
+}
+
+
+@pytest.fixture(scope="module")
+def default_original():
+    cfg = UnlearnConfig(seed=0)
+    data = generate(cfg.data_spec())
+    return train_original(data, cfg).model, data, cfg
+
+
+@pytest.mark.parametrize("method,ratio", sorted(DEFAULT_RECIPE_DIGESTS))
+def test_default_recipe_outputs_match_golden_digests(method, ratio, default_original):
+    """Parameters and trace (all but ``seconds``) of every method on the default recipe
+    at deletion ratios 1, 5 and 10, pinned."""
+    f, data, cfg = default_original
+    run = unlearn(method, f, data.with_deletion(ratio),
+                  dataclasses.replace(cfg, unlearn_method=method, del_ratio=ratio))
+    h = hashlib.sha256(run.model.param_digest().encode())
+    for row in run.trace:
+        h.update(repr(dataclasses.replace(row, seconds=0.0)).encode())
+    assert h.hexdigest()[:16] == DEFAULT_RECIPE_DIGESTS[method, ratio]
+
+
 def test_exact_retrain_on_a_split_with_every_training_row_deleted_raises_config_error(setup):
     f, split, cfg = setup
     everything = dataclasses.replace(split, del_indices=np.arange(split.num_train))
