@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -238,9 +239,14 @@ def cmd_train(args) -> int:
 
 # --------------------------------------------------------------------- unlearn
 
-def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
-    """The original model and its meta for this config, read from its checkpoint."""
-    ckpt_dir, done = _locate(root, "train", train_hash(cfg))
+def _load_checkpoint(root: Path, key: str) -> tuple[Model, float, float]:
+    """The original model whose ``train_hash`` is ``key``, with the training seconds and
+    FLOs its ``meta.json`` records: the one reader of that file.
+
+    Each number must be a finite number >= 0, not a bool; a meta without
+    ``flos`` predates it and reads 0.0.
+    """
+    ckpt_dir, done = _locate(root, "train", key)
     model_path, meta_path = ckpt_dir / "model.json", ckpt_dir / "meta.json"
     if not done:
         raise ConfigError(
@@ -248,9 +254,21 @@ def _load_checkpoint(root: Path, cfg: UnlearnConfig) -> tuple[Model, dict]:
             f"{meta_path.name} in {ckpt_dir}); run 'unlearnkit train' with the same "
             f"data_name/backbone/seed/train_* settings first")
     meta = read_json(meta_path, "checkpoint")
-    if "train_seconds" not in meta:
-        raise ConfigError(f"bad checkpoint {meta_path}: no key 'train_seconds'")
-    return Model.load(model_path), meta
+    numbers = {"train_seconds": meta.get("train_seconds"), "flos": meta.get("flos", 0.0)}
+    for name, value in numbers.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 <= value <= sys.float_info.max):
+            raise ConfigError(f"bad checkpoint {meta_path}: {name} must be a finite "
+                              f"number >= 0, got {value!r}")
+    return Model.load(model_path), *numbers.values()
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception it raised: one run's failure stays its own."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
 
 def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig], no_budget: bool,
@@ -261,47 +279,37 @@ def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig], no_budget: bool
     ``keys`` are the configs' ``config_hash`` values. Each distinct original
     is loaded, and each distinct dataset generated, once per group and shared
     by the runs that use it; students and stacked teachers are copies, so the
-    original is never mutated. Returns each config's run directory, or the
-    exception its run raised; every run's artifacts are those it writes
-    alone (see ``unlearn_group``).
+    original is never mutated. Each run's setup (its original, default budget
+    and split) and its writing fail it alone. Returns each config's run
+    directory, or the exception its run raised; every run's artifacts are
+    those it writes alone (see ``unlearn_group``).
     """
-    outcomes: list[Path | Exception | None] = [None] * len(cfgs)
-    started, members = [], []  # the runs whose checkpoint and data loaded
-    originals: dict = {}  # train_hash -> (original, meta)
-    datasets: dict = {}  # data_spec -> split without a deletion set (seeds may pin one)
-    for i, cfg in enumerate(cfgs):
-        try:
-            trained, spec = train_hash(cfg), cfg.data_spec()
-            if trained not in originals:
-                originals[trained] = _load_checkpoint(root, cfg)
-            if spec not in datasets:
-                datasets[spec] = generate(spec)
-            f, meta = originals[trained]
-            split = datasets[spec].with_deletion(cfg.del_ratio)
-        except Exception as exc:  # this run fails; its siblings go on
-            outcomes[i] = exc
-            continue
+    load = functools.cache(functools.partial(_load_checkpoint, root))
+    dataset = functools.cache(generate)  # seeds may pin one dataset
+
+    def set_up(cfg: UnlearnConfig):
+        original, train_seconds, _ = load(train_hash(cfg))
         if cfg.budget_seconds is None and not no_budget and cfg.unlearn_method != "exact_retrain":
             # The recorded training time is the practical ceiling for unlearning.
-            cfg = dataclasses.replace(cfg, budget_seconds=meta["train_seconds"])
-        started.append(i)
-        members.append((f, split, cfg))
-    runs = unlearn_group(cfgs[0].unlearn_method, members) if members else []
-    for i, (_, split, cfg), run in zip(started, members, runs):
-        try:
-            outcomes[i] = run if isinstance(run, Exception) else _write_run(
-                root, keys[i], cfg, split, run)
-        except Exception as exc:
-            outcomes[i] = exc
-    return outcomes
+            cfg = dataclasses.replace(cfg, budget_seconds=train_seconds)
+        return original, dataset(cfg.data_spec()).with_deletion(cfg.del_ratio), cfg
+
+    members = [_outcome(set_up, cfg) for cfg in cfgs]
+    started = iter(unlearn_group(cfgs[0].unlearn_method,
+                                 [m for m in members if not isinstance(m, Exception)]))
+    runs = [m if isinstance(m, Exception) else next(started) for m in members]
+    return [run if isinstance(run, Exception) else _outcome(_write_run, root, key, member, run)
+            for key, member, run in zip(keys, members, runs)]
 
 
-def _write_run(root: Path, key: str, cfg: UnlearnConfig, split, run: UnlearnRun) -> Path:
-    """Write one run's artifact directory.
+def _write_run(root: Path, key: str, member, run: UnlearnRun) -> Path:
+    """Write the artifact directory of the run of ``member``, an ``(original, split,
+    config)`` triple.
 
     The report scores the logits of the run's last trace row, which are its
     final model's: writing a run makes no forward pass.
     """
+    _, split, cfg = member
     report = build_report(split, run.logits, seconds=run.seconds, flos=run.flos,
                           config_hash=key, seed=cfg.seed)
     run_dir, _ = _locate(root, "unlearn", key)
@@ -365,8 +373,7 @@ def cmd_evaluate(args) -> int:
         seconds, flos = stored.seconds, stored.flos
     else:
         cfg = _resolve_config(args)
-        model, meta = _load_checkpoint(root, cfg)
-        seconds, flos = meta["train_seconds"], meta.get("flos", 0.0)
+        model, seconds, flos = _load_checkpoint(root, train_hash(cfg))
     split = generate(cfg.data_spec()).with_deletion(cfg.del_ratio)
     report = build_report(split, split_logits(model, split), seconds=seconds, flos=flos,
                           config_hash=config_hash(cfg), seed=cfg.seed)
@@ -460,7 +467,7 @@ def cmd_report(args) -> int:
     root = _artifacts_root(args)
     records = collect_runs(args.run_dirs or sorted((root / "runs").glob("*")))
     if not records:
-        raise ConfigError("no completed runs found (need report.json + config.json)")
+        raise ConfigError("no completed runs found (need report.json)")
     out_dir = Path(args.out) if args.out else root / "reports"
     paths = write_leaderboard(records, out_dir)
     for name, path in paths.items():

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,7 +75,8 @@ class UnlearnConfig:
                 continue  # no limit
             if not isinstance(value, (int, float)) or not holds(value):
                 raise ConfigError(f"{name} must be {rule}, got {value!r}")
-            if not math.isfinite(value):
+            # Not math.isfinite: it overflows on an int too large for a float.
+            if not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
             setattr(self, name, float(value))  # one form, so 1 and 1.0 hash alike
         if self.optimizer not in OPTIMIZERS:
@@ -160,7 +161,7 @@ _FLOAT_RULES = {
     "curriculum_lambda": ("> 0", lambda v: v > 0),
     "curriculum_decay": ("in [0, 1)", lambda v: 0 <= v < 1),
     "adapter_scale": ("a number", lambda v: True),
-    "budget_seconds": ("a number or None", lambda v: True),
+    "budget_seconds": (">= 0 or None", lambda v: v >= 0),
 }
 
 

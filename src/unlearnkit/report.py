@@ -49,12 +49,14 @@ class RunRecord:
 
 
 def collect_runs(run_dirs) -> list[RunRecord]:
-    """The runs with both a report and a config; a malformed one is a ConfigError naming it."""
+    """The complete runs: each directory that holds a ``report.json``, the rule by which
+    every command decides that a run is complete. A complete run's malformed or missing
+    ``config.json``, or malformed report, is a ConfigError naming it."""
     records = []
     for directory in map(Path, run_dirs):
-        report_path, config_path = directory / "report.json", directory / "config.json"
-        if report_path.exists() and config_path.exists():
-            records.append(RunRecord(directory, UnlearnConfig.load(config_path),
+        report_path = directory / "report.json"
+        if report_path.exists():
+            records.append(RunRecord(directory, UnlearnConfig.load(directory / "config.json"),
                                      EvalReport.load(report_path).to_dict()))
     return records
 

@@ -72,3 +72,14 @@ def test_unequal_path_lengths_warn_and_a_failing_run_exits_2(tmp_path):
     assert out.returncode == 2
     assert "paths differ in length" in out.stderr
     assert "the benchmark exited 3 on seed 5" in out.stderr
+
+
+def test_fewer_than_10_pairs_warn_that_a_verdict_needs_10(tmp_path):
+    parent = _tree(tmp_path / "parent", "parent", 2.0)
+    change = _tree(tmp_path / "change", "change", 1.0)
+    warning = "pairs are too few for a verdict, which needs at least 10"
+    few = _ab(parent, change, tmp_path / "log", "--seeds", "3-11")
+    assert f"warning: 9 {warning}" in few.stderr
+    enough = _ab(parent, change, tmp_path / "log", "--seeds", "3-12")
+    assert warning not in enough.stderr
+    assert enough.returncode == few.returncode == 0  # seeds 3 up raise no flag

@@ -1089,6 +1089,24 @@ def test_a_sweep_whose_originals_diverge_records_each_failed_and_runs_nothing(tm
     assert not (tmp_path / "runs").exists()
 
 
+def test_report_on_a_complete_run_without_its_config_is_a_config_error_naming_it(tmp_path,
+                                                                                 capsys):
+    # A run is complete by its report.json, for report as for sweep's resume.
+    assert run(tmp_path, "sweep", *FAST, "--no-budget", "--methods", "neg_grad",
+               "--ratios", "5", "--seeds", "0,1") == 0
+    missing = tmp_path / "runs" / config_hash(fast_cfg(seed=1, unlearn_method="neg_grad"))
+    missing = missing / "config.json"
+    missing.unlink()
+    capsys.readouterr()
+    assert run(tmp_path, "sweep", *FAST, "--no-budget", "--methods", "neg_grad",
+               "--ratios", "5", "--seeds", "0,1") == 0
+    assert "sweep: 2 already done, 0 to run" in capsys.readouterr().out
+    assert run(tmp_path, "report") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad run file {missing}: ") and "Traceback" not in err
+    assert not (tmp_path / "reports").exists()
+
+
 # ----------------------------------------------------- malformed artifact files
 
 @pytest.mark.parametrize("name, text", [
@@ -1099,8 +1117,10 @@ def test_a_sweep_whose_originals_diverge_records_each_failed_and_runs_nothing(tm
     ("config.json", lambda text: text[:40]),
     ("config.json", lambda text: json.dumps({**json.loads(text), "colour": "red"})),
     ("config.json", lambda text: json.dumps({**json.loads(text), "backbone": 5})),
+    ("config.json", lambda text: json.dumps({**json.loads(text), "learning_rate": 10**400})),
 ], ids=["truncated_report", "report_not_an_object", "report_without_acc_f",
-        "truncated_config", "config_with_unknown_key", "config_with_a_number_for_backbone"])
+        "truncated_config", "config_with_unknown_key", "config_with_a_number_for_backbone",
+        "config_with_an_int_too_large_for_a_float"])
 def test_report_on_a_malformed_run_file_is_a_config_error_naming_it(tmp_path, capsys,
                                                                      name, text):
     _fake_run(tmp_path, "rand_label", 0, 5, {})
@@ -1311,20 +1331,48 @@ def test_a_pool_starts_no_more_workers_than_jobs(tmp_path, monkeypatch, capsys):
     assert sizes == [2]  # two jobs, one per method
 
 
-@pytest.mark.parametrize("damage", ["truncated", "without_train_seconds"])
+def _setting(key, value):
+    """A damage to a JSON file that sets its ``key`` to ``value``."""
+    return lambda text: json.dumps({**json.loads(text), key: value})
+
+
+# Each damage that makes a checkpoint's meta.json malformed.
+_META_DAMAGES = {
+    "truncated": lambda text: text[:30],
+    "without_train_seconds": lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "train_seconds"}),
+    "train_seconds_text": _setting("train_seconds", "x"),
+    "train_seconds_null": _setting("train_seconds", None),
+    "train_seconds_true": _setting("train_seconds", True),
+    "train_seconds_negative": _setting("train_seconds", -1.0),
+    "flos_text": _setting("flos", "x"),
+}
+
+
+@pytest.mark.parametrize("damage", list(_META_DAMAGES))
 def test_unlearn_on_a_malformed_checkpoint_meta_exits_1_and_records_failed(
         tmp_path, capsys, damage):
     assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
     meta = tmp_path / "checkpoints" / train_hash(fast_cfg(seed=0)) / "meta.json"
-    text = meta.read_text()
-    meta.write_text(text[:30] if damage == "truncated" else json.dumps(
-        {k: v for k, v in json.loads(text).items() if k != "train_seconds"}))
+    meta.write_text(_META_DAMAGES[damage](meta.read_text()))
     capsys.readouterr()
     assert run(tmp_path, "unlearn", *FAST, "--seed", "0") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: bad checkpoint {meta}: ") and "Traceback" not in err
     [entry] = [e for e in run_statuses(tmp_path).values() if e["kind"] == "unlearn"]
     assert entry["status"] == "failed" and str(meta) in entry["message"]
+
+
+@pytest.mark.parametrize("damage", ["train_seconds_text", "flos_text"])
+def test_evaluate_on_a_malformed_checkpoint_meta_is_a_config_error_naming_it(tmp_path, capsys,
+                                                                            damage):
+    assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
+    meta = tmp_path / "checkpoints" / train_hash(fast_cfg(seed=0)) / "meta.json"
+    meta.write_text(_META_DAMAGES[damage](meta.read_text()))
+    capsys.readouterr()
+    assert run(tmp_path, "evaluate", *FAST, "--seed", "0") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad checkpoint {meta}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("name, text", [
@@ -1335,8 +1383,10 @@ def test_unlearn_on_a_malformed_checkpoint_meta_exits_1_and_records_failed(
     ("report.json", lambda text: text[:30]),
     ("report.json", lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                              if k != "seconds"})),
+    ("config.json", lambda text: json.dumps({**json.loads(text), "learning_rate": 10**400})),
 ], ids=["truncated_config", "config_with_a_negative_seed", "config_with_a_number_for_backbone",
-        "config_with_a_bool_for_seed", "truncated_report", "report_without_seconds"])
+        "config_with_a_bool_for_seed", "truncated_report", "report_without_seconds",
+        "config_with_an_int_too_large_for_a_float"])
 def test_evaluate_on_a_malformed_run_file_is_a_config_error_naming_it(tmp_path, capsys,
                                                                       name, text):
     assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
@@ -1451,6 +1501,7 @@ _BAD_VALUES = [
     ("unlearn", ["--unlearn_method", "salun", "--adapter_rank", "2", "--adapter_scale", "nan"],
      "adapter_scale must be finite"),
     ("unlearn", ["--budget_seconds", "inf"], "budget_seconds must be finite"),
+    ("unlearn", ["--budget_seconds", "-1"], "budget_seconds must be >= 0 or None"),
     ("unlearn", ["--unlearn_method", "mega"], "unknown unlearning method(s) mega; available: "),
     ("unlearn", ["--del_ratio", "0"], "deletion ratios must lie in 1..10, got 0"),
     ("unlearn", ["--del_ratio", "11"], "deletion ratios must lie in 1..10, got 11"),

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from unlearnkit import UnlearnConfig, config_hash, train_hash
+from unlearnkit import ConfigError, UnlearnConfig, config_hash, train_hash
 from unlearnkit.nn import parse_backbone
 
 # ------------------------------------------------------------- identity pins
@@ -52,6 +52,12 @@ def test_an_int_float_value_is_stored_as_a_float_with_the_hashes_of_that_float(k
     assert json.dumps(as_int.resolved_dict()) == json.dumps(as_float.resolved_dict())
     replaced = dataclasses.replace(UnlearnConfig(), **{key: 1})
     assert type(getattr(replaced, key)) is float
+
+
+@pytest.mark.parametrize("key", ["learning_rate", "adapter_scale", "budget_seconds"])
+def test_an_int_too_large_for_a_float_is_a_config_error(key):
+    with pytest.raises(ConfigError, match=f"^{key} must be finite, got 1000"):
+        UnlearnConfig.from_mapping({key: 10**400})
 
 
 def test_a_run_file_with_an_int_learning_rate_loads_to_the_hash_of_the_flag_text(tmp_path):

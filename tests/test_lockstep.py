@@ -13,7 +13,7 @@ import pytest
 
 import unlearnkit.unlearn  # noqa: F401  (the package attribute is the function)
 from unlearnkit import (BudgetError, ConfigError, NumericError, ShapeError, UnlearnConfig,
-                        build_model, config_hash, unlearn, unlearn_group)
+                        build_model, config_hash, train_hash, unlearn, unlearn_group)
 from unlearnkit.cli import execute_unlearn_group, main
 from unlearnkit.data import generate
 from unlearnkit.lora import attach_adapter
@@ -539,6 +539,48 @@ def test_a_member_without_a_checkpoint_fails_alone(tmp_path):
                                           keys=[config_hash(cfg) for cfg in cfgs])
     assert (done / "report.json").exists()
     assert isinstance(missing, ConfigError) and "no trained checkpoint" in str(missing)
+
+
+_FAST = ["--data_name", DATA, "--backbone", "mlp:12", "--train_epochs", "5", "--epochs", "2"]
+
+
+def _fast_cfg(seed, **kwargs):
+    """The config ``_FAST`` gives, with ``seed`` and ``kwargs``."""
+    return UnlearnConfig(data_name=DATA, backbone="mlp:12", train_epochs=5, epochs=2,
+                         seed=seed, **kwargs)
+
+
+def _root_with_a_bad_seed_0_meta(root):
+    """Train the originals of seeds 0 and 1 under ``root``, then give seed 0's meta.json
+    text for ``train_seconds``; return that meta's path."""
+    for seed in ("0", "1"):
+        assert main(["--artifacts", str(root), "train", *_FAST, "--seed", seed]) == 0
+    meta = root / "checkpoints" / train_hash(_fast_cfg(0)) / "meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "train_seconds": "x"}))
+    return meta
+
+
+def test_a_member_with_a_bad_checkpoint_meta_fails_alone(tmp_path):
+    meta = _root_with_a_bad_seed_0_meta(tmp_path)
+    cfgs = [_fast_cfg(seed, unlearn_method="neg_grad") for seed in (0, 1)]
+    # With the default budget, which each member takes from its own meta.
+    bad, done = execute_unlearn_group(tmp_path, cfgs, no_budget=False,
+                                      keys=[config_hash(cfg) for cfg in cfgs])
+    assert isinstance(bad, ConfigError) and str(bad).startswith(f"bad checkpoint {meta}: ")
+    assert (done / "report.json").exists()
+
+
+def test_a_sweep_over_a_bad_checkpoint_meta_fails_only_the_runs_that_use_it(tmp_path):
+    meta = _root_with_a_bad_seed_0_meta(tmp_path)
+    assert main(["--artifacts", str(tmp_path), "sweep", *_FAST, "--methods",
+                 "neg_grad,rand_label", "--ratios", "5", "--seeds", "0,1"]) == 2
+    statuses = {path.name: entry for path, entry in run_statuses(tmp_path).items()
+                if entry["kind"] == "unlearn"}
+    for method in ("neg_grad", "rand_label"):
+        bad, good = (statuses[config_hash(_fast_cfg(seed, unlearn_method=method, del_ratio=5))]
+                     for seed in (0, 1))
+        assert bad["status"] == "failed" and f"bad checkpoint {meta}: " in bad["message"]
+        assert good["status"] == "done"
 
 
 def test_a_group_generates_each_dataset_once(tmp_path, monkeypatch):

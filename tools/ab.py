@@ -19,7 +19,9 @@ medians over the pairs, the parent's interquartile range, and the number of
 pairs in which the change did better (a tie counts for neither side).
 
 It flags each pair whose ``outputs_digest`` differs between the two sides, or
-in which a side reads ``correct`` false, and then exits 1. It warns when the
+in which a side reads ``correct`` false, and then exits 1. It warns when it
+ran fewer than 10 pairs: a verdict on a gain needs at least 10, and five
+pairs of ``grid-serial`` could not resolve its timings. It warns when the
 two checkout paths differ in length: the benchmark runs under its checkout's
 path, and the length alone moved ``wide``'s ``peak_rss_mb`` by up to 2.3 MB.
 A run that exits non-zero stops it with exit code 2. Standard library only.
@@ -35,6 +37,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+MIN_PAIRS = 10  # the fewest pairs a verdict on a gain reads
 
 
 def seed_range(text: str) -> range:
@@ -122,6 +126,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{spec['name']:<14}{statistics.median(before):>12.4g}"
               f"{statistics.median(after):>12.4g}{f'{q1:.4g}-{q3:.4g} ({q3 - q1:.3g})':>24}"
               f"{f'{wins}/{len(before)}':>15}")
+    if len(args.seeds) < MIN_PAIRS:
+        print(f"warning: {len(args.seeds)} pairs are too few for a verdict, which needs at "
+              f"least {MIN_PAIRS}", file=sys.stderr)
     if flagged:
         print(f"{flagged} of {len(args.seeds)} pairs flagged", file=sys.stderr)
     return 1 if flagged else 0
