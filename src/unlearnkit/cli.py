@@ -278,11 +278,11 @@ def execute_unlearn_group(root: Path, cfgs: list[UnlearnConfig], no_budget: bool
 
     ``keys`` are the configs' ``config_hash`` values. Each distinct original
     is loaded, and each distinct dataset generated, once per group and shared
-    by the runs that use it; students and stacked teachers are copies, so the
-    original is never mutated. Each run's setup (its original, default budget
-    and split) and its writing fail it alone. Returns each config's run
-    directory, or the exception its run raised; every run's artifacts are
-    those it writes alone (see ``unlearn_group``).
+    by the runs that use it; students are copies, so the original is never
+    mutated. Each run's setup (its original, default budget and split) and
+    its writing fail it alone. Returns each config's run directory, or the
+    exception its run raised; every run's artifacts are those it writes
+    alone (see ``unlearn_group``).
     """
     load = functools.cache(functools.partial(_load_checkpoint, root))
     dataset = functools.cache(generate)  # seeds may pin one dataset

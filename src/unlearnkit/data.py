@@ -114,8 +114,8 @@ class DatasetSplit:
         return len(self.train_y)
 
     # The evaluation sets are sliced once per split and shared by every caller,
-    # except the remaining inputs: a lockstep group holds a split per run, and
-    # they are the one large slice, so each use slices them anew.
+    # except the remaining inputs, which nothing slices: evaluation indexes
+    # D_r's logits out of the training set's (metrics.split_logits).
     @cached_property
     def retain_indices(self) -> np.ndarray:
         keep = np.ones(self.num_train, dtype=bool)

@@ -20,10 +20,6 @@ from .fileio import read_json, write_atomic
 from .nn import Model
 
 MIN_TEST_FOR_MIA = 10
-# float64 values one evaluation block may put in each hidden workspace buffer
-# (512 KiB). At width 256 that is 256 rows, the rows of the ``wide`` training
-# step, so a snapshot never grows the workspace past what that step holds.
-EVAL_BLOCK_VALUES = 2**16
 
 
 def chance_level(num_classes: int) -> float:
@@ -40,39 +36,17 @@ class SplitLogits(NamedTuple):
 
 
 def split_logits(model: Model, split: DatasetSplit) -> SplitLogits:
-    """One forward pass over each evaluation set: every score derives from these.
+    """Two forward calls, over D_test and over the training set: every score derives from these.
 
-    Each set runs in the row blocks of :func:`row_blocks`, at most
-    ``EVAL_BLOCK_VALUES // max(model.hidden)`` rows each, and at least one (a
-    model with no hidden layer counts as width 1), so a model's workspace holds
-    at most that many rows for evaluation whatever the data's size. D_r's rows
-    are gathered block by block through ``retain_indices``, never copied whole.
+    D_r's and D_f's logits are indexed out of the training set's. Each row's
+    logits depend only on the model and the row (:meth:`nn.Model.logits`), so
+    they are the bytes a call over that set alone gives.
     """
     if len(split.test_y) == 0 or split.num_train == 0:
         raise ConfigError("evaluate needs non-empty train and test sets")
-    test = _block_logits(model, split.test_x)
-    retain = _block_logits(model, split.train_x, split.retain_indices)
-    forget = _block_logits(model, split.forget_x) if split.del_indices.size else None
-    return SplitLogits(test, retain, forget)
-
-
-def row_blocks(n: int, cap: int) -> list[tuple[int, int]]:
-    """``[lo, hi)`` bounds cutting ``n`` rows into ``ceil(n / cap)`` near-equal blocks.
-
-    Block sizes differ by at most one row, so none is shorter than half of
-    ``cap``: a short tail block changed the last bits of its rows' logits.
-    """
-    k = -(-n // cap)
-    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
-
-
-def _block_logits(model: Model, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """``model``'s logits of ``x`` (of ``x[rows]`` when given), one row block at a time."""
-    n = len(x if rows is None else rows)
-    out = np.empty((n, model.num_classes))
-    for lo, hi in row_blocks(n, max(1, EVAL_BLOCK_VALUES // max(model.hidden, default=1))):
-        out[lo:hi] = model.logits(x[lo:hi] if rows is None else x[rows[lo:hi]])
-    return out
+    train = model.logits(split.train_x)
+    forget = train[split.del_indices] if split.del_indices.size else None
+    return SplitLogits(model.logits(split.test_x), train[split.retain_indices], forget)
 
 
 def accuracies(split: DatasetSplit, logits: SplitLogits) -> tuple[float, float | None, float]:

@@ -33,6 +33,18 @@ from .errors import ConfigError, NumericError, ShapeError
 from .fileio import read_json, write_json
 
 PROB_FLOOR = 1e-12  # probabilities are clamped to [PROB_FLOOR, 1] before any log
+# float64 values one tile group of :meth:`Model.logits` may put in each hidden
+# workspace buffer (512 KiB). At width 256 that is 256 rows, the rows of the
+# ``wide`` training step, so inference never grows the workspace past it.
+EVAL_BLOCK_VALUES = 2**16
+# The most rows of one inference tile (Model.tile_rows). A call of fewer rows
+# still runs a whole tile, so larger tiles cost small calls memory: a 100-row
+# call of ``wide`` with an adapter traced 0.18, 0.35 and 0.69 MB at 64-, 128-
+# and 256-row tiles, where its unpadded pass may hold 0.28 MB. Larger tiles
+# run faster, in fewer BLAS calls: one ``metrics.split_logits`` of ``wide``
+# took 10.1, 8.6-9.7 and 8.3-8.5 ms (7.8-8.3 ms before tiles; 2-core VM,
+# OpenBLAS 0.3.31 SkylakeX kernels).
+MAX_TILE_ROWS = 64
 
 CHECKPOINT_VERSION = 2
 
@@ -192,30 +204,23 @@ class Model:
         self._grad, self._grad_views = grad, [next(pairs) if t else None for t in self._trained]
 
     @classmethod
-    def stack(cls, models: list["Model"], copy: bool = False) -> "Model":
+    def stack(cls, models: list["Model"]) -> "Model":
         """One model over the parameters of K models, to train them in lockstep.
 
         Its buffer is ``(K, P)``, row k holding model k's parameters, and
         model k is rebound to view its row and the stack's gradient row, and
         to share the stack's workspace, so training the stack trains each
-        model in place; one model is stacked too (K = 1). With ``copy`` the
-        models are left as they are, for a stack that is only run, never
-        trained (a teacher): its buffer holds copies of theirs, or, when every
-        model is one and the same (K = 1 too), a read-only view of that
-        model's buffer K times. The models must share their layout:
-        activation, layer shapes, adapters.
+        model in place; one model is stacked too (K = 1). The models must
+        share their layout: activation, layer shapes, adapters.
         """
         first = models[0]
         if any(m._layout() != first._layout() for m in models):
             raise ShapeError("stacked models must share activation, layer shapes and adapters")
         out = first._skeleton()
-        out._pack(np.broadcast_to(first._buffer, (len(models),) + first._buffer.shape)
-                  if copy and all(m is first for m in models)
-                  else np.stack([m._buffer for m in models]))
-        if not copy:
-            for k, model in enumerate(models):
-                model._pack(out._buffer[k], out.grad[k])
-                model.share_workspace(out)
+        out._pack(np.stack([m._buffer for m in models]))
+        for k, model in enumerate(models):
+            model._pack(out._buffer[k], out.grad[k])
+            model._workspace = out._workspace
         return out
 
     def rows(self, lo: int, hi: int) -> "Model":
@@ -227,16 +232,8 @@ class Model:
         """
         out = self._skeleton()
         out._pack(self._buffer[lo:hi], self.grad[lo:hi])
-        return out.share_workspace(self)
-
-    def share_workspace(self, other: "Model") -> "Model":
-        """Run every later forward pass in ``other``'s workspace (:meth:`forward_cache`).
-
-        The two models (and any others sharing it) then overwrite each
-        other's cached activations. Returns this model.
-        """
-        self._workspace = other._workspace
-        return self
+        out._workspace = self._workspace
+        return out
 
     def _layout(self) -> tuple:
         return (self.activation, [layer.weight.shape for layer in self.layers],
@@ -262,7 +259,10 @@ class Model:
         caller backprops keep their bytes; that gradient must not be a view
         of the cache. Two threads must not run one model at once.
         """
-        h = self._check_input(x)
+        return self._forward(self._check_input(x))
+
+    def _forward(self, h: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """:meth:`forward_cache` of a checked batch, which may carry leading tile axes."""
         act = ACTIVATIONS[self.activation][0]
         rows = math.prod(h.shape[:-1])
         if not self._workspace or self._workspace[0].size < rows * self.hidden[0]:
@@ -335,13 +335,42 @@ class Model:
         if x.ndim != len(self._lead) + 2 or x.shape[:-2] != self._lead:
             raise ShapeError(f"expected a {len(self._lead) + 2}-D batch, got shape {x.shape}")
         if x.shape[-1] != self.input_dim:
-            raise ShapeError(
-                f"batch has width {x.shape[-1]}, model expects {self.input_dim}")
+            raise ShapeError(f"batch has width {x.shape[-1]}, model expects {self.input_dim}")
         return x
 
+    @property
+    def tile_rows(self) -> int:
+        """T, the rows of one inference tile: the largest power of two at most
+        ``MAX_TILE_ROWS``, the widest hidden layer ``w`` (1 with no hidden
+        layer) and ``EVAL_BLOCK_VALUES // w``. It is 32 on the default model
+        and 64 on ``wide``."""
+        width = max(self.hidden, default=1)
+        return 1 << (min(width, MAX_TILE_ROWS, max(1, EVAL_BLOCK_VALUES // width)).bit_length() - 1)
+
     def logits(self, x) -> np.ndarray:
-        """The logits of a batch: :meth:`forward_cache` without its cache."""
-        return self.forward_cache(x)[0]
+        """The logits of a batch, each row's bytes a function of the model and the row alone.
+
+        The forward pass that is not differentiated. The rows run in tiles
+        of :attr:`tile_rows`, the last one zero-padded, so every matmul a row
+        meets has the same shape whatever else the call holds. Groups of
+        whole tiles, at most ``EVAL_BLOCK_VALUES`` values per hidden buffer,
+        each run as one batched forward pass through the workspace
+        (:meth:`forward_cache`), the tile axis first, so a stacked model's
+        leading K axis broadcasts as in training. The zero-padded last tile
+        runs alone and is the one copy of input rows. Returns a fresh array.
+        """
+        x = self._check_input(x)
+        t, n, lead, d = self.tile_rows, x.shape[-2], self._lead, self.input_dim
+        full = n - n % t
+        group = t * max(1, EVAL_BLOCK_VALUES // (t * max(self.hidden, default=1) * math.prod(lead)))
+        out = np.empty((-(-n // t),) + lead + (t, self.num_classes))
+        for lo in range(0, full, group):
+            tiles = x[..., lo:min(lo + group, full), :].reshape(lead + (-1, t, d)).swapaxes(0, -3)
+            out[lo // t:lo // t + len(tiles)] = self._forward(tiles)[0]
+        if full < n:
+            tail = np.concatenate([x[..., full:, :], np.zeros(lead + (t - n % t, d))], -2)
+            out[-1:] = self._forward(tail[None])[0]
+        return out.swapaxes(0, -3).reshape(lead + (-1, self.num_classes))[..., :n, :]
 
     # ------------------------------------------------------------- parameters
 

@@ -139,13 +139,17 @@ class UnlearnRun:
 #
 # A step is a list of parts ``(rows, x, labels | None, teacher | None)``:
 # training-set row indices, their inputs, the task labels to fit and the
-# model whose logits to match (KL). The parts' gradients sum into one update.
+# teacher logits to match (KL), all arrays over those rows. A planner
+# computes the teacher logits of every training row once, so no step runs
+# a teacher; it forwards the original as a copy, so the original that a
+# group's runs share keeps no workspace. The parts' gradients sum into one
+# update.
 # A pass is ``(phase, ascending, steps)``, one epoch of steps; the trace
 # gets a row at the end of each pass. Passes and steps are generators that
 # the loop consumes once, in order: each pass draws its shuffle from the
 # run's one RNG when the loop reaches it, so the draw order is fixed.
 
-Part = tuple[np.ndarray, np.ndarray, np.ndarray | None, Model | None]
+Part = tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]
 Pass = tuple[str, bool, Iterable[list[Part]]]
 
 # A step stacks at most this many plans, and a sweep job holds at most this
@@ -192,12 +196,14 @@ def _student(original: Model, config: UnlearnConfig) -> Model:
 
 
 def _stream(rng: np.random.Generator, idx: np.ndarray, x: np.ndarray,
-            labels: np.ndarray | None, teacher: Model | None, batch_size: int):
-    """One shuffled pass over the training rows ``idx``, one part per step."""
+            labels: np.ndarray | None, teacher: np.ndarray | None, batch_size: int):
+    """One shuffled pass over the training rows ``idx``, one part per step; ``labels``
+    and ``teacher`` (logits) are over the training set, as ``x`` is."""
     order = idx[rng.permutation(idx.size)]
     for start in range(0, order.size, batch_size):
         rows = order[start:start + batch_size]
-        yield [(rows, x[rows], None if labels is None else labels[rows], teacher)]
+        yield [(rows, x[rows], None if labels is None else labels[rows],
+                None if teacher is None else teacher[rows])]
 
 
 def _epochs(rng: np.random.Generator, idx: np.ndarray, x: np.ndarray, labels: np.ndarray,
@@ -274,10 +280,8 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     its own. Then each run of adjacent plans that stepped gets the L1 pull
     and the pass's sign, both written into its spent gradient rows, and one
     masked optimizer update; Adam counts each plan's updates on its own.
-    Teachers are stacked once per distinct run of teachers, as copies or,
-    for a run of one, as a view of that teacher; nothing trains them. Each
-    phase name keeps its own optimizer state, so ascent and descent never
-    share Adam moments.
+    Each phase name keeps its own optimizer state, so ascent and descent
+    never share Adam moments.
 
     ``recorders[k]`` counts plan k's samples and steps each step it takes
     and snapshots plan k's student before training (epoch 0, ``init``) and
@@ -303,20 +307,16 @@ def _drive(plans: list[Plan], optimizer: str, temperature: float,
     mask = None if first.mask is None else ParamMask(np.array([p.mask.selected for p in plans]))
     curricula = None if first.curriculum is None else [plan.curriculum for plan in plans]
     stack_rows = functools.cache(model.rows)  # one view per run of plans
-    stack_teachers = functools.cache(  # once per run of teachers, which stay as they are
-        lambda *teachers: Model.stack(teachers, copy=True).share_workspace(model))
     opts: dict[str, OptimizerState] = {}
     records = list(zip(recorders, plans))
 
     def part(steps: list, i: int, lo: int, hi: int) -> None:
         """Part ``i`` of plans ``lo`` to ``hi - 1``: forward, loss and backprop."""
-        _, xs, labels, teachers = zip(*(s[i] for s in steps[lo:hi]))
-        x = np.array(xs)
-        teacher = None if teachers[0] is None else stack_teachers(*teachers).logits(x)
-        loss_and_grad(stack_rows(lo, hi), x, teacher=teacher, temperature=temperature,
-                      labels=None if labels[0] is None else np.array(labels),
-                      curriculum=None if curricula is None else curricula[lo:hi],
-                      step=recorders[lo].steps, accumulate=i > 0)
+        _, x, labels, teacher = (None if a[0] is None else np.array(a)  # each array stacked
+                                 for a in zip(*(s[i] for s in steps[lo:hi])))
+        loss_and_grad(stack_rows(lo, hi), x, labels=labels, teacher=teacher,
+                      temperature=temperature, step=recorders[lo].steps, accumulate=i > 0,
+                      curriculum=None if curricula is None else curricula[lo:hi])
 
     def end_pass(number: int, phase: str) -> None:
         for recorder, plan in records:
@@ -448,9 +448,11 @@ def bad_t(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     Every optimization step draws one batch from each set simultaneously and
     descends KL(student || bad teacher) + KL(student || original).
     """
-    bad_teacher = _fresh_model(split, config, config.bad_teacher_seed)
-    rng = np.random.default_rng(config.seed)
     x, forget_idx = split.train_x, split.del_indices
+    # Each training row's teacher logits: the original's on D_r, the bad teacher's on D_f.
+    teacher = f.clone().logits(x)
+    teacher[forget_idx] = _fresh_model(split, config, config.bad_teacher_seed).logits(x[forget_idx])
+    rng = np.random.default_rng(config.seed)
     size = min(config.batch_size, forget_idx.size)
 
     def forget_batches(order):  # reshuffled whenever less than a batch is left
@@ -462,9 +464,9 @@ def bad_t(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     forget = forget_batches(rng.permutation(forget_idx))  # drawn before any pass
 
     def steps():
-        for [retain] in _stream(rng, split.retain_indices, x, None, f, config.batch_size):
+        for [retain] in _stream(rng, split.retain_indices, x, None, teacher, config.batch_size):
             rows = next(forget)
-            yield [(rows, x[rows], None, bad_teacher), retain]
+            yield [(rows, x[rows], None, teacher[rows]), retain]
 
     passes = (("distill", False, steps()) for _ in range(config.epochs))
     return Plan(_student(f, config), passes, config.learning_rate, _curriculum_state(config))
@@ -484,9 +486,10 @@ def scrub(f: Model, split: DatasetSplit, config: UnlearnConfig) -> Plan:
     """
     max_steps, min_steps = config.scrub_max_steps, config.scrub_min_steps
     rng = np.random.default_rng(config.seed)
+    original = f.clone().logits(split.train_x)
 
     def one_pass(idx):
-        return _stream(rng, idx, split.train_x, split.train_y, f, config.batch_size)
+        return _stream(rng, idx, split.train_x, split.train_y, original, config.batch_size)
 
     def passes():
         for cycle in range(max(max_steps, min_steps)):

@@ -240,10 +240,10 @@ def test_evaluate_run_directory(tmp_path, capsys):
 
 def test_evaluate_run_reproduces_the_stored_report_of_a_run_whose_retain_set_is_split(
         tmp_path, capsys):
-    """At a width of ``EVAL_BLOCK_VALUES // 64`` an evaluation block holds 64 rows,
-    fewer than D_r's 65: the report ``evaluate --run`` scores from the saved
-    model is the stored one."""
-    from unlearnkit.metrics import EVAL_BLOCK_VALUES, row_blocks
+    """At a width of ``EVAL_BLOCK_VALUES // 64`` a group of inference tiles holds
+    64 rows, fewer than D_r's 65: the report ``evaluate --run`` scores from the
+    saved model is the stored one."""
+    from unlearnkit.nn import EVAL_BLOCK_VALUES
 
     width = EVAL_BLOCK_VALUES // 64
     backbone = f"mlp:{width}"
@@ -252,8 +252,6 @@ def test_evaluate_run_reproduces_the_stored_report_of_a_run_whose_retain_set_is_
     assert run(tmp_path, "unlearn", *wide, "--no-budget", "--del_ratio", "10",
                "--unlearn_method", "l1_sparse_ft") == 0
     cfg = fast_cfg(backbone=backbone, seed=0, del_ratio=10, unlearn_method="l1_sparse_ft")
-    split = generate(cfg.data_spec()).with_deletion(cfg.del_ratio)
-    assert len(row_blocks(len(split.retain_y), EVAL_BLOCK_VALUES // width)) == 2
     run_dir = tmp_path / "runs" / config_hash(cfg)
     capsys.readouterr()
     assert run(tmp_path, "evaluate", "--run", str(run_dir)) == 0
@@ -1199,12 +1197,13 @@ def test_runs_forward_once_per_set_per_snapshot_and_never_for_the_report(tmp_pat
         return wrapper
 
     monkeypatch.setattr(Model, "forward_cache", counting(Model.forward_cache, "forward"))
+    monkeypatch.setattr(Model, "logits", counting(Model.logits, "forward"))
     monkeypatch.setattr(RunRecorder, "snapshot",
                         counting(RunRecorder.snapshot, "snapshots", "in_snapshots"))
     monkeypatch.setattr(RunRecorder, "add_samples", counting(RunRecorder.add_samples, "steps"))
     monkeypatch.setattr(cli, "_write_run", counting(cli._write_run, counted="in_writes"))
 
-    # No deletion set while training: a snapshot forwards test and retain only.
+    # A snapshot forwards the test set and the training set, once each.
     assert run(tmp_path, "train", *FAST, "--seed", "0") == 0
     assert counts["in_snapshots"] == 2 * counts["snapshots"] > 0
     assert counts["forward"] == counts["in_snapshots"] + counts["steps"]
@@ -1215,10 +1214,17 @@ def test_runs_forward_once_per_set_per_snapshot_and_never_for_the_report(tmp_pat
     counts.update(dict.fromkeys(counts, 0))
     assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--no-budget",
                "--unlearn_method", "neg_grad") == 0
-    assert counts["in_snapshots"] == 3 * counts["snapshots"] > 0
+    assert counts["in_snapshots"] == 2 * counts["snapshots"] > 0
     assert counts["in_writes"] == 0
     # neg_grad has no teacher: every other forward is a training step's.
     assert counts["forward"] == counts["in_snapshots"] + counts["steps"]
+
+    counts.update(dict.fromkeys(counts, 0))
+    assert run(tmp_path, "unlearn", *FAST, "--seed", "0", "--no-budget",
+               "--unlearn_method", "bad_t") == 0
+    assert counts["in_snapshots"] == 2 * counts["snapshots"] > 0
+    # Each bad_t step forwards its two parts; its two teachers are forwarded once, up front.
+    assert counts["forward"] == counts["in_snapshots"] + 2 * counts["steps"] + 2
 
 
 # ------------------------------------------------------------------ one run path

@@ -16,7 +16,6 @@ from unlearnkit import (BudgetError, ConfigError, NumericError, ShapeError, Unle
                         build_model, config_hash, train_hash, unlearn, unlearn_group)
 from unlearnkit.cli import execute_unlearn_group, main
 from unlearnkit.data import generate
-from unlearnkit.lora import attach_adapter
 from unlearnkit.metrics import build_report
 from unlearnkit.nn import Model
 from unlearnkit.unlearn import METHODS, RunRecorder, train_original
@@ -429,50 +428,6 @@ def test_stack_views_member_rows_and_rejects_mixed_layouts():
     assert np.array_equal(solo.params[0], before)
     solo.params[0] += 1.0
     assert np.array_equal(a.param_vector(), before + 1.0)
-
-
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("adapter", [False, True], ids=["plain", "adapter"])
-def test_a_copied_stack_of_one_model_views_it_and_leaves_it_as_it_was(adapter, k):
-    """A teacher is never trained, so a stack of K times one model (a one-seed
-    job's originals) views it rather than copying it, read-only."""
-    m = build_model(4, 3, "mlp:5,6", seed=0)
-    if adapter:
-        m = attach_adapter(m, 1, 2, scale=0.5, seed=1)
-    buffer, weight = m._buffer, m.layers[0].weight
-    stack = Model.stack([m] * k, copy=True)
-    assert np.shares_memory(stack._buffer, m._buffer) and not stack.params.flags.writeable
-    assert m._buffer is buffer and m.layers[0].weight is weight
-    assert not np.shares_memory(stack.grad, m.grad)
-    x = np.random.default_rng(0).standard_normal((7, 4))
-    assert stack.logits(np.stack([x] * k)).tobytes() == np.stack([m.logits(x)] * k).tobytes()
-
-
-def test_a_viewed_stack_of_ten_wide_teachers_runs_as_ten_copies_in_no_memory():
-    """``Model.stack([f] * 10, copy=True)`` of one ``wide`` model held ten copies of
-    its 85,002 parameters (6.8 MB); its view holds none, and gives the same bytes."""
-    import tracemalloc
-
-    f = build_model(64, 10, "mlp:256,256", seed=0)
-    tracemalloc.start()
-    try:
-        viewed = Model.stack([f] * 10, copy=True)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert held < 0.1 * f.num_params() * 8
-    copied = Model.stack([f.clone() for _ in range(10)], copy=True)
-    x = np.random.default_rng(0).standard_normal((10, 256, 64))
-    assert viewed.logits(x).tobytes() == copied.logits(x).tobytes()
-
-
-def test_a_copied_stack_of_two_shares_memory_with_neither_model():
-    models = [build_model(4, 3, "mlp:5", seed=s) for s in range(2)]
-    buffers = [m._buffer for m in models]
-    stack = Model.stack(models, copy=True)
-    for m, buffer in zip(models, buffers):
-        assert m._buffer is buffer and not np.shares_memory(stack._buffer, buffer)
-    assert np.array_equal(stack.params, np.stack([m.params for m in models]))
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from unlearnkit import (ConfigError, InsufficientDataError, UnlearnConfig,
                         build_model, deletion_capacity, evaluate, fit_mia,
-                        metrics, mia_success, unlearn)
+                        metrics, mia_success, nn, unlearn)
 from unlearnkit.data import DatasetSplit, SynthSpec, generate
 from unlearnkit.metrics import (EvalReport, build_report, chance_level, split_logits,
                                 task_losses)
@@ -34,17 +34,15 @@ def test_constant_model_on_balanced_four_class_test():
 
 
 WIDE_DATA = "gaussian_blobs:c10:s250:d64"
-WIDE_CAP = metrics.EVAL_BLOCK_VALUES // 256  # the row cap of a 256-wide model
 
 
-def test_split_logits_holds_at_most_one_row_block_of_workspace():
-    """A fresh ``wide`` model evaluates its 500 test rows in two 250-row blocks
-    and its 1800 retain rows in eight 225-row blocks gathered through
-    ``retain_indices``: the traced peak is one 250-row workspace pair, one
-    gathered block and the logits. In one call per set it was the 1800-row
-    pair (7.4 MB) and a whole copy of D_r (0.92 MB)."""
+def test_split_logits_holds_at_most_one_tile_group_of_workspace():
+    """A fresh ``wide`` model evaluates its 500 test rows and its 2000 training rows
+    in groups of four 64-row tiles: the traced peak is one 256-row workspace pair,
+    the logits (the training set's padded to whole tiles) and one padded tail
+    tile, and no copy of the training inputs or of D_r's (1 MB and 0.92 MB)."""
     split = generate(UnlearnConfig(data_name=WIDE_DATA).data_spec()).with_deletion(10)
-    split.forget_x, split.retain_indices  # cached on first use; not part of the pass
+    split.retain_indices  # cached on first use; not part of the pass
     model = build_model(64, 10, "mlp:256,256", seed=0)
     tracemalloc.start()
     try:
@@ -52,11 +50,11 @@ def test_split_logits_holds_at_most_one_row_block_of_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    sizes = {n: max(hi - lo for lo, hi in metrics.row_blocks(n, WIDE_CAP))
-             for n in (len(split.test_y), len(split.retain_y), len(split.forget_y))}
-    assert sizes == {500: 250, 1800: 225, 200: 200}
-    workspaces = 2 * max(sizes.values()) * 256 * 8
-    assert peak <= workspaces + sizes[1800] * 64 * 8 + 2**19  # the gathered block, logits
+    assert model.tile_rows == 64 and len(split.test_y) == 500 and split.num_train == 2000
+    workspaces = 2 * 256 * 256 * 8
+    logits = (2048 + 1800 + 200 + 512) * 10 * 8
+    tail = 64 * 64 * 8
+    assert peak <= workspaces + logits + tail + 2**17  # and the ufunc iterator buffers
 
 
 @pytest.mark.parametrize("n", [1800, 2000, 2250])
@@ -67,25 +65,10 @@ def test_split_logits_in_blocks_equal_one_forward_pass_per_set(n):
                          del_indices=rng.permutation(n + 200)[:200])
     model = build_model(64, 10, "mlp:256,256", seed=1)
     got = split_logits(model, split)
-    assert len(metrics.row_blocks(n, WIDE_CAP)) > 1
     retain_x = split.train_x[split.retain_indices]
     for logits, rows in ((got.test, split.test_x), (got.retain, retain_x),
                          (got.forget, split.forget_x)):
         assert logits.tobytes() == model.logits(rows).tobytes()
-
-
-@pytest.mark.parametrize("cap", [1, 7, WIDE_CAP, metrics.EVAL_BLOCK_VALUES // 32])
-def test_row_blocks_are_near_equal_and_never_leave_a_short_tail(cap):
-    assert metrics.row_blocks(0, cap) == []
-    assert metrics.row_blocks(cap, cap) == [(0, cap)]
-    (lo, mid), (mid2, hi) = metrics.row_blocks(cap + 1, cap)
-    assert lo == 0 and mid == mid2 and hi == cap + 1 and abs((hi - mid) - mid) <= 1
-    for n in range(1, 5 * cap, max(1, cap // 5)):
-        blocks = metrics.row_blocks(n, cap)
-        sizes = [hi - lo for lo, hi in blocks]
-        assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
-        assert blocks[0][0] == 0 and blocks[-1][1] == n and len(blocks) == -(-n // cap)
-        assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
 
 
 def test_a_model_with_no_hidden_layer_is_evaluated_as_in_one_call():
@@ -114,7 +97,7 @@ def test_a_wide_snapshot_leaves_the_workspace_at_the_size_of_one_training_step()
 def test_a_layer_wider_than_the_block_budget_is_evaluated_one_row_at_a_time(monkeypatch):
     split = generate(SynthSpec(seed=2)).with_deletion(5)
     model = build_model(2, 3, "mlp:12", seed=0)
-    monkeypatch.setattr(metrics, "EVAL_BLOCK_VALUES", 5)  # a row cap of 0 rows, floored to 1
+    monkeypatch.setattr(nn, "EVAL_BLOCK_VALUES", 5)  # a row cap of 0 rows, floored to 1
     got = split_logits(model, split)
     assert model._workspace[0].size == 12
     retain_x = split.train_x[split.retain_indices]

@@ -2,8 +2,12 @@ import base64
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +390,17 @@ def _plain_forward(m, x):
     return z, inputs, mids, pre
 
 
+def _plain_tiled_logits(m, x):
+    """``m``'s logits of ``x`` by the plain expressions, run on the tiles that
+    ``Model.logits`` runs: zero-padded to whole tiles, the tile axis first."""
+    t, n = m.tile_rows, x.shape[-2]
+    padded = np.zeros(x.shape[:-2] + (-(-n // t) * t, x.shape[-1]))
+    padded[..., :n, :] = x
+    tiles = np.moveaxis(padded.reshape(x.shape[:-2] + (-1, t, x.shape[-1])), -3, 0)
+    logits = np.moveaxis(_plain_forward(m, tiles)[0], 0, -3)
+    return logits.reshape(x.shape[:-2] + (-1, logits.shape[-1]))[..., :n, :]
+
+
 def _with_exact_zero_unit(m):
     """``m`` with hidden unit 0 of layer 0 zeroed, so its pre-activation is exactly 0.0."""
     m.layers[0].weight[..., 0, :] = 0.0
@@ -403,8 +418,9 @@ def _with_exact_zero_unit(m):
                          for s in range(2)]),
 ], ids=["2d", "stacked", "adapter", "tanh", "stacked_tanh", "stacked_rank2_adapter"])
 def test_logits_match_forward_cache_bytewise_as_batches_grow_and_shrink(make):
-    # Both are checked against the plain expressions, byte for byte: logits, every
-    # cached activation and adapter projection, and the activation's backward mask.
+    # Both are checked against the plain expressions, byte for byte: logits on the
+    # tiles it runs; forward_cache's logits, every cached activation and adapter
+    # projection, and the activation's backward mask on the whole batch.
     m = _with_exact_zero_unit(make())
     forward, backward = ACTIVATIONS[m.activation]
     rng = np.random.default_rng(5)
@@ -414,7 +430,7 @@ def test_logits_match_forward_cache_bytewise_as_batches_grow_and_shrink(make):
         x[..., 0, 0] = np.nan  # every pre-activation of row 0 is NaN
         expected_logits, expected_inputs, expected_mids, expected_pre = _plain_forward(m, x)
         logits = m.logits(x)
-        assert logits.tobytes() == expected_logits.tobytes()
+        assert logits.tobytes() == _plain_tiled_logits(m, x).tobytes()
         cached_logits, (inputs, mids) = m.forward_cache(x)
         assert cached_logits.tobytes() == expected_logits.tobytes()
         assert [a.tobytes() for a in inputs] == [a.tobytes() for a in expected_inputs]
@@ -430,6 +446,52 @@ def test_logits_match_forward_cache_bytewise_as_batches_grow_and_shrink(make):
         returned.append((logits, logits.copy()))
     for logits, copy in returned:  # a later call never writes into an earlier result
         assert logits.tobytes() == copy.tobytes()
+
+
+# (inputs, backbone, classes) of the layouts whose row invariance is pinned: the
+# default model and the benchmark's ``wide`` one.
+INVARIANT_LAYOUTS = {"default": (8, "mlp:32,32", 3), "wide": (64, "mlp:256,256", 10)}
+
+
+@pytest.mark.parametrize("k", [0, 3], ids=["alone", "stack_of_3"])
+@pytest.mark.parametrize("layout", sorted(INVARIANT_LAYOUTS))
+def test_logits_rows_are_invariant_to_prefix_offset_and_neighbours(layout, k):
+    """A row's logits are the same bytes whatever else the call holds: the first M
+    rows of a 600-row call equal an M-row call, a block of rows gives the same
+    bytes at six offsets within a tile, and replacing every other row (of its
+    tile too) leaves a row's bytes as they were."""
+    inputs, backbone, classes = INVARIANT_LAYOUTS[layout]
+    models = [build_model(inputs, classes, backbone, seed=s) for s in range(max(k, 1))]
+    m = Model.stack(models) if k else models[0]
+    t = m.tile_rows
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(m._lead + (600, inputs))
+    whole = m.logits(x)
+    for rows in range(1, 512):
+        assert m.logits(x[..., :rows, :]).tobytes() == whole[..., :rows, :].tobytes(), rows
+    block = whole[..., 100:105, :].tobytes()
+    for offset in (0, 1, 2, 7, t // 2, t - 5):
+        y = rng.standard_normal(m._lead + (2 * t, inputs))
+        y[..., offset:offset + 5, :] = x[..., 100:105, :]
+        assert m.logits(y)[..., offset:offset + 5, :].tobytes() == block, offset
+    for row in (0, t + 3, 599):  # 599 sits in the zero-padded tail tile
+        y = rng.standard_normal(x.shape)
+        y[..., row, :] = x[..., row, :]
+        assert m.logits(y)[..., row, :].tobytes() == whole[..., row, :].tobytes(), row
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_logits_row_invariance_holds_under_the_avx2_emulation(threads):
+    """The invariance test again, in a process that runs numpy's X86_V3 loops and
+    OpenBLAS's Haswell kernels on ``threads`` BLAS threads."""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4",
+           "OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": threads}
+    test = f"{Path(__file__).name}::test_logits_rows_are_invariant_to_prefix_offset_and_neighbours"
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                         cwd=Path(__file__).parent, env=env, capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "4 passed" in out.stdout
 
 
 def test_relu_backward_masks_exactly_where_the_pre_activation_is_positive():

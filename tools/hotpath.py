@@ -15,8 +15,9 @@ whole step with a curriculum, as the benchmark's ``wide`` sweep trains. It
 then prints the whole step's cost per member of a default-config stack of
 K = 1, 2, 4, 10 and 20 models, the figure that sets how many members a
 lockstep step stacks (``unlearn.MAX_STACK``). It also times one trace
-snapshot of a default-config model and of a ``wide`` one: three evaluation
-passes, in row blocks, and the accuracies and mean losses scored from them,
+snapshot of a default-config model and of a ``wide`` one: two forward calls
+in fixed row tiles (``Model.logits``), over the test set and over the
+training set, and the accuracies and mean losses scored from them,
 and one checkpoint write (``Model.save``) of a default-config model and of
 a ``wide`` one, into a temporary directory.
 Next to the step, snapshot and save times it prints the ``tracemalloc`` peak
